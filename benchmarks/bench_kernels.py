@@ -2,7 +2,10 @@
 
 Runs each hot sweep on a representative workload with both backends and
 prints a timing table. The numba functions are warmed once so JIT
-compilation is not billed to the measurement.
+compilation is not billed to the measurement. Without numba the `_nb`
+functions are the same loops run as plain Python: the second column is
+then labelled as such and no speed-up ratio is printed, since it would
+compare numpy against the interpreter rather than against compiled code.
 
     python3 benchmarks/bench_kernels.py [repeats]
 """
@@ -78,15 +81,21 @@ def main():
     repeats = int(sys.argv[1]) if len(sys.argv) > 1 else 5
     rows = []
     for name, np_fn, nb_fn in workloads():
-        nb_fn()  # JIT warmup
+        nb_fn()  # JIT warmup (a plain call without numba)
         t_np = best_of(np_fn, repeats)
         t_nb = best_of(nb_fn, repeats)
         rows.append((name, t_np, t_nb))
+    compiled = kernels.BACKEND == "numba"
+    second = "numba" if compiled else "_nb python"
     width = max(len(r[0]) for r in rows)
-    print(f"{'kernel':<{width}}  {'numpy':>10}  {'numba':>10}  {'speedup':>8}")
+    print(f"backend: {kernels.BACKEND}")
+    if not compiled:
+        print("numba is not active: the second column times the uncompiled _nb Python loops")
+    header = f"{'kernel':<{width}}  {'numpy':>10}  {second:>10}"
+    print(header + (f"  {'speedup':>8}" if compiled else ""))
     for name, t_np, t_nb in rows:
-        print(f"{name:<{width}}  {t_np * 1e3:>8.2f}ms  {t_nb * 1e3:>8.2f}ms  "
-              f"{t_np / t_nb:>7.1f}x")
+        line = f"{name:<{width}}  {t_np * 1e3:>8.2f}ms  {t_nb * 1e3:>8.2f}ms"
+        print(line + (f"  {t_np / t_nb:>7.1f}x" if compiled else ""))
 
 
 if __name__ == "__main__":

@@ -20,8 +20,8 @@ import numpy as np
 
 from .bits import as_bits
 from .budgets import BudgetFunction
-from .errors import ConfigError, ContractError, DimensionError, ResourceError
-from .extractor import BlockSchedule
+from .errors import ConfigError, DimensionError, ResourceError
+from .extractor import BlockSchedule, core_indices
 
 GENERIC_WINDOW_CEILING = 24
 
@@ -94,19 +94,50 @@ def stages_from_blocks(schedule: BlockSchedule, budget: BudgetFunction,
     return AdversarySchedule(tuple(bounds), targets, budget)
 
 
+def _first_ones(x: np.ndarray, start: int, stop: int, count: int) -> np.ndarray:
+    """Positions of the first `count` 1-bits of x[start:stop].
+
+    Scans a prefix window that doubles until it holds `count` ones, so
+    the work tracks the answer rather than the interval length; the
+    caller guarantees the interval holds at least `count` ones.
+    """
+    if count == 0:
+        return np.empty(0, dtype=np.int64)
+    width = count
+    while True:
+        end = min(stop, start + width)
+        hits = np.flatnonzero(x[start:end])
+        if hits.size >= count or end == stop:
+            return hits[:count] + start
+        width *= 2
+
+
+def _cheapest_flips(x: np.ndarray, core) -> tuple[np.ndarray, int]:
+    """force_majority_zero on a bit array, flips as an int64 array."""
+    idx = core_indices(core, x.size)
+    if isinstance(idx, range):
+        ones = int(np.count_nonzero(x[idx.start:idx.stop]))
+        cost = max(0, ones - len(idx) // 2)
+        return _first_ones(x, idx.start, idx.stop, cost), cost
+    ones_at = idx[x[idx] != 0]
+    cost = max(0, ones_at.size - idx.size // 2)
+    return ones_at[:cost], cost
+
+
 def force_majority_zero(X, core) -> tuple[list[int], int]:
     """Cheapest flips making the majority over `core` vote 0.
 
     Flips the lowest-indexed 1-bits first; cost is
-    max(0, ones - floor(|core|/2)). Always feasible.
+    max(0, ones - floor(|core|/2)). Always feasible. Only the core's
+    bits are read: a step-1 range is counted as one slice and scanned
+    only as far as the flips reach; any other core (list, set, ndarray)
+    is read through its sorted index array.
+
+    Raises ContractError for an empty or even-size core, a duplicate or
+    a non-integer index, and DimensionError for an index outside X.
     """
-    x = as_bits(X)
-    idx = sorted(int(i) for i in core)
-    if not idx or len(idx) % 2 == 0:
-        raise ContractError("majority core must have odd size")
-    ones_at = [i for i in idx if x[i]]
-    cost = max(0, len(ones_at) - len(idx) // 2)
-    return ones_at[:cost], cost
+    flips, cost = _cheapest_flips(as_bits(X), core)
+    return flips.tolist(), cost
 
 
 class ForceResult(NamedTuple):
@@ -137,13 +168,13 @@ def force_output_zero_generic(X, stage_window: tuple[int, int], oracle_prefix,
     if not 0 <= a < b <= x.size:
         raise DimensionError(f"window [{a},{b}) outside input of length {x.size}")
     if majority_core is not None:
-        core = sorted(int(i) for i in majority_core)
+        core = core_indices(majority_core, x.size)
         if core[0] < a or core[-1] >= b:
             raise ConfigError("majority core must lie inside the stage window")
-        flips, cost = force_majority_zero(x, core)
+        flips, cost = _cheapest_flips(x, core)
         if budget is not None and cost > budget:
             return ForceResult([], cost, False, True)
-        return ForceResult(flips, cost, True, False)
+        return ForceResult(flips.tolist(), cost, True, False)
     width = b - a
     if width > ceiling:
         raise ResourceError(
@@ -211,7 +242,8 @@ def corrupt(X, schedule: BlockSchedule, adv: AdversarySchedule,
 
     With budget enforcement on, a stage whose minimal cost overruns
     p(n_{s+1}-n_s) makes no changes (its target is reported unforced
-    with the budget_exceeded flag). Flips at stage s stay inside
+    with the budget_exceeded flag and the refused minimal cost, which
+    stays out of the cumulative costs). Flips at stage s stay inside
     [n_s, n_{s+1}); cumulative costs and the overall prefix-budget
     verdict land in the report.
     """
@@ -234,14 +266,13 @@ def corrupt(X, schedule: BlockSchedule, adv: AdversarySchedule,
             raise ConfigError(
                 f"stage {s}: target block [{blk_start},{blk_end}) not inside window [{a},{b})")
         core_start, core_end = schedule.odd_cores[target]
-        flips, cost = force_majority_zero(y, range(core_start, core_end))
+        flips, cost = _cheapest_flips(y, range(core_start, core_end))
         stage_budget = adv.budget(b - a)
         if enforce_budget and cost > stage_budget:
-            records.append(StageRecord(s, (a, b), [], 0, False, 1, True))
+            records.append(StageRecord(s, (a, b), [], cost, False, 1, True))
         else:
-            for i in flips:
-                y[i] ^= 1
-            records.append(StageRecord(s, (a, b), flips, cost, True, 1, False))
+            y[flips] ^= 1
+            records.append(StageRecord(s, (a, b), flips.tolist(), cost, True, 1, False))
             running += cost
         cumulative.append(running)
         if running > adv.budget(b):

@@ -19,7 +19,11 @@ from .errors import DimensionError, DomainError
 
 
 def as_bits(x) -> np.ndarray:
-    """Coerce a str / iterable / ndarray to a uint8 array of 0s and 1s."""
+    """Coerce a str / iterable / ndarray to a uint8 array of 0s and 1s.
+
+    Values must be integers (or booleans) equal to 0 or 1; anything else,
+    negative and fractional values included, raises DomainError.
+    """
     if isinstance(x, np.ndarray) and x.dtype == np.uint8:
         bits = x
     elif isinstance(x, str):
@@ -27,7 +31,13 @@ def as_bits(x) -> np.ndarray:
             raise DomainError(f"bit string may contain only 0/1, got {x!r}")
         bits = np.frombuffer(x.encode("ascii"), dtype=np.uint8) - ord("0")
     else:
-        bits = np.asarray(list(x), dtype=np.uint8)
+        try:
+            vals = x if isinstance(x, np.ndarray) else np.asarray(list(x))
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise DomainError(f"bit values must be 0 or 1: {exc}") from None
+        if vals.size and (vals.dtype.kind not in "biu" or vals.min() < 0 or vals.max() > 1):
+            raise DomainError(f"bit values must be the integers 0 or 1, got {vals.dtype} values")
+        bits = vals.astype(np.uint8)
     if bits.ndim != 1:
         raise DomainError("bit strings are one-dimensional")
     if bits.size and bits.max() > 1:

@@ -16,6 +16,7 @@ independent code path.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -38,16 +39,51 @@ def odd_trim(block) -> set[int]:
     return set(s)
 
 
-def majority_bit(X, core) -> int:
-    """1 iff strictly more ones than zeros on the (odd-size) core."""
-    x = as_bits(X)
-    idx = sorted(int(i) for i in core)
-    if not idx or len(idx) % 2 == 0:
+def core_indices(core, length: int) -> range | np.ndarray:
+    """Validate a majority core against an input of `length` bits.
+
+    A step-1 range comes back unchanged (callers slice with it, so it
+    costs O(1)); any other iterable or integer ndarray comes back as a
+    sorted int64 array. Raises ContractError for an empty or even-size
+    core, a duplicate index or a non-integer index, and DimensionError
+    for an index outside [0, length).
+    """
+    if isinstance(core, range) and core.step == 1:
+        idx = core
+    elif isinstance(core, np.ndarray):
+        if core.size and core.dtype.kind not in "iu":
+            raise ContractError(f"majority core indices must be integers, got {core.dtype}")
+        # uint64 values past the int64 range wrap negative and are rejected below
+        idx = np.sort(core.astype(np.int64), axis=None)
+    else:
+        try:
+            idx = np.sort(np.fromiter((operator.index(i) for i in core), dtype=np.int64))
+        except TypeError as exc:
+            raise ContractError(f"majority core indices must be integers: {exc}") from None
+        except OverflowError:
+            raise DimensionError(f"core index outside input of length {length}") from None
+    if len(idx) % 2 == 0:
         raise ContractError(f"majority core must have odd size, got {len(idx)}")
-    if idx[-1] >= x.size or idx[0] < 0:
-        raise DimensionError(f"core index {idx[-1]} outside input of length {x.size}")
-    ones = int(x[idx].sum())
-    return 1 if 2 * ones > len(idx) else 0
+    if idx[0] < 0 or idx[-1] >= length:
+        bad = idx[0] if idx[0] < 0 else idx[-1]
+        raise DimensionError(f"core index {bad} outside input of length {length}")
+    if isinstance(idx, np.ndarray):
+        repeated = idx[1:][idx[1:] == idx[:-1]]
+        if repeated.size:
+            raise ContractError(f"majority core lists index {repeated[0]} more than once")
+    return idx
+
+
+def majority_bit(X, core) -> int:
+    """1 iff strictly more ones than zeros on the (odd-size) core.
+
+    The core is checked by core_indices: duplicates and indices outside
+    X raise instead of being counted twice or wrapped around.
+    """
+    x = as_bits(X)
+    idx = core_indices(core, x.size)
+    voters = x[idx.start:idx.stop] if isinstance(idx, range) else x[idx]
+    return 1 if 2 * int(np.count_nonzero(voters)) > len(idx) else 0
 
 
 @dataclass(frozen=True)

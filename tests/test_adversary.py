@@ -29,6 +29,28 @@ def brute_force_min_cost(x: str, core, max_flips=None) -> int:
     raise AssertionError("majority can always be forced")
 
 
+def flips_oracle(x: np.ndarray, core) -> list[int]:
+    """Canonical cheapest flips: the lowest-indexed ones of the core,
+    as many as the vote is over half."""
+    core = sorted(int(i) for i in core)
+    ones = [i for i in core if x[i]]
+    return ones[:max(0, len(ones) - len(core) // 2)]
+
+
+def core_pattern(rng, n: int, kind: str) -> np.ndarray:
+    """n core bits: random at a few densities, constant, or with every
+    one at the far end (the prefix scan's worst case)."""
+    if kind == "zeros":
+        return np.zeros(n, dtype=np.uint8)
+    if kind == "ones":
+        return np.ones(n, dtype=np.uint8)
+    if kind == "far_end":
+        bits = np.zeros(n, dtype=np.uint8)
+        bits[n // 2 - int(rng.integers(0, min(n // 2, 20) + 1)):] = 1
+        return bits
+    return (rng.random(n) < float(kind)).astype(np.uint8)
+
+
 class TestForceMajorityZero:
     def test_four_of_five(self):
         flips, cost = force_majority_zero("11110", range(5))
@@ -56,6 +78,64 @@ class TestForceMajorityZero:
             x = to_text(rng.integers(0, 2, n).astype(np.uint8))
             _, cost = force_majority_zero(x, range(n))
             assert cost == brute_force_min_cost(x, range(n))
+
+    def test_flips_match_oracle_on_contiguous_cores(self):
+        rng = np.random.Generator(np.random.Philox(key=11))
+        sizes = (1, 3, 63, 1025, 40_001, 99_999)
+        kinds = ("zeros", "ones", "far_end", "0.1", "0.5", "0.52", "0.9")
+        for n in sizes:
+            for kind in kinds:
+                pad = rng.integers(0, 2, 2 * 37).astype(np.uint8)
+                x = np.concatenate((pad[:37], core_pattern(rng, n, kind), pad[37:]))
+                core = range(37, 37 + n)
+                flips, cost = force_majority_zero(x, core)
+                expected = flips_oracle(x, core)
+                assert flips == expected and cost == len(expected), (n, kind)
+                assert all(type(i) is int for i in flips)
+                y = x.copy()
+                y[flips] ^= 1
+                assert 2 * int(y[37:37 + n].sum()) < n
+        # cost 0 with ones present: exactly half the core (rounded down) is set
+        x = np.zeros(101, dtype=np.uint8)
+        x[::2][:50] = 1
+        assert force_majority_zero(x, range(101)) == ([], 0)
+
+    def test_flips_match_oracle_on_arbitrary_cores(self):
+        rng = np.random.Generator(np.random.Philox(key=12))
+        for _ in range(60):
+            length = int(rng.integers(1, 3000))
+            n = int(rng.integers(0, (length + 1) // 2)) * 2 + 1
+            picked = rng.choice(length, size=n, replace=False)
+            x = (rng.random(length) < rng.random()).astype(np.uint8)
+            expected = flips_oracle(x, picked)
+            for core in (picked.tolist(), set(picked.tolist()), picked,
+                         picked.astype(np.uint32)):
+                flips, cost = force_majority_zero(x, core)
+                assert flips == expected and cost == len(expected)
+
+    def test_duplicate_index_rejected(self):
+        # [0, 0, 1] used to return flips [0, 0]: a no-op reported as forcing
+        with pytest.raises(ContractError):
+            force_majority_zero("111", [0, 0, 1])
+        with pytest.raises(ContractError):
+            force_majority_zero("111", np.array([1, 0, 1]))
+
+    def test_negative_index_rejected(self):
+        # -1 used to wrap around to the last bit
+        with pytest.raises(DimensionError):
+            force_majority_zero("110", [-1, 0, 1])
+
+    def test_index_past_input_rejected(self):
+        with pytest.raises(DimensionError):
+            force_majority_zero("110", [0, 1, 5])
+        with pytest.raises(DimensionError):
+            force_majority_zero("110", range(1, 4))
+
+    def test_non_integer_index_rejected(self):
+        with pytest.raises(ContractError):
+            force_majority_zero("110", [0.5, 1, 2])
+        with pytest.raises(ContractError):
+            force_majority_zero("110", np.array([0.0, 1.0, 2.0]))
 
 
 class TestForceOutputZeroGeneric:
@@ -89,6 +169,26 @@ class TestForceOutputZeroGeneric:
         res = force_output_zero_generic(x, (0, 40), "", None, ceiling=8,
                                         majority_core=range(39))
         assert res.forced and res.cost == 20
+
+    def test_majority_core_duplicates_rejected(self):
+        # used to report forced=True at cost 2 without changing the vote
+        with pytest.raises(ContractError):
+            force_output_zero_generic("111", (0, 3), "", self.maj5,
+                                      majority_core=[0, 0, 1])
+
+    def test_majority_core_outside_window_rejected(self):
+        with pytest.raises(ConfigError):
+            force_output_zero_generic("1111", (1, 4), "1", self.maj5,
+                                      majority_core=[0, 1, 2])
+        with pytest.raises(DimensionError):
+            force_output_zero_generic("1111", (1, 4), "1", self.maj5,
+                                      majority_core=[-1, 1, 2])
+
+    def test_majority_core_flips_match_oracle(self):
+        x = as_bits("0110111011")
+        res = force_output_zero_generic(x, (0, 10), "", None,
+                                        majority_core={9, 2, 4, 5, 7})
+        assert res == (flips_oracle(x, [2, 4, 5, 7, 9]), 2, True, False)
 
     def test_exhaustive_equals_closed_form_small_windows(self):
         rng = np.random.Generator(np.random.Philox(key=8))
@@ -183,10 +283,29 @@ class TestCorrupt:
         rep = corrupt(as_bits("11111"), sched, adv)  # needs 3 > 1
         assert not rep.per_stage[0].forced
         assert rep.per_stage[0].budget_exceeded
+        assert rep.per_stage[0].cost == 3  # the refused minimal cost
+        assert rep.per_stage[0].flips == []
+        assert rep.cumulative_cost_at_stage == [0] and rep.budget_ok
         assert rep.Y.tolist() == [1, 1, 1, 1, 1]
         unforced = corrupt(as_bits("11111"), sched, adv, enforce_budget=False)
         assert unforced.per_stage[0].forced and unforced.per_stage[0].cost == 3
         assert not unforced.budget_ok
+
+    def test_y_is_x_xor_reported_flips(self):
+        tight = stages_from_blocks(self.sched, self.g)  # refuses some stages
+        for seed in range(1, 6):
+            x = bit_stream(seed, self.sched.total_length)
+            for adv in (self.adv, tight):
+                rep = corrupt(x, self.sched, adv)
+                expected = x.copy()
+                for r in rep.per_stage:
+                    core = range(*self.sched.odd_cores[adv.targets[r.stage]])
+                    if r.forced:
+                        assert r.flips == flips_oracle(expected, core)
+                        expected[r.flips] ^= 1
+                    else:
+                        assert r.flips == [] and r.cost == len(flips_oracle(expected, core))
+                assert np.array_equal(rep.Y, expected)
 
     def test_target_outside_window_rejected(self):
         adv = AdversarySchedule((0, 1), (3,), self.p)

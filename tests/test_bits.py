@@ -22,6 +22,18 @@ def test_as_bits_rejects_garbage():
         as_bits([0, 2, 1])
 
 
+@pytest.mark.parametrize("values", [[-1], [0, -1, 1], [0.5], [1, 0.5], [0, 2 ** 70]])
+def test_as_bits_rejects_negative_and_non_integer(values):
+    with pytest.raises(DomainError):
+        as_bits(values)
+
+
+def test_as_bits_accepts_integer_and_bool_arrays():
+    assert as_bits(np.array([1, 0, 1], dtype=np.int64)).tolist() == [1, 0, 1]
+    assert as_bits([True, False]).tolist() == [1, 0]
+    assert as_bits([]).tolist() == []
+
+
 @given(bitlists)
 def test_text_round_trip(bits):
     assert as_bits(to_text(as_bits(bits))).tolist() == bits

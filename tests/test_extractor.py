@@ -63,6 +63,20 @@ class TestMajorityBit:
         with pytest.raises(DimensionError):
             majority_bit("11", {0, 1, 2})
 
+    def test_duplicate_index_rejected(self):
+        # [0, 0, 1] would count position 0 twice and vote 0 on "011"
+        with pytest.raises(ContractError):
+            majority_bit("011", [0, 0, 1])
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(DimensionError):
+            majority_bit("011", [-1, 0, 1])
+
+    def test_list_range_and_array_cores_agree(self):
+        x = "1101001110"
+        for core in ([1, 2, 3, 4, 5], range(1, 6), np.arange(5, 0, -1), {5, 4, 3, 2, 1}):
+            assert majority_bit(x, core) == majority_oracle(x, [1, 2, 3, 4, 5])
+
 
 class TestExtract:
     def test_hand_trace_two_blocks(self):
