@@ -112,7 +112,8 @@ def _write_csv(out_dir: Path, name: str, header: list[str], rows) -> Path:
 
 def _load_bits(path: str) -> np.ndarray:
     """Sniff text vs packed: text files contain only 0/1 and newlines."""
-    head = Path(path).open("rb").read(64)
+    with open(path, "rb") as fh:
+        head = fh.read(64)
     if head and all(b in (0x30, 0x31, 0x0A, 0x0D) for b in head):
         strings = read_text_bits(path)
         if len(strings) != 1:
@@ -121,10 +122,10 @@ def _load_bits(path: str) -> np.ndarray:
     return read_packed_bits(path)
 
 
-def _input_bits(args, cfg) -> np.ndarray:
+def _input_bits(args, cfg, default_length: int = 1 << 16) -> np.ndarray:
     if args.input:
         return _load_bits(args.input)
-    length = int(cfg.get("length", 1 << 16))
+    length = int(cfg.get("length", default_length))
     return bit_stream(int(cfg.get("seed", 0)), length)
 
 
@@ -137,8 +138,8 @@ def _schedule(args, cfg) -> BlockSchedule:
 
 def cmd_extract(args) -> int:
     cfg = _merged_config(args)
-    x = _input_bits(args, cfg)
     sched = _schedule(args, cfg)
+    x = _input_bits(args, cfg, max(1 << 16, sched.total_length))
     budget = parse_budget(cfg["budget"]) if cfg.get("budget") else None
     trace = extract(x, sched, budget)
     out = Path(args.out_dir)

@@ -75,10 +75,8 @@ def neighborhood(A, d: int) -> set[str]:
         raise DimensionError("neighborhood members must share one dimension")
     if not 0 <= d <= n:
         raise DomainError(f"need 0 <= d <= {n}, got {d}")
-    ind = _indicator((bits_to_mask(m) for m in members), n)
-    for _ in range(d):
-        ind = kernels.dilate(ind, n)
-    return {vertex_text(int(v), n) for v in np.flatnonzero(ind)}
+    dist = kernels.distance_to_set(_indicator((bits_to_mask(m) for m in members), n), n)
+    return {vertex_text(int(v), n) for v in np.flatnonzero(dist <= d)}
 
 
 def shell_vertices(n: int, level: int, center_vertex: int = 0) -> list[int]:
@@ -129,13 +127,11 @@ class SphereSpec:
         return _indicator(self.members(), self.dimension)
 
     def gamma_size(self, d: int) -> int:
-        """|Γ_d(S)| by exact expansion."""
+        """|Γ_d(S)|: the points within distance d of S, counted exactly."""
         if self.size == 0:
             return 0
-        ind = self.indicator()
-        for _ in range(d):
-            ind = kernels.dilate(ind, self.dimension)
-        return int(np.count_nonzero(ind))
+        dist = kernels.distance_to_set(self.indicator(), self.dimension)
+        return int(np.count_nonzero(dist <= d))
 
 
 def make_sphere(n: int, size: int, center) -> SphereSpec:

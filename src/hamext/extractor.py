@@ -94,6 +94,8 @@ class BlockSchedule:
     output_index_map: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        if not self.blocks:
+            raise ConfigError("a block schedule needs at least one block")
         prev_end = None
         prev_size = 0
         for k, (start, end) in enumerate(self.blocks):
@@ -140,7 +142,7 @@ class BlockSchedule:
 
     @property
     def total_length(self) -> int:
-        return self.blocks[-1][1] if self.blocks else 0
+        return self.blocks[-1][1]
 
     def to_text(self) -> str:
         targets = dict(self.output_index_map)
@@ -219,6 +221,7 @@ def extract(X, schedule, budget: BudgetFunction | None = None) -> ExtractionTrac
         margins = 2 * ones - (ends - starts)
         full_sizes = np.array(schedule.sizes)
     else:
+        schedule = list(schedule)  # read a one-shot iterable once
         cores = _cores_of(schedule)
         for k, core in enumerate(cores):
             if core.size and core[-1] >= x.size:

@@ -10,7 +10,9 @@ happens once at import from HAMEXT_BACKEND:
 
 Both backends are kept importable (``*_np`` / ``*_nb`` names) so the
 equivalence tests and benchmarks/bench_kernels.py can compare them.
-All kernels are deterministic and allocate their own outputs.
+``distance_to_set`` is whole-array numpy work in either lane, so it has
+one implementation. All kernels are deterministic and allocate their
+own outputs.
 
 Vertex convention: a point of {0,1}^n is an integer mask with bit i
 holding position i; a set of points is either a bool indicator array
@@ -63,7 +65,11 @@ def _pc64(x):
     x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
     x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
     x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
+    # fold the byte counts with shift-adds: a multiply would overflow
+    x = x + (x >> np.uint64(8))
+    x = x + (x >> np.uint64(16))
+    x = x + (x >> np.uint64(32))
+    return x & np.uint64(0x7F)
 
 
 @njit(cache=True)
@@ -75,24 +81,21 @@ def popcount_nb(a):
 
 
 # ---------------------------------------------------------------------------
-# one-step neighborhood expansion of an indicator over {0,1}^n
+# exact Hamming distance from every vertex of {0,1}^n to a vertex set
 
-def dilate_np(ind: np.ndarray, n: int) -> np.ndarray:
-    out = ind.copy()
-    idx = np.arange(ind.size)
+def distance_to_set(ind: np.ndarray, n: int) -> np.ndarray:
+    """dist[v] = min over members u of popcount(v ^ u); n+1 for an empty set.
+
+    Hamming distance sums one term per coordinate, so one min-plus pass
+    per coordinate (each vertex against its partner across that
+    coordinate) is exact. Values stay within n+2, far inside int8 for
+    any n whose 2^n-entry array fits in memory.
+    """
+    dist = np.where(ind, 0, n + 1).astype(np.int8)
     for i in range(n):
-        out |= ind[idx ^ (1 << i)]
-    return out
-
-
-@njit(cache=True)
-def dilate_nb(ind, n):
-    out = ind.copy()
-    for v in range(ind.size):
-        if ind[v]:
-            for i in range(n):
-                out[v ^ (1 << i)] = True
-    return out
+        pairs = dist.reshape(-1, 2, 1 << i)
+        np.minimum(pairs, pairs[:, ::-1] + 1, out=pairs)
+    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +207,11 @@ def robustness_violations_nb(cores, core_sizes, budgets2, patterns, length):
 
 if _HAVE_NUMBA:
     popcount = popcount_nb
-    dilate = dilate_nb
     subset_min_gamma = subset_min_gamma_nb
     all_outputs = all_outputs_nb
     robustness_violations = robustness_violations_nb
 else:
     popcount = popcount_np
-    dilate = dilate_np
     subset_min_gamma = subset_min_gamma_np
     all_outputs = all_outputs_np
     robustness_violations = robustness_violations_np

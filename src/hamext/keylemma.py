@@ -4,7 +4,7 @@ For an event E inside {0,1}^n holding at most a q_{r+1} fraction of the
 cube (r the largest radius with b(n,r) <= |E|), the probability that
 the whole radius-d ball around a uniform point stays inside E is at
 most the shifted tail q_{r+1-d}. Everything here is computed exactly:
-the containment count is 2^n - |Γ_d(complement)| by iterated expansion,
+the containment count is 2^n - |Γ_d(complement)| from exact distances,
 the tail is a big-integer binomial sum, and both sides are fractions
 over 2^n.
 """
@@ -57,19 +57,18 @@ def containment_profile(family: EventFamily, max_d: int | None = None) -> list[F
     """P(ball_d(X) ⊆ E) for d = 0..max_d, exactly, in one sweep.
 
     A point fails iff it lies within d of the complement, so the count
-    is 2^n minus the expanded complement's size.
+    is 2^n minus the points at distance <= d from the complement. An
+    empty complement sits at distance n+1 from every point and never
+    counts.
     """
     n = family.dimension
     _check_ceiling(n)
     if max_d is None:
         max_d = n
     total = 1 << n
-    bad = ~family.indicator()
-    out = [Fraction(total - int(np.count_nonzero(bad)), total)]
-    for _ in range(max_d):
-        bad = kernels.dilate(bad, n)
-        out.append(Fraction(total - int(np.count_nonzero(bad)), total))
-    return out
+    dist = kernels.distance_to_set(~family.indicator(), n)
+    within = np.cumsum(np.bincount(dist, minlength=n + 1)[:n + 1])
+    return [Fraction(total - int(within[min(d, n)]), total) for d in range(max(max_d, 0) + 1)]
 
 
 def ball_containment_probability(instance: KeyLemmaInstance) -> Fraction:
@@ -89,7 +88,7 @@ def _tail_fraction(n: int, t: int) -> Fraction:
 def _sample_family(n: int, max_size: int, rng) -> EventFamily:
     size = int(rng.integers(0, max_size + 1))
     members = rng.choice(1 << n, size=size, replace=False) if size else np.empty(0, dtype=np.int64)
-    return EventFamily(n, frozenset(int(v) for v in members))
+    return EventFamily(n, frozenset(members.tolist()))
 
 
 def adversarial_families(n: int, max_size: int, rng) -> list[tuple[str, EventFamily]]:

@@ -16,8 +16,11 @@ comparisons allow).
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise, starmap
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -126,11 +129,14 @@ class WeberSeries:
 
 
 def weber_series(nu, n_max: int) -> WeberSeries:
-    seq = [int(v) for v in nu]
-    if any(b <= a for a, b in zip(seq, seq[1:])) or (seq and seq[0] < 1):
+    seq = tuple(map(int, nu))
+    if not all(starmap(operator.lt, pairwise(seq))) or (seq and seq[0] < 1):
         raise DomainError("subsequence must be strictly increasing positive integers")
-    hits = {m for m in (_block_of(v) for v in seq if v >= 2) if 1 <= m <= n_max}
-    return WeberSeries(tuple(seq), n_max, frozenset(hits))
+    # block m = (2^(m-1), 2^m] is hit iff the first member past 2^(m-1) is at
+    # most 2^m; no block past the last member's can be
+    top = min(n_max, _block_of(seq[-1])) if seq else 0
+    hits = {m for m in range(1, top + 1) if seq[bisect_right(seq, 1 << (m - 1))] <= 1 << m}
+    return WeberSeries(seq, n_max, frozenset(hits))
 
 
 class SparseResult(NamedTuple):

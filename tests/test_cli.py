@@ -1,4 +1,6 @@
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -40,6 +42,26 @@ class TestExtract:
         run(["extract", "--input", src, "--schedule-file", sched,
              "--out-dir", tmp_path / "out"])
         assert read_json(tmp_path / "out" / "extract.json")["outputs"] == "11"
+
+    def test_empty_schedule_file_is_two(self, tmp_path, capsys):
+        sched = tmp_path / "sched.txt"
+        sched.write_text("")
+        assert run(["extract", "--schedule-file", sched, "--out-dir", tmp_path]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+    def test_default_stream_covers_schedule(self, tmp_path):
+        assert run(["extract", "--seed", 4, "--blocks", 5, "--out-dir", tmp_path]) == 0
+        assert len(read_json(tmp_path / "extract.json")["outputs"]) == 5
+
+    def test_sniffing_closes_input(self, tmp_path):
+        src = tmp_path / "x.txt"
+        write_text_bits(src, ["11001101"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["extract", "--input", src, "--blocks", 1,
+                        "--out-dir", tmp_path / "out"]) == 0
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestCorrupt:

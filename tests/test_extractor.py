@@ -110,6 +110,15 @@ class TestExtract:
         assert [int(v) for v in trace.outputs] == [majority_oracle("1101100", [0, 2, 4]),
                                                    majority_oracle("1101100", [1, 5, 6])]
 
+    def test_one_shot_iterable_schedule(self):
+        x = "1101100"
+        blocks = [[0, 1, 2], [3, 4, 5]]
+        budget = parse_budget("table:0")
+        expect = extract(x, blocks, budget)
+        trace = extract(x, iter(blocks), budget)
+        assert trace.outputs.tolist() == expect.outputs.tolist() == [1, 1]
+        assert trace.robust_flags.tolist() == expect.robust_flags.tolist()
+
     def test_rejects_overlapping_cores(self):
         with pytest.raises(ConfigError):
             extract("1101100", [{0, 2, 4}, {4, 5, 6}])
@@ -227,6 +236,13 @@ class TestSchedaleSerialization:
     def test_round_trip_with_targets(self):
         sched = BlockSchedule.from_sizes((3, 5, 6), output_index_map=((0, 2), (2, 5)))
         assert BlockSchedule.from_text(sched.to_text()) == sched
+
+    def test_rejects_empty_schedule(self):
+        for text in ("", "# comment only\n\n"):
+            with pytest.raises(ConfigError):
+                BlockSchedule.from_text(text)
+        with pytest.raises(ConfigError):
+            BlockSchedule.from_sizes(())
 
     def test_rejects_inconsistent_odd_end(self):
         with pytest.raises(ConfigError):

@@ -1,8 +1,10 @@
-"""Both kernel backends must agree bit-for-bit on every sweep."""
+"""Both kernel backends must agree bit-for-bit on every sweep; kernels
+with a single implementation are checked against brute-force oracles."""
 
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -27,24 +29,36 @@ def test_popcount_matches_python():
     assert kernels.popcount_nb(vals).tolist() == expect
 
 
-def test_dilate_backends_agree():
+def test_popcount_nb_raises_no_overflow_warning():
+    words = [0, 1 << 63, (1 << 64) - 1]
+    words += rng().integers(0, 1 << 64, size=64, dtype=np.uint64).tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = kernels.popcount_nb(np.array(words, dtype=np.uint64))
+    assert counts.tolist() == [w.bit_count() for w in words]
+
+
+def _distance_oracle(ind, n):
+    members = np.flatnonzero(ind).tolist()
+    return [min(((v ^ u).bit_count() for u in members), default=n + 1)
+            for v in range(1 << n)]
+
+
+def test_distance_to_set_matches_brute_force():
     g = rng()
-    for n in (1, 3, 6, 10):
-        ind = g.random(1 << n) < 0.3
-        a = kernels.dilate_np(ind.copy(), n)
-        b = kernels.dilate_nb(ind.copy(), n)
-        assert np.array_equal(a, b)
+    for n in range(9):
+        size = 1 << n
+        for ind in (np.zeros(size, dtype=np.bool_), np.ones(size, dtype=np.bool_),
+                    g.random(size) < 0.05, g.random(size) < 0.5):
+            assert kernels.distance_to_set(ind, n).tolist() == _distance_oracle(ind, n)
 
 
-def test_dilate_grows_singleton_to_ball():
+def test_distance_from_singleton_gives_ball_sizes():
     n = 5
     ind = np.zeros(1 << n, dtype=np.bool_)
     ind[0] = True
-    sizes = [1]
-    for _ in range(n):
-        ind = kernels.dilate(ind, n)
-        sizes.append(int(ind.sum()))
-    assert sizes == [1, 6, 16, 26, 31, 32]
+    dist = kernels.distance_to_set(ind, n)
+    assert [int(np.count_nonzero(dist <= d)) for d in range(n + 1)] == [1, 6, 16, 26, 31, 32]
 
 
 def _ball_masks(n, d):
@@ -88,7 +102,7 @@ def test_env_flag_selects_numpy_backend():
     out = subprocess.run(
         [sys.executable, "-c",
          "from hamext import kernels; print(kernels.BACKEND, "
-         "kernels.dilate is kernels.dilate_np)"],
+         "kernels.popcount is kernels.popcount_np)"],
         capture_output=True, text=True, env=env, check=True)
     assert out.stdout.split() == ["numpy", "True"]
 

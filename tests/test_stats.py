@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -111,6 +112,17 @@ class TestWeberSeries:
             lo, hi = (1 << (m - 1)) + 1, 1 << m
             rates = {series.log_rate(k) for k in range(lo, hi + 1)}
             assert len(rates) == 1
+
+    def test_hit_blocks_match_per_element_blocks(self):
+        rnd = random.Random(21)
+        for trial in range(40):
+            n_max = rnd.randrange(1, 80)
+            top = 1 << rnd.randrange(1, 100)  # reaches past 2^64 and past 2^n_max
+            draws = {rnd.randrange(1, top + 1) for _ in range(rnd.randrange(0, 30))}
+            nu = sorted(draws | {1} if trial % 2 else draws)
+            blocks = ((v - 1).bit_length() for v in nu if v >= 2)  # v in (2^(m-1), 2^m]
+            expect = frozenset(m for m in blocks if 1 <= m <= n_max)
+            assert weber_series(nu, n_max).hit_blocks == expect
 
     def test_rejects_nonincreasing(self):
         with pytest.raises(DomainError):
