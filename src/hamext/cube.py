@@ -12,6 +12,7 @@ fractions with power-of-two denominators.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,8 +35,16 @@ def hamming_distance(sigma, tau) -> int:
     return int(np.count_nonzero(a != b))
 
 
+def _integer(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 def binomial_tail(n: int, k: int) -> int:
     """b(n,k) = C(n,0)+...+C(n,k), exact; 0 for k<0, 2^n for k>=n."""
+    n, k = _integer(n, "n"), _integer(k, "k")
     if n < 0:
         raise DomainError("n must be nonnegative")
     if k < 0:
@@ -43,6 +52,20 @@ def binomial_tail(n: int, k: int) -> int:
     if k >= n:
         return 1 << n
     return sum(comb(n, i) for i in range(k + 1))
+
+
+def binomial_tails(n: int) -> list[int]:
+    """[b(n,0), b(n,1), ..., b(n,n)], exact, by the running recurrence
+    C(n,k+1) = C(n,k)(n-k)/(k+1); the last entry is 2^n."""
+    n = _integer(n, "n")
+    if n < 0:
+        raise DomainError("n must be nonnegative")
+    row, coeff, acc = [], 1, 0
+    for k in range(n + 1):
+        acc += coeff
+        row.append(acc)
+        coeff = coeff * (n - k) // (k + 1)
+    return row
 
 
 def vertex_of(s) -> int:
@@ -56,8 +79,7 @@ def vertex_text(v: int, n: int) -> str:
 
 def _indicator(vertices, n: int) -> np.ndarray:
     ind = np.zeros(1 << n, dtype=np.bool_)
-    for v in vertices:
-        ind[v] = True
+    ind[np.fromiter(vertices, dtype=np.int64)] = True
     return ind
 
 
@@ -179,6 +201,7 @@ def harper_min_neighborhood(n: int, size: int, d: int,
     all C(2^n, size) subsets, so n is capped (default 4); larger n
     raises rather than approximating.
     """
+    n, size, d = _integer(n, "n"), _integer(size, "size"), _integer(d, "d")
     if n > ceiling:
         raise ResourceError(
             f"exhaustive search needs n <= {ceiling} (2^2^n subsets), got n={n}")
@@ -199,7 +222,23 @@ class EventFamily:
     members: frozenset[int]
 
     def __post_init__(self):
-        if any(not 0 <= v < 1 << self.dimension for v in self.members):
+        n = _integer(self.dimension, "dimension")
+        if n < 0:
+            raise DomainError(f"dimension must be nonnegative, got {n}")
+        if not self.members:
+            return
+        try:
+            values = np.array(list(self.members))
+        except ValueError:  # ragged sequences among the members
+            values = None
+        if values is not None and values.ndim == 1 and values.dtype.kind in "iu":
+            lo, hi = int(values.min()), int(values.max())
+        else:
+            # a float, a string or an int past uint64 among the members:
+            # check them one by one, so 1.5 is refused rather than truncated
+            checked = [_integer(v, "event member") for v in self.members]
+            lo, hi = min(checked), max(checked)
+        if lo < 0 or hi >= 1 << n:
             raise DomainError("event member outside the cube")
 
     @classmethod

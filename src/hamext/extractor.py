@@ -116,8 +116,12 @@ class BlockSchedule:
         blocks = []
         pos = start
         for s in sizes:
-            blocks.append((pos, pos + int(s)))
-            pos += int(s)
+            try:
+                s = operator.index(s)
+            except TypeError:
+                raise ConfigError(f"block sizes must be integers, got {s!r}") from None
+            blocks.append((pos, pos + s))
+            pos += s
         return cls(tuple(blocks), tuple(output_index_map))
 
     def __len__(self):
@@ -214,11 +218,9 @@ def extract(X, schedule, budget: BudgetFunction | None = None) -> ExtractionTrac
             missing = [k for k, (_, e) in enumerate(schedule.blocks) if e > x.size]
             raise DimensionError(
                 f"input of length {x.size} does not cover blocks {missing}")
-        cs = np.concatenate(([0], np.cumsum(x, dtype=np.int64)))
-        starts = np.array([s for s, _ in schedule.odd_cores])
-        ends = np.array([e for _, e in schedule.odd_cores])
-        ones = cs[ends] - cs[starts]
-        margins = 2 * ones - (ends - starts)
+        cores = schedule.odd_cores
+        ones = np.array([np.count_nonzero(x[s:e]) for s, e in cores], dtype=np.int64)
+        margins = 2 * ones - np.array([e - s for s, e in cores], dtype=np.int64)
         full_sizes = np.array(schedule.sizes)
     else:
         schedule = list(schedule)  # read a one-shot iterable once

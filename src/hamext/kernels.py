@@ -25,6 +25,8 @@ import os
 
 import numpy as np
 
+from .errors import DimensionError
+
 _CHOICE = os.environ.get("HAMEXT_BACKEND", "auto").lower()
 if _CHOICE not in ("auto", "numba", "numpy"):
     raise ValueError(f"HAMEXT_BACKEND must be auto|numba|numpy, got {_CHOICE!r}")
@@ -84,17 +86,22 @@ def popcount_nb(a):
 # exact Hamming distance from every vertex of {0,1}^n to a vertex set
 
 def distance_to_set(ind: np.ndarray, n: int) -> np.ndarray:
-    """dist[v] = min over members u of popcount(v ^ u); n+1 for an empty set.
+    """dist[..., v] = min over members u of popcount(v ^ u); n+1 for an empty set.
 
-    Hamming distance sums one term per coordinate, so one min-plus pass
-    per coordinate (each vertex against its partner across that
-    coordinate) is exact. Values stay within n+2, far inside int8 for
-    any n whose 2^n-entry array fits in memory.
+    The last axis of `ind` indexes the 2^n vertices; any leading axes
+    batch independent sets, each swept on its own. Hamming distance sums
+    one term per coordinate, so one min-plus pass per coordinate (each
+    vertex against its partner across that coordinate) is exact. Values
+    stay within n+2, far inside int8 for any n whose 2^n-entry array
+    fits in memory.
     """
-    dist = np.where(ind, 0, n + 1).astype(np.int8)
+    if np.shape(ind)[-1:] != (1 << n,):
+        raise DimensionError(f"last axis must hold the 2^{n} vertices, got shape {np.shape(ind)}")
+    dist = np.where(ind, np.int8(0), np.int8(n + 1))
+    batch = dist.shape[:-1]
     for i in range(n):
-        pairs = dist.reshape(-1, 2, 1 << i)
-        np.minimum(pairs, pairs[:, ::-1] + 1, out=pairs)
+        pairs = dist.reshape(batch + (1 << (n - 1 - i), 2, 1 << i))
+        np.minimum(pairs, pairs[..., ::-1, :] + np.int8(1), out=pairs)
     return dist
 
 

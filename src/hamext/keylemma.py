@@ -11,17 +11,23 @@ over 2^n.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
 from . import kernels
-from .cube import EventFamily, binomial_tail, make_sphere
+from .cube import EventFamily, binomial_tail, binomial_tails
 from .errors import DomainError, ResourceError
 from .rng import generator
 
 CONTAINMENT_CEILING = 16
+
+#: vertices swept per distance_to_set call: (families x 2^n) bool and
+#: int8 arrays stay a few MB however many families one n has
+BATCH_VERTICES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -41,10 +47,12 @@ class KeyLemmaInstance:
         n = self.family.dimension
         if size >= 1 << n:
             raise DomainError("the bound needs P(E) < 1 (proper subset)")
-        r = -1
-        while binomial_tail(n, r + 1) <= size:
-            r += 1
-        return r
+        return _bracket(binomial_tails(n), size)
+
+
+def _bracket(tails: list[int], size: int) -> int:
+    """Largest r with tails[r] = b(n,r) <= size; -1 when size < 1."""
+    return bisect_right(tails, size) - 1
 
 
 def _check_ceiling(n: int):
@@ -53,22 +61,38 @@ def _check_ceiling(n: int):
             f"exact containment enumerates 2^n points; n <= {CONTAINMENT_CEILING} required")
 
 
-def containment_profile(family: EventFamily, max_d: int | None = None) -> list[Fraction]:
-    """P(ball_d(X) ⊆ E) for d = 0..max_d, exactly, in one sweep.
+def _contained_counts(families: list[EventFamily], n: int) -> np.ndarray:
+    """(families, n+1) int64: per family and d = 0..n, the points whose
+    radius-d ball stays inside it.
 
     A point fails iff it lies within d of the complement, so the count
     is 2^n minus the points at distance <= d from the complement. An
     empty complement sits at distance n+1 from every point and never
-    counts.
+    counts. The complements go through distance_to_set in batches of
+    whole families.
     """
+    counts = np.empty((len(families), n + 1), dtype=np.int64)
+    step = max(1, BATCH_VERTICES >> n)
+    for lo in range(0, len(families), step):
+        batch = families[lo:lo + step]
+        complement = np.empty((len(batch), 1 << n), dtype=np.bool_)
+        for row, fam in zip(complement, batch):
+            np.logical_not(fam.indicator(), out=row)
+        dist = kernels.distance_to_set(complement, n)
+        for d in range(n + 1):
+            counts[lo:lo + len(batch), d] = np.count_nonzero(dist > d, axis=-1)
+    return counts
+
+
+def containment_profile(family: EventFamily, max_d: int | None = None) -> list[Fraction]:
+    """P(ball_d(X) ⊆ E) for d = 0..max_d, exactly, in one sweep."""
     n = family.dimension
     _check_ceiling(n)
     if max_d is None:
         max_d = n
     total = 1 << n
-    dist = kernels.distance_to_set(~family.indicator(), n)
-    within = np.cumsum(np.bincount(dist, minlength=n + 1)[:n + 1])
-    return [Fraction(total - int(within[min(d, n)]), total) for d in range(max(max_d, 0) + 1)]
+    counts = _contained_counts([family], n)[0].tolist()
+    return [Fraction(counts[min(d, n)], total) for d in range(max(max_d, 0) + 1)]
 
 
 def ball_containment_probability(instance: KeyLemmaInstance) -> Fraction:
@@ -81,10 +105,6 @@ def sphere_tail_bound(instance: KeyLemmaInstance) -> Fraction:
     return Fraction(binomial_tail(n, instance.r + 1 - instance.ball_radius), 1 << n)
 
 
-def _tail_fraction(n: int, t: int) -> Fraction:
-    return Fraction(binomial_tail(n, t), 1 << n)
-
-
 def _sample_family(n: int, max_size: int, rng) -> EventFamily:
     size = int(rng.integers(0, max_size + 1))
     members = rng.choice(1 << n, size=size, replace=False) if size else np.empty(0, dtype=np.int64)
@@ -94,25 +114,30 @@ def _sample_family(n: int, max_size: int, rng) -> EventFamily:
 def adversarial_families(n: int, max_size: int, rng) -> list[tuple[str, EventFamily]]:
     """Deterministic stress set: balls, coordinate half-spaces / weight
     cuts, and unions of two random balls, all within the size cap."""
+    vertices = np.arange(1 << n, dtype=np.uint64)
+
+    def distance_from(center: int) -> np.ndarray:
+        return kernels.popcount(vertices ^ np.uint64(center))
+
+    def event(inside: np.ndarray) -> EventFamily:
+        return EventFamily(n, frozenset(np.flatnonzero(inside).tolist()))
+
     out: list[tuple[str, EventFamily]] = []
     center2 = int(rng.integers(0, 1 << n))
     for rho in range(n + 1):
         if binomial_tail(n, rho) > max_size:
             break
         for center in (0, center2):
-            members = frozenset(v for v in range(1 << n)
-                                if ((v ^ center).bit_count()) <= rho)
-            out.append((f"ball r={rho} c={center}", EventFamily(n, members)))
-    half = frozenset(v for v in range(1 << n) if not v & 1)
-    if len(half) <= max_size:
-        out.append(("half-space x0=0", EventFamily(n, half)))
+            out.append((f"ball r={rho} c={center}", event(distance_from(center) <= rho)))
+    half = event(vertices & np.uint64(1) == 0)
+    if half.size <= max_size:
+        out.append(("half-space x0=0", half))
     for trial in range(3):
         c1, c2 = int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n))
         r1, r2 = int(rng.integers(0, max(1, n // 3))), int(rng.integers(0, max(1, n // 3)))
-        members = frozenset(v for v in range(1 << n)
-                            if (v ^ c1).bit_count() <= r1 or (v ^ c2).bit_count() <= r2)
-        if len(members) <= max_size:
-            out.append((f"union of balls #{trial}", EventFamily(n, members)))
+        union = event((distance_from(c1) <= r1) | (distance_from(c2) <= r2))
+        if union.size <= max_size:
+            out.append((f"union of balls #{trial}", union))
     return out
 
 
@@ -135,29 +160,34 @@ def verify_key_lemma(n: int, trials: int, p_threshold: Fraction, seed: int) -> d
     max_size = int(p_threshold * (1 << n))
     labeled = [(f"sampled #{t}", _sample_family(n, max_size, rng)) for t in range(trials)]
     labeled += adversarial_families(n, max_size, rng)
+    total = 1 << n
+    tails = binomial_tails(n)  # numerators over 2^n; every family here is proper
+
+    def tail(t: int) -> int:
+        return tails[t] if t >= 0 else 0
+
+    counts = _contained_counts([fam for _, fam in labeled], n).tolist()
+    # one Fraction per distinct numerator; the report rows share them
+    over_total = {k: Fraction(k, total) for k in {0, *tails, *chain.from_iterable(counts)}}
     families = []
     violations = 0
-    for label, fam in labeled:
-        inst0 = KeyLemmaInstance(fam, 0)
-        r = inst0.r
-        profile = containment_profile(fam)
+    for (label, fam), contained in zip(labeled, counts):
+        r = _bracket(tails, fam.size)
         rows = []
         tight_at = []
-        for d, exact in enumerate(profile):
-            bound = _tail_fraction(n, r + 1 - d)
-            rows.append({"d": d, "exact": exact, "bound": bound})
+        for d, exact in enumerate(contained):
+            bound = tail(r + 1 - d)
+            rows.append({"d": d, "exact": over_total[exact], "bound": over_total[bound]})
             if exact > bound:
                 violations += 1
-            if exact == _tail_fraction(n, r - d):
+            if exact == tail(r - d):
                 tight_at.append(d)
         families.append({"label": label, "n": n, "size": fam.size, "r": r,
                          "rows": rows, "tight_at": tight_at})
-    r_max = KeyLemmaInstance(EventFamily(n, frozenset(range(max_size))), 0).r if max_size else -1
+    r_max = _bracket(tails, max_size)
     modulus = {}
     for j in range(1, 9):
-        target = Fraction(1, 1 << j)
-        d_needed = next((d for d in range(n + 2)
-                         if _tail_fraction(n, r_max + 1 - d) <= target), None)
-        modulus[j] = d_needed
+        # q_{r_max+1-d} <= 2^-j  <=>  b(n, r_max+1-d) * 2^j <= 2^n
+        modulus[j] = next((d for d in range(n + 2) if tail(r_max + 1 - d) << j <= total), None)
     return {"n": n, "trials": trials, "p_threshold": p_threshold, "seed": seed,
             "violations": violations, "families": families, "modulus": modulus}

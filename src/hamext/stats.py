@@ -21,7 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise, starmap
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -103,7 +103,7 @@ class WeberSeries:
     subsequence; the log statistic is constant on each block.
     """
 
-    nu: tuple[int, ...]
+    nu: Sequence[int]  # a positive-step range stays a range
     n_max: int
     hit_blocks: frozenset[int]
 
@@ -129,8 +129,18 @@ class WeberSeries:
 
 
 def weber_series(nu, n_max: int) -> WeberSeries:
-    seq = tuple(map(int, nu))
-    if not all(starmap(operator.lt, pairwise(seq))) or (seq and seq[0] < 1):
+    """Dyadic block hits of the subsequence nu (any iterable of integers).
+
+    A range with a positive step is already strictly increasing and
+    bisect searches it in place, so it is kept as it is rather than
+    listed out.
+    """
+    try:
+        seq = nu if isinstance(nu, range) and nu.step > 0 else tuple(map(operator.index, nu))
+        ordered = isinstance(seq, range) or all(starmap(operator.lt, pairwise(seq)))
+    except TypeError:  # a non-integer member, such as 1.5
+        ordered = False
+    if not ordered or (seq and seq[0] < 1):
         raise DomainError("subsequence must be strictly increasing positive integers")
     # block m = (2^(m-1), 2^m] is hit iff the first member past 2^(m-1) is at
     # most 2^m; no block past the last member's can be

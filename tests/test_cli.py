@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import warnings
 
@@ -93,6 +94,22 @@ class TestDeterminism:
                  "--out-dir", tmp_path / d])
         for name in ("corrupt.json", "y.bits", "keylemma.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    # sha256 of reports written by the implementation these pins were taken
+    # from; a faster path must write the same bytes
+    @pytest.mark.parametrize("args, name, digest", [
+        (["keylemma", "--n", 4, "--trials", 200, "--seed", 0], "keylemma.json",
+         "7ba1936d58e156c07b19e6184b91d9aba3ae033dad636cf2fbdb437d19821352"),
+        (["keylemma", "--n", 8, "--trials", 200, "--seed", 0], "keylemma.json",
+         "0d15b7ac2144a45911a1e909bca4983f747b9874fa0549efe01e5734902502a4"),
+        (["keylemma", "--n", 12, "--trials", 200, "--seed", 0], "keylemma.json",
+         "3c89f3a924ab58a7576596bb4d2aa92c84fb3a774f890495e2e88834a6a2e3cd"),
+        (["weber"], "weber.json",
+         "88e4b0fe5552ede9e2627f8a081a603fa4d275f986d53ea30634af359278dbb4"),
+    ], ids=["keylemma-n4", "keylemma-n8", "keylemma-n12", "weber-default"])
+    def test_pinned_report_digests(self, tmp_path, args, name, digest):
+        assert run([*args, "--out-dir", tmp_path]) == 0
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
     def test_reports_embed_config_and_version(self, tmp_path):
         run(["harper", "--n", 2, "--out-dir", tmp_path])

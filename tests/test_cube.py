@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamext.cube import (EventFamily, binomial_tail, hamming_distance,
+from hamext.cube import (EventFamily, binomial_tail, binomial_tails, hamming_distance,
                          harper_min_neighborhood, make_sphere, neighborhood,
                          shell_vertices, vertex_text)
 from hamext.errors import DimensionError, DomainError, ResourceError
@@ -94,6 +94,16 @@ class TestBinomialTail:
             for k in range(-1, n + 2):
                 expect = sum(math.comb(n, i) for i in range(max(k, -1) + 1) if i <= n)
                 assert binomial_tail(n, k) == expect
+
+
+    def test_rejects_non_integer_arguments(self):
+        for n, k in ((4.5, 2), (4, 2.5), ("4", 2)):
+            with pytest.raises(DomainError):
+                binomial_tail(n, k)
+
+    def test_row_matches_per_k_tails(self):
+        for n in range(12):
+            assert binomial_tails(n) == [binomial_tail(n, k) for k in range(n + 1)]
 
 
 class TestNeighborhood:
@@ -233,6 +243,11 @@ class TestHarper:
         with pytest.raises(ResourceError):
             harper_min_neighborhood(3, 2, 1, ceiling=2)
 
+    def test_rejects_non_integer_arguments(self):
+        for args in ((3, 2.5, 1), (3, 2, 1.0), (3.0, 2, 1)):
+            with pytest.raises(DomainError):
+                harper_min_neighborhood(*args)
+
 
 class TestShellOrder:
     def test_descending_offset_masks(self):
@@ -253,6 +268,28 @@ class TestEventFamily:
     def test_rejects_out_of_cube(self):
         with pytest.raises(DomainError):
             EventFamily(2, frozenset({5}))
+        with pytest.raises(DomainError):
+            EventFamily(2, frozenset({-1, 2}))
+
+    def test_rejects_non_integer_members(self):
+        # 1.5 would otherwise be read as vertex 1
+        for members in ({1.5}, {"a"}, {1, 2.0}, {(1, 2)}, {0, (1, 2, 3)}):
+            with pytest.raises(DomainError):
+                EventFamily(3, frozenset(members))
+
+    def test_rejects_bad_dimension(self):
+        for n in (-1, 2.0):
+            with pytest.raises(DomainError):
+                EventFamily(n, frozenset())
+
+    def test_members_past_int64_are_checked_exactly(self):
+        assert EventFamily(70, frozenset({1 << 69, 3})).size == 2
+        with pytest.raises(DomainError):
+            EventFamily(70, frozenset({1 << 70}))
+
+    def test_indicator_flags_exactly_the_members(self):
+        members = frozenset({0, 5, 6, 15})
+        assert EventFamily(4, members).indicator().nonzero()[0].tolist() == sorted(members)
 
     def test_no_duplicates_by_construction(self):
         fam = EventFamily.from_strings(["01", "01", "10"])

@@ -131,6 +131,22 @@ class TestExtract:
         assert all(int(m) % 2 == 1 for m in np.abs(trace.margins))
         assert all((m > 0) == bool(o) for m, o in zip(trace.margins, trace.outputs))
 
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=6), st.integers(0, 64), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_schedule_matches_direct_core_counts(self, sizes, extra, data):
+        # nondecreasing sizes with 1-bit and even blocks; X may run past the schedule
+        sched = BlockSchedule.from_sizes(sorted(sizes))
+        length = sched.total_length + extra
+        x = np.array(data.draw(st.lists(st.integers(0, 1), min_size=length, max_size=length)),
+                     dtype=np.uint8)
+        trace = extract(x, sched)
+        margins = []
+        for s, e in sched.blocks:
+            core = x[s:e] if (e - s) % 2 else x[s:e - 1]
+            margins.append(2 * sum(core.tolist()) - core.size)
+        assert trace.margins.tolist() == margins
+        assert trace.outputs.tolist() == [int(m > 0) for m in margins]
+
     def test_robust_flags(self):
         g1 = parse_budget("table:1")
         trace = extract("111" + "10101" + "111111", BlockSchedule.from_sizes((3, 5, 6)),
@@ -243,6 +259,13 @@ class TestSchedaleSerialization:
                 BlockSchedule.from_text(text)
         with pytest.raises(ConfigError):
             BlockSchedule.from_sizes(())
+
+    def test_rejects_fractional_sizes(self):
+        # 2.5 was truncated to a 2-bit block
+        for sizes in ((2.5, 3), (1, "3")):
+            with pytest.raises(ConfigError):
+                BlockSchedule.from_sizes(sizes)
+        assert BlockSchedule.from_sizes(np.array([2, 3])).sizes == (2, 3)
 
     def test_rejects_inconsistent_odd_end(self):
         with pytest.raises(ConfigError):

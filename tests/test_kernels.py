@@ -8,8 +8,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamext import kernels
+from hamext.errors import DimensionError
 
 
 def rng():
@@ -51,6 +54,28 @@ def test_distance_to_set_matches_brute_force():
         for ind in (np.zeros(size, dtype=np.bool_), np.ones(size, dtype=np.bool_),
                     g.random(size) < 0.05, g.random(size) < 0.5):
             assert kernels.distance_to_set(ind, n).tolist() == _distance_oracle(ind, n)
+
+
+@given(st.integers(0, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << (1 << n)) - 1), max_size=5))))
+@settings(max_examples=100, deadline=None)
+def test_batched_distance_matches_single_sets(case):
+    n, words = case
+    size = 1 << n
+    # the empty and the full set ride along with the drawn ones
+    rows = [np.zeros(size, dtype=np.bool_), np.ones(size, dtype=np.bool_)]
+    rows += [np.array([(w >> v) & 1 for v in range(size)], dtype=np.bool_) for w in words]
+    batch = np.stack(rows)
+    expect = np.stack([kernels.distance_to_set(row, n) for row in rows])
+    assert np.array_equal(kernels.distance_to_set(batch, n), expect)
+    assert np.array_equal(kernels.distance_to_set(batch[None], n), expect[None])
+    assert kernels.distance_to_set(batch[:0], n).shape == (0, size)
+
+
+def test_distance_needs_the_whole_cube_on_the_last_axis():
+    for shape in ((8,), (2, 8), (16, 2)):
+        with pytest.raises(DimensionError):
+            kernels.distance_to_set(np.zeros(shape, dtype=np.bool_), 4)
 
 
 def test_distance_from_singleton_gives_ball_sizes():

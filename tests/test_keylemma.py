@@ -1,8 +1,9 @@
 from fractions import Fraction
-from itertools import product
 
+import numpy as np
 import pytest
 
+from hamext import keylemma, kernels
 from hamext.cube import EventFamily, binomial_tail, make_sphere
 from hamext.errors import DomainError, ResourceError
 from hamext.keylemma import (KeyLemmaInstance, ball_containment_probability,
@@ -102,16 +103,23 @@ class TestSphereTailBound:
 
 class TestCentralInequality:
     def test_exhaustive_all_families_n4(self):
-        # every one of the 2^16 subsets of {0,1}^4, every d
-        n = 4
-        for bits in range(1 << (1 << n)):
-            fam = EventFamily(n, frozenset(v for v in range(1 << n) if (bits >> v) & 1))
-            if fam.size == 1 << n:
-                continue
-            r = KeyLemmaInstance(fam, 0).r
-            profile = containment_profile(fam)
-            for d in range(n + 1):
-                assert profile[d] <= Fraction(binomial_tail(n, r + 1 - d), 1 << n)
+        # every proper subset of {0,1}^4 (bit v of the row index flags vertex
+        # v), every d, in one batched distance sweep over the complements
+        n, total = 4, 16
+        index = np.arange((1 << total) - 1)
+        members = (index[:, None] >> np.arange(total)) & 1 == 1
+        dist = kernels.distance_to_set(~members, n)
+        contained = np.stack([np.count_nonzero(dist > d, axis=1) for d in range(n + 1)], axis=1)
+        r_of_size = [max(r for r in range(-1, n) if binomial_tail(n, r) <= s) for s in range(total)]
+        bound_of_size = np.array([[binomial_tail(n, r + 1 - d) for d in range(n + 1)]
+                                  for r in r_of_size])
+        assert (contained <= bound_of_size[members.sum(axis=1)]).all()
+        # the library's per-family path reads the same rows
+        sample = generator(44).choice(index.size, 200, replace=False).tolist()
+        for row in [0, index.size - 1, *sample]:
+            fam = EventFamily(n, frozenset(np.flatnonzero(members[row]).tolist()))
+            assert KeyLemmaInstance(fam, 0).r == r_of_size[fam.size]
+            assert containment_profile(fam) == [Fraction(int(c), total) for c in contained[row]]
 
     def test_monotone_in_radius_and_event(self):
         fam = weight_cut(6, 2)
@@ -164,6 +172,15 @@ class TestVerifyKeyLemma:
         steps = [report["modulus"][j] for j in range(1, 9)]
         assert all(a <= b for a, b in zip(steps, steps[1:]))
         assert all(s is not None for s in steps)
+
+    def test_family_batches_do_not_change_the_report(self, monkeypatch):
+        whole = verify_key_lemma(5, trials=30, p_threshold=Fraction(1, 2), seed=3)
+        monkeypatch.setattr(keylemma, "BATCH_VERTICES", 3 << 5)  # three families per sweep
+        assert verify_key_lemma(5, trials=30, p_threshold=Fraction(1, 2), seed=3) == whole
+
+    def test_no_families_under_a_tiny_threshold(self):
+        report = verify_key_lemma(3, trials=0, p_threshold=Fraction(1, 16), seed=0)
+        assert report["families"] == [] and report["violations"] == 0
 
     def test_threshold_domain(self):
         with pytest.raises(DomainError):

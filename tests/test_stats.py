@@ -127,6 +127,30 @@ class TestWeberSeries:
     def test_rejects_nonincreasing(self):
         with pytest.raises(DomainError):
             weber_series([3, 3, 5], 4)
+        with pytest.raises(DomainError):
+            weber_series(range(5, 0, -1), 4)
+
+    def test_rejects_non_integer_members(self):
+        # 1.5 was read as 1
+        for nu in ([1.5, 2], [2, "3"]):
+            with pytest.raises(DomainError):
+                weber_series(nu, 4)
+
+    @given(st.integers(0, 300), st.integers(0, 600), st.integers(1, 50), st.integers(1, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_range_agrees_with_its_list(self, start, stop, step, n_max):
+        nu = range(start, stop, step)
+        if nu and start == 0:  # 0 is not a positive index, listed or not
+            for form in (nu, list(nu)):
+                with pytest.raises(DomainError):
+                    weber_series(form, n_max)
+            return
+        lazy, listed = weber_series(nu, n_max), weber_series(list(nu), n_max)
+        assert lazy.hit_blocks == listed.hit_blocks
+        assert lazy.p_counts == listed.p_counts
+        for k in (2, 3, 1 << (n_max - 1), (1 << (n_max - 1)) + 1, 1 << n_max):
+            if 2 <= k <= 1 << n_max:
+                assert lazy.log_rate(k) == listed.log_rate(k)
 
     def test_rate_domain(self):
         series = weber_series([2], 4)
