@@ -13,7 +13,7 @@ import functools
 import math
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, pairwise
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -243,13 +243,13 @@ def crit_lil_smoke() -> CriterionResult:
     t0 = time.perf_counter()
     length = 1 << 20
     cps = np.array([1 << j for j in range(4, 21)], dtype=np.int64)
-    segment_starts = np.concatenate(([0], cps[:-1]))  # the last segment ends at length
+    segments = list(pairwise([0, *cps.tolist()]))  # [0, 16), [16, 32), ..., [2^19, length)
     denom = np.sqrt(2.0 * cps * np.log(np.log(cps)))
     in_range = 0
     maxima = []
     for seed in range(64):
-        ones = np.cumsum(np.add.reduceat(bit_stream(seed, length), segment_starts,
-                                         dtype=np.int64))
+        x = bit_stream(seed, length)
+        ones = np.cumsum([np.count_nonzero(x[a:b]) for a, b in segments])
         walk = 2.0 * ones - cps
         m = float(np.max(np.abs(walk) / denom))
         maxima.append(m)

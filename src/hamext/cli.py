@@ -92,6 +92,20 @@ def _merged_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _option(cfg: dict, key: str, read, default=None):
+    """cfg[key] (or default) read from its text by `read`, e.g. int; a
+    value it cannot read is a ConfigError, not a traceback."""
+    raw = cfg.get(key, default)
+    try:
+        return read(str(raw))
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"{key}: cannot read {raw!r}") from None
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",")]
+
+
 def _write_report(out_dir: Path, name: str, payload: dict, cfg: dict) -> Path:
     payload = {"artifact_version": __version__,
                "config": _jsonable({k: str(v) for k, v in sorted(cfg.items())}),
@@ -125,15 +139,15 @@ def _load_bits(path: str) -> np.ndarray:
 def _input_bits(args, cfg, default_length: int = 1 << 16) -> np.ndarray:
     if args.input:
         return _load_bits(args.input)
-    length = int(cfg.get("length", default_length))
-    return bit_stream(int(cfg.get("seed", 0)), length)
+    length = _option(cfg, "length", int, default_length)
+    return bit_stream(_option(cfg, "seed", int, 0), length)
 
 
 def _schedule(args, cfg) -> BlockSchedule:
     if args.schedule_file:
         return BlockSchedule.from_text(Path(args.schedule_file).read_text())
     g = parse_budget(cfg.get("gen-budget", "power:1/3"))
-    return make_schedule(g, int(cfg.get("blocks", 4)))
+    return make_schedule(g, _option(cfg, "blocks", int, 4))
 
 
 def cmd_extract(args) -> int:
@@ -162,11 +176,11 @@ def cmd_corrupt(args) -> int:
     if args.input:
         x = _load_bits(args.input)
     else:
-        x = bit_stream(int(cfg.get("seed", 0)), sched.total_length)
+        x = bit_stream(_option(cfg, "seed", int, 0), sched.total_length)
     p = parse_budget(cfg.get("budget", "power:2/3"))
     targets = None
     if cfg.get("targets"):
-        targets = tuple(int(t) for t in str(cfg["targets"]).split(","))
+        targets = tuple(_option(cfg, "targets", _int_list))
     adv = stages_from_blocks(sched, p, targets)
     report = corrupt(x, sched, adv)
     re_outputs = extract(report.Y, sched).outputs
@@ -188,7 +202,7 @@ def cmd_corrupt(args) -> int:
 
 def cmd_harper(args) -> int:
     cfg = _merged_config(args)
-    n = int(cfg.get("n", 3))
+    n = _option(cfg, "n", int, 3)
     rows = []
     equal = True
     for size in range((1 << n) + 1):
@@ -208,7 +222,7 @@ def cmd_harper(args) -> int:
 
 def cmd_clt_check(args) -> int:
     cfg = _merged_config(args)
-    ns = [int(v) for v in str(cfg.get("n-list", cfg.get("n", "10,100,1000,10000"))).split(",")]
+    ns = _option(cfg, "n-list", _int_list, cfg.get("n", "10,100,1000,10000"))
     rows = []
     ok = True
     for n in ns:
@@ -227,7 +241,7 @@ def cmd_clt_check(args) -> int:
 
 def cmd_smallball(args) -> int:
     cfg = _merged_config(args)
-    ns = [int(v) for v in str(cfg.get("n-list", "16,64,256,1024,4096")).split(",")]
+    ns = _option(cfg, "n-list", _int_list, "16,64,256,1024,4096")
     g = parse_budget(cfg.get("budget", "power:1/3"))
     rows = []
     ok = True
@@ -251,7 +265,7 @@ def cmd_smallball(args) -> int:
 def cmd_lil(args) -> int:
     cfg = _merged_config(args)
     x = _input_bits(args, cfg)
-    eps = float(cfg.get("epsilon", 0.0))
+    eps = _option(cfg, "epsilon", float, 0.0)
     points = psi_deviation(x, np.zeros(x.size, dtype=np.uint8), epsilon=eps)
     out = Path(args.out_dir)
     _write_report(out, "lil", {"epsilon": eps, "length": int(x.size),
@@ -267,10 +281,10 @@ def cmd_lil(args) -> int:
 
 def cmd_weber(args) -> int:
     cfg = _merged_config(args)
-    n_max = int(cfg.get("n", 20))
+    n_max = _option(cfg, "n", int, 20)
     out = Path(args.out_dir)
     if cfg.get("nu"):
-        nu = [int(v) for v in str(cfg["nu"]).split(",")]
+        nu = _option(cfg, "nu", _int_list)
         series = weber_series(nu, n_max)
         payload = {"mode": "series", "nu": nu, "p_counts": series.p_counts}
         summary = f"weber series: p_{n_max} = {series.p_counts[-1]}"
@@ -300,10 +314,10 @@ def cmd_weber(args) -> int:
 
 def cmd_keylemma(args) -> int:
     cfg = _merged_config(args)
-    n = int(cfg.get("n", 8))
-    trials = int(cfg.get("trials", 200))
-    threshold = Fraction(str(cfg.get("threshold", "1/2")))
-    report = verify_key_lemma(n, trials, threshold, int(cfg.get("seed", 0)))
+    n = _option(cfg, "n", int, 8)
+    trials = _option(cfg, "trials", int, 200)
+    threshold = _option(cfg, "threshold", Fraction, "1/2")
+    report = verify_key_lemma(n, trials, threshold, _option(cfg, "seed", int, 0))
     out = Path(args.out_dir)
     _write_report(out, "keylemma", report, cfg)
     print(f"keylemma n={n}: {len(report['families'])} families, "

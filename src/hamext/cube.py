@@ -13,9 +13,11 @@ fractions with power-of-two denominators.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import comb
 
 import numpy as np
@@ -42,30 +44,47 @@ def _integer(value, name: str) -> int:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
-def binomial_tail(n: int, k: int) -> int:
-    """b(n,k) = C(n,0)+...+C(n,k), exact; 0 for k<0, 2^n for k>=n."""
-    n, k = _integer(n, "n"), _integer(k, "k")
+def _running_tails(n: int):
+    """Yield b(n,0), b(n,1), ..., b(n,n) by the running recurrence
+    C(n,j+1) = C(n,j)(n-j)/(j+1); the last value is 2^n."""
+    coeff, acc = 1, 0
+    for j in range(n + 1):
+        acc += coeff
+        yield acc
+        coeff = coeff * (n - j) // (j + 1)
+
+
+def _dimension(n) -> int:
+    n = _integer(n, "n")
     if n < 0:
         raise DomainError("n must be nonnegative")
+    return n
+
+
+def binomial_tail(n: int, k: int) -> int:
+    """b(n,k) = C(n,0)+...+C(n,k), exact; 0 for k<0, 2^n for k>=n.
+
+    Sums at most min(k, n-k-1)+1 terms: past the middle of the row it
+    uses the mirror identity b(n,k) = 2^n - b(n, n-k-1).
+    """
+    n, k = _dimension(n), _integer(k, "k")
     if k < 0:
         return 0
     if k >= n:
         return 1 << n
-    return sum(comb(n, i) for i in range(k + 1))
+    m = min(k, n - k - 1)
+    low = next(islice(_running_tails(n), m, None))
+    return low if m == k else (1 << n) - low
 
 
 def binomial_tails(n: int) -> list[int]:
-    """[b(n,0), b(n,1), ..., b(n,n)], exact, by the running recurrence
-    C(n,k+1) = C(n,k)(n-k)/(k+1); the last entry is 2^n."""
-    n = _integer(n, "n")
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    row, coeff, acc = [], 1, 0
-    for k in range(n + 1):
-        acc += coeff
-        row.append(acc)
-        coeff = coeff * (n - k) // (k + 1)
-    return row
+    """[b(n,0), b(n,1), ..., b(n,n)], exact; the last entry is 2^n."""
+    return list(_running_tails(_dimension(n)))
+
+
+def bracket(tails: list[int], size: int) -> int:
+    """Largest r with tails[r] = b(n,r) <= size; -1 when size < 1."""
+    return bisect_right(tails, size) - 1
 
 
 def vertex_of(s) -> int:
@@ -163,10 +182,9 @@ def make_sphere(n: int, size: int, center) -> SphereSpec:
         raise DimensionError(f"center has length {cbits.size}, want {n}")
     if not 0 <= size <= 1 << n:
         raise DomainError(f"size {size} out of range for n={n}")
-    k = -1
-    while k < n and binomial_tail(n, k + 1) <= size:
-        k += 1
-    return SphereSpec(n, to_text(cbits), k, size - binomial_tail(n, k))
+    tails = binomial_tails(n)
+    k = bracket(tails, size)
+    return SphereSpec(n, to_text(cbits), k, size - tails[k] if k >= 0 else size)
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,6 @@ over 2^n.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -19,7 +18,7 @@ from itertools import chain
 import numpy as np
 
 from . import kernels
-from .cube import EventFamily, binomial_tail, binomial_tails
+from .cube import EventFamily, binomial_tail, binomial_tails, bracket
 from .errors import DomainError, ResourceError
 from .rng import generator
 
@@ -47,12 +46,7 @@ class KeyLemmaInstance:
         n = self.family.dimension
         if size >= 1 << n:
             raise DomainError("the bound needs P(E) < 1 (proper subset)")
-        return _bracket(binomial_tails(n), size)
-
-
-def _bracket(tails: list[int], size: int) -> int:
-    """Largest r with tails[r] = b(n,r) <= size; -1 when size < 1."""
-    return bisect_right(tails, size) - 1
+        return bracket(binomial_tails(n), size)
 
 
 def _check_ceiling(n: int):
@@ -172,7 +166,7 @@ def verify_key_lemma(n: int, trials: int, p_threshold: Fraction, seed: int) -> d
     families = []
     violations = 0
     for (label, fam), contained in zip(labeled, counts):
-        r = _bracket(tails, fam.size)
+        r = bracket(tails, fam.size)
         rows = []
         tight_at = []
         for d, exact in enumerate(contained):
@@ -184,7 +178,7 @@ def verify_key_lemma(n: int, trials: int, p_threshold: Fraction, seed: int) -> d
                 tight_at.append(d)
         families.append({"label": label, "n": n, "size": fam.size, "r": r,
                          "rows": rows, "tight_at": tight_at})
-    r_max = _bracket(tails, max_size)
+    r_max = bracket(tails, max_size)
     modulus = {}
     for j in range(1, 9):
         # q_{r_max+1-d} <= 2^-j  <=>  b(n, r_max+1-d) * 2^j <= 2^n

@@ -26,6 +26,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .bits import as_bits
+from .cube import _running_tails
 from .errors import ContractError, DimensionError, DomainError, ResourceError
 
 #: the upper explicit constant in the quantitative CLT bound d*rho/(sigma^3 sqrt(n));
@@ -54,18 +55,14 @@ def binomial_cdf_gap(n: int) -> float:
     """
     if not 1 <= n <= CDF_GAP_CEILING:
         raise ResourceError(f"binomial_cdf_gap handles 1 <= n <= {CDF_GAP_CEILING}")
-    coeff = 1
-    cdf = 0
     denom = 1 << n
     scale = 2.0 / math.sqrt(n)
     half = n / 2.0
     worst = 0.0
-    for j in range(n + 1):
-        cdf += coeff
+    for j, cdf in enumerate(_running_tails(n)):
         gap = abs(cdf / denom - normal_cdf((j - half) * scale))
         if gap > worst:
             worst = gap
-        coeff = coeff * (n - j) // (j + 1)
     return worst
 
 

@@ -106,7 +106,14 @@ class TestDeterminism:
          "3c89f3a924ab58a7576596bb4d2aa92c84fb3a774f890495e2e88834a6a2e3cd"),
         (["weber"], "weber.json",
          "88e4b0fe5552ede9e2627f8a081a603fa4d275f986d53ea30634af359278dbb4"),
-    ], ids=["keylemma-n4", "keylemma-n8", "keylemma-n12", "weber-default"])
+        (["clt-check"], "clt_check.json",
+         "94b62b9852820741f19e278f1cdf943ed8a52c090418b72c887879bf6e7b4138"),
+        (["smallball"], "smallball.json",
+         "30d4ffc00886d4f503081f4eb4945346a5d29d47178788ebad6a26464a5ef51b"),
+        (["harper", "--n", 4], "harper.json",
+         "809a5d87c54c0a2a4f613d222658c63e1e7b58f0229f3995e2a570ebb33a79d1"),
+    ], ids=["keylemma-n4", "keylemma-n8", "keylemma-n12", "weber-default",
+            "clt-check-default", "smallball-default", "harper-n4"])
     def test_pinned_report_digests(self, tmp_path, args, name, digest):
         assert run([*args, "--out-dir", tmp_path]) == 0
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
@@ -154,6 +161,30 @@ class TestExitCodes:
 
     def test_missing_input_is_two(self, tmp_path, capsys):
         assert run(["trace-refine", "--out-dir", tmp_path]) == 2
+
+    def assert_config_error(self, args, tmp_path, capsys):
+        assert run([*args, "--out-dir", tmp_path]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("nu", ["1.5,2", "a", "2,,4"])
+    def test_malformed_weber_nu_is_two(self, tmp_path, capsys, nu):
+        self.assert_config_error(["weber", "--nu", nu], tmp_path, capsys)
+
+    def test_malformed_clt_n_list_is_two(self, tmp_path, capsys):
+        self.assert_config_error(["clt-check", "--n-list", "1.5"], tmp_path, capsys)
+
+    def test_malformed_smallball_n_list_is_two(self, tmp_path, capsys):
+        self.assert_config_error(["smallball", "--n-list", "a"], tmp_path, capsys)
+
+    def test_malformed_n_list_in_config_is_two(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n-list = 16,x\n")
+        self.assert_config_error(["smallball", "--config", cfg], tmp_path, capsys)
+
+    @pytest.mark.parametrize("threshold", ["x", "1/0"])
+    def test_malformed_keylemma_threshold_is_two(self, tmp_path, capsys, threshold):
+        self.assert_config_error(["keylemma", "--n", 4, "--threshold", threshold],
+                                 tmp_path, capsys)
 
 
 class TestPipelines:

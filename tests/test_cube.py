@@ -90,8 +90,10 @@ class TestBinomialTail:
         assert binomial_tail(7, -1) == 0
 
     def test_matches_comb_sum(self):
-        for n in range(11):
-            for k in range(-1, n + 2):
+        for n in range(65):
+            row = [sum(math.comb(n, i) for i in range(k + 1)) for k in range(n + 1)]
+            assert binomial_tails(n) == row
+            for k in range(-2, n + 3):
                 expect = sum(math.comb(n, i) for i in range(max(k, -1) + 1) if i <= n)
                 assert binomial_tail(n, k) == expect
 
@@ -104,6 +106,24 @@ class TestBinomialTail:
     def test_row_matches_per_k_tails(self):
         for n in range(12):
             assert binomial_tails(n) == [binomial_tail(n, k) for k in range(n + 1)]
+
+    def test_mirror_identity_and_comb_sums_at_large_n(self):
+        # both sides of the middle: the mirror branch and the direct sum
+        for n in (2048, 2049, 10000):
+            for k in (n // 2 - 3, n // 2 - 1, n // 2, n // 2 + 1, n // 2 + 4):
+                assert binomial_tail(n, k) + binomial_tail(n, n - k - 1) == 1 << n
+        assert binomial_tail(2048, 1030) == sum(math.comb(2048, i) for i in range(1031))
+        # an even row sums to (2^n - C(n, n/2))/2 below its middle term;
+        # walk a few terms either way with math.comb
+        for n in (2048, 10000):
+            half = n // 2
+            below = ((1 << n) - math.comb(n, half)) // 2
+            for k in range(half - 4, half + 5):
+                if k < half:
+                    expect = below - sum(math.comb(n, i) for i in range(k + 1, half))
+                else:
+                    expect = below + sum(math.comb(n, i) for i in range(half, k + 1))
+                assert binomial_tail(n, k) == expect
 
 
 class TestNeighborhood:
@@ -165,7 +185,32 @@ class TestNeighborhood:
             assert neighborhood(A, d) <= neighborhood(A, min(d + 1, 4))
 
 
+def sphere_by_linear_scan(n, size):
+    """(inner radius, shell count) by growing the ball one comb at a time."""
+    k, ball = -1, 0
+    while k < n and ball + math.comb(n, k + 1) <= size:
+        k += 1
+        ball += math.comb(n, k)
+    return k, size - ball
+
+
 class TestMakeSphere:
+    def test_matches_linear_scan(self):
+        import random
+        rng = random.Random(13)
+        for n in (*range(0, 40), *range(40, 301, 13), 300):
+            balls = [sum(math.comb(n, i) for i in range(r + 1)) for r in range(n + 1)]
+            sizes = {0, 1 << n, *(rng.randrange((1 << n) + 1) for _ in range(4))}
+            sizes |= {b + e for b in rng.sample(balls, min(3, len(balls))) for e in (-1, 0, 1)}
+            for size in sorted(s for s in sizes if 0 <= s <= 1 << n):
+                s = make_sphere(n, size, "0" * n)
+                assert (s.inner_radius, s.shell_count) == sphere_by_linear_scan(n, size)
+
+    def test_half_cube_at_n_2000(self):
+        s = make_sphere(2000, 2 ** 1999, "0" * 2000)
+        assert s.inner_radius == 999
+        assert s.shell_count == 2 ** 1999 - binomial_tail(2000, 999)
+
     def test_exact_ball(self):
         s = make_sphere(3, 4, "000")  # b(3,1) = 4 per the enumeration above
         assert (s.inner_radius, s.shell_count) == (1, 0)
