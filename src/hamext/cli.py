@@ -203,6 +203,8 @@ def cmd_corrupt(args) -> int:
 def cmd_harper(args) -> int:
     cfg = _merged_config(args)
     n = _option(cfg, "n", int, 3)
+    if n < 0:
+        raise DomainError(f"n must be nonnegative, got {n}")
     rows = []
     equal = True
     for size in range((1 << n) + 1):

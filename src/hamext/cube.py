@@ -54,11 +54,11 @@ def _running_tails(n: int):
         coeff = coeff * (n - j) // (j + 1)
 
 
-def _dimension(n) -> int:
-    n = _integer(n, "n")
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    return n
+def _nonnegative(value, name: str) -> int:
+    value = _integer(value, name)
+    if value < 0:
+        raise DomainError(f"{name} must be nonnegative, got {value}")
+    return value
 
 
 def binomial_tail(n: int, k: int) -> int:
@@ -67,7 +67,7 @@ def binomial_tail(n: int, k: int) -> int:
     Sums at most min(k, n-k-1)+1 terms: past the middle of the row it
     uses the mirror identity b(n,k) = 2^n - b(n, n-k-1).
     """
-    n, k = _dimension(n), _integer(k, "k")
+    n, k = _nonnegative(n, "n"), _integer(k, "k")
     if k < 0:
         return 0
     if k >= n:
@@ -79,7 +79,7 @@ def binomial_tail(n: int, k: int) -> int:
 
 def binomial_tails(n: int) -> list[int]:
     """[b(n,0), b(n,1), ..., b(n,n)], exact; the last entry is 2^n."""
-    return list(_running_tails(_dimension(n)))
+    return list(_running_tails(_nonnegative(n, "n")))
 
 
 def bracket(tails: list[int], size: int) -> int:
@@ -219,7 +219,7 @@ def harper_min_neighborhood(n: int, size: int, d: int,
     all C(2^n, size) subsets, so n is capped (default 4); larger n
     raises rather than approximating.
     """
-    n, size, d = _integer(n, "n"), _integer(size, "size"), _integer(d, "d")
+    n, size, d = _nonnegative(n, "n"), _integer(size, "size"), _integer(d, "d")
     if n > ceiling:
         raise ResourceError(
             f"exhaustive search needs n <= {ceiling} (2^2^n subsets), got n={n}")
@@ -240,9 +240,7 @@ class EventFamily:
     members: frozenset[int]
 
     def __post_init__(self):
-        n = _integer(self.dimension, "dimension")
-        if n < 0:
-            raise DomainError(f"dimension must be nonnegative, got {n}")
+        n = _nonnegative(self.dimension, "dimension")
         if not self.members:
             return
         try:

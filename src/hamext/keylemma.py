@@ -18,15 +18,15 @@ from itertools import chain
 import numpy as np
 
 from . import kernels
-from .cube import EventFamily, binomial_tail, binomial_tails, bracket
+from .cube import EventFamily, _nonnegative, binomial_tail, binomial_tails, bracket
 from .errors import DomainError, ResourceError
 from .rng import generator
 
 CONTAINMENT_CEILING = 16
 
-#: vertices swept per distance_to_set call: (families x 2^n) bool and
-#: int8 arrays stay a few MB however many families one n has
-BATCH_VERTICES = 1 << 22
+#: vertices swept per distance_to_set call: a batch's int8 distances and
+#: int64 histogram bins stay under 10 MB however many families one n has
+BATCH_VERTICES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -55,26 +55,26 @@ def _check_ceiling(n: int):
             f"exact containment enumerates 2^n points; n <= {CONTAINMENT_CEILING} required")
 
 
-def _contained_counts(families: list[EventFamily], n: int) -> np.ndarray:
-    """(families, n+1) int64: per family and d = 0..n, the points whose
-    radius-d ball stays inside it.
+def _contained_counts(inside: np.ndarray, n: int) -> np.ndarray:
+    """(families, n+1) int64: per row of the (families, 2^n) membership
+    array and d = 0..n, the points whose radius-d ball stays inside it.
 
     A point fails iff it lies within d of the complement, so the count
     is 2^n minus the points at distance <= d from the complement. An
     empty complement sits at distance n+1 from every point and never
     counts. The complements go through distance_to_set in batches of
-    whole families.
+    whole rows; each batch is read as one histogram of distances (row
+    r's values land in bins r*(n+2) .. r*(n+2)+n+1), whose running sums
+    give every d at once.
     """
-    counts = np.empty((len(families), n + 1), dtype=np.int64)
+    counts = np.empty((len(inside), n + 1), dtype=np.int64)
     step = max(1, BATCH_VERTICES >> n)
-    for lo in range(0, len(families), step):
-        batch = families[lo:lo + step]
-        complement = np.empty((len(batch), 1 << n), dtype=np.bool_)
-        for row, fam in zip(complement, batch):
-            np.logical_not(fam.indicator(), out=row)
-        dist = kernels.distance_to_set(complement, n)
-        for d in range(n + 1):
-            counts[lo:lo + len(batch), d] = np.count_nonzero(dist > d, axis=-1)
+    for lo in range(0, len(inside), step):
+        dist = kernels.distance_to_set(~inside[lo:lo + step], n)
+        rows = len(dist)
+        bins = dist + np.arange(0, rows * (n + 2), n + 2)[:, None]
+        hist = np.bincount(bins.ravel(), minlength=rows * (n + 2)).reshape(rows, n + 2)
+        counts[lo:lo + rows] = (1 << n) - np.cumsum(hist[:, :n + 1], axis=1)
     return counts
 
 
@@ -85,7 +85,7 @@ def containment_profile(family: EventFamily, max_d: int | None = None) -> list[F
     if max_d is None:
         max_d = n
     total = 1 << n
-    counts = _contained_counts([family], n)[0].tolist()
+    counts = _contained_counts(family.indicator()[None], n)[0].tolist()
     return [Fraction(counts[min(d, n)], total) for d in range(max(max_d, 0) + 1)]
 
 
@@ -99,38 +99,30 @@ def sphere_tail_bound(instance: KeyLemmaInstance) -> Fraction:
     return Fraction(binomial_tail(n, instance.r + 1 - instance.ball_radius), 1 << n)
 
 
-def _sample_family(n: int, max_size: int, rng) -> EventFamily:
-    size = int(rng.integers(0, max_size + 1))
-    members = rng.choice(1 << n, size=size, replace=False) if size else np.empty(0, dtype=np.int64)
-    return EventFamily(n, frozenset(members.tolist()))
-
-
-def adversarial_families(n: int, max_size: int, rng) -> list[tuple[str, EventFamily]]:
-    """Deterministic stress set: balls, coordinate half-spaces / weight
-    cuts, and unions of two random balls, all within the size cap."""
+def adversarial_families(n: int, max_size: int, rng) -> list[tuple[str, np.ndarray]]:
+    """Deterministic stress set as (label, bool mask over the 2^n
+    vertices) pairs: balls, coordinate half-spaces / weight cuts, and
+    unions of two random balls, all within the size cap."""
     vertices = np.arange(1 << n, dtype=np.uint64)
 
     def distance_from(center: int) -> np.ndarray:
         return kernels.popcount(vertices ^ np.uint64(center))
 
-    def event(inside: np.ndarray) -> EventFamily:
-        return EventFamily(n, frozenset(np.flatnonzero(inside).tolist()))
-
-    out: list[tuple[str, EventFamily]] = []
+    out: list[tuple[str, np.ndarray]] = []
     center2 = int(rng.integers(0, 1 << n))
     for rho in range(n + 1):
         if binomial_tail(n, rho) > max_size:
             break
         for center in (0, center2):
-            out.append((f"ball r={rho} c={center}", event(distance_from(center) <= rho)))
-    half = event(vertices & np.uint64(1) == 0)
-    if half.size <= max_size:
+            out.append((f"ball r={rho} c={center}", distance_from(center) <= rho))
+    half = vertices & np.uint64(1) == 0
+    if np.count_nonzero(half) <= max_size:
         out.append(("half-space x0=0", half))
     for trial in range(3):
         c1, c2 = int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n))
         r1, r2 = int(rng.integers(0, max(1, n // 3))), int(rng.integers(0, max(1, n // 3)))
-        union = event((distance_from(c1) <= r1) | (distance_from(c2) <= r2))
-        if union.size <= max_size:
+        union = (distance_from(c1) <= r1) | (distance_from(c2) <= r2)
+        if np.count_nonzero(union) <= max_size:
             out.append((f"union of balls #{trial}", union))
     return out
 
@@ -146,27 +138,38 @@ def verify_key_lemma(n: int, trials: int, p_threshold: Fraction, seed: int) -> d
     for each j, the least d whose bound falls to 2^-j for the largest
     admissible r at this threshold.
     """
+    n, trials = _nonnegative(n, "n"), _nonnegative(trials, "trials")
     _check_ceiling(n)
     p_threshold = Fraction(p_threshold)
     if not 0 < p_threshold < 1:
         raise DomainError("threshold must lie strictly between 0 and 1")
     rng = generator(seed)
     max_size = int(p_threshold * (1 << n))
-    labeled = [(f"sampled #{t}", _sample_family(n, max_size, rng)) for t in range(trials)]
-    labeled += adversarial_families(n, max_size, rng)
+    # one membership row per family; the draws keep the order seeded
+    # reports depend on: per sampled family a size, then its members,
+    # and then the stress set
+    sampled = np.zeros((trials, 1 << n), dtype=np.bool_)
+    for row in sampled:
+        size = int(rng.integers(0, max_size + 1))
+        if size:
+            row[rng.choice(1 << n, size=size, replace=False)] = True
+    stress = adversarial_families(n, max_size, rng)
+    labels = [f"sampled #{t}" for t in range(trials)] + [label for label, _ in stress]
+    inside = np.vstack([sampled, *(mask for _, mask in stress)])
+    sizes = np.count_nonzero(inside, axis=1).tolist()
     total = 1 << n
     tails = binomial_tails(n)  # numerators over 2^n; every family here is proper
 
     def tail(t: int) -> int:
         return tails[t] if t >= 0 else 0
 
-    counts = _contained_counts([fam for _, fam in labeled], n).tolist()
+    counts = _contained_counts(inside, n).tolist()
     # one Fraction per distinct numerator; the report rows share them
     over_total = {k: Fraction(k, total) for k in {0, *tails, *chain.from_iterable(counts)}}
     families = []
     violations = 0
-    for (label, fam), contained in zip(labeled, counts):
-        r = bracket(tails, fam.size)
+    for label, size, contained in zip(labels, sizes, counts):
+        r = bracket(tails, size)
         rows = []
         tight_at = []
         for d, exact in enumerate(contained):
@@ -176,7 +179,7 @@ def verify_key_lemma(n: int, trials: int, p_threshold: Fraction, seed: int) -> d
                 violations += 1
             if exact == tail(r - d):
                 tight_at.append(d)
-        families.append({"label": label, "n": n, "size": fam.size, "r": r,
+        families.append({"label": label, "n": n, "size": size, "r": r,
                          "rows": rows, "tight_at": tight_at})
     r_max = bracket(tails, max_size)
     modulus = {}

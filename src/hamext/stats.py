@@ -53,7 +53,9 @@ def binomial_cdf_gap(n: int) -> float:
     The binomial CDF is an exact big-integer partial sum divided by 2^n
     (one correctly-rounded float per lattice point x_j = (j-n/2)/(sqrt(n)/2)).
     """
-    if not 1 <= n <= CDF_GAP_CEILING:
+    if n < 1:
+        raise DomainError(f"binomial_cdf_gap needs n >= 1, got {n}")
+    if n > CDF_GAP_CEILING:
         raise ResourceError(f"binomial_cdf_gap handles 1 <= n <= {CDF_GAP_CEILING}")
     denom = 1 << n
     scale = 2.0 / math.sqrt(n)

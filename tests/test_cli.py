@@ -162,29 +162,54 @@ class TestExitCodes:
     def test_missing_input_is_two(self, tmp_path, capsys):
         assert run(["trace-refine", "--out-dir", tmp_path]) == 2
 
-    def assert_config_error(self, args, tmp_path, capsys):
+    def assert_exit_two(self, args, tmp_path, capsys, error="ConfigError"):
         assert run([*args, "--out-dir", tmp_path]) == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert json.loads(capsys.readouterr().err)["error"] == error
 
     @pytest.mark.parametrize("nu", ["1.5,2", "a", "2,,4"])
     def test_malformed_weber_nu_is_two(self, tmp_path, capsys, nu):
-        self.assert_config_error(["weber", "--nu", nu], tmp_path, capsys)
+        self.assert_exit_two(["weber", "--nu", nu], tmp_path, capsys)
 
     def test_malformed_clt_n_list_is_two(self, tmp_path, capsys):
-        self.assert_config_error(["clt-check", "--n-list", "1.5"], tmp_path, capsys)
+        self.assert_exit_two(["clt-check", "--n-list", "1.5"], tmp_path, capsys)
 
     def test_malformed_smallball_n_list_is_two(self, tmp_path, capsys):
-        self.assert_config_error(["smallball", "--n-list", "a"], tmp_path, capsys)
+        self.assert_exit_two(["smallball", "--n-list", "a"], tmp_path, capsys)
 
     def test_malformed_n_list_in_config_is_two(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n-list = 16,x\n")
-        self.assert_config_error(["smallball", "--config", cfg], tmp_path, capsys)
+        self.assert_exit_two(["smallball", "--config", cfg], tmp_path, capsys)
 
     @pytest.mark.parametrize("threshold", ["x", "1/0"])
     def test_malformed_keylemma_threshold_is_two(self, tmp_path, capsys, threshold):
-        self.assert_config_error(["keylemma", "--n", 4, "--threshold", threshold],
-                                 tmp_path, capsys)
+        self.assert_exit_two(["keylemma", "--n", 4, "--threshold", threshold],
+                             tmp_path, capsys)
+
+    @pytest.mark.parametrize("args", [["--n", -2], ["--n", 4, "--trials", -1]],
+                             ids=["negative-n", "negative-trials"])
+    def test_keylemma_negative_sizes_are_two(self, tmp_path, capsys, args):
+        self.assert_exit_two(["keylemma", *args], tmp_path, capsys, "DomainError")
+
+    def test_harper_negative_n_is_two(self, tmp_path, capsys):
+        self.assert_exit_two(["harper", "--n", -1], tmp_path, capsys, "DomainError")
+
+    @pytest.mark.parametrize("n_list", ["-3", "0"])
+    def test_clt_check_size_below_one_is_two(self, tmp_path, capsys, n_list):
+        self.assert_exit_two(["clt-check", "--n-list", n_list], tmp_path, capsys,
+                             "DomainError")
+
+    @pytest.mark.parametrize("args", [
+        ["lil", "--length", -1],
+        ["select", "--length", -5],
+        ["lil", "--seed", -1],
+        ["lil", "--seed", 1 << 64, "--length", 64],
+        ["select", "--seed", 1 << 64, "--length", 64],
+        ["keylemma", "--n", 4, "--seed", 1 << 64],
+    ], ids=["lil-length", "select-length", "lil-seed-negative", "lil-seed-2^64",
+            "select-seed-2^64", "keylemma-seed-2^64"])
+    def test_stream_seed_and_length_domain_is_two(self, tmp_path, capsys, args):
+        self.assert_exit_two(args, tmp_path, capsys, "DomainError")
 
 
 class TestPipelines:

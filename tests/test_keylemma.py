@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +23,15 @@ def containment_oracle(family: EventFamily, d: int) -> Fraction:
                      for y in range(1 << n) if bin(x ^ y).count("1") <= d)
         good += inside
     return Fraction(good, 1 << n)
+
+
+def contained_counts_oracle(inside: np.ndarray, n: int) -> list[list[int]]:
+    """Brute force: per row and d, the points whose every vertex within
+    distance d is a member."""
+    return [[sum(all(row[y] for y in range(1 << n) if (x ^ y).bit_count() <= d)
+                 for x in range(1 << n))
+             for d in range(n + 1)]
+            for row in inside]
 
 
 def weight_cut(n, w):
@@ -68,6 +79,19 @@ class TestBallContainment:
                 for max_d in (n, n + 2):
                     assert containment_profile(fam, max_d) == [
                         containment_oracle(fam, d) for d in range(max_d + 1)]
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_contained_counts_match_brute_force(self, monkeypatch, n):
+        rng = generator(60 + n)
+        density = rng.random((8, 1))
+        full_minus_one = np.ones(1 << n, dtype=np.bool_)
+        full_minus_one[rng.integers(0, 1 << n)] = False
+        inside = np.vstack([rng.random((8, 1 << n)) < density,
+                            np.zeros(1 << n, dtype=np.bool_), full_minus_one])
+        expected = contained_counts_oracle(inside, n)
+        assert keylemma._contained_counts(inside, n).tolist() == expected
+        monkeypatch.setattr(keylemma, "BATCH_VERTICES", 3 << n)  # batches of 3, 3, 3, 1
+        assert keylemma._contained_counts(inside, n).tolist() == expected
 
     def test_ceiling(self):
         with pytest.raises(ResourceError):
@@ -185,3 +209,27 @@ class TestVerifyKeyLemma:
     def test_threshold_domain(self):
         with pytest.raises(DomainError):
             verify_key_lemma(4, 1, Fraction(3, 2), 0)
+
+    @pytest.mark.parametrize("n, trials", [(-2, 1), (4, -1), (4, 1.5), (2.0, 1)])
+    def test_dimension_and_trials_domain(self, n, trials):
+        with pytest.raises(DomainError):
+            verify_key_lemma(n, trials, Fraction(1, 2), 0)
+
+    # sha256 of the nine reports acceptance criterion 8 reads, as canonical
+    # JSON with Fractions as strings, taken from the per-family frozenset
+    # implementation; the batched membership sweep must reproduce them
+    @pytest.mark.parametrize("n, digest", [
+        (4, "19ccfd8b48fd4529083c9ff74132252e11cf9993d2337937a2f61672cfa46f78"),
+        (5, "a01a2a8bd471cbb8ac9033b8ee0ae777e5a9c6ab9669b7222c0b1ae8e4b7d26d"),
+        (6, "dcb0caa97b13c17c97fe3b5f01f99304f1d8b498772652ff4244f33454a972a0"),
+        (7, "7bf2bcf11c4528d0483bb97325d1b105740f5502c069c315784c636e1f10ec38"),
+        (8, "b25ee1467b675fbc4feacbee18a725d90b327d9e328d52136795a199ac105efc"),
+        (9, "60c80ee584fdf9c74e757ba221794272f542be7b708a00f1e28bed488646511b"),
+        (10, "245f7a05e08599de47de4a83f1572da5108817cacdf8981c900d6f739cef1359"),
+        (11, "37aef95701b6c725b1d8eb3d43764ab649532cacd96ade29142e101d07e43344"),
+        (12, "82f6929bc19e9839e278661f23a06504a68902cce77a9d9bd0b276b951a75d2e"),
+    ])
+    def test_pinned_criterion_eight_reports(self, n, digest):
+        report = verify_key_lemma(n, 200, Fraction(1, 2), 1000 + n)
+        text = json.dumps(report, sort_keys=True, default=str)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -61,6 +61,11 @@ class TestBinomialCdfGap:
         with pytest.raises(ResourceError):
             binomial_cdf_gap(10 ** 5 + 1)
 
+    @pytest.mark.parametrize("n", [-3, 0])
+    def test_sizes_below_one_are_domain_errors(self, n):
+        with pytest.raises(DomainError):
+            binomial_cdf_gap(n)
+
 
 class TestSmallBall:
     def enumeration_oracle(self, n, g):
