@@ -428,6 +428,10 @@ def main(argv=None) -> int:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2
+    except OSError as exc:  # an unreadable --input, --config or --schedule-file
+        print(json.dumps({"error": ConfigError.__name__, "message": str(exc)}),
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

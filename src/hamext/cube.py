@@ -87,11 +87,6 @@ def bracket(tails: list[int], size: int) -> int:
     return bisect_right(tails, size) - 1
 
 
-def vertex_of(s) -> int:
-    """Integer vertex mask of a bit string (bit i = position i)."""
-    return bits_to_mask(as_bits(s))
-
-
 def vertex_text(v: int, n: int) -> str:
     return "".join("1" if (v >> i) & 1 else "0" for i in range(n))
 
@@ -158,7 +153,7 @@ class SphereSpec:
         return binomial_tail(self.dimension, self.inner_radius) + self.shell_count
 
     def members(self) -> list[int]:
-        n, c = self.dimension, vertex_of(self.center)
+        n, c = self.dimension, bits_to_mask(as_bits(self.center))
         out = [v for v in range(1 << n)
                if (v ^ c).bit_count() <= self.inner_radius]
         out.extend(shell_vertices(n, self.inner_radius + 1, c)[: self.shell_count])
@@ -188,26 +183,12 @@ def make_sphere(n: int, size: int, center) -> SphereSpec:
 
 
 @lru_cache(maxsize=None)
-def _ball_masks(n: int, d: int) -> tuple[int, ...]:
-    """d-ball of each vertex as a vertex-set mask (for subset sweeps)."""
-    balls = [1 << v for v in range(1 << n)]
-    for _ in range(d):
-        prev = balls
-        balls = []
-        for v in range(1 << n):
-            m = prev[v]
-            grown = m
-            for w in range(1 << n):
-                if (m >> w) & 1:
-                    for i in range(n):
-                        grown |= 1 << (w ^ (1 << i))
-            balls.append(grown)
-    return tuple(balls)
-
-
-@lru_cache(maxsize=None)
 def _harper_mins(n: int, d: int) -> tuple[int, ...]:
-    ball = np.array(_ball_masks(n, d), dtype=np.uint64)
+    # row v of the identity is the singleton {v}; its distance row read
+    # at <= d is the d-ball around v, packed as a vertex-set word
+    inside = kernels.distance_to_set(np.eye(1 << n, dtype=np.bool_), n) <= d
+    weights = np.uint64(1) << np.arange(1 << n, dtype=np.uint64)
+    ball = np.bitwise_or.reduce(inside * weights, axis=1)
     return tuple(int(x) for x in kernels.subset_min_gamma(ball))
 
 

@@ -106,7 +106,7 @@ def adversarial_families(n: int, max_size: int, rng) -> list[tuple[str, np.ndarr
     vertices = np.arange(1 << n, dtype=np.uint64)
 
     def distance_from(center: int) -> np.ndarray:
-        return kernels.popcount(vertices ^ np.uint64(center))
+        return np.bitwise_count(vertices ^ np.uint64(center))
 
     out: list[tuple[str, np.ndarray]] = []
     center2 = int(rng.integers(0, 1 << n))

@@ -134,6 +134,8 @@ def weber_series(nu, n_max: int) -> WeberSeries:
     bisect searches it in place, so it is kept as it is rather than
     listed out.
     """
+    if n_max < 1:
+        raise DomainError(f"n_max must be at least 1, got {n_max}")
     try:
         seq = nu if isinstance(nu, range) and nu.step > 0 else tuple(map(operator.index, nu))
         ordered = isinstance(seq, range) or all(starmap(operator.lt, pairwise(seq)))
@@ -160,6 +162,7 @@ def sparse_subsequence(f: Callable[[int], float], n_max: int) -> SparseResult:
     2^m) only once ln(hits so far + 1) <= f(2^(m-1)); f nondecreasing
     then keeps every k in admitted and skipped blocks alike under f, so
     the reported violation threshold is 0 for genuine order functions.
+    An n_max below 1 raises DomainError, as in weber_series.
     """
     nu: list[int] = []
     hits = 0
@@ -199,46 +202,32 @@ class FrequencyReport:
 
 @dataclass
 class SelectionRule:
-    """Monotonic selection: decide(prefix) says whether the next
-    position is counted, before its bit is revealed."""
+    """Monotonic selection: mask(x)[i] says whether position i is
+    counted, and reads only the bits before it, x[:i]."""
 
-    decide: Callable[[np.ndarray], bool]
+    mask: Callable[[np.ndarray], np.ndarray]
     description: str
-    mask_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def selected_mask(self, x: np.ndarray) -> np.ndarray:
-        if self.mask_fn is not None:
-            return self.mask_fn(x)
-        mask = np.zeros(x.size, dtype=np.bool_)
-        for i in range(x.size):
-            mask[i] = bool(self.decide(x[:i]))
-        return mask
 
 
 def select_all() -> SelectionRule:
-    return SelectionRule(lambda prefix: True, "select every position",
-                         mask_fn=lambda x: np.ones(x.size, dtype=np.bool_))
+    return SelectionRule(lambda x: np.ones(x.size, dtype=np.bool_), "select every position")
 
 
 def select_evens() -> SelectionRule:
-    return SelectionRule(lambda prefix: prefix.size % 2 == 0, "select even indices",
-                         mask_fn=lambda x: np.arange(x.size) % 2 == 0)
+    return SelectionRule(lambda x: np.arange(x.size) % 2 == 0, "select even indices")
 
 
 def select_even_parity_prefix() -> SelectionRule:
-    def mask(x: np.ndarray) -> np.ndarray:
-        cums = np.concatenate(([0], np.cumsum(x, dtype=np.int64)[:-1]))
-        return (cums % 2) == 0
-    return SelectionRule(lambda prefix: int(prefix.sum()) % 2 == 0,
-                         "select positions whose prefix has even parity",
-                         mask_fn=mask)
+    # exclusive prefix sums: position i sees the ones of x[:i]
+    return SelectionRule(lambda x: (np.cumsum(x, dtype=np.int64) - x) % 2 == 0,
+                         "select positions whose prefix has even parity")
 
 
 def apply_selection(rule: SelectionRule, X) -> FrequencyReport:
     """Stream X through the rule; report the ones-frequency among the
     selected positions."""
     x = as_bits(X)
-    mask = rule.selected_mask(x)
+    mask = rule.mask(x)
     examined = int(np.count_nonzero(mask))
     ones = int(x[mask].sum())
     return FrequencyReport.of(examined, ones)

@@ -211,6 +211,20 @@ class TestExitCodes:
     def test_stream_seed_and_length_domain_is_two(self, tmp_path, capsys, args):
         self.assert_exit_two(args, tmp_path, capsys, "DomainError")
 
+    @pytest.mark.parametrize("args", [
+        ["trace-refine", "--input"],
+        ["extract", "--input"],
+        ["extract", "--schedule-file"],
+        ["lil", "--config"],
+    ], ids=["trace-refine-input", "extract-input", "extract-schedule-file", "lil-config"])
+    def test_unreadable_file_is_two(self, tmp_path, capsys, args):
+        self.assert_exit_two([*args, tmp_path / "absent"], tmp_path, capsys)
+
+    @pytest.mark.parametrize("args", [["--n", -1], ["--nu", "2,4", "--n", 0]],
+                             ids=["sparse-n-negative", "series-n-zero"])
+    def test_weber_n_below_one_is_two(self, tmp_path, capsys, args):
+        self.assert_exit_two(["weber", *args], tmp_path, capsys, "DomainError")
+
 
 class TestPipelines:
     def test_clt_check(self, tmp_path):
@@ -251,6 +265,11 @@ class TestPipelines:
         assert doc["positions_examined"] == 500
         assert run(["select", "--rule", "bogus", "--seed", 3,
                     "--out-dir", tmp_path]) == 2
+
+    @pytest.mark.parametrize("rule", ["all", "evens", "parity"])
+    def test_select_empty_stream(self, tmp_path, rule):
+        assert run(["select", "--rule", rule, "--length", 0, "--out-dir", tmp_path]) == 0
+        assert read_json(tmp_path / "select.json")["positions_examined"] == 0
 
     def test_trace_refine(self, tmp_path):
         src = tmp_path / "strings.txt"

@@ -1,44 +1,21 @@
-"""Both kernel backends must agree bit-for-bit on every sweep; kernels
-with a single implementation are checked against brute-force oracles."""
+"""Every kernel against a brute-force oracle: Python int bit counts,
+distance-defined balls and direct per-input majorities."""
 
-import os
-import subprocess
-import sys
-import warnings
+import operator
+from functools import reduce
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamext import kernels
+from hamext import cube, kernels
 from hamext.errors import DimensionError
 
 
 def rng():
     return np.random.Generator(np.random.Philox(key=1234))
-
-
-def test_backend_is_numba_here():
-    # the suite runs with numba available; the numpy lane is exercised
-    # through the *_np functions below and the subprocess test
-    assert kernels.BACKEND in ("numba", "numpy")
-
-
-def test_popcount_matches_python():
-    vals = rng().integers(0, 1 << 63, size=500, dtype=np.uint64)
-    expect = [int(v).bit_count() for v in vals]
-    assert kernels.popcount_np(vals).tolist() == expect
-    assert kernels.popcount_nb(vals).tolist() == expect
-
-
-def test_popcount_nb_raises_no_overflow_warning():
-    words = [0, 1 << 63, (1 << 64) - 1]
-    words += rng().integers(0, 1 << 64, size=64, dtype=np.uint64).tolist()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        counts = kernels.popcount_nb(np.array(words, dtype=np.uint64))
-    assert counts.tolist() == [w.bit_count() for w in words]
 
 
 def _distance_oracle(ind, n):
@@ -97,44 +74,78 @@ def _ball_masks(n, d):
     return np.array(balls, dtype=np.uint64)
 
 
-def test_subset_min_gamma_backends_agree():
-    for n, d in ((2, 1), (3, 1), (3, 2), (4, 1), (4, 3)):
+def _min_gamma_oracle(balls):
+    return [min(reduce(operator.or_, subset, 0).bit_count()
+                for subset in combinations(balls, size))
+            for size in range(len(balls) + 1)]
+
+
+def test_subset_min_gamma_matches_brute_force():
+    cases = [(n, d) for n in range(4) for d in range(n + 1)] + [(4, 1)]
+    for n, d in cases:
         ball = _ball_masks(n, d)
-        assert np.array_equal(kernels.subset_min_gamma_np(ball),
-                              kernels.subset_min_gamma_nb(ball))
+        expect = _min_gamma_oracle([int(b) for b in ball])
+        assert kernels.subset_min_gamma(ball).tolist() == expect
 
 
-def test_all_outputs_backends_agree():
-    cores = np.array([0b111, 0b11111000, 0b1111100000000], dtype=np.uint64)
-    sizes = np.array([3, 5, 5], dtype=np.int64)
-    a = kernels.all_outputs_np(cores, sizes, 13)
-    b = kernels.all_outputs_nb(cores, sizes, 13)
-    assert np.array_equal(a, b)
+def test_harper_ball_words_match_distance_defined_balls(monkeypatch):
+    seen = []
+    sweep = kernels.subset_min_gamma
+    monkeypatch.setattr(kernels, "subset_min_gamma", lambda ball: seen.append(ball) or sweep(ball))
+    for n in range(5):
+        for d in range(n + 1):
+            cube._harper_mins.__wrapped__(n, d)  # past the cache, so every pair is packed
+            assert seen[-1].dtype == np.uint64
+            assert seen[-1].tolist() == _ball_masks(n, d).tolist()
 
 
-def test_robustness_backends_agree():
-    cores = np.array([0b111, 0b11111000], dtype=np.uint64)
-    sizes = np.array([3, 5], dtype=np.int64)
-    budgets2 = np.array([2, 2], dtype=np.int64)
-    patterns = rng().integers(0, 1 << 8, size=32, dtype=np.uint64)
-    a = kernels.robustness_violations_np(cores, sizes, budgets2, patterns, 8)
-    b = kernels.robustness_violations_nb(cores, sizes, budgets2, patterns, 8)
-    assert a == b
+def _outputs_oracle(cores, sizes, length):
+    return [sum(1 << k for k, (core, size) in enumerate(zip(cores, sizes))
+                if 2 * (x & core).bit_count() > size)
+            for x in range(1 << length)]
 
 
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, HAMEXT_BACKEND="numpy")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from hamext import kernels; print(kernels.BACKEND, "
-         "kernels.popcount is kernels.popcount_np)"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.split() == ["numpy", "True"]
+def test_all_outputs_matches_direct_majority():
+    g = rng()
+    cases = [([0b111, 0b11111000], [3, 5], 8),
+             ([0b1, 0b110], [1, 2], 3),  # an even core: a tie reads 0
+             ([0], [0], 0)]
+    for length in (4, 7, 10):
+        cores = [int(c) for c in g.integers(0, 1 << length, size=5)]
+        cases.append((cores, [c.bit_count() for c in cores], length))
+    for cores, sizes, length in cases:
+        words = kernels.all_outputs(np.array(cores, dtype=np.uint64),
+                                    np.array(sizes, dtype=np.int64), length)
+        assert words.dtype == np.uint32
+        assert words.tolist() == _outputs_oracle(cores, sizes, length)
 
 
-def test_env_flag_rejects_unknown():
-    env = dict(os.environ, HAMEXT_BACKEND="cuda")
-    out = subprocess.run([sys.executable, "-c", "import hamext.kernels"],
-                         capture_output=True, text=True, env=env)
-    assert out.returncode != 0
-    assert "HAMEXT_BACKEND" in out.stderr
+def _robustness_oracle(cores, sizes, budgets2, patterns, length):
+    bad = 0
+    for x in range(1 << length):
+        for core, size, budget2 in zip(cores, sizes, budgets2):
+            m2 = 2 * (x & core).bit_count() - size
+            if abs(m2) <= budget2:
+                continue
+            for p in patterns:
+                if (2 * ((x ^ p) & core).bit_count() - size > 0) != (m2 > 0):
+                    bad += 1
+    return bad
+
+
+def test_robustness_matches_python_loop():
+    # the even core puts margins on the budget itself, where a block is
+    # not robust
+    cores, sizes = [0b111, 0b11111000, 0b11110000], [3, 5, 4]
+    one_flip = [a | b for a in (0, 1, 2, 4) for b in (0, 8, 16, 32, 64, 128)]
+    drawn = [int(p) for p in rng().integers(0, 1 << 8, size=32)]
+    # within budget no output moves; a budget of 0 flips against 8-bit
+    # patterns lets some outputs move
+    for budgets2, patterns, positive in (([2, 2, 2], one_flip, False),
+                                         ([0, 0, 0], drawn, True)):
+        expect = _robustness_oracle(cores, sizes, budgets2, patterns, 8)
+        assert (expect > 0) == positive
+        got = kernels.robustness_violations(
+            np.array(cores, dtype=np.uint64), np.array(sizes, dtype=np.int64),
+            np.array(budgets2, dtype=np.int64), np.array(patterns, dtype=np.uint64), 8)
+        assert got == expect

@@ -157,6 +157,14 @@ class TestWeberSeries:
             if 2 <= k <= 1 << n_max:
                 assert lazy.log_rate(k) == listed.log_rate(k)
 
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_rejects_n_max_below_one(self, n_max):
+        for nu in ([2, 4], []):
+            with pytest.raises(DomainError):
+                weber_series(nu, n_max)
+        with pytest.raises(DomainError):
+            sparse_subsequence(lambda k: float(k), n_max)
+
     def test_rate_domain(self):
         series = weber_series([2], 4)
         with pytest.raises(DomainError):
@@ -207,11 +215,17 @@ class TestSelectionRules:
         assert abs(rep.relative_frequency - 0.5) < 0.02
 
     def test_mask_matches_streaming_decide(self):
-        rule = select_even_parity_prefix()
-        x = bit_stream(3, 300)
-        fast = rule.selected_mask(x)
-        slow = np.array([rule.decide(x[:i]) for i in range(x.size)])
-        assert np.array_equal(fast, slow)
+        # each rule's streaming definition: may position i be counted,
+        # given only the prefix x[:i]
+        streaming = [(select_all, lambda prefix: True),
+                     (select_evens, lambda prefix: prefix.size % 2 == 0),
+                     (select_even_parity_prefix, lambda prefix: int(prefix.sum()) % 2 == 0)]
+        for make, decide in streaming:
+            for length in (0, 1, 300):
+                x = bit_stream(3, length)
+                mask = make().mask(x)
+                assert mask.dtype == np.bool_
+                assert mask.tolist() == [bool(decide(x[:i])) for i in range(length)]
 
     def test_identity_rule_equals_frequency_on_all_positions(self):
         x = bit_stream(12, 500)
