@@ -215,9 +215,6 @@ class CorruptionReport:
     cumulative_cost_at_stage: list[int]
     budget_ok: bool
 
-    def forced_targets(self, adv: AdversarySchedule) -> list[int]:
-        return [adv.targets[r.stage] for r in self.per_stage if r.forced]
-
     def to_json_dict(self, y_file: str = "") -> dict:
         return {
             "y_file": y_file,

@@ -70,10 +70,6 @@ def mask_to_bits(mask: int, length: int) -> np.ndarray:
     return out
 
 
-def hamming_weight(bits: np.ndarray) -> int:
-    return int(np.count_nonzero(bits))
-
-
 def write_text_bits(path, strings) -> None:
     """Write bit strings as ASCII lines (one string per line)."""
     with open(path, "w", encoding="ascii") as fh:

@@ -41,38 +41,28 @@ def _iroot(x: int, q: int) -> int:
             r = 1
 
 
+def ceil_root(num: int, den: int, q: int) -> int:
+    """Smallest m >= 0 with m**q * den >= num, exact (den > 0, q >= 1)."""
+    t = -(-num // den)  # m**q is an integer, so m**q >= num/den iff m**q >= t
+    return _iroot(t - 1, q) + 1 if t > 0 else 0
+
+
 def _ceil_power(n: int, alpha: Fraction, coeff: Fraction) -> int:
     """Smallest m with m >= coeff * n^alpha, exact."""
-    if n == 0 or coeff == 0:
+    if n == 0:
         return 0
     p, q = alpha.numerator, alpha.denominator
-    target = coeff.numerator ** q * n ** p
-    den = coeff.denominator ** q
-    m = _iroot(target // den, q)
-    while m > 0 and m ** q * den >= target:
-        m -= 1
-    m += 1
-    while m ** q * den < target:
-        m += 1
-    return m
+    return ceil_root(coeff.numerator ** q * n ** p, coeff.denominator ** q, q)
 
 
 def _ceil_affine_sqrt(n: int, a: Fraction, c: Fraction) -> int:
     """Smallest m with m >= a*n + c*sqrt(n), exact."""
-    def reaches(m: int) -> bool:
-        lead = Fraction(m) - a * n
-        if lead < 0:
-            return False
-        return lead * lead >= c * c * n
-
-    m = max(0, math.floor(float(a) * n + float(c) * math.sqrt(n)) - 2)
-    while reaches(m) and m > 0:
-        m -= 1
-    if reaches(m):
-        return m
-    while not reaches(m):
-        m += 1
-    return m
+    # With a*n = p/d: m qualifies iff k = d*m - p >= d*c*sqrt(n), i.e.
+    # k >= ceil_root(c^2 n d^2, 1, 2); the smallest such m is ceil((p + k)/d).
+    lead = a * n
+    p, d = lead.numerator, lead.denominator
+    k = ceil_root(c.numerator ** 2 * n * d * d, c.denominator ** 2, 2)
+    return -(-(p + k) // d)
 
 
 def lil_envelope(n: int, eps: float) -> float:
@@ -133,8 +123,7 @@ class BudgetFunction:
             ex = alpha - Fraction(1, 2)
             p, q = ex.numerator, ex.denominator
             target = (Fraction(k) / coeff) ** q
-            num = -(-target.numerator // target.denominator)  # ceil
-            return max(1, _iroot(max(num - 1, 0), p) + 1)
+            return max(1, ceil_root(target.numerator, target.denominator, p))
         if self.kind == "affine_sqrt":
             a, c = self.params
             if a <= 0:

@@ -1,7 +1,8 @@
 """Batch experiment driver.
 
 Every subcommand reads a merged configuration (flat key=value config
-file, command-line flags override), runs one pipeline, and writes JSON
+file, command-line flags override) over the option keys it declares in
+_COMMANDS, runs one pipeline, and writes JSON
 reports (plus CSV side tables with --format csv) into --out-dir. Runs
 are reproducible: all randomness flows from --seed through Philox, no
 report contains a timestamp, and identical configurations produce
@@ -29,7 +30,7 @@ from .adversary import corrupt, stages_from_blocks, verify_similarity
 from .bits import read_packed_bits, read_text_bits, to_text, write_packed_bits
 from .budgets import parse_budget
 from .cube import harper_min_neighborhood
-from .errors import ConfigError, ContractError, DimensionError, DomainError, HamextError, ResourceError
+from .errors import ConfigError, DomainError, HamextError, ResourceError
 from .extractor import BlockSchedule, extract, make_schedule, psi_deviation
 from .keylemma import verify_key_lemma
 from .rng import bit_stream
@@ -81,17 +82,6 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def _merged_config(args: argparse.Namespace) -> dict:
-    # out_dir names the write destination, not the experiment; keeping it
-    # out of the embedded config keeps replayed runs byte-identical.
-    cfg = load_config(args.config)
-    for key, value in vars(args).items():
-        if key in ("func", "config", "out_dir") or value is None:
-            continue
-        cfg[key.replace("_", "-")] = value
-    return cfg
-
-
 def _option(cfg: dict, key: str, read, default=None):
     """cfg[key] (or default) read from its text by `read`, e.g. int; a
     value it cannot read is a ConfigError, not a traceback."""
@@ -136,33 +126,31 @@ def _load_bits(path: str) -> np.ndarray:
     return read_packed_bits(path)
 
 
-def _input_bits(args, cfg, default_length: int = 1 << 16) -> np.ndarray:
-    if args.input:
-        return _load_bits(args.input)
+def _input_bits(cfg, default_length: int = 1 << 16) -> np.ndarray:
+    if cfg.get("input"):
+        return _load_bits(cfg["input"])
     length = _option(cfg, "length", int, default_length)
     return bit_stream(_option(cfg, "seed", int, 0), length)
 
 
-def _schedule(args, cfg) -> BlockSchedule:
-    if args.schedule_file:
-        return BlockSchedule.from_text(Path(args.schedule_file).read_text())
+def _schedule(cfg) -> BlockSchedule:
+    if cfg.get("schedule-file"):
+        return BlockSchedule.from_text(Path(cfg["schedule-file"]).read_text())
     g = parse_budget(cfg.get("gen-budget", "power:1/3"))
     return make_schedule(g, _option(cfg, "blocks", int, 4))
 
 
-def cmd_extract(args) -> int:
-    cfg = _merged_config(args)
-    sched = _schedule(args, cfg)
-    x = _input_bits(args, cfg, max(1 << 16, sched.total_length))
+def cmd_extract(cfg: dict, out: Path) -> int:
+    sched = _schedule(cfg)
+    x = _input_bits(cfg, max(1 << 16, sched.total_length))
     budget = parse_budget(cfg["budget"]) if cfg.get("budget") else None
     trace = extract(x, sched, budget)
-    out = Path(args.out_dir)
     payload = {"outputs": to_text(trace.outputs),
                "margins": trace.margins.tolist(),
                "robust": None if trace.robust_flags is None else trace.robust_flags.tolist(),
                "schedule": sched.to_text()}
     _write_report(out, "extract", payload, cfg)
-    if args.format == "csv":
+    if cfg["format"] == "csv":
         _write_csv(out, "extract", ["block", "margin", "output"],
                    [(k, int(trace.margins[k]), int(trace.outputs[k]))
                     for k in range(len(sched))])
@@ -170,13 +158,10 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def cmd_corrupt(args) -> int:
-    cfg = _merged_config(args)
-    sched = _schedule(args, cfg)
-    if args.input:
-        x = _load_bits(args.input)
-    else:
-        x = bit_stream(_option(cfg, "seed", int, 0), sched.total_length)
+def cmd_corrupt(cfg: dict, out: Path) -> int:
+    sched = _schedule(cfg)
+    # corrupt takes no length: a generated stream is exactly as long as the schedule
+    x = _input_bits(cfg, sched.total_length)
     p = parse_budget(cfg.get("budget", "power:2/3"))
     targets = None
     if cfg.get("targets"):
@@ -184,7 +169,6 @@ def cmd_corrupt(args) -> int:
     adv = stages_from_blocks(sched, p, targets)
     report = corrupt(x, sched, adv)
     re_outputs = extract(report.Y, sched).outputs
-    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     y_file = out / "y.bits"
     write_packed_bits(y_file, report.Y)
@@ -200,8 +184,7 @@ def cmd_corrupt(args) -> int:
     return 0
 
 
-def cmd_harper(args) -> int:
-    cfg = _merged_config(args)
+def cmd_harper(cfg: dict, out: Path) -> int:
     n = _option(cfg, "n", int, 3)
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
@@ -212,37 +195,33 @@ def cmd_harper(args) -> int:
             mn, sphere = harper_min_neighborhood(n, size, d)
             rows.append((n, size, d, mn, sphere))
             equal &= mn == sphere
-    out = Path(args.out_dir)
     _write_report(out, "harper", {"n": n, "all_equal": equal,
                                   "rows": [{"size": s, "d": d, "min": m, "sphere": sp}
                                            for _, s, d, m, sp in rows]}, cfg)
-    if args.format == "csv":
+    if cfg["format"] == "csv":
         _write_csv(out, "harper", ["n", "size", "d", "exhaustive_min", "sphere_value"], rows)
     print(f"harper n={n}: {len(rows)} cases, minima all equal canonical spheres: {equal}")
     return 0
 
 
-def cmd_clt_check(args) -> int:
-    cfg = _merged_config(args)
-    ns = _option(cfg, "n-list", _int_list, cfg.get("n", "10,100,1000,10000"))
+def cmd_clt_check(cfg: dict, out: Path) -> int:
+    ns = _option(cfg, "n-list", _int_list, "10,100,1000,10000")
     rows = []
     ok = True
     for n in ns:
         gap, bound = binomial_cdf_gap(n), berry_esseen_bound(n)
         rows.append((n, repr(gap), repr(bound), gap <= bound))
         ok &= gap <= bound
-    out = Path(args.out_dir)
     _write_report(out, "clt_check", {"within_bound": ok,
                                      "rows": [{"n": n, "gap": g, "bound": b, "ok": o}
                                               for n, g, b, o in rows]}, cfg)
-    if args.format == "csv":
+    if cfg["format"] == "csv":
         _write_csv(out, "clt_check", ["n", "gap", "bound", "ok"], rows)
     print(f"clt-check: {len(rows)} sizes, all within 0.71/sqrt(n): {ok}")
     return 0
 
 
-def cmd_smallball(args) -> int:
-    cfg = _merged_config(args)
+def cmd_smallball(cfg: dict, out: Path) -> int:
     ns = _option(cfg, "n-list", _int_list, "16,64,256,1024,4096")
     g = parse_budget(cfg.get("budget", "power:1/3"))
     rows = []
@@ -253,23 +232,20 @@ def cmd_smallball(args) -> int:
         rows.append((n, g(n), exact.numerator, exact.denominator, repr(bound),
                      float(exact) <= bound))
         ok &= float(exact) <= bound
-    out = Path(args.out_dir)
     _write_report(out, "smallball", {"budget": g.token, "within_bound": ok,
                                      "rows": [{"n": n, "g": gg, "exact_num": num,
                                                "exact_den": den, "bound": b, "ok": o}
                                               for n, gg, num, den, b, o in rows]}, cfg)
-    if args.format == "csv":
+    if cfg["format"] == "csv":
         _write_csv(out, "smallball", ["n", "g", "exact_num", "exact_den", "bound", "ok"], rows)
     print(f"smallball: {len(rows)} sizes, exact within envelope: {ok}")
     return 0
 
 
-def cmd_lil(args) -> int:
-    cfg = _merged_config(args)
-    x = _input_bits(args, cfg)
+def cmd_lil(cfg: dict, out: Path) -> int:
+    x = _input_bits(cfg)
     eps = _option(cfg, "epsilon", float, 0.0)
     points = psi_deviation(x, np.zeros(x.size, dtype=np.uint8), epsilon=eps)
-    out = Path(args.out_dir)
     _write_report(out, "lil", {"epsilon": eps, "length": int(x.size),
                                "series": [{"n": p.n, "statistic": p.statistic,
                                            "within_envelope": p.within_envelope}
@@ -281,10 +257,8 @@ def cmd_lil(args) -> int:
     return 0
 
 
-def cmd_weber(args) -> int:
-    cfg = _merged_config(args)
+def cmd_weber(cfg: dict, out: Path) -> int:
     n_max = _option(cfg, "n", int, 20)
-    out = Path(args.out_dir)
     if cfg.get("nu"):
         nu = _option(cfg, "nu", _int_list)
         series = weber_series(nu, n_max)
@@ -307,34 +281,30 @@ def cmd_weber(args) -> int:
              for m in range(1, n_max + 1)]
     payload["log_rates"] = rates
     _write_report(out, "weber", payload, cfg)
-    if args.format == "csv":
+    if cfg["format"] == "csv":
         _write_csv(out, "weber", ["n", "p_count"],
                    list(enumerate(series.p_counts, start=1)))
     print(summary)
     return 0
 
 
-def cmd_keylemma(args) -> int:
-    cfg = _merged_config(args)
+def cmd_keylemma(cfg: dict, out: Path) -> int:
     n = _option(cfg, "n", int, 8)
     trials = _option(cfg, "trials", int, 200)
     threshold = _option(cfg, "threshold", Fraction, "1/2")
     report = verify_key_lemma(n, trials, threshold, _option(cfg, "seed", int, 0))
-    out = Path(args.out_dir)
     _write_report(out, "keylemma", report, cfg)
     print(f"keylemma n={n}: {len(report['families'])} families, "
           f"{report['violations']} violations")
     return 0 if report["violations"] == 0 else 2
 
 
-def cmd_select(args) -> int:
-    cfg = _merged_config(args)
-    rule_name = str(cfg.get("rule", "all"))
+def cmd_select(cfg: dict, out: Path) -> int:
+    rule_name = cfg.get("rule", "all")
     if rule_name not in _RULES:
         raise ConfigError(f"unknown selection rule {rule_name!r}; have {sorted(_RULES)}")
-    x = _input_bits(args, cfg)
+    x = _input_bits(cfg)
     report = apply_selection(_RULES[rule_name](), x)
-    out = Path(args.out_dir)
     _write_report(out, "select", {"rule": rule_name,
                                   "positions_examined": report.positions_examined,
                                   "ones_count": report.ones_count,
@@ -345,13 +315,11 @@ def cmd_select(args) -> int:
     return 0
 
 
-def cmd_trace_refine(args) -> int:
-    cfg = _merged_config(args)
-    if not args.input:
-        raise ConfigError("trace-refine needs --input with one string per line")
-    strings = read_text_bits(args.input)
+def cmd_trace_refine(cfg: dict, out: Path) -> int:
+    if not cfg.get("input"):
+        raise ConfigError("trace-refine needs an input file with one string per line")
+    strings = read_text_bits(cfg["input"])
     positions, constants = majority_refinement(strings)
-    out = Path(args.out_dir)
     _write_report(out, "trace_refine", {"count": len(strings),
                                         "positions": positions,
                                         "constants": constants}, cfg)
@@ -359,10 +327,8 @@ def cmd_trace_refine(args) -> int:
     return 0
 
 
-def cmd_suite(args) -> int:
-    cfg = _merged_config(args)
+def cmd_suite(cfg: dict, out: Path) -> int:
     results = run_all(printer=print)
-    out = Path(args.out_dir)
     _write_report(out, "suite", {"all_passed": all(r.passed for r in results),
                                  "criteria": [{"number": r.number, "name": r.name,
                                                "passed": r.passed, "detail": r.detail}
@@ -370,65 +336,87 @@ def cmd_suite(args) -> int:
     return 0 if all(r.passed for r in results) else 2
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="64-bit Philox seed")
-    common.add_argument("--config", default=None, help="flat key=value config file")
-    common.add_argument("--out-dir", default="out", help="report directory")
-    common.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="also emit CSV side tables with csv")
-    common.add_argument("--trials", type=int, default=None)
-    common.add_argument("--n", type=int, default=None)
-    common.add_argument("--budget", default=None, help="budget token, e.g. power:2/3")
-    common.add_argument("--schedule-file", default=None)
-    common.add_argument("--input", default=None, help="bit-stream file (text or packed)")
+# One row per subcommand: its handler, its help text and the option keys
+# the handler reads. The subcommand offers a --<key> flag for exactly these
+# keys, and a --config file may set these keys and no others. Every
+# subcommand also takes --format (embedded in every report's config block,
+# read only by those with CSV side tables), --config and --out-dir.
+_COMMANDS = {
+    "extract": (cmd_extract, "run the majority extractor over a schedule",
+                ("input", "length", "seed", "schedule-file", "blocks", "gen-budget", "budget")),
+    "corrupt": (cmd_corrupt, "corrupt a stream against the extractor within a budget",
+                ("input", "seed", "schedule-file", "blocks", "gen-budget", "budget", "targets")),
+    "harper": (cmd_harper, "exhaustive isoperimetric sweep vs canonical spheres", ("n",)),
+    "clt-check": (cmd_clt_check, "exact binomial CDF gap vs the explicit constant",
+                  ("n-list",)),
+    "smallball": (cmd_smallball, "exact small-ball probabilities vs their envelope",
+                  ("n-list", "budget")),
+    "lil": (cmd_lil, "normalized prefix-deviation series of a stream",
+            ("input", "length", "seed", "epsilon")),
+    "weber": (cmd_weber, "dyadic block-hit series / sparse construction", ("n", "nu", "rate")),
+    "keylemma": (cmd_keylemma, "ball-containment bound verification",
+                 ("n", "trials", "threshold", "seed")),
+    "select": (cmd_select, "run a monotone selection rule and report frequencies",
+               ("rule", "input", "length", "seed")),
+    "trace-refine": (cmd_trace_refine, "iterated majority refinement of traced strings",
+                     ("input",)),
+    "suite": (cmd_suite, "run the full verification suite", ()),
+}
 
+_FLAG_HELP = {
+    "format": "json, or csv to also write CSV side tables",
+    "seed": "64-bit Philox seed",
+    "budget": "budget token, e.g. power:2/3",
+    "input": "bit-stream file (text or packed)",
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hamext",
         description="majority-extraction, corruption, and bound-checking pipelines")
     sub = parser.add_subparsers(dest="command", required=True)
-    extras = {
-        "extract": [("--length", int), ("--blocks", int), ("--gen-budget", str)],
-        "corrupt": [("--blocks", int), ("--gen-budget", str), ("--targets", str)],
-        "clt-check": [("--n-list", str)],
-        "smallball": [("--n-list", str)],
-        "lil": [("--length", int), ("--epsilon", float)],
-        "weber": [("--nu", str), ("--rate", str)],
-        "keylemma": [("--threshold", str)],
-        "select": [("--rule", str), ("--length", int)],
-    }
-    for name, func, desc in (
-        ("extract", cmd_extract, "run the majority extractor over a schedule"),
-        ("corrupt", cmd_corrupt, "corrupt a stream against the extractor within a budget"),
-        ("harper", cmd_harper, "exhaustive isoperimetric sweep vs canonical spheres"),
-        ("clt-check", cmd_clt_check, "exact binomial CDF gap vs the explicit constant"),
-        ("smallball", cmd_smallball, "exact small-ball probabilities vs their envelope"),
-        ("lil", cmd_lil, "normalized prefix-deviation series of a stream"),
-        ("weber", cmd_weber, "dyadic block-hit series / sparse construction"),
-        ("keylemma", cmd_keylemma, "ball-containment bound verification"),
-        ("select", cmd_select, "run a monotone selection rule and report frequencies"),
-        ("trace-refine", cmd_trace_refine, "iterated majority refinement of traced strings"),
-        ("suite", cmd_suite, "run the full verification suite"),
-    ):
-        p = sub.add_parser(name, parents=[common], help=desc)
-        for flag, typ in extras.get(name, []):
-            p.add_argument(flag, type=typ, default=None)
-        p.set_defaults(func=func)
+    for name, (_, desc, keys) in _COMMANDS.items():
+        p = sub.add_parser(name, help=desc)
+        p.add_argument("--config", help="flat key=value config file; flags override it")
+        p.add_argument("--out-dir", default="out", help="report directory")
+        for key in ("format", *keys):
+            p.add_argument(f"--{key}", dest=key, help=_FLAG_HELP.get(key))
     return parser
+
+
+def _merged_config(args: argparse.Namespace) -> dict:
+    """The config file's keys, overridden by the flags given, plus the
+    subcommand's name. Only the subcommand's declared keys may appear.
+    out_dir names the write destination, not the experiment; keeping it
+    out of the embedded config keeps replayed runs byte-identical."""
+    keys = ("format", *_COMMANDS[args.command][2])
+    cfg = load_config(args.config)
+    unknown = sorted(set(cfg) - set(keys))
+    if unknown:
+        raise ConfigError(f"{args.command} does not read config key(s) {unknown}; "
+                          f"it reads {sorted(keys)}")
+    flags = vars(args)
+    cfg.update((key, flags[key]) for key in keys if flags[key] is not None)
+    cfg.setdefault("format", "json")
+    if cfg["format"] not in ("json", "csv"):
+        raise ConfigError(f"format: expected json or csv, got {cfg['format']!r}")
+    cfg["command"] = args.command
+    return cfg
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][0](_merged_config(args), Path(args.out_dir))
     except ResourceError as exc:
         print(json.dumps({"error": "resource", "message": str(exc)}), file=sys.stderr)
         return 3
-    except (ContractError, ConfigError, DomainError, DimensionError, HamextError) as exc:
+    except HamextError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2
-    except OSError as exc:  # an unreadable --input, --config or --schedule-file
+    except OSError as exc:  # an unreadable input, config or schedule file
         print(json.dumps({"error": ConfigError.__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2

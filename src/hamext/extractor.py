@@ -96,6 +96,8 @@ class BlockSchedule:
     def __post_init__(self):
         if not self.blocks:
             raise ConfigError("a block schedule needs at least one block")
+        if self.blocks[0][0] < 0:
+            raise ConfigError(f"block 0 starts at {self.blocks[0][0]}, before position 0")
         prev_end = None
         prev_size = 0
         for k, (start, end) in enumerate(self.blocks):
@@ -112,9 +114,9 @@ class BlockSchedule:
                 raise ConfigError(f"output_index_map references missing block {k}")
 
     @classmethod
-    def from_sizes(cls, sizes, start: int = 0, output_index_map=()) -> "BlockSchedule":
+    def from_sizes(cls, sizes, output_index_map=()) -> "BlockSchedule":
         blocks = []
-        pos = start
+        pos = 0
         for s in sizes:
             try:
                 s = operator.index(s)
@@ -168,15 +170,18 @@ class BlockSchedule:
             parts = raw.split()
             if len(parts) not in (4, 5):
                 raise ConfigError(f"bad schedule line {raw!r}")
-            k, s, e, oe = (int(p) for p in parts[:4])
+            try:
+                k, s, e, oe, *target = (int(p) for p in parts)
+            except ValueError:
+                raise ConfigError(f"schedule line with a non-integer field: {raw!r}") from None
             if k != len(blocks):
                 raise ConfigError(f"schedule lines out of order at block {k}")
             expected_oe = e if (e - s) % 2 else e - 1
             if oe != expected_oe:
                 raise ConfigError(f"block {k}: odd_end {oe} inconsistent with [{s},{e})")
             blocks.append((s, e))
-            if len(parts) == 5:
-                targets.append((k, int(parts[4])))
+            if target:
+                targets.append((k, target[0]))
         return cls(tuple(blocks), tuple(targets))
 
 
@@ -374,6 +379,8 @@ def psi_deviation(X, A, Lambda: Callable[[int], float] = default_lambda,
     envelope: statistic(n) = (d(X|n,A|n) - n/2) / sqrt(2 n L(n)), plus
     whether the distance stays at or under n/2 + (1-eps) sqrt(2 n L(n)).
     """
+    if not math.isfinite(epsilon):
+        raise DomainError(f"epsilon must be finite, got {epsilon}")
     x, a = as_bits(X), as_bits(A)
     if x.size != a.size:
         raise DimensionError(f"length mismatch: {x.size} vs {a.size}")

@@ -67,6 +67,18 @@ class TestAffineSqrt:
         b = parse_budget("affine_sqrt:1/3:2")
         assert b(n) <= b(n + 1)
 
+    @pytest.mark.parametrize("n", [10 ** 24, 10 ** 40])
+    def test_exact_at_huge_n(self, n):
+        # m - a*n >= c*sqrt(n), compared as squares, holds for m and not m - 1
+        a, c = Fraction(1, 3), Fraction(2)
+        m = parse_budget("affine_sqrt:1/3:2")(n)
+
+        def reaches(m):
+            lead = m - a * n
+            return lead >= 0 and lead * lead >= c * c * n
+
+        assert reaches(m) and not reaches(m - 1)
+
 
 class TestTable:
     def test_constant(self):

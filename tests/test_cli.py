@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import re
 import warnings
 
 import pytest
@@ -8,6 +9,23 @@ import pytest
 from hamext.bits import read_packed_bits, write_packed_bits, write_text_bits
 from hamext.cli import main
 from hamext.rng import bit_stream
+
+
+# The option keys each subcommand reads. Every subcommand also takes
+# --format, --config and --out-dir, and no other option.
+KEYS = {
+    "extract": ["input", "length", "seed", "schedule-file", "blocks", "gen-budget", "budget"],
+    "corrupt": ["input", "seed", "schedule-file", "blocks", "gen-budget", "budget", "targets"],
+    "harper": ["n"],
+    "clt-check": ["n-list"],
+    "smallball": ["n-list", "budget"],
+    "lil": ["input", "length", "seed", "epsilon"],
+    "weber": ["n", "nu", "rate"],
+    "keylemma": ["n", "trials", "threshold", "seed"],
+    "select": ["rule", "input", "length", "seed"],
+    "trace-refine": ["input"],
+    "suite": [],
+}
 
 
 def run(args):
@@ -128,7 +146,7 @@ class TestDeterminism:
 class TestConfigFile:
     def test_config_with_cli_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("n = 2\nseed = 7   # comment\n")
+        cfg.write_text("n = 2   # comment\n")
         run(["harper", "--config", cfg, "--out-dir", tmp_path / "o1"])
         assert read_json(tmp_path / "o1" / "harper.json")["n"] == 2
         run(["harper", "--config", cfg, "--n", 3, "--out-dir", tmp_path / "o2"])
@@ -147,6 +165,60 @@ class TestConfigFile:
         assert run(["harper", "--config", cfg, "--out-dir", tmp_path]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("command", sorted(KEYS))
+    def test_help_lists_exactly_the_declared_keys(self, capsys, command):
+        with pytest.raises(SystemExit):
+            run([command, "--help"])
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert flags == {"--help", "--config", "--out-dir", "--format",
+                         *(f"--{key}" for key in KEYS[command])}
+
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command, keys in sorted(KEYS.items())
+        for key in ["format", *keys]])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_unreadable_value_is_two(self, tmp_path, monkeypatch, capsys, command, key, via):
+        monkeypatch.chdir(tmp_path)  # so that "x" names no file
+        if via == "flag":
+            args = [command, f"--{key}", "x"]
+        else:
+            (tmp_path / "run.cfg").write_text(f"{key} = x\n")
+            args = [command, "--config", "run.cfg"]
+        assert run([*args, "--out-dir", "out"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.parametrize("command, flags, config", [
+        ("extract", ["--input", "x.txt", "--blocks", 3], "input = x.txt\nblocks = 3\n"),
+        ("extract", ["--input", "x.txt", "--schedule-file", "sched.txt"],
+         "input = x.txt\nschedule-file = sched.txt\n"),
+        ("harper", ["--n", 2, "--format", "csv"], "n = 2\nformat = csv\n"),
+    ], ids=["input", "schedule-file", "format"])
+    def test_config_line_acts_as_its_flag(self, tmp_path, monkeypatch, command, flags, config):
+        monkeypatch.chdir(tmp_path)
+        write_text_bits("x.txt", ["0" * 4161])
+        (tmp_path / "sched.txt").write_text("0 0 3 3\n1 3 8 8\n")
+        (tmp_path / "run.cfg").write_text(config)
+        assert run([command, *flags, "--out-dir", "a"]) == 0
+        assert run([command, "--config", "run.cfg", "--out-dir", "b"]) == 0
+        written = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert written == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in written:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_undeclared_flag_is_two(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["harper", "--seed", 5, "--out-dir", tmp_path])
+        assert exc.value.code == 2
+
+    def test_undeclared_config_key_is_two(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 2\nseed = 7\n")
+        assert run(["harper", "--config", cfg, "--out-dir", tmp_path]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not (tmp_path / "harper.json").exists()
 
 
 class TestExitCodes:
@@ -224,6 +296,21 @@ class TestExitCodes:
                              ids=["sparse-n-negative", "series-n-zero"])
     def test_weber_n_below_one_is_two(self, tmp_path, capsys, args):
         self.assert_exit_two(["weber", *args], tmp_path, capsys, "DomainError")
+
+    @pytest.mark.parametrize("text", ["0 -3 0 0\n", "0 0 3 3\n1 3 x 8\n", "0 0 3 3 x\n"],
+                             ids=["start-below-zero", "non-integer-end", "non-integer-target"])
+    def test_bad_schedule_file_is_two(self, tmp_path, capsys, text):
+        sched = tmp_path / "sched.txt"
+        sched.write_text(text)
+        src = tmp_path / "x.txt"
+        write_text_bits(src, ["111"])
+        self.assert_exit_two(["extract", "--input", src, "--schedule-file", sched],
+                             tmp_path, capsys)
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_lil_non_finite_epsilon_is_two(self, tmp_path, capsys, epsilon):
+        self.assert_exit_two(["lil", "--length", 64, "--epsilon", epsilon],
+                             tmp_path, capsys, "DomainError")
 
 
 class TestPipelines:

@@ -271,6 +271,18 @@ class TestSchedaleSerialization:
         with pytest.raises(ConfigError):
             BlockSchedule.from_text("0 0 4 4\n")
 
+    def test_rejects_start_below_zero(self):
+        with pytest.raises(ConfigError):
+            BlockSchedule(((-3, 0),))
+        with pytest.raises(ConfigError):
+            BlockSchedule.from_text("0 -3 0 0\n")
+
+    @pytest.mark.parametrize("text", ["0 0 3 3\n1 3 x 8\n", "0 0 3 3 x\n"],
+                             ids=["end", "target"])
+    def test_rejects_non_integer_field(self, text):
+        with pytest.raises(ConfigError):
+            BlockSchedule.from_text(text)
+
 
 class TestSimilarity:
     def test_reflexive(self):
@@ -372,3 +384,8 @@ class TestPsiDeviation:
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(DomainError):
             psi_deviation("1010", "0000", Lambda=lambda n: 0.0, checkpoints=[4])
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_epsilon(self, epsilon):
+        with pytest.raises(DomainError):
+            psi_deviation("1010", "0000", epsilon=epsilon, checkpoints=[4])
