@@ -338,22 +338,24 @@ def cmd_suite(cfg: dict, out: Path) -> int:
 
 # One row per subcommand: its handler, its help text and the option keys
 # the handler reads. The subcommand offers a --<key> flag for exactly these
-# keys, and a --config file may set these keys and no others. Every
-# subcommand also takes --format (embedded in every report's config block,
-# read only by those with CSV side tables), --config and --out-dir.
+# keys plus --config and --out-dir, and a --config file may set these keys
+# and no others.
 _COMMANDS = {
     "extract": (cmd_extract, "run the majority extractor over a schedule",
-                ("input", "length", "seed", "schedule-file", "blocks", "gen-budget", "budget")),
+                ("input", "length", "seed", "schedule-file", "blocks", "gen-budget", "budget",
+                 "format")),
     "corrupt": (cmd_corrupt, "corrupt a stream against the extractor within a budget",
                 ("input", "seed", "schedule-file", "blocks", "gen-budget", "budget", "targets")),
-    "harper": (cmd_harper, "exhaustive isoperimetric sweep vs canonical spheres", ("n",)),
+    "harper": (cmd_harper, "exhaustive isoperimetric sweep vs canonical spheres",
+               ("n", "format")),
     "clt-check": (cmd_clt_check, "exact binomial CDF gap vs the explicit constant",
-                  ("n-list",)),
+                  ("n-list", "format")),
     "smallball": (cmd_smallball, "exact small-ball probabilities vs their envelope",
-                  ("n-list", "budget")),
+                  ("n-list", "budget", "format")),
     "lil": (cmd_lil, "normalized prefix-deviation series of a stream",
             ("input", "length", "seed", "epsilon")),
-    "weber": (cmd_weber, "dyadic block-hit series / sparse construction", ("n", "nu", "rate")),
+    "weber": (cmd_weber, "dyadic block-hit series / sparse construction",
+              ("n", "nu", "rate", "format")),
     "keylemma": (cmd_keylemma, "ball-containment bound verification",
                  ("n", "trials", "threshold", "seed")),
     "select": (cmd_select, "run a monotone selection rule and report frequencies",
@@ -377,31 +379,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="majority-extraction, corruption, and bound-checking pipelines")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, desc, keys) in _COMMANDS.items():
-        p = sub.add_parser(name, help=desc)
+        p = sub.add_parser(name, help=desc, allow_abbrev=False)
         p.add_argument("--config", help="flat key=value config file; flags override it")
         p.add_argument("--out-dir", default="out", help="report directory")
-        for key in ("format", *keys):
+        for key in keys:
             p.add_argument(f"--{key}", dest=key, help=_FLAG_HELP.get(key))
     return parser
 
 
 def _merged_config(args: argparse.Namespace) -> dict:
     """The config file's keys, overridden by the flags given, plus the
-    subcommand's name. Only the subcommand's declared keys may appear.
+    subcommand's name and the format. Only the subcommand's declared keys
+    may appear, and `command` and `format` as every report's config block
+    carries them, so that a config file copied from a report replays it.
     out_dir names the write destination, not the experiment; keeping it
     out of the embedded config keeps replayed runs byte-identical."""
-    keys = ("format", *_COMMANDS[args.command][2])
+    keys = _COMMANDS[args.command][2]
+    implied = {"command": args.command}
+    if "format" not in keys:
+        implied["format"] = "json"
     cfg = load_config(args.config)
-    unknown = sorted(set(cfg) - set(keys))
+    unknown = sorted(k for k, v in cfg.items() if k not in keys and implied.get(k) != v)
     if unknown:
         raise ConfigError(f"{args.command} does not read config key(s) {unknown}; "
                           f"it reads {sorted(keys)}")
     flags = vars(args)
     cfg.update((key, flags[key]) for key in keys if flags[key] is not None)
+    cfg.update(implied)
     cfg.setdefault("format", "json")
     if cfg["format"] not in ("json", "csv"):
         raise ConfigError(f"format: expected json or csv, got {cfg['format']!r}")
-    cfg["command"] = args.command
     return cfg
 
 

@@ -12,15 +12,16 @@ from hamext.rng import bit_stream
 
 
 # The option keys each subcommand reads. Every subcommand also takes
-# --format, --config and --out-dir, and no other option.
+# --config and --out-dir, and no other option.
 KEYS = {
-    "extract": ["input", "length", "seed", "schedule-file", "blocks", "gen-budget", "budget"],
+    "extract": ["input", "length", "seed", "schedule-file", "blocks", "gen-budget", "budget",
+                "format"],
     "corrupt": ["input", "seed", "schedule-file", "blocks", "gen-budget", "budget", "targets"],
-    "harper": ["n"],
-    "clt-check": ["n-list"],
-    "smallball": ["n-list", "budget"],
+    "harper": ["n", "format"],
+    "clt-check": ["n-list", "format"],
+    "smallball": ["n-list", "budget", "format"],
     "lil": ["input", "length", "seed", "epsilon"],
-    "weber": ["n", "nu", "rate"],
+    "weber": ["n", "nu", "rate", "format"],
     "keylemma": ["n", "trials", "threshold", "seed"],
     "select": ["rule", "input", "length", "seed"],
     "trace-refine": ["input"],
@@ -173,12 +174,11 @@ class TestOptionTable:
         with pytest.raises(SystemExit):
             run([command, "--help"])
         flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
-        assert flags == {"--help", "--config", "--out-dir", "--format",
+        assert flags == {"--help", "--config", "--out-dir",
                          *(f"--{key}" for key in KEYS[command])}
 
     @pytest.mark.parametrize("command, key", [
-        (command, key) for command, keys in sorted(KEYS.items())
-        for key in ["format", *keys]])
+        (command, key) for command, keys in sorted(KEYS.items()) for key in keys])
     @pytest.mark.parametrize("via", ["flag", "config"])
     def test_unreadable_value_is_two(self, tmp_path, monkeypatch, capsys, command, key, via):
         monkeypatch.chdir(tmp_path)  # so that "x" names no file
@@ -208,17 +208,59 @@ class TestOptionTable:
         for name in written:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_undeclared_flag_is_two(self, tmp_path):
+    # a prefix of a declared flag (--n for --n-list, --form for --format)
+    # is no flag either
+    @pytest.mark.parametrize("args", [
+        ["harper", "--seed", 5], ["clt-check", "--n", 10], ["smallball", "--n", 16],
+        ["extract", "--form", "csv"], ["keylemma", "--format", "csv"],
+        ["lil", "--format", "json"],
+    ], ids=lambda args: "-".join(map(str, args)))
+    def test_undeclared_flag_is_two(self, tmp_path, args):
         with pytest.raises(SystemExit) as exc:
-            run(["harper", "--seed", 5, "--out-dir", tmp_path])
+            run([*args, "--out-dir", tmp_path])
         assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
 
-    def test_undeclared_config_key_is_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, config", [
+        ("harper", "n = 2\nseed = 7\n"),
+        ("keylemma", "n = 2\nformat = csv\n"),
+        ("extract", "blocks = 2\ncommand = harper\n"),
+    ], ids=["harper-seed", "keylemma-format-csv", "extract-command-harper"])
+    def test_undeclared_config_key_is_two(self, tmp_path, capsys, command, config):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("n = 2\nseed = 7\n")
-        assert run(["harper", "--config", cfg, "--out-dir", tmp_path]) == 2
+        cfg.write_text(config)
+        assert run([command, "--config", cfg, "--out-dir", tmp_path / "o"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
-        assert not (tmp_path / "harper.json").exists()
+        assert not (tmp_path / "o").exists()
+
+    # every report embeds its merged configuration, command and format
+    # included; written back as a config file, it replays the run
+    @pytest.mark.parametrize("args", [
+        ["extract", "--input", "x.txt", "--blocks", 3, "--format", "csv"],
+        ["corrupt", "--seed", 1, "--blocks", 2],
+        ["harper", "--n", 2, "--format", "csv"],
+        ["clt-check", "--n-list", "10,100"],
+        ["smallball", "--n-list", "16,64", "--budget", "power:1/2"],
+        ["lil", "--length", 256, "--epsilon", "0.5"],
+        ["weber", "--nu", "2,4,16", "--n", 6, "--format", "csv"],
+        ["keylemma", "--n", 4, "--trials", 5, "--seed", 3],
+        ["select", "--rule", "evens", "--length", 64],
+        ["trace-refine", "--input", "x.txt"],
+    ], ids=lambda args: args[0])
+    def test_report_config_block_replays(self, tmp_path, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        write_text_bits("x.txt", ["0" * 4161])
+        assert run([*args, "--out-dir", "a"]) == 0
+        name = args[0].replace("-", "_")
+        config = read_json(tmp_path / "a" / f"{name}.json")["config"]
+        assert config["command"] == args[0]
+        assert config["format"] in ("json", "csv")
+        (tmp_path / "run.cfg").write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
+        assert run([args[0], "--config", "run.cfg", "--out-dir", "b"]) == 0
+        written = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert written == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in written:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 class TestExitCodes:
