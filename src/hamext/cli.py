@@ -373,8 +373,18 @@ _FLAG_HELP = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors (an undeclared flag, a flag
+    without its value, no subcommand) raise ConfigError, so that they
+    reach the same JSON error path as every other violation. Subparsers
+    are built from the same class; --help still prints and exits 0."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hamext",
         description="majority-extraction, corruption, and bound-checking pipelines")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -406,6 +416,9 @@ def _merged_config(args: argparse.Namespace) -> dict:
     flags = vars(args)
     cfg.update((key, flags[key]) for key in keys if flags[key] is not None)
     cfg.update(implied)
+    empty = sorted(k for k, v in cfg.items() if not v.strip())
+    if empty:
+        raise ConfigError(f"empty value for {empty}; leave a key out to take its default")
     cfg.setdefault("format", "json")
     if cfg["format"] not in ("json", "csv"):
         raise ConfigError(f"format: expected json or csv, got {cfg['format']!r}")
@@ -413,8 +426,8 @@ def _merged_config(args: argparse.Namespace) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command][0](_merged_config(args), Path(args.out_dir))
     except ResourceError as exc:
         print(json.dumps({"error": "resource", "message": str(exc)}), file=sys.stderr)

@@ -54,6 +54,28 @@ def _running_tails(n: int):
         coeff = coeff * (n - j) // (j + 1)
 
 
+def _middle_out_tails(n: int):
+    """Yield b(n,h), b(n,h-1), ..., b(n,0) for h = (n-1)//2, from the
+    middle of the row outwards; nothing for n = 0.
+
+    The start needs one math.comb: by the symmetry C(n,j) = C(n,n-j) the
+    lower half of the row holds 2^(n-1), less half the middle term
+    C(n,n/2) when n is even. Each step down subtracts C(n,j) and takes
+    the next term from C(n,j-1) = C(n,j)j/(n-j+1).
+    """
+    h = (n - 1) // 2
+    if h < 0:
+        return
+    coeff = comb(n, h)
+    acc = 1 << (n - 1)
+    if n % 2 == 0:
+        acc -= coeff * (n - h) // (h + 1) // 2
+    for j in range(h, -1, -1):
+        yield acc
+        acc -= coeff
+        coeff = coeff * j // (n - j + 1)
+
+
 def _nonnegative(value, name: str) -> int:
     value = _integer(value, name)
     if value < 0:
@@ -64,17 +86,24 @@ def _nonnegative(value, name: str) -> int:
 def binomial_tail(n: int, k: int) -> int:
     """b(n,k) = C(n,0)+...+C(n,k), exact; 0 for k<0, 2^n for k>=n.
 
-    Sums at most min(k, n-k-1)+1 terms: past the middle of the row it
-    uses the mirror identity b(n,k) = 2^n - b(n, n-k-1).
+    Past the middle of the row it uses the mirror identity
+    b(n,k) = 2^n - b(n, n-k-1), so it needs b(n,t) for t = min(k, n-k-1)
+    <= h = (n-1)//2. It walks to t from the nearer end of the lower half:
+    up from j = 0 (t+1 terms), or down from the middle j = h (h-t+1
+    terms after one math.comb), so a k within a few sqrt(n) of n/2 costs
+    a few sqrt(n) steps rather than n/2.
     """
     n, k = _nonnegative(n, "n"), _integer(k, "k")
     if k < 0:
         return 0
     if k >= n:
         return 1 << n
-    m = min(k, n - k - 1)
-    low = next(islice(_running_tails(n), m, None))
-    return low if m == k else (1 << n) - low
+    t, h = min(k, n - k - 1), (n - 1) // 2
+    if t <= h - t:
+        low = next(islice(_running_tails(n), t, None))
+    else:
+        low = next(islice(_middle_out_tails(n), h - t, None))
+    return low if t == k else (1 << n) - low
 
 
 def binomial_tails(n: int) -> list[int]:

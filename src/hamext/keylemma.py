@@ -24,9 +24,10 @@ from .rng import generator
 
 CONTAINMENT_CEILING = 16
 
-#: vertices swept per distance_to_set call: a batch's int8 distances and
-#: int64 histogram bins stay under 10 MB however many families one n has
-BATCH_VERTICES = 1 << 20
+#: vertices swept per distance_to_set call, in whole rows (one row holds
+#: at most 2^CONTAINMENT_CEILING of them): a batch's int64 histogram bins
+#: take at most 512 KiB however many families one n has
+BATCH_VERTICES = 1 << 16
 
 
 @dataclass(frozen=True)

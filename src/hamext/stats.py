@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .bits import as_bits
-from .cube import _running_tails
+from .cube import _middle_out_tails
 from .errors import ContractError, DimensionError, DomainError, ResourceError
 
 #: the upper explicit constant in the quantitative CLT bound d*rho/(sigma^3 sqrt(n));
@@ -52,6 +52,15 @@ def binomial_cdf_gap(n: int) -> float:
 
     The binomial CDF is an exact big-integer partial sum divided by 2^n
     (one correctly-rounded float per lattice point x_j = (j-n/2)/(sqrt(n)/2)).
+
+    The row is walked from the middle out: each lower point j <= (n-1)//2
+    comes with its mirror n-1-j, whose CDF is 2^n - b(n,j); the point
+    j = n (CDF 1) is taken first. Below the middle, a = CDF/2^n and
+    phi = Phi(x_j) both rise with j and |a - phi| <= max(a, phi), so once
+    both are at most the running maximum no lower point can exceed it.
+    Above the middle the same holds for 1 - a and 1 - phi, which fall as
+    j rises. Every visited point's gap is the same float a scan of the
+    whole row computes, so the result equals that scan's bit for bit.
     """
     if n < 1:
         raise DomainError(f"binomial_cdf_gap needs n >= 1, got {n}")
@@ -60,11 +69,19 @@ def binomial_cdf_gap(n: int) -> float:
     denom = 1 << n
     scale = 2.0 / math.sqrt(n)
     half = n / 2.0
-    worst = 0.0
-    for j, cdf in enumerate(_running_tails(n)):
-        gap = abs(cdf / denom - normal_cdf((j - half) * scale))
-        if gap > worst:
-            worst = gap
+    worst = abs(1.0 - normal_cdf((n - half) * scale))
+    below = above = True
+    for j, cdf in zip(range((n - 1) // 2, -1, -1), _middle_out_tails(n)):
+        if below:
+            a, phi = cdf / denom, normal_cdf((j - half) * scale)
+            worst = max(worst, abs(a - phi))
+            below = a > worst or phi > worst
+        if above:
+            a, phi = (denom - cdf) / denom, normal_cdf((n - 1 - j - half) * scale)
+            worst = max(worst, abs(a - phi))
+            above = 1.0 - a > worst or 1.0 - phi > worst
+        if not (below or above):
+            break
     return worst
 
 

@@ -215,11 +215,33 @@ class TestOptionTable:
         ["extract", "--form", "csv"], ["keylemma", "--format", "csv"],
         ["lil", "--format", "json"],
     ], ids=lambda args: "-".join(map(str, args)))
-    def test_undeclared_flag_is_two(self, tmp_path, args):
-        with pytest.raises(SystemExit) as exc:
-            run([*args, "--out-dir", tmp_path])
-        assert exc.value.code == 2
+    def test_undeclared_flag_is_two(self, tmp_path, capsys, args):
+        assert run([*args, "--out-dir", tmp_path]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
         assert not any(tmp_path.iterdir())
+
+    # an empty value is an error, not the key's default (an empty input
+    # read the Philox seed-0 stream; an empty budget, targets or nu took
+    # the default one)
+    @pytest.mark.parametrize("command, key, rest", [
+        ("extract", "input", ["--blocks", 2]),
+        ("extract", "schedule-file", ["--blocks", 2]),
+        ("extract", "budget", ["--blocks", 2]),
+        ("corrupt", "budget", ["--blocks", 2]),
+        ("corrupt", "targets", ["--blocks", 2]),
+        ("weber", "nu", ["--n", 6]),
+    ], ids=["extract-input", "extract-schedule-file", "extract-budget", "corrupt-budget",
+            "corrupt-targets", "weber-nu"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_empty_value_is_two(self, tmp_path, capsys, command, key, rest, via):
+        if via == "flag":
+            args = [command, f"--{key}", ""]
+        else:
+            (tmp_path / "run.cfg").write_text(f"{key} =\n")
+            args = [command, "--config", tmp_path / "run.cfg"]
+        assert run([*args, *rest, "--out-dir", tmp_path / "o"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, config", [
         ("harper", "n = 2\nseed = 7\n"),

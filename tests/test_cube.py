@@ -5,7 +5,7 @@ independent of the package's indicator-array kernels.
 """
 
 import math
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -88,6 +88,14 @@ class TestBinomialTail:
 
     def test_negative_k(self):
         assert binomial_tail(7, -1) == 0
+
+    def test_both_walks_match_comb_sum(self):
+        # every k, so each n meets the walk up from 0, the walk down from
+        # the middle, the mirror and the switch between them
+        for n in range(301):
+            row = list(accumulate(math.comb(n, i) for i in range(n + 1)))
+            for k in range(-2, n + 3):
+                assert binomial_tail(n, k) == (0 if k < 0 else row[min(k, n)]), (n, k)
 
     def test_matches_comb_sum(self):
         for n in range(65):

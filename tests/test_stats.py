@@ -46,6 +46,26 @@ class TestBinomialCdfGap:
         for n in (1, 2, 3, 10, 37, 100):
             assert binomial_cdf_gap(n) == pytest.approx(self.gap_oracle(n), abs=1e-13)
 
+    @staticmethod
+    def full_scan(n):
+        # the whole row j = 0..n by the running recurrence, each gap computed
+        # as binomial_cdf_gap computes it: the center-out walk must skip only
+        # points that cannot move the maximum
+        denom, scale, half = 1 << n, 2.0 / math.sqrt(n), n / 2.0
+        worst, coeff, cdf = 0.0, 1, 0
+        for j in range(n + 1):
+            cdf += coeff
+            coeff = coeff * (n - j) // (j + 1)
+            gap = abs(cdf / denom - normal_cdf((j - half) * scale))
+            if gap > worst:
+                worst = gap
+        return worst
+
+    def test_equals_full_scan_bit_for_bit(self):
+        rng = random.Random(20260)
+        for n in [*range(1, 1201), *(rng.randint(1201, 20000) for _ in range(10))]:
+            assert binomial_cdf_gap(n) == self.full_scan(n), n
+
     def test_within_bound_exhaustive_small(self):
         for n in range(1, 1025):
             assert binomial_cdf_gap(n) <= berry_esseen_bound(n)
