@@ -17,7 +17,8 @@ from .cube import (EventFamily, SphereSpec, binomial_tail, hamming_distance,
                    harper_min_neighborhood, make_sphere, neighborhood)
 from .extractor import (BlockSchedule, ExtractionTrace, check_schedule,
                         extract, majority_bit, make_schedule, odd_trim,
-                        psi_deviation, similar_g_phi, similar_p_N)
+                        prefix_distances, psi_deviation, similar_g_phi,
+                        similar_p_N)
 from .keylemma import (KeyLemmaInstance, ball_containment_probability,
                        containment_profile, sphere_tail_bound,
                        verify_key_lemma)

@@ -21,7 +21,7 @@ import numpy as np
 from .bits import as_bits
 from .budgets import BudgetFunction
 from .errors import ConfigError, DimensionError, ResourceError
-from .extractor import BlockSchedule, core_indices
+from .extractor import BlockSchedule, core_indices, similar_p_N
 
 GENERIC_WINDOW_CEILING = 24
 
@@ -150,8 +150,7 @@ class ForceResult(NamedTuple):
 def force_output_zero_generic(X, stage_window: tuple[int, int], oracle_prefix,
                               evaluate: Callable[[np.ndarray], int],
                               budget: Optional[int] = None,
-                              ceiling: int = GENERIC_WINDOW_CEILING,
-                              majority_core=None) -> ForceResult:
+                              ceiling: int = GENERIC_WINDOW_CEILING) -> ForceResult:
     """Minimal-cost window assignment driving a black-box output to 0.
 
     Candidates are searched in increasing flip count (lowest flip
@@ -160,21 +159,13 @@ def force_output_zero_generic(X, stage_window: tuple[int, int], oracle_prefix,
     candidate window. forced=False either because no assignment works
     (the window is then left equal to X: "make no further changes") or
     because the cheapest one overruns the budget (flagged separately).
-    With majority_core the closed form replaces the exhaustive scan and
-    the window may be arbitrarily long.
+    For a majority reduction, force_majority_zero gives the same answer
+    in closed form on windows of any length.
     """
     x = as_bits(X)
     a, b = stage_window
     if not 0 <= a < b <= x.size:
         raise DimensionError(f"window [{a},{b}) outside input of length {x.size}")
-    if majority_core is not None:
-        core = core_indices(majority_core, x.size)
-        if core[0] < a or core[-1] >= b:
-            raise ConfigError("majority core must lie inside the stage window")
-        flips, cost = _cheapest_flips(x, core)
-        if budget is not None and cost > budget:
-            return ForceResult([], cost, False, True)
-        return ForceResult(flips.tolist(), cost, True, False)
     width = b - a
     if width > ceiling:
         raise ResourceError(
@@ -280,18 +271,6 @@ def corrupt(X, schedule: BlockSchedule, adv: AdversarySchedule,
 
 def verify_similarity(report: CorruptionReport, X, p: BudgetFunction, N) -> bool:
     """Independent recomputation of the prefix distances at the
-    checkpoints N: d(X|n, Y|n) <= p(n) for every n in N."""
-    x = as_bits(X)
-    y = report.Y
-    if x.size != y.size:
-        raise DimensionError(f"length mismatch: {x.size} vs {y.size}")
-    cum = np.concatenate(([0], np.cumsum(x != y, dtype=np.int64)))
-    for n in N:
-        n = int(n)
-        if n == 0:
-            continue
-        if not 0 < n <= x.size:
-            raise DimensionError(f"checkpoint {n} outside the input")
-        if cum[n] > p(n):
-            return False
-    return True
+    checkpoints N: d(X|n, Y|n) <= p(n) for every n in N. Reads only
+    report.Y, never the report's own cost accounting."""
+    return similar_p_N(X, report.Y, p, N)

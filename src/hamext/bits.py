@@ -13,6 +13,8 @@ Both formats round-trip bit-exactly.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import DimensionError, DomainError
@@ -43,6 +45,20 @@ def as_bits(x) -> np.ndarray:
     if bits.size and bits.max() > 1:
         raise DomainError("bit values must be 0 or 1")
     return bits
+
+
+def read_checkpoints(values, length: int | None = None) -> list[int]:
+    """Prefix lengths in the order given: integers (read with
+    operator.index, so 2.5 and "3" are refused, not rounded) in
+    0..length, or >= 0 with no length; anything else is a DomainError."""
+    try:
+        ns = [operator.index(n) for n in values]
+    except TypeError as exc:
+        raise DomainError(f"checkpoints must be integers: {exc}") from None
+    for n in ns:
+        if n < 0 or length is not None and n > length:
+            raise DomainError(f"checkpoint {n} outside 0..{'' if length is None else length}")
+    return ns
 
 
 def to_text(bits: np.ndarray) -> str:

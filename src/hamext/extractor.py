@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bits import as_bits
+from .bits import as_bits, read_checkpoints
 from .budgets import BudgetFunction
 from .errors import ConfigError, ContractError, DimensionError, DomainError, ResourceError
 
@@ -195,27 +195,31 @@ class ExtractionTrace:
     robust_flags: Optional[np.ndarray] = None
 
 
-def _cores_of(schedule) -> list[np.ndarray]:
-    if isinstance(schedule, BlockSchedule):
-        return [np.arange(s, oe) for s, oe in schedule.odd_cores]
-    cores = []
+def _cores_of(schedule, length: int) -> tuple[list[np.ndarray], list[int]]:
+    """Per index set: its odd core (minus its max when its size is even),
+    read by core_indices against `length`, and the set's size."""
+    cores, sizes = [], []
     seen: set[int] = set()
     for block in schedule:
-        idx = sorted(odd_trim(block))
-        if seen.intersection(idx):
+        idx = np.unique(np.asarray(list(block)))
+        core = core_indices(idx[:idx.size - 1 + idx.size % 2], length)
+        if seen.intersection(core.tolist()):
             raise ConfigError("extractor blocks must be disjoint")
-        seen.update(idx)
-        cores.append(np.asarray(idx))
-    return cores
+        seen.update(core.tolist())
+        cores.append(core)
+        sizes.append(idx.size)
+    return cores, sizes
 
 
 def extract(X, schedule, budget: BudgetFunction | None = None) -> ExtractionTrace:
     """Majority-vote every block's odd core of X.
 
     `schedule` is a BlockSchedule or any sequence of disjoint index
-    sets. With a budget g, robust_flags marks blocks whose margin
-    magnitude exceeds g(n_k) (n_k the full block size): flips of at
-    most g(n_k) bits inside block k cannot change those output bits.
+    sets; each set's odd core is read by core_indices, so a non-integer
+    index or one outside X raises. With a budget g, robust_flags marks
+    blocks whose margin magnitude exceeds g(n_k) (n_k the full block
+    size): flips of at most g(n_k) bits inside block k cannot change
+    those output bits.
     """
     x = as_bits(X)
     if isinstance(schedule, BlockSchedule):
@@ -228,13 +232,8 @@ def extract(X, schedule, budget: BudgetFunction | None = None) -> ExtractionTrac
         margins = 2 * ones - np.array([e - s for s, e in cores], dtype=np.int64)
         full_sizes = np.array(schedule.sizes)
     else:
-        schedule = list(schedule)  # read a one-shot iterable once
-        cores = _cores_of(schedule)
-        for k, core in enumerate(cores):
-            if core.size and core[-1] >= x.size:
-                raise DimensionError(f"input of length {x.size} does not cover block {k}")
+        cores, full_sizes = _cores_of(schedule, x.size)
         margins = np.array([2 * int(x[c].sum()) - c.size for c in cores], dtype=np.int64)
-        full_sizes = np.array([len(set(int(i) for i in b)) for b in schedule])
     outputs = (margins > 0).astype(np.uint8)
     robust = None
     if budget is not None:
@@ -256,9 +255,9 @@ def make_schedule(g: BudgetFunction, block_count: int,
 
     Block k gets the least size n_k (scanned in increasing order) with
     g(n_k)^2 * 4^k <= n_k, n_k >= n_{k-1}, and n_k >= sum of earlier
-    sizes; when N_constraint is given every partial sum must land in
-    it. A bounded budget falls back to the identity schedule (all
-    blocks singletons) and ignores N_constraint.
+    sizes; when N_constraint (nonnegative integers) is given every
+    partial sum must land in it. A bounded budget falls back to the
+    identity schedule (all blocks singletons) and ignores N_constraint.
     """
     if block_count < 1:
         raise DomainError("need at least one block")
@@ -266,7 +265,7 @@ def make_schedule(g: BudgetFunction, block_count: int,
         return BlockSchedule.from_sizes([1] * block_count)
     sizes: list[int] = []
     total = 0
-    checkpoints = sorted(set(int(n) for n in N_constraint)) if N_constraint is not None else None
+    checkpoints = None if N_constraint is None else sorted(set(read_checkpoints(N_constraint)))
     for k in range(block_count):
         lower = max(sizes[-1] if sizes else 1, total, 1)
         if checkpoints is not None:
@@ -329,22 +328,27 @@ def check_schedule(schedule: BlockSchedule, g: BudgetFunction,
     return bad
 
 
-def similar_p_N(X, Y, p: BudgetFunction, N, n0: int = 0) -> bool:
-    """Prefix Hamming distances at the checkpoints N (past n0) all obey
-    the budget: d(X|n, Y|n) <= p(n)."""
+def prefix_distances(X, Y, checkpoints) -> np.ndarray:
+    """d(X|n, Y|n) at each checkpoint n, as int64 in the order given.
+
+    Each n must be an integer in 0..len(X) (DomainError otherwise); X
+    and Y must share one length (DimensionError otherwise).
+    """
     x, y = as_bits(X), as_bits(Y)
     if x.size != y.size:
         raise DimensionError(f"length mismatch: {x.size} vs {y.size}")
-    cum = np.concatenate(([0], np.cumsum(x != y, dtype=np.int64)))
-    for n in N:
-        n = int(n)
-        if n < n0:
-            continue
-        if not 1 <= n <= x.size:
-            raise DomainError(f"checkpoint {n} outside 1..{x.size}")
-        if cum[n] > p(n):
-            return False
-    return True
+    ns = np.array(read_checkpoints(checkpoints, x.size), dtype=np.int64)
+    cum = np.cumsum(np.concatenate(([False], x != y)), dtype=np.int64)  # cum[n] = d(X|n, Y|n)
+    return cum[ns]
+
+
+def similar_p_N(X, Y, p: BudgetFunction, N, n0: int = 0) -> bool:
+    """Prefix Hamming distances at the checkpoints N (from n0 on) all
+    obey the budget: d(X|n, Y|n) <= p(n). Every checkpoint, those below
+    n0 included, must be an integer in 0..len(X)."""
+    N = read_checkpoints(N)
+    dist = prefix_distances(X, Y, N).tolist()
+    return all(d <= p(n) for n, d in zip(N, dist) if n >= n0)
 
 
 def similar_g_phi(X, Y, g: BudgetFunction, schedule: BlockSchedule) -> bool:
@@ -378,26 +382,23 @@ def psi_deviation(X, A, Lambda: Callable[[int], float] = default_lambda,
     """Normalized prefix-distance deviations from the sqrt(2 n L(n))
     envelope: statistic(n) = (d(X|n,A|n) - n/2) / sqrt(2 n L(n)), plus
     whether the distance stays at or under n/2 + (1-eps) sqrt(2 n L(n)).
+    Checkpoints must be integers in 1..len(X).
     """
     if not math.isfinite(epsilon):
         raise DomainError(f"epsilon must be finite, got {epsilon}")
-    x, a = as_bits(X), as_bits(A)
-    if x.size != a.size:
-        raise DimensionError(f"length mismatch: {x.size} vs {a.size}")
+    x = as_bits(X)
     if checkpoints is None:
         checkpoints = [1 << j for j in range(4, x.size.bit_length()) if 1 << j <= x.size]
         if not checkpoints:
             checkpoints = [x.size]
-    cum = np.concatenate(([0], np.cumsum(x != a, dtype=np.int64)))
+    ns = read_checkpoints(checkpoints)
+    if 0 in ns:
+        raise DomainError("checkpoint 0: the envelope sqrt(2 n L(n)) vanishes")
     out = []
-    for n in checkpoints:
-        n = int(n)
-        if not 1 <= n <= x.size:
-            raise DomainError(f"checkpoint {n} outside 1..{x.size}")
+    for n, dist in zip(ns, prefix_distances(x, A, ns).tolist()):
         lam = Lambda(n)
         if lam <= 0:
             raise DomainError(f"Lambda({n}) = {lam} must be positive")
-        dist = int(cum[n])
         scale = math.sqrt(2.0 * n * lam)
         out.append(PsiPoint(n, (dist - n / 2.0) / scale,
                             dist <= n / 2.0 + (1.0 - epsilon) * scale))

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bits import as_bits
+from .bits import as_bits, read_checkpoints
 from .cube import _middle_out_tails
 from .errors import ContractError, DimensionError, DomainError, ResourceError
 
@@ -251,15 +251,14 @@ def apply_selection(rule: SelectionRule, X) -> FrequencyReport:
 
 
 def frequency_on_set(X, N, checkpoints) -> list[FrequencyReport]:
-    """Ones-frequency of X restricted to the position set N, reported
-    at each checkpoint n (undefined, not an error, while N∩n is empty)."""
+    """Ones-frequency of X restricted to the position set N at each
+    checkpoint n in 0..len(X) (undefined, not an error, while N∩n is empty)."""
     x = as_bits(X)
     pos = np.asarray(sorted(int(i) for i in N), dtype=np.int64)
     if pos.size and (pos[0] < 0 or pos[-1] >= x.size):
         raise DomainError("position set outside the input")
     out = []
-    for n in checkpoints:
-        n = int(n)
+    for n in read_checkpoints(checkpoints, x.size):
         upto = pos[pos < n]
         out.append(FrequencyReport.of(upto.size, int(x[upto].sum()), checkpoint=n))
     return out

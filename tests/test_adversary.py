@@ -164,32 +164,6 @@ class TestForceOutputZeroGeneric:
         with pytest.raises(ResourceError):
             force_output_zero_generic("0" * 30, (0, 30), "", lambda t: 1, ceiling=24)
 
-    def test_majority_shortcut_ignores_ceiling(self):
-        x = "1" * 40
-        res = force_output_zero_generic(x, (0, 40), "", None, ceiling=8,
-                                        majority_core=range(39))
-        assert res.forced and res.cost == 20
-
-    def test_majority_core_duplicates_rejected(self):
-        # used to report forced=True at cost 2 without changing the vote
-        with pytest.raises(ContractError):
-            force_output_zero_generic("111", (0, 3), "", self.maj5,
-                                      majority_core=[0, 0, 1])
-
-    def test_majority_core_outside_window_rejected(self):
-        with pytest.raises(ConfigError):
-            force_output_zero_generic("1111", (1, 4), "1", self.maj5,
-                                      majority_core=[0, 1, 2])
-        with pytest.raises(DimensionError):
-            force_output_zero_generic("1111", (1, 4), "1", self.maj5,
-                                      majority_core=[-1, 1, 2])
-
-    def test_majority_core_flips_match_oracle(self):
-        x = as_bits("0110111011")
-        res = force_output_zero_generic(x, (0, 10), "", None,
-                                        majority_core={9, 2, 4, 5, 7})
-        assert res == (flips_oracle(x, [2, 4, 5, 7, 9]), 2, True, False)
-
     def test_exhaustive_equals_closed_form_small_windows(self):
         rng = np.random.Generator(np.random.Philox(key=8))
         for width in (5, 9, 13):

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamext.adversary import CorruptionReport, verify_similarity
 from hamext.bits import as_bits, to_text
 from hamext.budgets import parse_budget
 from hamext.errors import (ConfigError, ContractError, DimensionError,
                            DomainError, ResourceError)
 from hamext.extractor import (BlockSchedule, check_schedule, default_lambda,
                               extract, majority_bit, make_schedule, odd_trim,
-                              psi_deviation, similar_g_phi, similar_p_N)
+                              prefix_distances, psi_deviation, similar_g_phi,
+                              similar_p_N)
 from hamext.rng import bit_stream
 
 
@@ -122,6 +124,20 @@ class TestExtract:
     def test_rejects_overlapping_cores(self):
         with pytest.raises(ConfigError):
             extract("1101100", [{0, 2, 4}, {4, 5, 6}])
+
+    @pytest.mark.parametrize("block, error", [
+        ([-1, 2, 4], DimensionError),  # used to vote with the last bit
+        ([2, 4, 7], DimensionError),
+        ([0.5, 2, 4], ContractError),  # used to read 0.5 as 0
+        ([1, "3", 5], ContractError),  # used to read "3" as 3
+        ([], ContractError),
+    ], ids=["negative", "past_end", "fraction", "text", "empty"])
+    def test_raw_blocks_read_like_majority_cores(self, block, error):
+        with pytest.raises(error):
+            extract("1101100", [block])
+        if block:
+            with pytest.raises(error):
+                majority_bit("1101100", block)
 
     @given(st.integers(0, (1 << 14) - 1))
     @settings(max_examples=300)
@@ -235,6 +251,12 @@ class TestMakeSchedule:
         sched = make_schedule(g, 3, N_constraint=N)
         assert all(s in N for s in sched.partial_sums)
         assert check_schedule(sched, g, N_constraint=N) == []
+
+    @pytest.mark.parametrize("N", [[1.5, 65.9], [-1, 1, 65]], ids=["fraction", "negative"])
+    def test_checkpoint_constraint_must_hold_prefix_lengths(self, N):
+        # [1.5, 65.9] used to build the blocks (0,1),(1,65)
+        with pytest.raises(DomainError):
+            make_schedule(parse_budget("power:1/3"), 2, N_constraint=N)
 
     def test_checkpoint_constraint_unsatisfiable(self):
         g = parse_budget("power:1/3")
@@ -351,6 +373,59 @@ class TestSimilarity:
                 continue
             produced += 1
             assert similar_g_phi(x, y, g, sched)
+
+
+class TestPrefixDistances:
+    def test_matches_python_count(self):
+        rng = np.random.Generator(np.random.Philox(key=29))
+        for length in (0, 1, 2, 7, 64, 301):
+            x = rng.integers(0, 2, length).astype(np.uint8)
+            y = np.where(rng.random(length) < 0.3, 1 - x, x).astype(np.uint8)
+            N = [0, length, *rng.integers(0, length + 1, size=6).tolist(), length, 0]
+            expect = [sum(int(a != b) for a, b in zip(x[:n], y[:n])) for n in N]
+            got = prefix_distances(x, y, N)
+            assert got.dtype == np.int64
+            assert got.tolist() == expect
+        assert prefix_distances("", "", [0, 0]).tolist() == [0, 0]
+        assert prefix_distances("", "", []).tolist() == []
+        assert prefix_distances("0110", "1100", np.array([4, 1, 2, 4])).tolist() == [2, 1, 1, 2]
+
+    def test_checkpoint_contract(self):
+        for bad in (2.5, -3, 6, "3"):
+            with pytest.raises(DomainError):
+                prefix_distances("10110", "00111", [1, bad])
+        with pytest.raises(DimensionError):
+            prefix_distances("10110", "0011", [1])
+
+
+def verify_report_y(x, y, N):
+    report = CorruptionReport(Y=as_bits(y), per_stage=[], cumulative_cost_at_stage=[],
+                              budget_ok=True)
+    return verify_similarity(report, x, parse_budget("table:8"), N)
+
+
+CHECKPOINT_READERS = {
+    "similar_p_N": lambda x, y, N: similar_p_N(x, y, parse_budget("table:8"), N),
+    "verify_similarity": verify_report_y,
+    "psi_deviation": lambda x, y, N: psi_deviation(x, y, checkpoints=N),
+}
+
+
+@pytest.mark.parametrize("name", list(CHECKPOINT_READERS))
+def test_one_checkpoint_contract(name):
+    check = CHECKPOINT_READERS[name]
+    x, y = "10110", "00111"
+    for bad in (2.5, -3, 6, "3"):
+        with pytest.raises(DomainError):
+            check(x, y, [1, bad])
+    with pytest.raises(DimensionError):
+        check(x, y[:4], [1])
+    if name == "psi_deviation":  # divides by sqrt(2 n Lambda(n))
+        with pytest.raises(DomainError):
+            check(x, y, [0])
+    else:
+        assert check(x, y, [0, 5]) is True
+    assert check(x, y, np.array([5, 2], dtype=np.uint64))
 
 
 class TestPsiDeviation:

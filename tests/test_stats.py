@@ -275,6 +275,12 @@ class TestFrequencyOnSet:
         with pytest.raises(DomainError):
             frequency_on_set("111", {5}, [1])
 
+    @pytest.mark.parametrize("checkpoint", [1.5, -2, 5], ids=["fraction", "negative", "past_end"])
+    def test_checkpoint_must_be_a_prefix_length(self, checkpoint):
+        # 1.5 was read as 1, and -2 and 5 as an empty and a full prefix
+        with pytest.raises(DomainError):
+            frequency_on_set("1111", {0, 3}, [checkpoint])
+
 
 class TestMajorityRefinement:
     def test_two_step_hand_simulation(self):
