@@ -16,7 +16,7 @@ from .budgets import (BudgetFunction, affine_sqrt_budget, lil_budget,
 from .cube import (EventFamily, SphereSpec, binomial_tail, hamming_distance,
                    harper_min_neighborhood, make_sphere, neighborhood)
 from .extractor import (BlockSchedule, ExtractionTrace, check_schedule,
-                        extract, majority_bit, make_schedule, odd_trim,
+                        extract, majority_bit, make_schedule,
                         prefix_distances, psi_deviation, similar_g_phi,
                         similar_p_N)
 from .keylemma import (KeyLemmaInstance, ball_containment_probability,

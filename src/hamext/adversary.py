@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .bits import as_bits
+from .bits import as_bits, read_index
 from .budgets import BudgetFunction
 from .errors import ConfigError, DimensionError, ResourceError
 from .extractor import BlockSchedule, core_indices, similar_p_N
@@ -36,12 +36,13 @@ class AdversarySchedule:
     budget: BudgetFunction
 
     def __post_init__(self):
-        nb = self.stage_bounds
-        if len(nb) < 2 or len(self.targets) != len(nb) - 1:
+        nb = [read_index(n, "stage bound", error=ConfigError) for n in self.stage_bounds]
+        targets = [read_index(t, "target", error=ConfigError) for t in self.targets]
+        if len(nb) < 2 or len(targets) != len(nb) - 1:
             raise ConfigError("need S+1 stage bounds for S targets")
-        if nb[0] < 0 or any(a >= b for a, b in zip(nb, nb[1:])):
-            raise ConfigError("stage bounds must be strictly increasing and nonnegative")
-        if any(a >= b for a, b in zip(self.targets, self.targets[1:])):
+        if any(a >= b for a, b in zip(nb, nb[1:])):
+            raise ConfigError("stage bounds must be strictly increasing")
+        if any(a >= b for a, b in zip(targets, targets[1:])):
             raise ConfigError("targets must be strictly increasing")
 
     @property
@@ -84,9 +85,10 @@ def stages_from_blocks(schedule: BlockSchedule, budget: BudgetFunction,
     """
     if targets is None:
         targets = tuple(range(len(schedule)))
-    targets = tuple(int(t) for t in targets)
-    if any(not 0 <= t < len(schedule) for t in targets):
-        raise ConfigError("target block index out of range")
+    targets = tuple(read_index(t, "target block", 0, len(schedule) - 1, ConfigError)
+                    for t in targets)
+    if not targets:
+        raise ConfigError("need at least one target block")
     bounds = [0]
     for t in targets[1:]:
         bounds.append(schedule.blocks[t][0])
@@ -164,8 +166,8 @@ def force_output_zero_generic(X, stage_window: tuple[int, int], oracle_prefix,
     """
     x = as_bits(X)
     a, b = stage_window
-    if not 0 <= a < b <= x.size:
-        raise DimensionError(f"window [{a},{b}) outside input of length {x.size}")
+    a = read_index(a, "window start", 0, x.size - 1, DimensionError)
+    b = read_index(b, "window end", a + 1, x.size, DimensionError)
     width = b - a
     if width > ceiling:
         raise ResourceError(

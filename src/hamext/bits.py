@@ -17,7 +17,7 @@ import operator
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, HamextError
 
 
 def as_bits(x) -> np.ndarray:
@@ -47,18 +47,28 @@ def as_bits(x) -> np.ndarray:
     return bits
 
 
-def read_checkpoints(values, length: int | None = None) -> list[int]:
-    """Prefix lengths in the order given: integers (read with
-    operator.index, so 2.5 and "3" are refused, not rounded) in
-    0..length, or >= 0 with no length; anything else is a DomainError."""
+def read_index(value, name: str, lo: int | None = 0, hi: int | None = None,
+               error: type[HamextError] = DomainError) -> int:
+    """`value` as an int in lo..hi (None leaves that end open), read with
+    operator.index, so 2.5, "3" and None are refused, not rounded;
+    anything else raises `error`."""
     try:
-        ns = [operator.index(n) for n in values]
-    except TypeError as exc:
-        raise DomainError(f"checkpoints must be integers: {exc}") from None
-    for n in ns:
-        if n < 0 or length is not None and n > length:
-            raise DomainError(f"checkpoint {n} outside 0..{'' if length is None else length}")
-    return ns
+        n = operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if lo is not None and n < lo or hi is not None and n > hi:
+        raise error(f"{name} {n} outside {'' if lo is None else lo}..{'' if hi is None else hi}")
+    return n
+
+
+def read_checkpoints(values, length: int | None = None) -> list[int]:
+    """Prefix lengths in the order given, each read by read_index in
+    0..length (>= 0 with no length)."""
+    try:
+        values = list(values)
+    except TypeError:
+        raise DomainError(f"checkpoints must be integers, got {values!r}") from None
+    return [read_index(n, "checkpoint", 0, length) for n in values]
 
 
 def to_text(bits: np.ndarray) -> str:

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .bits import read_index
 from .errors import DomainError
 
 
@@ -76,8 +77,7 @@ class BudgetFunction:
     params: tuple
 
     def __call__(self, n: int) -> int:
-        if n < 0:
-            raise DomainError("budgets are evaluated at nonnegative lengths")
+        n = read_index(n, "budget length")
         if self.kind == "power":
             alpha, coeff = self.params
             return _ceil_power(n, alpha, coeff)
@@ -113,6 +113,7 @@ class BudgetFunction:
         ratio is monotone for every unbounded kind, so checking the
         closed-form threshold suffices.
         """
+        k = read_index(k, "k", lo=None)
         if k <= 0:
             return 1
         if self.kind == "power":
@@ -175,14 +176,21 @@ def affine_sqrt_budget(a, c) -> BudgetFunction:
 
 
 def table_budget(entries) -> BudgetFunction:
-    if isinstance(entries, int):
+    """A step function from (length, value) pairs, or the constant
+    `entries` when it is one integer."""
+    if hasattr(entries, "__index__"):
         entries = [(0, entries)]
-    entries = sorted((int(n), int(v)) for n, v in entries)
+    try:
+        entries = sorted((read_index(n, "table length", lo=None), read_index(v, "table value"))
+                         for n, v in entries)
+    except (TypeError, ValueError):  # not a collection of pairs
+        raise DomainError(f"table budget needs an integer or (length, value) pairs, "
+                          f"got {entries!r}") from None
     if not entries:
         raise DomainError("table budget needs at least one entry")
     values = [v for _, v in entries]
-    if any(v < 0 for v in values) or values != sorted(values):
-        raise DomainError("table budget values must be nonnegative and nondecreasing")
+    if values != sorted(values):
+        raise DomainError("table budget values must be nondecreasing")
     return BudgetFunction("table", tuple(entries))
 
 

@@ -12,7 +12,6 @@ fractions with power-of-two denominators.
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +22,7 @@ from math import comb
 import numpy as np
 
 from . import kernels
-from .bits import as_bits, bits_to_mask, to_text
+from .bits import as_bits, bits_to_mask, read_index, to_text
 from .errors import DimensionError, DomainError, ResourceError
 
 HARPER_DEFAULT_CEILING = 4
@@ -35,13 +34,6 @@ def hamming_distance(sigma, tau) -> int:
     if a.size != b.size:
         raise DimensionError(f"length mismatch: {a.size} vs {b.size}")
     return int(np.count_nonzero(a != b))
-
-
-def _integer(value, name: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _running_tails(n: int):
@@ -76,13 +68,6 @@ def _middle_out_tails(n: int):
         coeff = coeff * j // (n - j + 1)
 
 
-def _nonnegative(value, name: str) -> int:
-    value = _integer(value, name)
-    if value < 0:
-        raise DomainError(f"{name} must be nonnegative, got {value}")
-    return value
-
-
 def binomial_tail(n: int, k: int) -> int:
     """b(n,k) = C(n,0)+...+C(n,k), exact; 0 for k<0, 2^n for k>=n.
 
@@ -93,7 +78,7 @@ def binomial_tail(n: int, k: int) -> int:
     terms after one math.comb), so a k within a few sqrt(n) of n/2 costs
     a few sqrt(n) steps rather than n/2.
     """
-    n, k = _nonnegative(n, "n"), _integer(k, "k")
+    n, k = read_index(n, "n"), read_index(k, "k", lo=None)
     if k < 0:
         return 0
     if k >= n:
@@ -108,7 +93,7 @@ def binomial_tail(n: int, k: int) -> int:
 
 def binomial_tails(n: int) -> list[int]:
     """[b(n,0), b(n,1), ..., b(n,n)], exact; the last entry is 2^n."""
-    return list(_running_tails(_nonnegative(n, "n")))
+    return list(_running_tails(read_index(n, "n")))
 
 
 def bracket(tails: list[int], size: int) -> int:
@@ -138,8 +123,7 @@ def neighborhood(A, d: int) -> set[str]:
     n = members[0].size
     if any(m.size != n for m in members):
         raise DimensionError("neighborhood members must share one dimension")
-    if not 0 <= d <= n:
-        raise DomainError(f"need 0 <= d <= {n}, got {d}")
+    d = read_index(d, "d", 0, n)
     dist = kernels.distance_to_set(_indicator((bits_to_mask(m) for m in members), n), n)
     return {vertex_text(int(v), n) for v in np.flatnonzero(dist <= d)}
 
@@ -168,14 +152,11 @@ class SphereSpec:
     shell_count: int
 
     def __post_init__(self):
-        n, k, t = self.dimension, self.inner_radius, self.shell_count
+        n = read_index(self.dimension, "dimension")
         if len(self.center) != n:
             raise DimensionError("center length must equal dimension")
-        if not -1 <= k <= n:
-            raise DomainError(f"inner radius {k} out of range for n={n}")
-        shell_capacity = comb(n, k + 1) if k < n else 0
-        if not 0 <= t <= shell_capacity:
-            raise DomainError(f"shell count {t} exceeds shell size {shell_capacity}")
+        k = read_index(self.inner_radius, "inner radius", -1, n)
+        read_index(self.shell_count, "shell count", 0, comb(n, k + 1) if k < n else 0)
 
     @property
     def size(self) -> int:
@@ -201,11 +182,10 @@ class SphereSpec:
 
 def make_sphere(n: int, size: int, center) -> SphereSpec:
     """The canonical sphere of exactly `size` points around `center`."""
-    cbits = as_bits(center)
+    n, cbits = read_index(n, "n"), as_bits(center)
     if cbits.size != n:
         raise DimensionError(f"center has length {cbits.size}, want {n}")
-    if not 0 <= size <= 1 << n:
-        raise DomainError(f"size {size} out of range for n={n}")
+    size = read_index(size, "size", 0, 1 << n)
     tails = binomial_tails(n)
     k = bracket(tails, size)
     return SphereSpec(n, to_text(cbits), k, size - tails[k] if k >= 0 else size)
@@ -229,14 +209,11 @@ def harper_min_neighborhood(n: int, size: int, d: int,
     all C(2^n, size) subsets, so n is capped (default 4); larger n
     raises rather than approximating.
     """
-    n, size, d = _nonnegative(n, "n"), _integer(size, "size"), _integer(d, "d")
+    n = read_index(n, "n")
     if n > ceiling:
         raise ResourceError(
             f"exhaustive search needs n <= {ceiling} (2^2^n subsets), got n={n}")
-    if not 0 <= size <= 1 << n:
-        raise DomainError(f"size {size} out of range for n={n}")
-    if not 0 <= d <= n:
-        raise DomainError(f"need 0 <= d <= {n}, got {d}")
+    size, d = read_index(size, "size", 0, 1 << n), read_index(d, "d", 0, n)
     exhaustive = _harper_mins(n, d)[size]
     sphere = make_sphere(n, size, "0" * n)
     return exhaustive, sphere.gamma_size(d)
@@ -250,7 +227,7 @@ class EventFamily:
     members: frozenset[int]
 
     def __post_init__(self):
-        n = _nonnegative(self.dimension, "dimension")
+        n = read_index(self.dimension, "dimension")
         if not self.members:
             return
         try:
@@ -258,14 +235,13 @@ class EventFamily:
         except ValueError:  # ragged sequences among the members
             values = None
         if values is not None and values.ndim == 1 and values.dtype.kind in "iu":
-            lo, hi = int(values.min()), int(values.max())
+            if int(values.min()) < 0 or int(values.max()) >= 1 << n:
+                raise DomainError("event member outside the cube")
         else:
             # a float, a string or an int past uint64 among the members:
             # check them one by one, so 1.5 is refused rather than truncated
-            checked = [_integer(v, "event member") for v in self.members]
-            lo, hi = min(checked), max(checked)
-        if lo < 0 or hi >= 1 << n:
-            raise DomainError("event member outside the cube")
+            for v in self.members:
+                read_index(v, "event member", 0, (1 << n) - 1)
 
     @classmethod
     def from_strings(cls, strings) -> "EventFamily":

@@ -22,21 +22,11 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bits import as_bits, read_checkpoints
+from .bits import as_bits, read_checkpoints, read_index
 from .budgets import BudgetFunction
 from .errors import ConfigError, ContractError, DimensionError, DomainError, ResourceError
 
 MAKE_SCHEDULE_SCAN_BOUND = 1 << 28
-
-
-def odd_trim(block) -> set[int]:
-    """The block itself if its size is odd, else the block minus its max."""
-    s = sorted(set(int(i) for i in block))
-    if not s:
-        raise DomainError("cannot odd-trim an empty block")
-    if len(s) % 2 == 0:
-        s.pop()
-    return set(s)
 
 
 def core_indices(core, length: int) -> range | np.ndarray:
@@ -96,32 +86,25 @@ class BlockSchedule:
     def __post_init__(self):
         if not self.blocks:
             raise ConfigError("a block schedule needs at least one block")
-        if self.blocks[0][0] < 0:
-            raise ConfigError(f"block 0 starts at {self.blocks[0][0]}, before position 0")
         prev_end = None
         prev_size = 0
         for k, (start, end) in enumerate(self.blocks):
-            size = end - start
-            if size < 1:
-                raise ConfigError(f"block {k} is empty")
+            start = read_index(start, f"block {k} start", error=ConfigError)
+            end = read_index(end, f"block {k} end", start + 1, error=ConfigError)
             if prev_end is not None and start != prev_end:
                 raise ConfigError(f"block {k} must start at {prev_end}, starts at {start}")
-            if size < prev_size:
+            if end - start < prev_size:
                 raise ConfigError(f"block sizes must be nondecreasing, block {k} shrinks")
-            prev_end, prev_size = end, size
+            prev_end, prev_size = end, end - start
         for k, _ in self.output_index_map:
-            if not 0 <= k < len(self.blocks):
-                raise ConfigError(f"output_index_map references missing block {k}")
+            read_index(k, "output_index_map block", 0, len(self.blocks) - 1, ConfigError)
 
     @classmethod
     def from_sizes(cls, sizes, output_index_map=()) -> "BlockSchedule":
         blocks = []
         pos = 0
         for s in sizes:
-            try:
-                s = operator.index(s)
-            except TypeError:
-                raise ConfigError(f"block sizes must be integers, got {s!r}") from None
+            s = read_index(s, "block size", 1, error=ConfigError)
             blocks.append((pos, pos + s))
             pos += s
         return cls(tuple(blocks), tuple(output_index_map))
@@ -259,8 +242,7 @@ def make_schedule(g: BudgetFunction, block_count: int,
     partial sum must land in it. A bounded budget falls back to the
     identity schedule (all blocks singletons) and ignores N_constraint.
     """
-    if block_count < 1:
-        raise DomainError("need at least one block")
+    block_count = read_index(block_count, "block_count", 1)
     if g.is_bounded:
         return BlockSchedule.from_sizes([1] * block_count)
     sizes: list[int] = []
@@ -321,7 +303,7 @@ def check_schedule(schedule: BlockSchedule, g: BudgetFunction,
             if ratio_sq_num > n:
                 bad.append(f"block {k}: g(n_k)/sqrt(n_k) exceeds 2^-{k}")
     if N_constraint is not None and not g.is_bounded:
-        allowed = set(int(x) for x in N_constraint)
+        allowed = set(read_checkpoints(N_constraint))
         for m, s in enumerate(schedule.partial_sums):
             if s not in allowed:
                 bad.append(f"partial sum {s} (through block {m}) not a checkpoint")

@@ -18,7 +18,8 @@ from itertools import chain
 import numpy as np
 
 from . import kernels
-from .cube import EventFamily, _nonnegative, binomial_tail, binomial_tails, bracket
+from .bits import read_index
+from .cube import EventFamily, binomial_tail, binomial_tails, bracket
 from .errors import DomainError, ResourceError
 from .rng import generator
 
@@ -36,9 +37,7 @@ class KeyLemmaInstance:
     ball_radius: int
 
     def __post_init__(self):
-        n = self.family.dimension
-        if not 0 <= self.ball_radius <= n:
-            raise DomainError(f"ball radius must lie in 0..{n}")
+        read_index(self.ball_radius, "ball radius", 0, self.family.dimension)
 
     @property
     def r(self) -> int:
@@ -83,11 +82,10 @@ def containment_profile(family: EventFamily, max_d: int | None = None) -> list[F
     """P(ball_d(X) ⊆ E) for d = 0..max_d, exactly, in one sweep."""
     n = family.dimension
     _check_ceiling(n)
-    if max_d is None:
-        max_d = n
+    max_d = n if max_d is None else read_index(max_d, "max_d")
     total = 1 << n
     counts = _contained_counts(family.indicator()[None], n)[0].tolist()
-    return [Fraction(counts[min(d, n)], total) for d in range(max(max_d, 0) + 1)]
+    return [Fraction(counts[min(d, n)], total) for d in range(max_d + 1)]
 
 
 def ball_containment_probability(instance: KeyLemmaInstance) -> Fraction:
@@ -139,7 +137,7 @@ def verify_key_lemma(n: int, trials: int, p_threshold: Fraction, seed: int) -> d
     for each j, the least d whose bound falls to 2^-j for the largest
     admissible r at this threshold.
     """
-    n, trials = _nonnegative(n, "n"), _nonnegative(trials, "trials")
+    n, trials = read_index(n, "n"), read_index(trials, "trials")
     _check_ceiling(n)
     p_threshold = Fraction(p_threshold)
     if not 0 < p_threshold < 1:

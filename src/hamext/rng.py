@@ -10,25 +10,16 @@ index, which never collides across a run's contiguous seed range.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-from .errors import DomainError
+from .bits import read_index
 
 
 def _philox(seed: int, length: int = 0) -> np.random.Philox:
     """Philox keyed by `seed`, once the seed is a 64-bit key and the
     requested stream length is nonnegative; else a DomainError."""
-    try:
-        seed, length = operator.index(seed), operator.index(length)
-    except TypeError:
-        raise DomainError(f"seed and length must be integers, got {seed!r}, {length!r}") from None
-    if not 0 <= seed < 1 << 64:
-        raise DomainError(f"seed must lie in [0, 2^64), got {seed}")
-    if length < 0:
-        raise DomainError(f"length must be nonnegative, got {length}")
-    return np.random.Philox(key=seed)
+    read_index(length, "length")
+    return np.random.Philox(key=read_index(seed, "seed", 0, (1 << 64) - 1))
 
 
 def bit_stream(seed: int, length: int) -> np.ndarray:

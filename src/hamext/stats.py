@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bits import as_bits, read_checkpoints
+from .bits import as_bits, read_checkpoints, read_index
 from .cube import _middle_out_tails
 from .errors import ContractError, DimensionError, DomainError, ResourceError
 
@@ -42,9 +42,7 @@ def normal_cdf(x: float) -> float:
 
 def berry_esseen_bound(n: int) -> float:
     """0.71/sqrt(n): the explicit CLT error bound for fair coin sums."""
-    if n < 1:
-        raise DomainError("n must be positive")
-    return BERRY_ESSEEN_D / math.sqrt(n)
+    return BERRY_ESSEEN_D / math.sqrt(read_index(n, "n", 1))
 
 
 def binomial_cdf_gap(n: int) -> float:
@@ -62,8 +60,7 @@ def binomial_cdf_gap(n: int) -> float:
     j rises. Every visited point's gap is the same float a scan of the
     whole row computes, so the result equals that scan's bit for bit.
     """
-    if n < 1:
-        raise DomainError(f"binomial_cdf_gap needs n >= 1, got {n}")
+    n = read_index(n, "n", 1)
     if n > CDF_GAP_CEILING:
         raise ResourceError(f"binomial_cdf_gap handles 1 <= n <= {CDF_GAP_CEILING}")
     denom = 1 << n
@@ -87,8 +84,7 @@ def binomial_cdf_gap(n: int) -> float:
 
 def small_ball_probability(n: int, g_of_n: int) -> Fraction:
     """Exact P(|S_n| <= g) for S_n = ones - n/2 over n fair bits."""
-    if n < 1 or g_of_n < 0:
-        raise DomainError("need n >= 1 and g >= 0")
+    n, g_of_n = read_index(n, "n", 1), read_index(g_of_n, "g")
     # |ones - n/2| <= g  <=>  ceil(n/2 - g) <= ones <= floor(n/2 + g)
     lo = max(0, -(-(n - 2 * g_of_n) // 2))
     hi = min(n, (n + 2 * g_of_n) // 2)
@@ -98,8 +94,7 @@ def small_ball_probability(n: int, g_of_n: int) -> Fraction:
 
 def small_ball_bound(n: int, g_of_n: int) -> float:
     """The explicit envelope 4g/sqrt(2 pi n) + 2*0.71/sqrt(n)."""
-    if n < 1 or g_of_n < 0:
-        raise DomainError("need n >= 1 and g >= 0")
+    n, g_of_n = read_index(n, "n", 1), read_index(g_of_n, "g")
     return 4.0 * g_of_n / math.sqrt(2.0 * math.pi * n) + 2.0 * BERRY_ESSEEN_D / math.sqrt(n)
 
 
@@ -124,8 +119,7 @@ class WeberSeries:
     hit_blocks: frozenset[int]
 
     def p_count(self, n: int) -> int:
-        if not 1 <= n <= self.n_max:
-            raise DomainError(f"p_count defined for 1 <= n <= {self.n_max}")
+        n = read_index(n, "n", 1, self.n_max)
         return sum(1 for m in self.hit_blocks if m <= n)
 
     @property
@@ -138,9 +132,7 @@ class WeberSeries:
 
     def log_rate(self, k: int) -> float:
         """ln p_n for k in the block (2^(n-1), 2^n]; -inf while no hits."""
-        if k < 2 or k > 1 << self.n_max:
-            raise DomainError(f"log rate defined for 2 <= k <= 2^{self.n_max}")
-        p = self.p_count(_block_of(k))
+        p = self.p_count(_block_of(read_index(k, "k", 2, 1 << self.n_max)))
         return math.log(p) if p else float("-inf")
 
 
@@ -151,14 +143,13 @@ def weber_series(nu, n_max: int) -> WeberSeries:
     bisect searches it in place, so it is kept as it is rather than
     listed out.
     """
-    if n_max < 1:
-        raise DomainError(f"n_max must be at least 1, got {n_max}")
+    n_max = read_index(n_max, "n_max", 1)
+    ranged = isinstance(nu, range) and nu.step > 0
     try:
-        seq = nu if isinstance(nu, range) and nu.step > 0 else tuple(map(operator.index, nu))
-        ordered = isinstance(seq, range) or all(starmap(operator.lt, pairwise(seq)))
-    except TypeError:  # a non-integer member, such as 1.5
-        ordered = False
-    if not ordered or (seq and seq[0] < 1):
+        seq = nu if ranged else tuple(read_index(v, "subsequence member", lo=None) for v in nu)
+    except TypeError:  # nu itself is not iterable
+        raise DomainError(f"subsequence must be a collection of integers, got {nu!r}") from None
+    if not (ranged or all(starmap(operator.lt, pairwise(seq)))) or (seq and seq[0] < 1):
         raise DomainError("subsequence must be strictly increasing positive integers")
     # block m = (2^(m-1), 2^m] is hit iff the first member past 2^(m-1) is at
     # most 2^m; no block past the last member's can be
@@ -181,6 +172,7 @@ def sparse_subsequence(f: Callable[[int], float], n_max: int) -> SparseResult:
     the reported violation threshold is 0 for genuine order functions.
     An n_max below 1 raises DomainError, as in weber_series.
     """
+    n_max = read_index(n_max, "n_max", 1)
     nu: list[int] = []
     hits = 0
     for m in range(1, n_max + 1):
@@ -254,9 +246,7 @@ def frequency_on_set(X, N, checkpoints) -> list[FrequencyReport]:
     """Ones-frequency of X restricted to the position set N at each
     checkpoint n in 0..len(X) (undefined, not an error, while N∩n is empty)."""
     x = as_bits(X)
-    pos = np.asarray(sorted(int(i) for i in N), dtype=np.int64)
-    if pos.size and (pos[0] < 0 or pos[-1] >= x.size):
-        raise DomainError("position set outside the input")
+    pos = np.asarray(sorted(read_index(i, "position", 0, x.size - 1) for i in N), dtype=np.int64)
     out = []
     for n in read_checkpoints(checkpoints, x.size):
         upto = pos[pos < n]

@@ -205,6 +205,12 @@ class TestAdversarySchedule:
         adv = stages_from_blocks(sched, parse_budget("power:2/3"), targets=(0, 2))
         assert adv.stage_bounds == (0, sched.blocks[2][0], sched.blocks[2][1])
 
+    def test_no_targets_rejected(self):
+        # used to raise IndexError
+        sched = make_schedule(parse_budget("power:1/3"), 4)
+        with pytest.raises(ConfigError):
+            stages_from_blocks(sched, parse_budget("power:2/3"), targets=())
+
 
 class TestCorrupt:
     def setup_method(self):

@@ -12,7 +12,7 @@ from hamext.budgets import parse_budget
 from hamext.errors import (ConfigError, ContractError, DimensionError,
                            DomainError, ResourceError)
 from hamext.extractor import (BlockSchedule, check_schedule, default_lambda,
-                              extract, majority_bit, make_schedule, odd_trim,
+                              extract, majority_bit, make_schedule,
                               prefix_distances, psi_deviation, similar_g_phi,
                               similar_p_N)
 from hamext.rng import bit_stream
@@ -21,28 +21,6 @@ from hamext.rng import bit_stream
 def majority_oracle(x: str, core) -> int:
     ones = sum(int(x[i]) for i in core)
     return 1 if 2 * ones > len(core) else 0
-
-
-class TestOddTrim:
-    def test_drop_max_of_even(self):
-        assert odd_trim({3, 4, 5, 6}) == {3, 4, 5}
-
-    def test_odd_unchanged(self):
-        assert odd_trim({0, 1, 2}) == {0, 1, 2}
-
-    def test_singleton(self):
-        assert odd_trim({7}) == {7}
-
-    def test_empty(self):
-        with pytest.raises(DomainError):
-            odd_trim(set())
-
-    @given(st.sets(st.integers(0, 100), min_size=1, max_size=30))
-    def test_always_odd_and_contained(self, block):
-        core = odd_trim(block)
-        assert len(core) % 2 == 1
-        assert core <= block
-        assert len(core) >= len(block) - 1
 
 
 class TestMajorityBit:
@@ -124,6 +102,19 @@ class TestExtract:
     def test_rejects_overlapping_cores(self):
         with pytest.raises(ConfigError):
             extract("1101100", [{0, 2, 4}, {4, 5, 6}])
+
+    def test_even_raw_block_drops_its_max(self):
+        # core {0, 1, 2} votes 0, 0, 1; dropping the min would vote 0, 1, 1
+        trace = extract("0011", [[0, 1, 2, 3]])
+        assert trace.margins.tolist() == [-1]
+        assert trace.outputs.tolist() == [0]
+
+    def test_even_raw_blocks_match_block_schedule(self):
+        sched = BlockSchedule.from_sizes((2, 2, 4, 6, 8, 12))
+        raw = [list(range(s, e)) for s, e in sched.blocks]
+        for seed in range(20):
+            x = bit_stream(seed, sched.total_length)
+            assert extract(x, raw).margins.tolist() == extract(x, sched).margins.tolist()
 
     @pytest.mark.parametrize("block, error", [
         ([-1, 2, 4], DimensionError),  # used to vote with the last bit

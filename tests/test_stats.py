@@ -156,8 +156,8 @@ class TestWeberSeries:
             weber_series(range(5, 0, -1), 4)
 
     def test_rejects_non_integer_members(self):
-        # 1.5 was read as 1
-        for nu in ([1.5, 2], [2, "3"]):
+        # 1.5 was read as 1; a bare integer is not a subsequence
+        for nu in ([1.5, 2], [2, "3"], 5):
             with pytest.raises(DomainError):
                 weber_series(nu, 4)
 
