@@ -11,14 +11,14 @@ __version__ = "0.1.0"
 from .adversary import (AdversarySchedule, CorruptionReport, corrupt,
                         force_majority_zero, force_output_zero_generic,
                         stages_from_blocks, verify_similarity)
+from .bits import prefix_distances
 from .budgets import (BudgetFunction, affine_sqrt_budget, lil_budget,
                       parse_budget, power_budget, table_budget)
 from .cube import (EventFamily, SphereSpec, binomial_tail, hamming_distance,
                    harper_min_neighborhood, make_sphere, neighborhood)
 from .extractor import (BlockSchedule, ExtractionTrace, check_schedule,
                         extract, majority_bit, make_schedule,
-                        prefix_distances, psi_deviation, similar_g_phi,
-                        similar_p_N)
+                        psi_deviation, similar_g_phi, similar_p_N)
 from .keylemma import (KeyLemmaInstance, ball_containment_probability,
                        containment_profile, sphere_tail_bound,
                        verify_key_lemma)

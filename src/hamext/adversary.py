@@ -18,10 +18,10 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .bits import as_bits, read_index
+from .bits import as_bits, read_index, read_indices
 from .budgets import BudgetFunction
 from .errors import ConfigError, DimensionError, ResourceError
-from .extractor import BlockSchedule, core_indices, similar_p_N
+from .extractor import BlockSchedule, _margins, core_indices, similar_p_N
 
 GENERIC_WINDOW_CEILING = 24
 
@@ -36,8 +36,8 @@ class AdversarySchedule:
     budget: BudgetFunction
 
     def __post_init__(self):
-        nb = [read_index(n, "stage bound", error=ConfigError) for n in self.stage_bounds]
-        targets = [read_index(t, "target", error=ConfigError) for t in self.targets]
+        nb = read_indices(self.stage_bounds, "stage bound", error=ConfigError)
+        targets = read_indices(self.targets, "target", error=ConfigError)
         if len(nb) < 2 or len(targets) != len(nb) - 1:
             raise ConfigError("need S+1 stage bounds for S targets")
         if any(a >= b for a, b in zip(nb, nb[1:])):
@@ -85,8 +85,7 @@ def stages_from_blocks(schedule: BlockSchedule, budget: BudgetFunction,
     """
     if targets is None:
         targets = tuple(range(len(schedule)))
-    targets = tuple(read_index(t, "target block", 0, len(schedule) - 1, ConfigError)
-                    for t in targets)
+    targets = tuple(read_indices(targets, "target block", 0, len(schedule) - 1, ConfigError))
     if not targets:
         raise ConfigError("need at least one target block")
     bounds = [0]
@@ -117,13 +116,11 @@ def _first_ones(x: np.ndarray, start: int, stop: int, count: int) -> np.ndarray:
 def _cheapest_flips(x: np.ndarray, core) -> tuple[np.ndarray, int]:
     """force_majority_zero on a bit array, flips as an int64 array."""
     idx = core_indices(core, x.size)
+    # an odd core of 2m+1 votes with margin 2·ones − 2m − 1 needs ones − m flips
+    cost = max(0, (int(_margins(x, [idx])[0]) + 1) // 2)
     if isinstance(idx, range):
-        ones = int(np.count_nonzero(x[idx.start:idx.stop]))
-        cost = max(0, ones - len(idx) // 2)
         return _first_ones(x, idx.start, idx.stop, cost), cost
-    ones_at = idx[x[idx] != 0]
-    cost = max(0, ones_at.size - idx.size // 2)
-    return ones_at[:cost], cost
+    return idx[x[idx] != 0][:cost], cost
 
 
 def force_majority_zero(X, core) -> tuple[list[int], int]:

@@ -2,7 +2,9 @@
 
 A bit string is a 1-D numpy array of uint8 values in {0, 1}; index 0 is
 the first position. Helpers here coerce text/python sequences to that
-form and read/write the two on-disk formats:
+form, count the disagreements of two strings up to each checkpoint
+(prefix_distances, the one such count in hamext) and read/write the two
+on-disk formats:
 
 * text: ASCII '0'/'1', one string per line;
 * packed: an 8-byte little-endian bit count, then the bits packed
@@ -61,14 +63,29 @@ def read_index(value, name: str, lo: int | None = 0, hi: int | None = None,
     return n
 
 
-def read_checkpoints(values, length: int | None = None) -> list[int]:
-    """Prefix lengths in the order given, each read by read_index in
-    0..length (>= 0 with no length)."""
+def read_indices(values, name: str, lo: int | None = 0, hi: int | None = None,
+                 error: type[HamextError] = DomainError) -> list[int]:
+    """The members of the collection `values` in the order given, each
+    read by read_index; a value that is not a collection raises `error`."""
     try:
         values = list(values)
     except TypeError:
-        raise DomainError(f"checkpoints must be integers, got {values!r}") from None
-    return [read_index(n, "checkpoint", 0, length) for n in values]
+        raise error(f"{name} values must come as a collection, got {values!r}") from None
+    return [read_index(v, name, lo, hi, error) for v in values]
+
+
+def prefix_distances(X, Y, checkpoints) -> np.ndarray:
+    """d(X|n, Y|n) at each checkpoint n, as int64 in the order given.
+
+    Each n must be an integer in 0..len(X) (DomainError otherwise); X
+    and Y must share one length (DimensionError otherwise).
+    """
+    x, y = as_bits(X), as_bits(Y)
+    if x.size != y.size:
+        raise DimensionError(f"length mismatch: {x.size} vs {y.size}")
+    ns = np.array(read_indices(checkpoints, "checkpoint", 0, x.size), dtype=np.int64)
+    cum = np.cumsum(np.concatenate(([False], x != y)), dtype=np.int64)  # cum[n] = d(X|n, Y|n)
+    return cum[ns]
 
 
 def to_text(bits: np.ndarray) -> str:
@@ -136,4 +153,4 @@ def read_packed_bits(path) -> np.ndarray:
     if len(payload) < need:
         raise DomainError(f"{path}: expected {need} payload bytes, got {len(payload)}")
     raw = np.frombuffer(payload[:need], dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:length].astype(np.uint8)
+    return np.unpackbits(raw, count=length, bitorder="little")

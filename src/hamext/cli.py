@@ -9,8 +9,8 @@ report contains a timestamp, and identical configurations produce
 byte-identical files.
 
 Exit codes: 0 success, 2 contract/configuration violation, 3 resource
-ceiling. Violations also emit a machine-readable JSON error object on
-stderr.
+ceiling or an allocation the machine refuses. Violations also emit a
+machine-readable JSON error object on stderr.
 """
 
 from __future__ import annotations
@@ -429,14 +429,14 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command][0](_merged_config(args), Path(args.out_dir))
-    except ResourceError as exc:
+    except (ResourceError, MemoryError) as exc:  # numpy refuses a huge allocation at once
         print(json.dumps({"error": "resource", "message": str(exc)}), file=sys.stderr)
         return 3
     except HamextError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2
-    except OSError as exc:  # an unreadable input, config or schedule file
+    except (OSError, UnicodeDecodeError) as exc:  # an unreadable or non-text input file
         print(json.dumps({"error": ConfigError.__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2

@@ -22,7 +22,7 @@ from math import comb
 import numpy as np
 
 from . import kernels
-from .bits import as_bits, bits_to_mask, read_index, to_text
+from .bits import as_bits, bits_to_mask, prefix_distances, read_index, read_indices, to_text
 from .errors import DimensionError, DomainError, ResourceError
 
 HARPER_DEFAULT_CEILING = 4
@@ -30,10 +30,8 @@ HARPER_DEFAULT_CEILING = 4
 
 def hamming_distance(sigma, tau) -> int:
     """Number of positions where two equal-length bit strings differ."""
-    a, b = as_bits(sigma), as_bits(tau)
-    if a.size != b.size:
-        raise DimensionError(f"length mismatch: {a.size} vs {b.size}")
-    return int(np.count_nonzero(a != b))
+    a = as_bits(sigma)
+    return int(prefix_distances(a, tau, [a.size])[0])
 
 
 def _running_tails(n: int):
@@ -228,20 +226,17 @@ class EventFamily:
 
     def __post_init__(self):
         n = read_index(self.dimension, "dimension")
-        if not self.members:
-            return
         try:
             values = np.array(list(self.members))
-        except ValueError:  # ragged sequences among the members
+        except (TypeError, ValueError):  # not a collection, or ragged members
             values = None
-        if values is not None and values.ndim == 1 and values.dtype.kind in "iu":
+        if values is not None and values.size and values.ndim == 1 and values.dtype.kind in "iu":
             if int(values.min()) < 0 or int(values.max()) >= 1 << n:
                 raise DomainError("event member outside the cube")
         else:
-            # a float, a string or an int past uint64 among the members:
-            # check them one by one, so 1.5 is refused rather than truncated
-            for v in self.members:
-                read_index(v, "event member", 0, (1 << n) - 1)
+            # no collection, or a float, a string or an int past uint64 among
+            # the members: read them one by one, so 1.5 is refused, not truncated
+            read_indices(self.members, "event member", 0, (1 << n) - 1)
 
     @classmethod
     def from_strings(cls, strings) -> "EventFamily":

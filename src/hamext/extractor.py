@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bits import as_bits, read_checkpoints, read_index
+from .bits import as_bits, prefix_distances, read_index, read_indices
 from .budgets import BudgetFunction
 from .errors import ConfigError, ContractError, DimensionError, DomainError, ResourceError
 
@@ -64,6 +64,13 @@ def core_indices(core, length: int) -> range | np.ndarray:
     return idx
 
 
+def _margins(x: np.ndarray, cores) -> np.ndarray:
+    """2·ones − |core| on x for each core in the form core_indices
+    returns: a range is counted as one slice, an array by fancy index."""
+    return np.array([2 * np.count_nonzero(x[c.start:c.stop] if isinstance(c, range) else x[c])
+                     - len(c) for c in cores], dtype=np.int64)
+
+
 def majority_bit(X, core) -> int:
     """1 iff strictly more ones than zeros on the (odd-size) core.
 
@@ -71,9 +78,7 @@ def majority_bit(X, core) -> int:
     X raise instead of being counted twice or wrapped around.
     """
     x = as_bits(X)
-    idx = core_indices(core, x.size)
-    voters = x[idx.start:idx.stop] if isinstance(idx, range) else x[idx]
-    return 1 if 2 * int(np.count_nonzero(voters)) > len(idx) else 0
+    return 1 if _margins(x, [core_indices(core, x.size)])[0] > 0 else 0
 
 
 @dataclass(frozen=True)
@@ -88,9 +93,11 @@ class BlockSchedule:
             raise ConfigError("a block schedule needs at least one block")
         prev_end = None
         prev_size = 0
-        for k, (start, end) in enumerate(self.blocks):
-            start = read_index(start, f"block {k} start", error=ConfigError)
-            end = read_index(end, f"block {k} end", start + 1, error=ConfigError)
+        for k, block in enumerate(self.blocks):
+            bounds = read_indices(block, f"block {k} bound", error=ConfigError)
+            if len(bounds) != 2 or bounds[0] >= bounds[1]:
+                raise ConfigError(f"block {k} must be a pair start < end, got {block!r}")
+            start, end = bounds
             if prev_end is not None and start != prev_end:
                 raise ConfigError(f"block {k} must start at {prev_end}, starts at {start}")
             if end - start < prev_size:
@@ -103,8 +110,7 @@ class BlockSchedule:
     def from_sizes(cls, sizes, output_index_map=()) -> "BlockSchedule":
         blocks = []
         pos = 0
-        for s in sizes:
-            s = read_index(s, "block size", 1, error=ConfigError)
+        for s in read_indices(sizes, "block size", 1, error=ConfigError):
             blocks.append((pos, pos + s))
             pos += s
         return cls(tuple(blocks), tuple(output_index_map))
@@ -210,20 +216,17 @@ def extract(X, schedule, budget: BudgetFunction | None = None) -> ExtractionTrac
             missing = [k for k, (_, e) in enumerate(schedule.blocks) if e > x.size]
             raise DimensionError(
                 f"input of length {x.size} does not cover blocks {missing}")
-        cores = schedule.odd_cores
-        ones = np.array([np.count_nonzero(x[s:e]) for s, e in cores], dtype=np.int64)
-        margins = 2 * ones - np.array([e - s for s, e in cores], dtype=np.int64)
-        full_sizes = np.array(schedule.sizes)
+        cores = [range(s, e) for s, e in schedule.odd_cores]
+        full_sizes = schedule.sizes
     else:
         cores, full_sizes = _cores_of(schedule, x.size)
-        margins = np.array([2 * int(x[c].sum()) - c.size for c in cores], dtype=np.int64)
+    margins = _margins(x, cores)
     outputs = (margins > 0).astype(np.uint8)
     robust = None
     if budget is not None:
         allow = np.array([budget(int(n)) for n in full_sizes], dtype=np.int64)
         robust = np.abs(margins) > 2 * allow
-    return ExtractionTrace(outputs=outputs, margins=margins.astype(np.int64),
-                           robust_flags=robust)
+    return ExtractionTrace(outputs=outputs, margins=margins, robust_flags=robust)
 
 
 def _decay_ok(g: BudgetFunction, n: int, k: int) -> bool:
@@ -247,7 +250,8 @@ def make_schedule(g: BudgetFunction, block_count: int,
         return BlockSchedule.from_sizes([1] * block_count)
     sizes: list[int] = []
     total = 0
-    checkpoints = None if N_constraint is None else sorted(set(read_checkpoints(N_constraint)))
+    checkpoints = (None if N_constraint is None
+                   else sorted(set(read_indices(N_constraint, "checkpoint"))))
     for k in range(block_count):
         lower = max(sizes[-1] if sizes else 1, total, 1)
         if checkpoints is not None:
@@ -303,48 +307,31 @@ def check_schedule(schedule: BlockSchedule, g: BudgetFunction,
             if ratio_sq_num > n:
                 bad.append(f"block {k}: g(n_k)/sqrt(n_k) exceeds 2^-{k}")
     if N_constraint is not None and not g.is_bounded:
-        allowed = set(read_checkpoints(N_constraint))
+        allowed = set(read_indices(N_constraint, "checkpoint"))
         for m, s in enumerate(schedule.partial_sums):
             if s not in allowed:
                 bad.append(f"partial sum {s} (through block {m}) not a checkpoint")
     return bad
 
 
-def prefix_distances(X, Y, checkpoints) -> np.ndarray:
-    """d(X|n, Y|n) at each checkpoint n, as int64 in the order given.
-
-    Each n must be an integer in 0..len(X) (DomainError otherwise); X
-    and Y must share one length (DimensionError otherwise).
-    """
-    x, y = as_bits(X), as_bits(Y)
-    if x.size != y.size:
-        raise DimensionError(f"length mismatch: {x.size} vs {y.size}")
-    ns = np.array(read_checkpoints(checkpoints, x.size), dtype=np.int64)
-    cum = np.cumsum(np.concatenate(([False], x != y)), dtype=np.int64)  # cum[n] = d(X|n, Y|n)
-    return cum[ns]
-
-
 def similar_p_N(X, Y, p: BudgetFunction, N, n0: int = 0) -> bool:
     """Prefix Hamming distances at the checkpoints N (from n0 on) all
     obey the budget: d(X|n, Y|n) <= p(n). Every checkpoint, those below
     n0 included, must be an integer in 0..len(X)."""
-    N = read_checkpoints(N)
+    N = read_indices(N, "checkpoint")
     dist = prefix_distances(X, Y, N).tolist()
     return all(d <= p(n) for n, d in zip(N, dist) if n >= n0)
 
 
 def similar_g_phi(X, Y, g: BudgetFunction, schedule: BlockSchedule) -> bool:
     """Per-block disagreement counts all within g of the block size."""
-    x, y = as_bits(X), as_bits(Y)
-    if x.size != y.size:
-        raise DimensionError(f"length mismatch: {x.size} vs {y.size}")
+    x = as_bits(X)
     if schedule.total_length > x.size:
         raise DimensionError("inputs do not cover the schedule")
-    diff = (x != y)
-    for (s, e) in schedule.blocks:
-        if int(diff[s:e].sum()) > g(e - s):
-            return False
-    return True
+    # block k's count is the rise of the prefix distance across [start_k, end_k)
+    ends = [schedule.blocks[0][0], *(e for _, e in schedule.blocks)]
+    counts = np.diff(prefix_distances(x, Y, ends)).tolist()
+    return all(d <= g(e - s) for d, (s, e) in zip(counts, schedule.blocks))
 
 
 class PsiPoint(NamedTuple):
@@ -373,7 +360,7 @@ def psi_deviation(X, A, Lambda: Callable[[int], float] = default_lambda,
         checkpoints = [1 << j for j in range(4, x.size.bit_length()) if 1 << j <= x.size]
         if not checkpoints:
             checkpoints = [x.size]
-    ns = read_checkpoints(checkpoints)
+    ns = read_indices(checkpoints, "checkpoint")
     if 0 in ns:
         raise DomainError("checkpoint 0: the envelope sqrt(2 n L(n)) vanishes")
     out = []

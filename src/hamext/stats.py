@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bits import as_bits, read_checkpoints, read_index
+from .bits import as_bits, read_index, read_indices
 from .cube import _middle_out_tails
 from .errors import ContractError, DimensionError, DomainError, ResourceError
 
@@ -246,9 +246,9 @@ def frequency_on_set(X, N, checkpoints) -> list[FrequencyReport]:
     """Ones-frequency of X restricted to the position set N at each
     checkpoint n in 0..len(X) (undefined, not an error, while N∩n is empty)."""
     x = as_bits(X)
-    pos = np.asarray(sorted(read_index(i, "position", 0, x.size - 1) for i in N), dtype=np.int64)
+    pos = np.asarray(sorted(read_indices(N, "position", 0, x.size - 1)), dtype=np.int64)
     out = []
-    for n in read_checkpoints(checkpoints, x.size):
+    for n in read_indices(checkpoints, "checkpoint", 0, x.size):
         upto = pos[pos < n]
         out.append(FrequencyReport.of(upto.size, int(x[upto].sum()), checkpoint=n))
     return out

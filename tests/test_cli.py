@@ -1,10 +1,15 @@
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import re
+import tempfile
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamext.bits import read_packed_bits, write_packed_bits, write_text_bits
 from hamext.cli import main
@@ -291,6 +296,15 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "resource"
 
+    def test_refused_allocation_is_three(self, tmp_path, monkeypatch, capsys):
+        def refuse(seed, length):
+            raise MemoryError("Unable to allocate 11.4 TiB")
+
+        monkeypatch.setattr("hamext.cli.bit_stream", refuse)
+        assert run(["extract", "--length", 10 ** 14, "--out-dir", tmp_path]) == 3
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "resource", "message": "Unable to allocate 11.4 TiB"}
+
     def test_contract_violation_is_two(self, tmp_path, capsys):
         assert run(["smallball", "--budget", "power:-1", "--out-dir", tmp_path]) == 2
         assert json.loads(capsys.readouterr().err)["message"]
@@ -356,6 +370,17 @@ class TestExitCodes:
     def test_unreadable_file_is_two(self, tmp_path, capsys, args):
         self.assert_exit_two([*args, tmp_path / "absent"], tmp_path, capsys)
 
+    @pytest.mark.parametrize("args", [
+        ["trace-refine", "--input"],
+        ["extract", "--input"],
+        ["extract", "--schedule-file"],
+        ["lil", "--config"],
+    ], ids=["trace-refine-input", "extract-input", "extract-schedule-file", "lil-config"])
+    def test_non_text_file_is_two(self, tmp_path, capsys, args):
+        path = tmp_path / "bytes"
+        path.write_bytes(b"0" * 64 + b"\xff\n")  # sniffed as text by its first 64 bytes
+        self.assert_exit_two([*args, path], tmp_path, capsys)
+
     @pytest.mark.parametrize("args", [["--n", -1], ["--nu", "2,4", "--n", 0]],
                              ids=["sparse-n-negative", "series-n-zero"])
     def test_weber_n_below_one_is_two(self, tmp_path, capsys, args):
@@ -375,6 +400,49 @@ class TestExitCodes:
     def test_lil_non_finite_epsilon_is_two(self, tmp_path, capsys, epsilon):
         self.assert_exit_two(["lil", "--length", 64, "--epsilon", epsilon],
                              tmp_path, capsys, "DomainError")
+
+
+# Values a fuzzed option may take. power:1/3 is left out, and gen-budget is
+# always given, because that budget's 5-block schedule spans 17 million bits.
+TOKENS = [*map(str, range(-3, 65)), "2.5", "1/2", "x",
+          "power:1/2", "power:2/3", "table:0", "table:1=2", "lil:1",
+          "power:", "power:x", "table:1=", "lil:", "affine_sqrt:1", "cube:2",
+          "2,4", "csv", "evens", "parity", "lnln"]
+FILES = {"empty": b"", "text": b"0110100111\n", "lines": b"0110\n1010\n0011\n",
+         "schedule": b"0 0 3 3\n1 3 8 8\n", "garbage": bytes(range(255, -1, -1))}
+
+
+@pytest.fixture(scope="module")
+def input_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("inputs")
+    for name, data in FILES.items():
+        (path / name).write_bytes(data)
+    write_packed_bits(path / "packed", bit_stream(1, 40))
+    return path
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_every_command_exits_zero_two_or_three(input_dir, data):
+    command = data.draw(st.sampled_from(sorted(KEYS)), label="command")
+    args = [command]
+    for key in KEYS[command]:
+        if key in ("input", "schedule-file"):
+            token = data.draw(st.none() | st.sampled_from([*FILES, "packed", "absent"]), label=key)
+            token = token and input_dir / token
+        elif key == "gen-budget":
+            token = data.draw(st.sampled_from(TOKENS), label=key)
+        else:
+            token = data.draw(st.none() | st.sampled_from(TOKENS), label=key)
+        if token is not None:
+            args += [f"--{key}", token]
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory(dir=input_dir) as out, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = run([*args, "--out-dir", out])
+    assert code in (0, 2, 3)
+    if code:
+        assert {"error", "message"} <= json.loads(stderr.getvalue().splitlines()[-1]).keys()
 
 
 class TestPipelines:

@@ -1,7 +1,8 @@
 """Every caller-supplied integer is read by bits.read_index: a float, a
 digit string or None is refused with the parameter's HamextError
 subclass rather than rounded, accepted or leaked as a TypeError, and so
-is an integer outside the parameter's range."""
+is an integer outside the parameter's range. A parameter that takes a
+collection of them refuses a value that is not one the same way."""
 
 import operator
 
@@ -84,6 +85,18 @@ ROWS = [
     ("stages_from_blocks target",
      lambda v: stages_from_blocks(BlockSchedule.from_sizes((1, 2, 3)), G, [v]),
      ConfigError, REFUSED + (3,)),
+    # collections of integers given a value that is not one
+    ("frequency_on_set positions", lambda v: frequency_on_set("1011", v, [4]),
+     DomainError, (5, None)),
+    ("BlockSchedule.from_sizes sizes", lambda v: BlockSchedule.from_sizes(v),
+     ConfigError, (5, None)),
+    ("stages_from_blocks targets",
+     lambda v: stages_from_blocks(BlockSchedule.from_sizes((1, 2, 3)), G, v), ConfigError, (5,)),
+    ("AdversarySchedule stage_bounds", lambda v: AdversarySchedule(v, (0,), G),
+     ConfigError, (5, None)),
+    ("EventFamily members", lambda v: EventFamily(3, v), DomainError, (5, None)),
+    ("BlockSchedule block pair", lambda v: BlockSchedule((v,)), ConfigError,
+     ((0,), (0, 1, 2), 5)),
 ]
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hamext.adversary import CorruptionReport, verify_similarity
 from hamext.bits import as_bits, to_text
 from hamext.budgets import parse_budget
+from hamext.cube import hamming_distance
 from hamext.errors import (ConfigError, ContractError, DimensionError,
                            DomainError, ResourceError)
 from hamext.extractor import (BlockSchedule, check_schedule, default_lambda,
@@ -16,6 +17,12 @@ from hamext.extractor import (BlockSchedule, check_schedule, default_lambda,
                               prefix_distances, psi_deviation, similar_g_phi,
                               similar_p_N)
 from hamext.rng import bit_stream
+
+
+def g_phi_oracle(x, y, g, schedule) -> bool:
+    """similar_g_phi as a per-block loop over its own disagreement count."""
+    diff = x != y
+    return all(int(diff[s:e].sum()) <= g(e - s) for s, e in schedule.blocks)
 
 
 def majority_oracle(x: str, core) -> int:
@@ -338,6 +345,9 @@ class TestSimilarity:
         assert similar_g_phi(x, y, g, sched)
         y[1] ^= 1  # second flip in block 0
         assert not similar_g_phi(x, y, g, sched)
+        # positions before the first block are not counted
+        assert similar_g_phi("1110000", "0000000", parse_budget("table:0"),
+                             BlockSchedule(((3, 4), (4, 7))))
 
     def test_prefix_similarity_transfers_to_blocks(self):
         # p(n) = g(n/2) with checkpoint sums and superadditive sizes
@@ -380,6 +390,23 @@ class TestPrefixDistances:
         assert prefix_distances("", "", [0, 0]).tolist() == [0, 0]
         assert prefix_distances("", "", []).tolist() == []
         assert prefix_distances("0110", "1100", np.array([4, 1, 2, 4])).tolist() == [2, 1, 1, 2]
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_readers_match_their_oracles(self, data):
+        start = data.draw(st.integers(0, 5), label="first block start")
+        sizes = sorted(data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=5)))
+        length = start + sum(sizes) + data.draw(st.integers(0, 3), label="tail")
+        x = np.array(data.draw(st.lists(st.integers(0, 1), min_size=length,
+                                        max_size=length)), dtype=np.uint8)
+        y = x.copy()
+        y[sorted(data.draw(st.sets(st.integers(0, length - 1), max_size=4), label="flips"))] ^= 1
+        g = parse_budget(data.draw(st.sampled_from(
+            ["table:0", "table:1", "table:2", "table:1=0,3=1", "power:1/2"])))
+        ends = np.cumsum([start, *sizes]).tolist()
+        sched = BlockSchedule(tuple(zip(ends, ends[1:])))
+        assert similar_g_phi(x, y, g, sched) == g_phi_oracle(x, y, g, sched)
+        assert hamming_distance(x, y) == np.count_nonzero(x != y)
 
     def test_checkpoint_contract(self):
         for bad in (2.5, -3, 6, "3"):
