@@ -110,6 +110,28 @@ class TestCorrupt:
         assert int((x != y).sum()) == flips == doc["cumulative"][-1]
 
 
+# The files each subcommand writes: its report, its side table with
+# --format csv (lil, which takes no --format, always writes its table),
+# and corrupt's stream; a subcommand without --format refuses it and
+# writes nothing
+WRITES = [
+    (["extract", "--seed", 2, "--blocks", 2], {"extract.json"},
+     {"extract.json", "extract.csv"}),
+    (["corrupt", "--seed", 1, "--blocks", 2], {"corrupt.json", "y.bits"}, None),
+    (["harper", "--n", 2], {"harper.json"}, {"harper.json", "harper.csv"}),
+    (["clt-check", "--n-list", 10], {"clt_check.json"},
+     {"clt_check.json", "clt_check.csv"}),
+    (["smallball", "--n-list", 16], {"smallball.json"},
+     {"smallball.json", "smallball.csv"}),
+    (["lil", "--length", 256], {"lil.json", "lil.csv"}, None),
+    (["weber", "--n", 6], {"weber.json"}, {"weber.json", "weber.csv"}),
+    (["keylemma", "--n", 3, "--trials", 2], {"keylemma.json"}, None),
+    (["select", "--length", 64], {"select.json"}, None),
+    (["trace-refine", "--input", "strings.txt"], {"trace_refine.json"}, None),
+    (["suite"], {"suite.json"}, None),
+]
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path):
         for d in ("a", "b"):
@@ -136,11 +158,60 @@ class TestDeterminism:
          "30d4ffc00886d4f503081f4eb4945346a5d29d47178788ebad6a26464a5ef51b"),
         (["harper", "--n", 4], "harper.json",
          "809a5d87c54c0a2a4f613d222658c63e1e7b58f0229f3995e2a570ebb33a79d1"),
+        (["extract", "--seed", 2, "--blocks", 3, "--budget", "power:1/3", "--format", "csv"],
+         "extract.json", "bfde5b8b81b438462c17222dab5f268f33eac329da6abe8e2dc939c8200f3c36"),
+        (["extract", "--seed", 2, "--blocks", 3, "--budget", "power:1/3", "--format", "csv"],
+         "extract.csv", "3b1c4e33a6740697c0d4ac538482b65abe39a50ef2ec9a6ab2727586ce43dd59"),
+        (["corrupt", "--seed", 1], "corrupt.json",
+         "62a711e4c0a429a613a57c6dab8f0e9b6cff633186e5be1268ea2165607d74bd"),
+        (["corrupt", "--seed", 1], "y.bits",
+         "9f2bf7d3e065e843786597ab8be07bb37610cdfcb5cd6d72b3d9e1f16f8ceec4"),
+        (["lil", "--seed", 5, "--length", 65536], "lil.json",
+         "952ece7079ddb2252b7b1aa6ec7fcec19b699b30a269614904c14ba69e47cba3"),
+        (["lil", "--seed", 5, "--length", 65536], "lil.csv",
+         "1c4ef0a64376cfd21ed3096336b081a8fa9d888672f0fa9a3dafc7c39b640b45"),
+        (["select", "--rule", "evens", "--seed", 3, "--length", 1000], "select.json",
+         "9b7869d6c7174413a2500b0f24b559430a80a8881d9ccf606163dbadcb5927a3"),
+        (["trace-refine", "--input", "strings.txt"], "trace_refine.json",
+         "dfa6aab46d490890942b4e69959b7de275e554bddd3b4b764dcb09798f224558"),
+        (["suite"], "suite.json",
+         "bd1d8904e8bd182651fa45be295c529582f462b03ec6e2be03ad07d4702b5762"),
+        (["harper", "--n", 4, "--format", "csv"], "harper.csv",
+         "0fd24eb3ff71ee140545bcebdfc2a10a9e229aaba91a7ff4989a6b30cc4df358"),
+        (["clt-check", "--format", "csv"], "clt_check.csv",
+         "539b53ed71a9b3f606d4d90beac35831d0db677683be9110535533a9f6b6f04c"),
+        (["smallball", "--format", "csv"], "smallball.csv",
+         "678b2110343558c14473495a8b82aa3b64723ffb5d51b5d0ff965637edccf452"),
+        (["weber", "--format", "csv"], "weber.csv",
+         "4989590348f52d0da923ad55e71fb295a3533c0d231441d6ce554b400ef67d09"),
     ], ids=["keylemma-n4", "keylemma-n8", "keylemma-n12", "weber-default",
-            "clt-check-default", "smallball-default", "harper-n4"])
-    def test_pinned_report_digests(self, tmp_path, args, name, digest):
-        assert run([*args, "--out-dir", tmp_path]) == 0
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+            "clt-check-default", "smallball-default", "harper-n4",
+            "extract-json", "extract-csv", "corrupt-json", "corrupt-y-bits", "lil-json",
+            "lil-csv", "select-evens", "trace-refine", "suite", "harper-n4-csv",
+            "clt-check-csv", "smallball-csv", "weber-csv"])
+    def test_pinned_report_digests(self, tmp_path, monkeypatch, args, name, digest):
+        monkeypatch.chdir(tmp_path)  # the embedded config names the input as given
+        write_text_bits("strings.txt", ["11100", "10110"])
+        assert run([*args, "--out-dir", "out"]) == 0
+        assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("args, written, csv_written", WRITES,
+                             ids=[args[0] for args, _, _ in WRITES])
+    @pytest.mark.parametrize("fmt", ["default", "csv"])
+    def test_files_each_command_writes(self, tmp_path, monkeypatch, capsys,
+                                       args, written, csv_written, fmt):
+        monkeypatch.chdir(tmp_path)
+        write_text_bits("strings.txt", ["11100", "10110"])
+        extra = ["--format", "csv"] if fmt == "csv" else []
+        code = run([*args, *extra, "--out-dir", "out"])
+        if fmt == "csv" and csv_written is None:
+            assert code == 2
+            assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+            assert not (tmp_path / "out").exists()
+        else:
+            assert code == 0
+            expected = csv_written if fmt == "csv" else written
+            assert {p.name for p in (tmp_path / "out").iterdir()} == expected
 
     def test_reports_embed_config_and_version(self, tmp_path):
         run(["harper", "--n", 2, "--out-dir", tmp_path])
