@@ -272,14 +272,3 @@ ALL_CRITERIA: tuple[Callable[[], CriterionResult], ...] = (
     crit_lil_smoke,
 )
 
-
-def run_all(printer=None) -> list[CriterionResult]:
-    results = []
-    for runner in ALL_CRITERIA:
-        res = runner()
-        results.append(res)
-        if printer is not None:
-            verdict = "PASS" if res.passed else "FAIL"
-            printer(f"[{verdict}] criterion {res.number}: {res.name} "
-                    f"({res.elapsed:.2f}s) - {res.detail}")
-    return results

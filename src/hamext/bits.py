@@ -63,15 +63,20 @@ def read_index(value, name: str, lo: int | None = 0, hi: int | None = None,
     return n
 
 
+def _collection(values, name: str, error: type[HamextError] = DomainError) -> list:
+    """The members of the collection `values` in the order given; a value
+    that is not a collection (an int, None) raises `error`."""
+    try:
+        return list(values)
+    except TypeError:
+        raise error(f"{name} values must come as a collection, got {values!r}") from None
+
+
 def read_indices(values, name: str, lo: int | None = 0, hi: int | None = None,
                  error: type[HamextError] = DomainError) -> list[int]:
     """The members of the collection `values` in the order given, each
     read by read_index; a value that is not a collection raises `error`."""
-    try:
-        values = list(values)
-    except TypeError:
-        raise error(f"{name} values must come as a collection, got {values!r}") from None
-    return [read_index(v, name, lo, hi, error) for v in values]
+    return [read_index(v, name, lo, hi, error) for v in _collection(values, name, error)]
 
 
 def prefix_distances(X, Y, checkpoints) -> np.ndarray:

@@ -2,11 +2,10 @@
 
 Every subcommand reads a merged configuration (flat key=value config
 file, command-line flags override) over the option keys it declares in
-_COMMANDS, runs one pipeline, and writes JSON
-reports (plus CSV side tables with --format csv) into --out-dir. Runs
-are reproducible: all randomness flows from --seed through Philox, no
-report contains a timestamp, and identical configurations produce
-byte-identical files.
+_COMMANDS, runs one pipeline and returns what it found as a Run; main
+alone writes that into --out-dir (see _write). Runs are reproducible:
+all randomness flows from --seed through Philox, no report contains a
+timestamp, and identical configurations produce byte-identical files.
 
 Exit codes: 0 success, 2 contract/configuration violation, 3 resource
 ceiling or an allocation the machine refuses. Violations also emit a
@@ -21,11 +20,12 @@ import math
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__
-from .acceptance import run_all
+from .acceptance import ALL_CRITERIA
 from .adversary import corrupt, stages_from_blocks, verify_similarity
 from .bits import read_packed_bits, read_text_bits, to_text, write_packed_bits
 from .budgets import parse_budget
@@ -96,22 +96,40 @@ def _int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
 
 
-def _write_report(out_dir: Path, name: str, payload: dict, cfg: dict) -> Path:
+# corrupt's corrupted stream, named relative to --out-dir
+_Y_FILE = "y.bits"
+
+
+class Run(NamedTuple):
+    """What a subcommand found: the report body, the summary printed on
+    stdout, an optional CSV side table (header, rows), the packed stream
+    corrupt writes to _Y_FILE, and the exit code."""
+
+    payload: dict
+    summary: str
+    table: Optional[tuple[list[str], list]] = None
+    stream: Optional[np.ndarray] = None
+    code: int = 0
+
+
+def _write(out_dir: Path, cfg: dict, run: Run) -> None:
+    """The CLI's one writer: _Y_FILE, then <command>.json, then
+    <command>.csv with --format csv or for a subcommand without
+    --format; the names take the subcommand's with '-' as '_'."""
+    name = cfg["command"].replace("-", "_")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if run.stream is not None:
+        write_packed_bits(out_dir / _Y_FILE, run.stream)
     payload = {"artifact_version": __version__,
                "config": _jsonable({k: str(v) for k, v in sorted(cfg.items())}),
-               **payload}
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{name}.json"
-    path.write_text(json.dumps(_jsonable(payload), sort_keys=True, indent=1) + "\n")
-    return path
-
-
-def _write_csv(out_dir: Path, name: str, header: list[str], rows) -> Path:
-    path = out_dir / f"{name}.csv"
-    lines = [",".join(header)]
-    lines += [",".join(str(c) for c in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
-    return path
+               **run.payload}
+    (out_dir / f"{name}.json").write_text(
+        json.dumps(_jsonable(payload), sort_keys=True, indent=1) + "\n")
+    if run.table is not None and (cfg["format"] == "csv"
+                                  or "format" not in _COMMANDS[cfg["command"]][2]):
+        header, rows = run.table
+        lines = [",".join(header)] + [",".join(str(c) for c in row) for row in rows]
+        (out_dir / f"{name}.csv").write_text("\n".join(lines) + "\n")
 
 
 def _load_bits(path: str) -> np.ndarray:
@@ -140,7 +158,7 @@ def _schedule(cfg) -> BlockSchedule:
     return make_schedule(g, _option(cfg, "blocks", int, 4))
 
 
-def cmd_extract(cfg: dict, out: Path) -> int:
+def cmd_extract(cfg: dict) -> Run:
     sched = _schedule(cfg)
     x = _input_bits(cfg, max(1 << 16, sched.total_length))
     budget = parse_budget(cfg["budget"]) if cfg.get("budget") else None
@@ -149,16 +167,12 @@ def cmd_extract(cfg: dict, out: Path) -> int:
                "margins": trace.margins.tolist(),
                "robust": None if trace.robust_flags is None else trace.robust_flags.tolist(),
                "schedule": sched.to_text()}
-    _write_report(out, "extract", payload, cfg)
-    if cfg["format"] == "csv":
-        _write_csv(out, "extract", ["block", "margin", "output"],
-                   [(k, int(trace.margins[k]), int(trace.outputs[k]))
-                    for k in range(len(sched))])
-    print(f"extracted {len(sched)} output bits: {to_text(trace.outputs)}")
-    return 0
+    return Run(payload, f"extracted {len(sched)} output bits: {to_text(trace.outputs)}",
+               (["block", "margin", "output"],
+                [(k, int(trace.margins[k]), int(trace.outputs[k])) for k in range(len(sched))]))
 
 
-def cmd_corrupt(cfg: dict, out: Path) -> int:
+def cmd_corrupt(cfg: dict) -> Run:
     sched = _schedule(cfg)
     # corrupt takes no length: a generated stream is exactly as long as the schedule
     x = _input_bits(cfg, sched.total_length)
@@ -169,22 +183,17 @@ def cmd_corrupt(cfg: dict, out: Path) -> int:
     adv = stages_from_blocks(sched, p, targets)
     report = corrupt(x, sched, adv)
     re_outputs = extract(report.Y, sched).outputs
-    out.mkdir(parents=True, exist_ok=True)
-    y_file = out / "y.bits"
-    write_packed_bits(y_file, report.Y)
-    payload = report.to_json_dict(y_file=y_file.name)
+    payload = report.to_json_dict(y_file=_Y_FILE)
     payload["targets_rezero"] = [int(re_outputs[t]) == 0 for t in adv.targets]
     payload["similarity_verified"] = verify_similarity(report, x, p, adv.stage_bounds)
     payload["stage_bounds"] = list(adv.stage_bounds)
     payload["schedule"] = sched.to_text()
-    _write_report(out, "corrupt", payload, cfg)
     forced = sum(1 for r in report.per_stage if r.forced)
-    print(f"corrupted {forced}/{len(report.per_stage)} stages, "
-          f"budget_ok={report.budget_ok}, y -> {y_file}")
-    return 0
+    return Run(payload, f"corrupted {forced}/{len(report.per_stage)} stages, "
+                        f"budget_ok={report.budget_ok}, y -> {_Y_FILE}", stream=report.Y)
 
 
-def cmd_harper(cfg: dict, out: Path) -> int:
+def cmd_harper(cfg: dict) -> Run:
     n = _option(cfg, "n", int, 3)
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
@@ -195,16 +204,14 @@ def cmd_harper(cfg: dict, out: Path) -> int:
             mn, sphere = harper_min_neighborhood(n, size, d)
             rows.append((n, size, d, mn, sphere))
             equal &= mn == sphere
-    _write_report(out, "harper", {"n": n, "all_equal": equal,
-                                  "rows": [{"size": s, "d": d, "min": m, "sphere": sp}
-                                           for _, s, d, m, sp in rows]}, cfg)
-    if cfg["format"] == "csv":
-        _write_csv(out, "harper", ["n", "size", "d", "exhaustive_min", "sphere_value"], rows)
-    print(f"harper n={n}: {len(rows)} cases, minima all equal canonical spheres: {equal}")
-    return 0
+    return Run({"n": n, "all_equal": equal,
+                "rows": [{"size": s, "d": d, "min": m, "sphere": sp}
+                         for _, s, d, m, sp in rows]},
+               f"harper n={n}: {len(rows)} cases, minima all equal canonical spheres: {equal}",
+               (["n", "size", "d", "exhaustive_min", "sphere_value"], rows))
 
 
-def cmd_clt_check(cfg: dict, out: Path) -> int:
+def cmd_clt_check(cfg: dict) -> Run:
     ns = _option(cfg, "n-list", _int_list, "10,100,1000,10000")
     rows = []
     ok = True
@@ -212,16 +219,13 @@ def cmd_clt_check(cfg: dict, out: Path) -> int:
         gap, bound = binomial_cdf_gap(n), berry_esseen_bound(n)
         rows.append((n, repr(gap), repr(bound), gap <= bound))
         ok &= gap <= bound
-    _write_report(out, "clt_check", {"within_bound": ok,
-                                     "rows": [{"n": n, "gap": g, "bound": b, "ok": o}
-                                              for n, g, b, o in rows]}, cfg)
-    if cfg["format"] == "csv":
-        _write_csv(out, "clt_check", ["n", "gap", "bound", "ok"], rows)
-    print(f"clt-check: {len(rows)} sizes, all within 0.71/sqrt(n): {ok}")
-    return 0
+    return Run({"within_bound": ok,
+                "rows": [{"n": n, "gap": g, "bound": b, "ok": o} for n, g, b, o in rows]},
+               f"clt-check: {len(rows)} sizes, all within 0.71/sqrt(n): {ok}",
+               (["n", "gap", "bound", "ok"], rows))
 
 
-def cmd_smallball(cfg: dict, out: Path) -> int:
+def cmd_smallball(cfg: dict) -> Run:
     ns = _option(cfg, "n-list", _int_list, "16,64,256,1024,4096")
     g = parse_budget(cfg.get("budget", "power:1/3"))
     rows = []
@@ -232,32 +236,26 @@ def cmd_smallball(cfg: dict, out: Path) -> int:
         rows.append((n, g(n), exact.numerator, exact.denominator, repr(bound),
                      float(exact) <= bound))
         ok &= float(exact) <= bound
-    _write_report(out, "smallball", {"budget": g.token, "within_bound": ok,
-                                     "rows": [{"n": n, "g": gg, "exact_num": num,
-                                               "exact_den": den, "bound": b, "ok": o}
-                                              for n, gg, num, den, b, o in rows]}, cfg)
-    if cfg["format"] == "csv":
-        _write_csv(out, "smallball", ["n", "g", "exact_num", "exact_den", "bound", "ok"], rows)
-    print(f"smallball: {len(rows)} sizes, exact within envelope: {ok}")
-    return 0
+    return Run({"budget": g.token, "within_bound": ok,
+                "rows": [{"n": n, "g": gg, "exact_num": num, "exact_den": den,
+                          "bound": b, "ok": o} for n, gg, num, den, b, o in rows]},
+               f"smallball: {len(rows)} sizes, exact within envelope: {ok}",
+               (["n", "g", "exact_num", "exact_den", "bound", "ok"], rows))
 
 
-def cmd_lil(cfg: dict, out: Path) -> int:
+def cmd_lil(cfg: dict) -> Run:
     x = _input_bits(cfg)
     eps = _option(cfg, "epsilon", float, 0.0)
     points = psi_deviation(x, np.zeros(x.size, dtype=np.uint8), epsilon=eps)
-    _write_report(out, "lil", {"epsilon": eps, "length": int(x.size),
-                               "series": [{"n": p.n, "statistic": p.statistic,
-                                           "within_envelope": p.within_envelope}
-                                          for p in points]}, cfg)
-    _write_csv(out, "lil", ["n", "statistic"],
-               [(p.n, repr(p.statistic)) for p in points])
-    print(f"lil: {len(points)} checkpoints, max statistic "
-          f"{max(p.statistic for p in points):.4f}")
-    return 0
+    return Run({"epsilon": eps, "length": int(x.size),
+                "series": [{"n": p.n, "statistic": p.statistic,
+                            "within_envelope": p.within_envelope} for p in points]},
+               f"lil: {len(points)} checkpoints, max statistic "
+               f"{max(p.statistic for p in points):.4f}",
+               (["n", "statistic"], [(p.n, repr(p.statistic)) for p in points]))
 
 
-def cmd_weber(cfg: dict, out: Path) -> int:
+def cmd_weber(cfg: dict) -> Run:
     n_max = _option(cfg, "n", int, 20)
     if cfg.get("nu"):
         nu = _option(cfg, "nu", _int_list)
@@ -276,64 +274,55 @@ def cmd_weber(cfg: dict, out: Path) -> int:
         payload = {"mode": "sparse", "rate": rate, "nu": nu,
                    "threshold": threshold, "p_counts": series.p_counts}
         summary = f"weber sparse: |nu| = {len(nu)}, threshold {threshold}"
-    rates = [{"block": m, "k_low": (1 << (m - 1)) + 1,
-              "log_rate": series.log_rate((1 << (m - 1)) + 1) if m >= 1 else None}
-             for m in range(1, n_max + 1)]
-    payload["log_rates"] = rates
-    _write_report(out, "weber", payload, cfg)
-    if cfg["format"] == "csv":
-        _write_csv(out, "weber", ["n", "p_count"],
-                   list(enumerate(series.p_counts, start=1)))
-    print(summary)
-    return 0
+    payload["log_rates"] = [{"block": m, "k_low": (1 << (m - 1)) + 1,
+                             "log_rate": series.log_rate((1 << (m - 1)) + 1)}
+                            for m in range(1, n_max + 1)]
+    return Run(payload, summary, (["n", "p_count"], list(enumerate(series.p_counts, start=1))))
 
 
-def cmd_keylemma(cfg: dict, out: Path) -> int:
+def cmd_keylemma(cfg: dict) -> Run:
     n = _option(cfg, "n", int, 8)
     trials = _option(cfg, "trials", int, 200)
     threshold = _option(cfg, "threshold", Fraction, "1/2")
     report = verify_key_lemma(n, trials, threshold, _option(cfg, "seed", int, 0))
-    _write_report(out, "keylemma", report, cfg)
-    print(f"keylemma n={n}: {len(report['families'])} families, "
-          f"{report['violations']} violations")
-    return 0 if report["violations"] == 0 else 2
+    return Run(report, f"keylemma n={n}: {len(report['families'])} families, "
+                       f"{report['violations']} violations",
+               code=0 if report["violations"] == 0 else 2)
 
 
-def cmd_select(cfg: dict, out: Path) -> int:
+def cmd_select(cfg: dict) -> Run:
     rule_name = cfg.get("rule", "all")
     if rule_name not in _RULES:
         raise ConfigError(f"unknown selection rule {rule_name!r}; have {sorted(_RULES)}")
     x = _input_bits(cfg)
     report = apply_selection(_RULES[rule_name](), x)
-    _write_report(out, "select", {"rule": rule_name,
-                                  "positions_examined": report.positions_examined,
-                                  "ones_count": report.ones_count,
-                                  "relative_frequency": report.relative_frequency,
-                                  "deviation_from_half": report.deviation_from_half}, cfg)
-    print(f"select[{rule_name}]: {report.ones_count}/{report.positions_examined} ones "
-          f"(frequency {report.relative_frequency})")
-    return 0
+    return Run({"rule": rule_name,
+                "positions_examined": report.positions_examined,
+                "ones_count": report.ones_count,
+                "relative_frequency": report.relative_frequency,
+                "deviation_from_half": report.deviation_from_half},
+               f"select[{rule_name}]: {report.ones_count}/{report.positions_examined} ones "
+               f"(frequency {report.relative_frequency})")
 
 
-def cmd_trace_refine(cfg: dict, out: Path) -> int:
+def cmd_trace_refine(cfg: dict) -> Run:
     if not cfg.get("input"):
         raise ConfigError("trace-refine needs an input file with one string per line")
     strings = read_text_bits(cfg["input"])
     positions, constants = majority_refinement(strings)
-    _write_report(out, "trace_refine", {"count": len(strings),
-                                        "positions": positions,
-                                        "constants": constants}, cfg)
-    print(f"trace-refine: {len(strings)} strings -> {len(positions)} surviving positions")
-    return 0
+    return Run({"count": len(strings), "positions": positions, "constants": constants},
+               f"trace-refine: {len(strings)} strings -> {len(positions)} surviving positions")
 
 
-def cmd_suite(cfg: dict, out: Path) -> int:
-    results = run_all(printer=print)
-    _write_report(out, "suite", {"all_passed": all(r.passed for r in results),
-                                 "criteria": [{"number": r.number, "name": r.name,
-                                               "passed": r.passed, "detail": r.detail}
-                                              for r in results]}, cfg)
-    return 0 if all(r.passed for r in results) else 2
+def cmd_suite(cfg: dict) -> Run:
+    results = [runner() for runner in ALL_CRITERIA]
+    passed = all(r.passed for r in results)
+    return Run({"all_passed": passed,
+                "criteria": [{"number": r.number, "name": r.name,
+                              "passed": r.passed, "detail": r.detail} for r in results]},
+               "\n".join(f"[{'PASS' if r.passed else 'FAIL'}] criterion {r.number}: {r.name} "
+                         f"({r.elapsed:.2f}s) - {r.detail}" for r in results),
+               code=0 if passed else 2)
 
 
 # One row per subcommand: its handler, its help text and the option keys
@@ -428,7 +417,11 @@ def _merged_config(args: argparse.Namespace) -> dict:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command][0](_merged_config(args), Path(args.out_dir))
+        cfg = _merged_config(args)
+        run = _COMMANDS[args.command][0](cfg)
+        _write(Path(args.out_dir), cfg, run)
+        print(run.summary)
+        return run.code
     except (ResourceError, MemoryError) as exc:  # numpy refuses a huge allocation at once
         print(json.dumps({"error": "resource", "message": str(exc)}), file=sys.stderr)
         return 3

@@ -22,7 +22,8 @@ from math import comb
 import numpy as np
 
 from . import kernels
-from .bits import as_bits, bits_to_mask, prefix_distances, read_index, read_indices, to_text
+from .bits import (_collection, as_bits, bits_to_mask, prefix_distances, read_index,
+                   read_indices, to_text)
 from .errors import DimensionError, DomainError, ResourceError
 
 HARPER_DEFAULT_CEILING = 4
@@ -115,7 +116,7 @@ def neighborhood(A, d: int) -> set[str]:
     A is any iterable of equal-length bit strings. The empty set has an
     empty neighborhood for every d (distance to the empty set is +inf).
     """
-    members = [as_bits(a) for a in A]
+    members = [as_bits(a) for a in _collection(A, "neighborhood member")]
     if not members:
         return set()
     n = members[0].size
@@ -226,21 +227,11 @@ class EventFamily:
 
     def __post_init__(self):
         n = read_index(self.dimension, "dimension")
-        try:
-            values = np.array(list(self.members))
-        except (TypeError, ValueError):  # not a collection, or ragged members
-            values = None
-        if values is not None and values.size and values.ndim == 1 and values.dtype.kind in "iu":
-            if int(values.min()) < 0 or int(values.max()) >= 1 << n:
-                raise DomainError("event member outside the cube")
-        else:
-            # no collection, or a float, a string or an int past uint64 among
-            # the members: read them one by one, so 1.5 is refused, not truncated
-            read_indices(self.members, "event member", 0, (1 << n) - 1)
+        read_indices(self.members, "event member", 0, (1 << n) - 1)
 
     @classmethod
     def from_strings(cls, strings) -> "EventFamily":
-        bit_arrays = [as_bits(s) for s in strings]
+        bit_arrays = [as_bits(s) for s in _collection(strings, "family member")]
         if not bit_arrays:
             raise DomainError("cannot infer dimension of an empty family; use EventFamily(n, frozenset())")
         n = bit_arrays[0].size

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bits import as_bits, prefix_distances, read_index, read_indices
+from .bits import _collection, as_bits, prefix_distances, read_index, read_indices
 from .budgets import BudgetFunction
 from .errors import ConfigError, ContractError, DimensionError, DomainError, ResourceError
 
@@ -89,11 +89,12 @@ class BlockSchedule:
     output_index_map: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if not self.blocks:
+        blocks = _collection(self.blocks, "block", ConfigError)
+        if not blocks:
             raise ConfigError("a block schedule needs at least one block")
         prev_end = None
         prev_size = 0
-        for k, block in enumerate(self.blocks):
+        for k, block in enumerate(blocks):
             bounds = read_indices(block, f"block {k} bound", error=ConfigError)
             if len(bounds) != 2 or bounds[0] >= bounds[1]:
                 raise ConfigError(f"block {k} must be a pair start < end, got {block!r}")
@@ -103,8 +104,14 @@ class BlockSchedule:
             if end - start < prev_size:
                 raise ConfigError(f"block sizes must be nondecreasing, block {k} shrinks")
             prev_end, prev_size = end, end - start
-        for k, _ in self.output_index_map:
-            read_index(k, "output_index_map block", 0, len(self.blocks) - 1, ConfigError)
+        targets = tuple(tuple(read_indices(entry, "output_index_map entry", error=ConfigError))
+                        for entry in _collection(self.output_index_map, "output_index_map",
+                                                 ConfigError))
+        for pair in targets:
+            if len(pair) != 2 or pair[0] >= len(blocks):
+                raise ConfigError(f"output_index_map entry {pair} must be a pair "
+                                  f"(block < {len(blocks)}, output)")
+        object.__setattr__(self, "output_index_map", targets)
 
     @classmethod
     def from_sizes(cls, sizes, output_index_map=()) -> "BlockSchedule":
@@ -113,7 +120,7 @@ class BlockSchedule:
         for s in read_indices(sizes, "block size", 1, error=ConfigError):
             blocks.append((pos, pos + s))
             pos += s
-        return cls(tuple(blocks), tuple(output_index_map))
+        return cls(tuple(blocks), output_index_map)
 
     def __len__(self):
         return len(self.blocks)
@@ -189,8 +196,8 @@ def _cores_of(schedule, length: int) -> tuple[list[np.ndarray], list[int]]:
     read by core_indices against `length`, and the set's size."""
     cores, sizes = [], []
     seen: set[int] = set()
-    for block in schedule:
-        idx = np.unique(np.asarray(list(block)))
+    for block in _collection(schedule, "schedule", ConfigError):
+        idx = np.unique(np.asarray(_collection(block, "index set", ConfigError)))
         core = core_indices(idx[:idx.size - 1 + idx.size % 2], length)
         if seen.intersection(core.tolist()):
             raise ConfigError("extractor blocks must be disjoint")

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bits import as_bits, read_index, read_indices
+from .bits import _collection, as_bits, read_index, read_indices
 from .cube import _middle_out_tails
 from .errors import ContractError, DimensionError, DomainError, ResourceError
 
@@ -34,6 +34,10 @@ from .errors import ContractError, DimensionError, DomainError, ResourceError
 BERRY_ESSEEN_D = 0.71
 
 CDF_GAP_CEILING = 10 ** 5
+# small_ball_probability sums one n-bit math.comb per term of its window:
+# (10^4, 10^4), the worst call below the ceiling, takes 7-14 s on 2 cores,
+# and (20000, 20000) over a minute
+SMALL_BALL_CEILING = 10 ** 4
 
 
 def normal_cdf(x: float) -> float:
@@ -83,8 +87,11 @@ def binomial_cdf_gap(n: int) -> float:
 
 
 def small_ball_probability(n: int, g_of_n: int) -> Fraction:
-    """Exact P(|S_n| <= g) for S_n = ones - n/2 over n fair bits."""
+    """Exact P(|S_n| <= g) for S_n = ones - n/2 over n fair bits; an n
+    past SMALL_BALL_CEILING raises ResourceError."""
     n, g_of_n = read_index(n, "n", 1), read_index(g_of_n, "g")
+    if n > SMALL_BALL_CEILING:
+        raise ResourceError(f"small_ball_probability handles 1 <= n <= {SMALL_BALL_CEILING}")
     # |ones - n/2| <= g  <=>  ceil(n/2 - g) <= ones <= floor(n/2 + g)
     lo = max(0, -(-(n - 2 * g_of_n) // 2))
     hi = min(n, (n + 2 * g_of_n) // 2)
@@ -266,7 +273,7 @@ def majority_refinement(strings) -> tuple[list[int], list[int]]:
     length L the surviving set has at least L/2^q positions, so the
     precondition L*2^-q >= 1 guarantees it never empties.
     """
-    arrs = [as_bits(s) for s in strings]
+    arrs = [as_bits(s) for s in _collection(strings, "string")]
     if not arrs:
         raise DomainError("need at least one string")
     length = arrs[0].size

@@ -109,6 +109,18 @@ class TestCorrupt:
         y = read_packed_bits(tmp_path / "o" / "y.bits")
         assert int((x != y).sum()) == flips == doc["cumulative"][-1]
 
+    def test_summary_names_stream_relative_to_out_dir(self, tmp_path, capsys):
+        assert run(["corrupt", "--seed", 1, "--blocks", 2, "--out-dir", tmp_path]) == 0
+        assert capsys.readouterr().out.endswith(", y -> y.bits\n")
+
+
+def test_suite_prints_one_line_per_criterion(tmp_path, capsys):
+    assert run(["suite", "--out-dir", tmp_path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        f"[PASS] criterion {k}" for k in range(1, 11)]
+    assert read_json(tmp_path / "suite.json")["all_passed"] is True
+
 
 # The files each subcommand writes: its report, its side table with
 # --format csv (lil, which takes no --format, always writes its table),
@@ -366,6 +378,12 @@ class TestExitCodes:
         assert run(["harper", "--n", 6, "--out-dir", tmp_path]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "resource"
+
+    def test_small_ball_ceiling_is_three(self, tmp_path, capsys):
+        # the per-term sum at n = 10^8 never finished
+        assert run(["smallball", "--n-list", "16,100000000", "--out-dir", tmp_path / "o"]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "resource"
+        assert not (tmp_path / "o").exists()
 
     def test_refused_allocation_is_three(self, tmp_path, monkeypatch, capsys):
         def refuse(seed, length):

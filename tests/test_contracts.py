@@ -18,11 +18,11 @@ from hamext.budgets import parse_budget, table_budget
 from hamext.cube import (EventFamily, SphereSpec, binomial_tail, make_sphere,
                          neighborhood)
 from hamext.errors import ConfigError, DimensionError, DomainError
-from hamext.extractor import BlockSchedule, check_schedule, make_schedule
+from hamext.extractor import BlockSchedule, check_schedule, extract, make_schedule
 from hamext.keylemma import KeyLemmaInstance, containment_profile
 from hamext.rng import bit_stream
 from hamext.stats import (berry_esseen_bound, binomial_cdf_gap, frequency_on_set,
-                          small_ball_bound, small_ball_probability,
+                          majority_refinement, small_ball_bound, small_ball_probability,
                           sparse_subsequence, weber_series)
 
 G = parse_budget("power:1/3")
@@ -78,6 +78,9 @@ ROWS = [
     ("BlockSchedule output_index_map",
      lambda v: BlockSchedule.from_sizes((1,), output_index_map=((v, 0),)),
      ConfigError, REFUSED + (1,)),
+    ("BlockSchedule output_index_map output",
+     lambda v: BlockSchedule.from_sizes((1,), output_index_map=((0, v),)),
+     ConfigError, REFUSED + (-1,)),
     ("AdversarySchedule stage bound", lambda v: AdversarySchedule((0, v), (0,), G),
      ConfigError, REFUSED + (-1,)),
     ("AdversarySchedule target", lambda v: AdversarySchedule((0, 3), (v,), G),
@@ -97,6 +100,17 @@ ROWS = [
     ("EventFamily members", lambda v: EventFamily(3, v), DomainError, (5, None)),
     ("BlockSchedule block pair", lambda v: BlockSchedule((v,)), ConfigError,
      ((0,), (0, 1, 2), 5)),
+    ("BlockSchedule blocks", lambda v: BlockSchedule(v), ConfigError, (5, None)),
+    ("BlockSchedule output_index_map entries", lambda v: BlockSchedule(((0, 1),), v),
+     ConfigError, (5, None)),
+    ("BlockSchedule output_index_map pair", lambda v: BlockSchedule(((0, 1),), (v,)),
+     ConfigError, ((0,), (0, 1, 2), 5)),
+    ("extract index sets", lambda v: extract("101", v), ConfigError, (5, None)),
+    ("extract index set", lambda v: extract("101", [v]), ConfigError, (5, None)),
+    ("neighborhood A", lambda v: neighborhood(v, 1), DomainError, (5, None)),
+    ("majority_refinement strings", lambda v: majority_refinement(v), DomainError, (5, None)),
+    ("EventFamily.from_strings strings", lambda v: EventFamily.from_strings(v),
+     DomainError, (5, None)),
 ]
 
 

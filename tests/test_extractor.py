@@ -273,6 +273,13 @@ class TestSchedaleSerialization:
         sched = BlockSchedule.from_sizes((3, 5, 6), output_index_map=((0, 2), (2, 5)))
         assert BlockSchedule.from_text(sched.to_text()) == sched
 
+    def test_targets_are_read_as_integer_pairs(self):
+        # each pair is read whole, so what to_text writes from_text reads back
+        # (a target of 1.5 was kept and written as "0 0 1 1 1.5")
+        sched = BlockSchedule(((0, 1), (1, 4)), [[np.int64(0), 2]])
+        assert sched.output_index_map == ((0, 2),)
+        assert BlockSchedule.from_text(sched.to_text()) == sched
+
     def test_rejects_empty_schedule(self):
         for text in ("", "# comment only\n\n"):
             with pytest.raises(ConfigError):

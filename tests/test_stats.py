@@ -115,6 +115,13 @@ class TestSmallBall:
             for g in {0, 1, gmax // 2, gmax}:
                 assert float(small_ball_probability(n, g)) <= small_ball_bound(n, g)
 
+    def test_ceiling(self):
+        # one n-bit term per window point: past 10^4 a call can take minutes
+        assert small_ball_probability(10 ** 4, 0) == Fraction(math.comb(10 ** 4, 5000), 1 << 10 ** 4)
+        for n in (10 ** 4 + 1, 10 ** 8):
+            with pytest.raises(ResourceError):
+                small_ball_probability(n, 0)
+
 
 class TestWeberSeries:
     def test_naturals_hit_every_block(self):
