@@ -11,7 +11,6 @@ black-box reductions on small windows.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, NamedTuple, Optional
@@ -52,10 +51,10 @@ class AdversarySchedule:
     def window(self, s: int) -> tuple[int, int]:
         return self.stage_bounds[s], self.stage_bounds[s + 1]
 
-    def growth_report(self, effectivity_threshold: int = 1) -> dict:
+    def growth_report(self) -> dict:
         """Diagnostics for the two growth conditions.
 
-        `ratio_ok[s]`: p(w)/sqrt(w) >= threshold for window length w.
+        `ratio_ok[s]`: p(w)/sqrt(w) >= 1 for window length w.
         `telescoping_ok[s]`: sum of stage budgets through s fits inside
         p(n_{s+1}). The latter is unattainable for strictly concave
         budgets past two stages (stage budgets are subadditive), so it
@@ -68,7 +67,7 @@ class AdversarySchedule:
             a, b = self.window(s)
             w = b - a
             pw = self.budget(w)
-            ratio_ok.append(pw * pw >= effectivity_threshold ** 2 * w)
+            ratio_ok.append(pw * pw >= w)
             acc += pw
             tele_ok.append(acc <= self.budget(b))
         return {"ratio_ok": ratio_ok, "telescoping_ok": tele_ok}
@@ -148,8 +147,7 @@ class ForceResult(NamedTuple):
 
 def force_output_zero_generic(X, stage_window: tuple[int, int], oracle_prefix,
                               evaluate: Callable[[np.ndarray], int],
-                              budget: Optional[int] = None,
-                              ceiling: int = GENERIC_WINDOW_CEILING) -> ForceResult:
+                              budget: Optional[int] = None) -> ForceResult:
     """Minimal-cost window assignment driving a black-box output to 0.
 
     Candidates are searched in increasing flip count (lowest flip
@@ -166,9 +164,9 @@ def force_output_zero_generic(X, stage_window: tuple[int, int], oracle_prefix,
     a = read_index(a, "window start", 0, x.size - 1, DimensionError)
     b = read_index(b, "window end", a + 1, x.size, DimensionError)
     width = b - a
-    if width > ceiling:
+    if width > GENERIC_WINDOW_CEILING:
         raise ResourceError(
-            f"window of {width} bits exceeds the exhaustive ceiling {ceiling}")
+            f"window of {width} bits exceeds the exhaustive ceiling {GENERIC_WINDOW_CEILING}")
     prefix = as_bits(oracle_prefix)
     if prefix.size != a:
         raise DimensionError(f"oracle prefix must have length {a}, got {prefix.size}")
@@ -218,21 +216,16 @@ class CorruptionReport:
             "budget_ok": self.budget_ok,
         }
 
-    def to_json(self, y_file: str = "") -> str:
-        return json.dumps(self.to_json_dict(y_file), sort_keys=True, indent=1)
 
-
-def corrupt(X, schedule: BlockSchedule, adv: AdversarySchedule,
-            enforce_budget: bool = True) -> CorruptionReport:
+def corrupt(X, schedule: BlockSchedule, adv: AdversarySchedule) -> CorruptionReport:
     """Run every stage in order, forcing each targeted majority output
     to 0 at minimal cost and copying X outside the flips.
 
-    With budget enforcement on, a stage whose minimal cost overruns
-    p(n_{s+1}-n_s) makes no changes (its target is reported unforced
-    with the budget_exceeded flag and the refused minimal cost, which
-    stays out of the cumulative costs). Flips at stage s stay inside
-    [n_s, n_{s+1}); cumulative costs and the overall prefix-budget
-    verdict land in the report.
+    A stage whose minimal cost overruns p(n_{s+1}-n_s) makes no changes
+    (its target is reported unforced with the budget_exceeded flag and
+    the refused minimal cost, which stays out of the cumulative costs).
+    Flips at stage s stay inside [n_s, n_{s+1}); cumulative costs and
+    the overall prefix-budget verdict land in the report.
     """
     x = as_bits(X)
     if adv.stage_bounds[-1] > x.size:
@@ -255,7 +248,7 @@ def corrupt(X, schedule: BlockSchedule, adv: AdversarySchedule,
         core_start, core_end = schedule.odd_cores[target]
         flips, cost = _cheapest_flips(y, range(core_start, core_end))
         stage_budget = adv.budget(b - a)
-        if enforce_budget and cost > stage_budget:
+        if cost > stage_budget:
             records.append(StageRecord(s, (a, b), [], cost, False, 1, True))
         else:
             y[flips] ^= 1

@@ -105,19 +105,6 @@ def bits_to_mask(bits: np.ndarray) -> int:
     return mask
 
 
-def mask_to_bits(mask: int, length: int) -> np.ndarray:
-    out = np.zeros(length, dtype=np.uint8)
-    i = 0
-    while mask:
-        if mask & 1:
-            out[i] = 1
-        mask >>= 1
-        i += 1
-    if i > length:
-        raise DimensionError(f"mask needs {i} positions, only {length} given")
-    return out
-
-
 def write_text_bits(path, strings) -> None:
     """Write bit strings as ASCII lines (one string per line)."""
     with open(path, "w", encoding="ascii") as fh:

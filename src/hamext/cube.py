@@ -26,7 +26,7 @@ from .bits import (_collection, as_bits, bits_to_mask, prefix_distances, read_in
                    read_indices, to_text)
 from .errors import DimensionError, DomainError, ResourceError
 
-HARPER_DEFAULT_CEILING = 4
+HARPER_CEILING = 4
 
 
 def hamming_distance(sigma, tau) -> int:
@@ -200,18 +200,17 @@ def _harper_mins(n: int, d: int) -> tuple[int, ...]:
     return tuple(int(x) for x in kernels.subset_min_gamma(ball))
 
 
-def harper_min_neighborhood(n: int, size: int, d: int,
-                            ceiling: int = HARPER_DEFAULT_CEILING) -> tuple[int, int]:
+def harper_min_neighborhood(n: int, size: int, d: int) -> tuple[int, int]:
     """(exhaustive min of |Γ_d(A)| over |A|=size, canonical-sphere value).
 
     The isoperimetric theorem says the two agree. Exhaustive search over
-    all C(2^n, size) subsets, so n is capped (default 4); larger n
+    all C(2^n, size) subsets, so n is capped at HARPER_CEILING; larger n
     raises rather than approximating.
     """
     n = read_index(n, "n")
-    if n > ceiling:
+    if n > HARPER_CEILING:
         raise ResourceError(
-            f"exhaustive search needs n <= {ceiling} (2^2^n subsets), got n={n}")
+            f"exhaustive search needs n <= {HARPER_CEILING} (2^2^n subsets), got n={n}")
     size, d = read_index(size, "size", 0, 1 << n), read_index(d, "d", 0, n)
     exhaustive = _harper_mins(n, d)[size]
     sphere = make_sphere(n, size, "0" * n)
@@ -227,7 +226,11 @@ class EventFamily:
 
     def __post_init__(self):
         n = read_index(self.dimension, "dimension")
-        read_indices(self.members, "event member", 0, (1 << n) - 1)
+        members = read_indices(self.members, "event member", 0, (1 << n) - 1)
+        unique = frozenset(members)
+        if len(unique) < len(members):
+            raise DomainError(f"event lists {len(members) - len(unique)} member(s) more than once")
+        object.__setattr__(self, "members", unique)
 
     @classmethod
     def from_strings(cls, strings) -> "EventFamily":

@@ -86,7 +86,6 @@ class BlockSchedule:
     """Contiguous consecutive index intervals [start_k, end_k)."""
 
     blocks: tuple[tuple[int, int], ...]
-    output_index_map: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
         blocks = _collection(self.blocks, "block", ConfigError)
@@ -104,23 +103,17 @@ class BlockSchedule:
             if end - start < prev_size:
                 raise ConfigError(f"block sizes must be nondecreasing, block {k} shrinks")
             prev_end, prev_size = end, end - start
-        targets = tuple(tuple(read_indices(entry, "output_index_map entry", error=ConfigError))
-                        for entry in _collection(self.output_index_map, "output_index_map",
-                                                 ConfigError))
-        for pair in targets:
-            if len(pair) != 2 or pair[0] >= len(blocks):
-                raise ConfigError(f"output_index_map entry {pair} must be a pair "
-                                  f"(block < {len(blocks)}, output)")
-        object.__setattr__(self, "output_index_map", targets)
+            blocks[k] = (start, end)
+        object.__setattr__(self, "blocks", tuple(blocks))
 
     @classmethod
-    def from_sizes(cls, sizes, output_index_map=()) -> "BlockSchedule":
+    def from_sizes(cls, sizes) -> "BlockSchedule":
         blocks = []
         pos = 0
         for s in read_indices(sizes, "block size", 1, error=ConfigError):
             blocks.append((pos, pos + s))
             pos += s
-        return cls(tuple(blocks), output_index_map)
+        return cls(tuple(blocks))
 
     def __len__(self):
         return len(self.blocks)
@@ -147,27 +140,21 @@ class BlockSchedule:
         return self.blocks[-1][1]
 
     def to_text(self) -> str:
-        targets = dict(self.output_index_map)
-        lines = []
-        for k, ((s, e), (_, oe)) in enumerate(zip(self.blocks, self.odd_cores)):
-            line = f"{k} {s} {e} {oe}"
-            if k in targets:
-                line += f" {targets[k]}"
-            lines.append(line)
-        return "\n".join(lines) + "\n"
+        return "".join(f"{k} {s} {e} {oe}\n"
+                       for k, ((s, e), (_, oe)) in enumerate(zip(self.blocks, self.odd_cores)))
 
     @classmethod
     def from_text(cls, text: str) -> "BlockSchedule":
-        blocks, targets = [], []
+        blocks = []
         for raw in text.splitlines():
             raw = raw.strip()
             if not raw or raw.startswith("#"):
                 continue
             parts = raw.split()
-            if len(parts) not in (4, 5):
+            if len(parts) != 4:
                 raise ConfigError(f"bad schedule line {raw!r}")
             try:
-                k, s, e, oe, *target = (int(p) for p in parts)
+                k, s, e, oe = (int(p) for p in parts)
             except ValueError:
                 raise ConfigError(f"schedule line with a non-integer field: {raw!r}") from None
             if k != len(blocks):
@@ -176,9 +163,7 @@ class BlockSchedule:
             if oe != expected_oe:
                 raise ConfigError(f"block {k}: odd_end {oe} inconsistent with [{s},{e})")
             blocks.append((s, e))
-            if target:
-                targets.append((k, target[0]))
-        return cls(tuple(blocks), tuple(targets))
+        return cls(tuple(blocks))
 
 
 @dataclass
@@ -242,8 +227,7 @@ def _decay_ok(g: BudgetFunction, n: int, k: int) -> bool:
 
 
 def make_schedule(g: BudgetFunction, block_count: int,
-                  N_constraint=None,
-                  max_scan: int = MAKE_SCHEDULE_SCAN_BOUND) -> BlockSchedule:
+                  N_constraint=None) -> BlockSchedule:
     """Smallest admissible schedule for the budget g.
 
     Block k gets the least size n_k (scanned in increasing order) with
@@ -278,9 +262,9 @@ def make_schedule(g: BudgetFunction, block_count: int,
         else:
             n = lower
             while True:
-                if n > max_scan:
-                    raise ResourceError(
-                        f"block {k}: no admissible size below scan bound {max_scan}")
+                if n > MAKE_SCHEDULE_SCAN_BOUND:
+                    raise ResourceError(f"block {k}: no admissible size below scan "
+                                        f"bound {MAKE_SCHEDULE_SCAN_BOUND}")
                 jump = g(n) ** 2 << (2 * k)
                 if jump <= n:
                     break

@@ -32,7 +32,7 @@ def distance_to_set(ind: np.ndarray, n: int) -> np.ndarray:
     """
     if np.shape(ind)[-1:] != (1 << n,):
         raise DimensionError(f"last axis must hold the 2^{n} vertices, got shape {np.shape(ind)}")
-    dist = np.where(ind, np.int8(0), np.int8(n + 1))
+    dist = np.multiply(~np.asarray(ind, dtype=np.bool_), np.int8(n + 1), dtype=np.int8)
     batch = dist.shape[:-1]
     for i in range(n):
         pairs = dist.reshape(batch + (1 << (n - 1 - i), 2, 1 << i))

@@ -1,4 +1,3 @@
-import json
 from itertools import combinations
 
 import numpy as np
@@ -162,7 +161,7 @@ class TestForceOutputZeroGeneric:
 
     def test_window_ceiling(self):
         with pytest.raises(ResourceError):
-            force_output_zero_generic("0" * 30, (0, 30), "", lambda t: 1, ceiling=24)
+            force_output_zero_generic("0" * 25, (0, 25), "", lambda t: 1)
 
     def test_exhaustive_equals_closed_form_small_windows(self):
         rng = np.random.Generator(np.random.Philox(key=8))
@@ -267,9 +266,6 @@ class TestCorrupt:
         assert rep.per_stage[0].flips == []
         assert rep.cumulative_cost_at_stage == [0] and rep.budget_ok
         assert rep.Y.tolist() == [1, 1, 1, 1, 1]
-        unforced = corrupt(as_bits("11111"), sched, adv, enforce_budget=False)
-        assert unforced.per_stage[0].forced and unforced.per_stage[0].cost == 3
-        assert not unforced.budget_ok
 
     def test_y_is_x_xor_reported_flips(self):
         tight = stages_from_blocks(self.sched, self.g)  # refuses some stages
@@ -340,7 +336,7 @@ class TestReportSerialization:
         sched = make_schedule(parse_budget("power:1/3"), 2)
         adv = stages_from_blocks(sched, parse_budget("power:2/3"))
         rep = corrupt(bit_stream(3, sched.total_length), sched, adv)
-        doc = json.loads(rep.to_json("y.bits"))
+        doc = rep.to_json_dict("y.bits")
         assert set(doc) == {"y_file", "stages", "cumulative", "budget_ok"}
         for stage in doc["stages"]:
             assert set(stage) == {"s", "window", "flips", "cost", "forced",

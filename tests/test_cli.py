@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from hamext.bits import read_packed_bits, write_packed_bits, write_text_bits
 from hamext.cli import main
+from hamext.errors import ConfigError
+from hamext.extractor import BlockSchedule
 from hamext.rng import bit_stream
 
 
@@ -478,6 +480,18 @@ class TestExitCodes:
     @pytest.mark.parametrize("text", ["0 -3 0 0\n", "0 0 3 3\n1 3 x 8\n", "0 0 3 3 x\n"],
                              ids=["start-below-zero", "non-integer-end", "non-integer-target"])
     def test_bad_schedule_file_is_two(self, tmp_path, capsys, text):
+        sched = tmp_path / "sched.txt"
+        sched.write_text(text)
+        src = tmp_path / "x.txt"
+        write_text_bits(src, ["111"])
+        self.assert_exit_two(["extract", "--input", src, "--schedule-file", sched],
+                             tmp_path, capsys)
+
+    def test_five_field_schedule_line_is_two(self, tmp_path, capsys):
+        # schedule text has four fields; a fifth (an output index) is refused
+        text = "0 0 3 3 1\n"
+        with pytest.raises(ConfigError):
+            BlockSchedule.from_text(text)
         sched = tmp_path / "sched.txt"
         sched.write_text(text)
         src = tmp_path / "x.txt"

@@ -75,12 +75,6 @@ ROWS = [
     ("BlockSchedule bound", lambda v: BlockSchedule(((0, v),)), ConfigError, REFUSED + (0,)),
     ("BlockSchedule.from_sizes size", lambda v: BlockSchedule.from_sizes((v,)),
      ConfigError, REFUSED + (0,)),
-    ("BlockSchedule output_index_map",
-     lambda v: BlockSchedule.from_sizes((1,), output_index_map=((v, 0),)),
-     ConfigError, REFUSED + (1,)),
-    ("BlockSchedule output_index_map output",
-     lambda v: BlockSchedule.from_sizes((1,), output_index_map=((0, v),)),
-     ConfigError, REFUSED + (-1,)),
     ("AdversarySchedule stage bound", lambda v: AdversarySchedule((0, v), (0,), G),
      ConfigError, REFUSED + (-1,)),
     ("AdversarySchedule target", lambda v: AdversarySchedule((0, 3), (v,), G),
@@ -101,10 +95,6 @@ ROWS = [
     ("BlockSchedule block pair", lambda v: BlockSchedule((v,)), ConfigError,
      ((0,), (0, 1, 2), 5)),
     ("BlockSchedule blocks", lambda v: BlockSchedule(v), ConfigError, (5, None)),
-    ("BlockSchedule output_index_map entries", lambda v: BlockSchedule(((0, 1),), v),
-     ConfigError, (5, None)),
-    ("BlockSchedule output_index_map pair", lambda v: BlockSchedule(((0, 1),), (v,)),
-     ConfigError, ((0,), (0, 1, 2), 5)),
     ("extract index sets", lambda v: extract("101", v), ConfigError, (5, None)),
     ("extract index set", lambda v: extract("101", [v]), ConfigError, (5, None)),
     ("neighborhood A", lambda v: neighborhood(v, 1), DomainError, (5, None)),

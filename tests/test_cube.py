@@ -292,10 +292,6 @@ class TestHarper:
             harper_min_neighborhood(5, 3, 1)
         assert "4" in str(err.value)
 
-    def test_custom_ceiling(self):
-        with pytest.raises(ResourceError):
-            harper_min_neighborhood(3, 2, 1, ceiling=2)
-
     def test_rejects_non_integer_arguments(self):
         for args in ((3, 2.5, 1), (3, 2, 1.0), (3.0, 2, 1)):
             with pytest.raises(DomainError):
@@ -343,6 +339,13 @@ class TestEventFamily:
     def test_indicator_flags_exactly_the_members(self):
         members = frozenset({0, 5, 6, 15})
         assert EventFamily(4, members).indicator().nonzero()[0].tolist() == sorted(members)
+
+    def test_rejects_repeated_members(self):
+        # [0, 0] was counted twice: size 2, probability 1/4, one indicator vertex
+        with pytest.raises(DomainError):
+            EventFamily(3, [0, 0])
+        fam = EventFamily(3, [0, 5])
+        assert fam.members == frozenset({0, 5}) and fam.size == 2
 
     def test_no_duplicates_by_construction(self):
         fam = EventFamily.from_strings(["01", "01", "10"])
