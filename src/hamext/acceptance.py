@@ -10,7 +10,6 @@ calibrated plausibility bounds, not theorems.
 from __future__ import annotations
 
 import functools
-import math
 import time
 from fractions import Fraction
 from itertools import combinations, pairwise
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .adversary import StageRecord, corrupt, stages_from_blocks, verify_similarity
-from .budgets import parse_budget
+from .budgets import lnln, parse_budget
 from .cube import binomial_tail, harper_min_neighborhood
 from .extractor import BlockSchedule, extract, make_schedule
 from .keylemma import verify_key_lemma
@@ -217,16 +216,15 @@ def crit_weber() -> CriterionResult:
     """The sparse construction re-verifies against its target rate for
     every k <= 2^20, and the naturals hit every dyadic block."""
     t0 = time.perf_counter()
-    f = lambda k: math.log(math.log(max(k, 16)))
-    nu, threshold = sparse_subsequence(f, 20)
+    nu, threshold = sparse_subsequence(lnln, 20)
     series = weber_series(nu, 20)
     ok = True
     for m in range(1, 21):
         low = (1 << (m - 1)) + 1
-        if low > threshold and series.log_rate(low) > f(low):
-            ok = False  # rate is constant per block and f nondecreasing
+        if low > threshold and series.log_rate(low) > lnln(low):
+            ok = False  # rate is constant per block and lnln nondecreasing
     for k in (2, 3, 100, 12345, 1 << 19, 1 << 20):
-        if k > threshold and series.log_rate(k) > f(k):
+        if k > threshold and series.log_rate(k) > lnln(k):
             ok = False
     naturals = weber_series(range(1, (1 << 20) + 1), 20)
     ok &= naturals.p_counts == list(range(1, 21))

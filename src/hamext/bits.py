@@ -15,7 +15,9 @@ Both formats round-trip bit-exactly.
 
 from __future__ import annotations
 
+import math
 import operator
+from fractions import Fraction
 
 import numpy as np
 
@@ -61,6 +63,18 @@ def read_index(value, name: str, lo: int | None = 0, hi: int | None = None,
     if lo is not None and n < lo or hi is not None and n > hi:
         raise error(f"{name} {n} outside {'' if lo is None else lo}..{'' if hi is None else hi}")
     return n
+
+
+def _real(value, name: str, kind: type = Fraction):
+    """`value` read by `kind` (Fraction, exactly, or float) as a finite number;
+    None, nan, ±inf and text that spells no number raise DomainError."""
+    try:
+        x = kind(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        x = math.nan
+    if not -math.inf < x < math.inf:
+        raise DomainError(f"{name} must be a finite number, got {value!r}")
+    return x
 
 
 def _collection(values, name: str, error: type[HamextError] = DomainError) -> list:

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bits import read_index
+from .bits import _real, read_index
 from .errors import DomainError
 
 
@@ -66,9 +66,13 @@ def _ceil_affine_sqrt(n: int, a: Fraction, c: Fraction) -> int:
     return -(-(p + k) // d)
 
 
+def lnln(n: int) -> float:
+    """ln ln n, clamped below 16 to dodge the n <= e singularity."""
+    return math.log(math.log(max(n, 16)))
+
+
 def lil_envelope(n: int, eps: float) -> float:
-    lam = math.log(math.log(max(n, 16)))
-    return n / 2.0 + (1.0 - eps) * math.sqrt(2.0 * n * lam)
+    return n / 2.0 + (1.0 - eps) * math.sqrt(2.0 * n * lnln(n))
 
 
 @dataclass(frozen=True)
@@ -162,14 +166,14 @@ class BudgetFunction:
 
 
 def power_budget(alpha, coeff=1) -> BudgetFunction:
-    alpha, coeff = Fraction(alpha), Fraction(coeff)
+    alpha, coeff = _real(alpha, "power exponent"), _real(coeff, "power coefficient")
     if alpha < 0 or coeff < 0:
         raise DomainError("power budget needs nonnegative exponent and coefficient")
     return BudgetFunction("power", (alpha, coeff))
 
 
 def affine_sqrt_budget(a, c) -> BudgetFunction:
-    a, c = Fraction(a), Fraction(c)
+    a, c = _real(a, "affine_sqrt slope"), _real(c, "affine_sqrt sqrt coefficient")
     if a < 0 or c < 0:
         raise DomainError("affine_sqrt budget needs nonnegative parameters")
     return BudgetFunction("affine_sqrt", (a, c))
@@ -195,22 +199,23 @@ def table_budget(entries) -> BudgetFunction:
 
 
 def lil_budget(eps: float) -> BudgetFunction:
+    eps = _real(eps, "lil eps", float)
     if not 0 <= eps <= 1:
         raise DomainError("lil budget needs 0 <= eps <= 1")
-    return BudgetFunction("lil", (float(eps),))
+    return BudgetFunction("lil", (eps,))
 
 
 def parse_budget(token: str) -> BudgetFunction:
     """Parse a ``kind:params`` token (see module docstring)."""
+    if not isinstance(token, str):
+        raise DomainError(f"a budget token is text, got {token!r}")
     kind, _, rest = token.strip().partition(":")
     try:
         if kind == "power":
-            parts = rest.split(":")
-            return power_budget(Fraction(parts[0]),
-                                Fraction(parts[1]) if len(parts) > 1 else 1)
+            return power_budget(*rest.split(":")[:2])
         if kind == "affine_sqrt":
             a, c = rest.split(":")
-            return affine_sqrt_budget(Fraction(a), Fraction(c))
+            return affine_sqrt_budget(a, c)
         if kind == "table":
             if "=" not in rest:
                 return table_budget(int(rest))
@@ -218,7 +223,7 @@ def parse_budget(token: str) -> BudgetFunction:
                 (int(p.split("=")[0]), int(p.split("=")[1]))
                 for p in rest.split(",")))
         if kind == "lil":
-            return lil_budget(float(rest))
-    except (ValueError, IndexError, ZeroDivisionError) as exc:
+            return lil_budget(rest)
+    except (DomainError, ValueError, IndexError) as exc:
         raise DomainError(f"malformed budget token {token!r}: {exc}") from None
     raise DomainError(f"unknown budget kind {kind!r}")

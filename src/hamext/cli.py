@@ -28,22 +28,15 @@ from . import __version__
 from .acceptance import ALL_CRITERIA
 from .adversary import corrupt, stages_from_blocks, verify_similarity
 from .bits import read_packed_bits, read_text_bits, to_text, write_packed_bits
-from .budgets import parse_budget
+from .budgets import lnln, parse_budget
 from .cube import harper_min_neighborhood
 from .errors import ConfigError, DomainError, HamextError, ResourceError
 from .extractor import BlockSchedule, extract, make_schedule, psi_deviation
 from .keylemma import verify_key_lemma
 from .rng import bit_stream
-from .stats import (apply_selection, berry_esseen_bound, binomial_cdf_gap,
-                    majority_refinement, select_all, select_even_parity_prefix,
-                    select_evens, small_ball_bound, small_ball_probability,
+from .stats import (SELECTION_RULES, apply_selection, berry_esseen_bound, binomial_cdf_gap,
+                    majority_refinement, small_ball_bound, small_ball_probability,
                     sparse_subsequence, weber_series)
-
-_RULES = {
-    "all": select_all,
-    "evens": select_evens,
-    "parity": select_even_parity_prefix,
-}
 
 
 def _jsonable(x):
@@ -264,12 +257,7 @@ def cmd_weber(cfg: dict) -> Run:
         summary = f"weber series: p_{n_max} = {series.p_counts[-1]}"
     else:
         rate = cfg.get("rate", "lnln")
-        if rate == "lnln":
-            f = lambda k: math.log(math.log(max(k, 16)))
-        else:
-            budget = parse_budget(rate)
-            f = lambda k: float(budget(k))
-        nu, threshold = sparse_subsequence(f, n_max)
+        nu, threshold = sparse_subsequence(lnln if rate == "lnln" else parse_budget(rate), n_max)
         series = weber_series(nu, n_max)
         payload = {"mode": "sparse", "rate": rate, "nu": nu,
                    "threshold": threshold, "p_counts": series.p_counts}
@@ -292,10 +280,10 @@ def cmd_keylemma(cfg: dict) -> Run:
 
 def cmd_select(cfg: dict) -> Run:
     rule_name = cfg.get("rule", "all")
-    if rule_name not in _RULES:
-        raise ConfigError(f"unknown selection rule {rule_name!r}; have {sorted(_RULES)}")
+    if rule_name not in SELECTION_RULES:
+        raise ConfigError(f"unknown selection rule {rule_name!r}; have {sorted(SELECTION_RULES)}")
     x = _input_bits(cfg)
-    report = apply_selection(_RULES[rule_name](), x)
+    report = apply_selection(SELECTION_RULES[rule_name], x)
     return Run({"rule": rule_name,
                 "positions_examined": report.positions_examined,
                 "ones_count": report.ones_count,

@@ -127,23 +127,16 @@ def neighborhood(A, d: int) -> set[str]:
     return {vertex_text(int(v), n) for v in np.flatnonzero(dist <= d)}
 
 
-def shell_vertices(n: int, level: int, center_vertex: int = 0) -> list[int]:
-    """Vertices at distance exactly `level` from the center, in the
-    canonical shell order: descending value of (vertex XOR center).
-
-    Initial segments of this order minimize iterated upper shadows, so
-    canonical spheres built from them attain the exhaustive
-    isoperimetric minimum (the lexicographic order does not).
-    """
-    offs = [v for v in range(1 << n) if v.bit_count() == level]
-    offs.sort(reverse=True)
-    return [off ^ center_vertex for off in offs]
+def distances_from(n: int, center: int = 0) -> np.ndarray:
+    """popcount(v ^ center) for every vertex v of {0,1}^n: the distance
+    of each vertex from the vertex mask `center`."""
+    return np.bitwise_count(np.arange(1 << n, dtype=np.uint64) ^ np.uint64(center))
 
 
 @dataclass(frozen=True)
 class SphereSpec:
-    """Canonical sphere: full ball of inner_radius plus shell_count
-    canonical points of the next shell."""
+    """Canonical sphere around a (printable) center: full ball of
+    inner_radius plus shell_count canonical points of the next shell."""
 
     dimension: int
     center: str
@@ -151,30 +144,33 @@ class SphereSpec:
     shell_count: int
 
     def __post_init__(self):
-        n = read_index(self.dimension, "dimension")
-        if len(self.center) != n:
-            raise DimensionError("center length must equal dimension")
+        n, center = read_index(self.dimension, "dimension"), as_bits(self.center)
+        if center.size != n:
+            raise DimensionError(f"center has length {center.size}, want {n}")
         k = read_index(self.inner_radius, "inner radius", -1, n)
         read_index(self.shell_count, "shell count", 0, comb(n, k + 1) if k < n else 0)
+        object.__setattr__(self, "center", to_text(center))
 
     @property
     def size(self) -> int:
         return binomial_tail(self.dimension, self.inner_radius) + self.shell_count
 
-    def members(self) -> list[int]:
-        n, c = self.dimension, bits_to_mask(as_bits(self.center))
-        out = [v for v in range(1 << n)
-               if (v ^ c).bit_count() <= self.inner_radius]
-        out.extend(shell_vertices(n, self.inner_radius + 1, c)[: self.shell_count])
-        return out
-
     def indicator(self) -> np.ndarray:
-        return _indicator(self.members(), self.dimension)
+        """The ball of inner_radius, plus the first shell_count points of
+        the next shell in the canonical order: descending value of
+        (vertex XOR center). Initial segments of this order minimize
+        iterated upper shadows, so the spheres attain the exhaustive
+        isoperimetric minimum (the lexicographic order does not)."""
+        n, r, c = self.dimension, self.inner_radius, bits_to_mask(as_bits(self.center))
+        ind = distances_from(n, c) <= r
+        offsets = np.flatnonzero(distances_from(n) == r + 1)[::-1]
+        ind[offsets[:self.shell_count] ^ c] = True
+        return ind
 
     def gamma_size(self, d: int) -> int:
-        """|Γ_d(S)|: the points within distance d of S, counted exactly."""
-        if self.size == 0:
-            return 0
+        """|Γ_d(S)|: the points within distance d of S, counted exactly
+        (none for the empty sphere, whose distances are all n+1 > d)."""
+        d = read_index(d, "d", 0, self.dimension)
         dist = kernels.distance_to_set(self.indicator(), self.dimension)
         return int(np.count_nonzero(dist <= d))
 
@@ -182,12 +178,12 @@ class SphereSpec:
 def make_sphere(n: int, size: int, center) -> SphereSpec:
     """The canonical sphere of exactly `size` points around `center`."""
     n, cbits = read_index(n, "n"), as_bits(center)
-    if cbits.size != n:
+    if cbits.size != n:  # refused before the n+1 big-integer tails are built
         raise DimensionError(f"center has length {cbits.size}, want {n}")
     size = read_index(size, "size", 0, 1 << n)
     tails = binomial_tails(n)
     k = bracket(tails, size)
-    return SphereSpec(n, to_text(cbits), k, size - tails[k] if k >= 0 else size)
+    return SphereSpec(n, cbits, k, size - tails[k] if k >= 0 else size)
 
 
 @lru_cache(maxsize=None)

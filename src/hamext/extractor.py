@@ -18,12 +18,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bits import _collection, as_bits, prefix_distances, read_index, read_indices
-from .budgets import BudgetFunction
+from .bits import _collection, _real, as_bits, prefix_distances, read_index, read_indices
+from .budgets import BudgetFunction, lil_envelope, lnln
 from .errors import ConfigError, ContractError, DimensionError, DomainError, ResourceError
 
 MAKE_SCHEDULE_SCAN_BOUND = 1 << 28
@@ -145,6 +145,8 @@ class BlockSchedule:
 
     @classmethod
     def from_text(cls, text: str) -> "BlockSchedule":
+        if not isinstance(text, str):
+            raise ConfigError(f"a schedule is text, got {text!r}")
         blocks = []
         for raw in text.splitlines():
             raw = raw.strip()
@@ -309,7 +311,7 @@ def similar_p_N(X, Y, p: BudgetFunction, N, n0: int = 0) -> bool:
     """Prefix Hamming distances at the checkpoints N (from n0 on) all
     obey the budget: d(X|n, Y|n) <= p(n). Every checkpoint, those below
     n0 included, must be an integer in 0..len(X)."""
-    N = read_indices(N, "checkpoint")
+    N, n0 = read_indices(N, "checkpoint"), read_index(n0, "n0")
     dist = prefix_distances(X, Y, N).tolist()
     return all(d <= p(n) for n, d in zip(N, dist) if n >= n0)
 
@@ -331,21 +333,13 @@ class PsiPoint(NamedTuple):
     within_envelope: bool
 
 
-def default_lambda(n: int) -> float:
-    """ln ln n, clamped below 16 to dodge the n <= e singularity."""
-    return math.log(math.log(max(n, 16)))
-
-
-def psi_deviation(X, A, Lambda: Callable[[int], float] = default_lambda,
-                  epsilon: float = 0.0,
+def psi_deviation(X, A, epsilon: float = 0.0,
                   checkpoints: Sequence[int] | None = None) -> list[PsiPoint]:
-    """Normalized prefix-distance deviations from the sqrt(2 n L(n))
-    envelope: statistic(n) = (d(X|n,A|n) - n/2) / sqrt(2 n L(n)), plus
-    whether the distance stays at or under n/2 + (1-eps) sqrt(2 n L(n)).
-    Checkpoints must be integers in 1..len(X).
-    """
-    if not math.isfinite(epsilon):
-        raise DomainError(f"epsilon must be finite, got {epsilon}")
+    """Normalized prefix-distance deviations: statistic(n) = (d(X|n,A|n)
+    - n/2) / sqrt(2 n lnln n), plus whether the distance stays within
+    budgets.lil_envelope(n, epsilon). Checkpoints must be integers in
+    1..len(X)."""
+    epsilon = _real(epsilon, "epsilon", float)
     x = as_bits(X)
     if checkpoints is None:
         checkpoints = [1 << j for j in range(4, x.size.bit_length()) if 1 << j <= x.size]
@@ -353,13 +347,9 @@ def psi_deviation(X, A, Lambda: Callable[[int], float] = default_lambda,
             checkpoints = [x.size]
     ns = read_indices(checkpoints, "checkpoint")
     if 0 in ns:
-        raise DomainError("checkpoint 0: the envelope sqrt(2 n L(n)) vanishes")
+        raise DomainError("checkpoint 0: the envelope sqrt(2 n lnln n) vanishes")
     out = []
     for n, dist in zip(ns, prefix_distances(x, A, ns).tolist()):
-        lam = Lambda(n)
-        if lam <= 0:
-            raise DomainError(f"Lambda({n}) = {lam} must be positive")
-        scale = math.sqrt(2.0 * n * lam)
-        out.append(PsiPoint(n, (dist - n / 2.0) / scale,
-                            dist <= n / 2.0 + (1.0 - epsilon) * scale))
+        out.append(PsiPoint(n, (dist - n / 2.0) / math.sqrt(2.0 * n * lnln(n)),
+                            dist <= lil_envelope(n, epsilon)))
     return out

@@ -18,8 +18,8 @@ from itertools import chain
 import numpy as np
 
 from . import kernels
-from .bits import read_index
-from .cube import EventFamily, binomial_tail, binomial_tails, bracket
+from .bits import _real, read_index
+from .cube import EventFamily, binomial_tail, binomial_tails, bracket, distances_from
 from .errors import DomainError, ResourceError
 from .rng import generator
 
@@ -102,25 +102,20 @@ def adversarial_families(n: int, max_size: int, rng) -> list[tuple[str, np.ndarr
     """Deterministic stress set as (label, bool mask over the 2^n
     vertices) pairs: balls, coordinate half-spaces / weight cuts, and
     unions of two random balls, all within the size cap."""
-    vertices = np.arange(1 << n, dtype=np.uint64)
-
-    def distance_from(center: int) -> np.ndarray:
-        return np.bitwise_count(vertices ^ np.uint64(center))
-
     out: list[tuple[str, np.ndarray]] = []
     center2 = int(rng.integers(0, 1 << n))
     for rho in range(n + 1):
         if binomial_tail(n, rho) > max_size:
             break
         for center in (0, center2):
-            out.append((f"ball r={rho} c={center}", distance_from(center) <= rho))
-    half = vertices & np.uint64(1) == 0
+            out.append((f"ball r={rho} c={center}", distances_from(n, center) <= rho))
+    half = np.arange(1 << n) % 2 == 0
     if np.count_nonzero(half) <= max_size:
         out.append(("half-space x0=0", half))
     for trial in range(3):
         c1, c2 = int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n))
         r1, r2 = int(rng.integers(0, max(1, n // 3))), int(rng.integers(0, max(1, n // 3)))
-        union = (distance_from(c1) <= r1) | (distance_from(c2) <= r2)
+        union = (distances_from(n, c1) <= r1) | (distances_from(n, c2) <= r2)
         if np.count_nonzero(union) <= max_size:
             out.append((f"union of balls #{trial}", union))
     return out
@@ -139,7 +134,7 @@ def verify_key_lemma(n: int, trials: int, p_threshold: Fraction, seed: int) -> d
     """
     n, trials = read_index(n, "n"), read_index(trials, "trials")
     _check_ceiling(n)
-    p_threshold = Fraction(p_threshold)
+    p_threshold = _real(p_threshold, "threshold")
     if not 0 < p_threshold < 1:
         raise DomainError("threshold must lie strictly between 0 and 1")
     rng = generator(seed)

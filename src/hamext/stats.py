@@ -131,11 +131,7 @@ class WeberSeries:
 
     @property
     def p_counts(self) -> list[int]:
-        out, acc = [], 0
-        for m in range(1, self.n_max + 1):
-            acc += 1 if m in self.hit_blocks else 0
-            out.append(acc)
-        return out
+        return [self.p_count(n) for n in range(1, self.n_max + 1)]
 
     def log_rate(self, k: int) -> float:
         """ln p_n for k in the block (2^(n-1), 2^n]; -inf while no hits."""
@@ -189,10 +185,8 @@ def sparse_subsequence(f: Callable[[int], float], n_max: int) -> SparseResult:
     series = weber_series(nu, n_max)
     threshold = 0
     for m in range(1, n_max + 1):
-        p = series.p_count(m)
-        rate = math.log(p) if p else float("-inf")
         low = (1 << (m - 1)) + 1
-        if rate > f(low):
+        if series.log_rate(low) > f(low):
             threshold = 1 << m
     return SparseResult(nu, threshold)
 
@@ -216,34 +210,22 @@ class FrequencyReport:
         return cls(0, 0, None, None, checkpoint)
 
 
-@dataclass
-class SelectionRule:
-    """Monotonic selection: mask(x)[i] says whether position i is
-    counted, and reads only the bits before it, x[:i]."""
-
-    mask: Callable[[np.ndarray], np.ndarray]
-    description: str
-
-
-def select_all() -> SelectionRule:
-    return SelectionRule(lambda x: np.ones(x.size, dtype=np.bool_), "select every position")
-
-
-def select_evens() -> SelectionRule:
-    return SelectionRule(lambda x: np.arange(x.size) % 2 == 0, "select even indices")
-
-
-def select_even_parity_prefix() -> SelectionRule:
+#: monotone selection rules by name: mask(x)[i] says whether position i
+#: is counted, and reads only the bits before it, x[:i]
+SELECTION_RULES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+    "all": lambda x: np.ones(x.size, dtype=np.bool_),
+    "evens": lambda x: np.arange(x.size) % 2 == 0,
     # exclusive prefix sums: position i sees the ones of x[:i]
-    return SelectionRule(lambda x: (np.cumsum(x, dtype=np.int64) - x) % 2 == 0,
-                         "select positions whose prefix has even parity")
+    "parity": lambda x: (np.cumsum(x, dtype=np.int64) - x) % 2 == 0,
+}
 
 
-def apply_selection(rule: SelectionRule, X) -> FrequencyReport:
-    """Stream X through the rule; report the ones-frequency among the
-    selected positions."""
+def apply_selection(rule: Callable[[np.ndarray], np.ndarray], X) -> FrequencyReport:
+    """Stream X through a selection rule (a mask function, such as a
+    SELECTION_RULES value); report the ones-frequency among the selected
+    positions."""
     x = as_bits(X)
-    mask = rule.mask(x)
+    mask = rule(x)
     examined = int(np.count_nonzero(mask))
     ones = int(x[mask].sum())
     return FrequencyReport.of(examined, ones)

@@ -572,6 +572,10 @@ class TestPipelines:
         assert doc["p_counts"][-1] == 4
         run(["weber", "--n", 12, "--out-dir", tmp_path / "sp"])
         assert read_json(tmp_path / "sp" / "weber.json")["mode"] == "sparse"
+        # a budget rate is compared as the exact integer it is, even past
+        # the float range (n^100 at n = 2^19)
+        assert run(["weber", "--rate", "power:100", "--n", 20, "--out-dir", tmp_path / "b"]) == 0
+        assert read_json(tmp_path / "b" / "weber.json")["threshold"] == 0
 
     def test_keylemma_violations_exit(self, tmp_path):
         assert run(["keylemma", "--n", 5, "--trials", 10, "--seed", 1,

@@ -2,8 +2,11 @@
 digit string or None is refused with the parameter's HamextError
 subclass rather than rounded, accepted or leaked as a TypeError, and so
 is an integer outside the parameter's range. A parameter that takes a
-collection of them refuses a value that is not one the same way."""
+collection of them refuses a value that is not one the same way.
+Rational and real parameters are read by bits._real, which refuses
+text that spells no number, nan, ±inf and None with DomainError."""
 
+import math
 import operator
 
 import numpy as np
@@ -14,12 +17,14 @@ from hypothesis import strategies as st
 from hamext.adversary import (AdversarySchedule, force_output_zero_generic,
                               stages_from_blocks)
 from hamext.bits import read_index
-from hamext.budgets import parse_budget, table_budget
+from hamext.budgets import (affine_sqrt_budget, lil_budget, parse_budget, power_budget,
+                            table_budget)
 from hamext.cube import (EventFamily, SphereSpec, binomial_tail, make_sphere,
                          neighborhood)
-from hamext.errors import ConfigError, DimensionError, DomainError
-from hamext.extractor import BlockSchedule, check_schedule, extract, make_schedule
-from hamext.keylemma import KeyLemmaInstance, containment_profile
+from hamext.errors import ConfigError, DimensionError, DomainError, HamextError
+from hamext.extractor import (BlockSchedule, check_schedule, extract, make_schedule,
+                              psi_deviation, similar_p_N)
+from hamext.keylemma import KeyLemmaInstance, containment_profile, verify_key_lemma
 from hamext.rng import bit_stream
 from hamext.stats import (berry_esseen_bound, binomial_cdf_gap, frequency_on_set,
                           majority_refinement, small_ball_bound, small_ball_probability,
@@ -45,6 +50,8 @@ ROWS = [
     ("binomial_tail n", lambda v: binomial_tail(v, 1), DomainError, REFUSED + (-1,)),
     ("make_sphere size", lambda v: make_sphere(3, v, "000"), DomainError, REFUSED + (9,)),
     ("SphereSpec shell_count", lambda v: SphereSpec(3, "000", 0, v),
+     DomainError, REFUSED + (4,)),
+    ("SphereSpec.gamma_size d", lambda v: make_sphere(3, 4, "000").gamma_size(v),
      DomainError, REFUSED + (4,)),
     ("neighborhood d", lambda v: neighborhood(["00"], v), DomainError, REFUSED + (3,)),
     ("EventFamily dimension", lambda v: EventFamily(v, frozenset()),
@@ -101,6 +108,13 @@ ROWS = [
     ("majority_refinement strings", lambda v: majority_refinement(v), DomainError, (5, None)),
     ("EventFamily.from_strings strings", lambda v: EventFamily.from_strings(v),
      DomainError, (5, None)),
+    ("similar_p_N n0", lambda v: similar_p_N("1011", "1011", G, [4], n0=v),
+     DomainError, REFUSED + (-1,)),
+    # a bit string given a value that is not one
+    ("SphereSpec center", lambda v: SphereSpec(3, v, 0, 0), DomainError, (101, "abc", None)),
+    # text given a value that is not text
+    ("parse_budget token", lambda v: parse_budget(v), DomainError, (5, None)),
+    ("BlockSchedule.from_text text", lambda v: BlockSchedule.from_text(v), ConfigError, (5, None)),
 ]
 
 
@@ -110,6 +124,37 @@ def test_integer_parameters_refuse_non_integers_and_out_of_range(call, error, re
     for value in refused:
         with pytest.raises(error):
             call(value)
+
+
+# (parameter, call with the value under test): each refuses these with DomainError
+REAL_ROWS = [
+    ("power_budget alpha", lambda v: power_budget(v)),
+    ("power_budget coeff", lambda v: power_budget(1, v)),
+    ("affine_sqrt_budget a", lambda v: affine_sqrt_budget(v, 1)),
+    ("affine_sqrt_budget c", lambda v: affine_sqrt_budget(1, v)),
+    ("lil_budget eps", lambda v: lil_budget(v)),
+    ("verify_key_lemma p_threshold", lambda v: verify_key_lemma(3, 1, v, 1)),
+    ("psi_deviation epsilon", lambda v: psi_deviation("1010", "0000", epsilon=v, checkpoints=[4])),
+]
+NOT_FINITE = ("x", math.nan, math.inf, -math.inf, None)
+
+
+@pytest.mark.parametrize("call", [row[1] for row in REAL_ROWS], ids=[row[0] for row in REAL_ROWS])
+def test_real_parameters_refuse_non_numbers_and_non_finite(call):
+    for value in NOT_FINITE:
+        with pytest.raises(DomainError):
+            call(value)
+
+
+@given(st.one_of(st.floats(), st.text(max_size=8), st.none()))
+@settings(max_examples=200, deadline=None)
+def test_numbers_and_text_raise_only_hamext_errors(value):
+    # every parameter of both tables
+    for call in [row[1] for row in ROWS + REAL_ROWS]:
+        try:
+            call(value)
+        except HamextError:
+            pass
 
 
 values = st.one_of(

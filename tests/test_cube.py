@@ -7,13 +7,14 @@ independent of the package's indicator-array kernels.
 import math
 from itertools import accumulate, combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamext.cube import (EventFamily, binomial_tail, binomial_tails, hamming_distance,
                          harper_min_neighborhood, make_sphere, neighborhood,
-                         shell_vertices, vertex_text)
+                         vertex_text)
 from hamext.errors import DimensionError, DomainError, ResourceError
 
 
@@ -226,7 +227,7 @@ class TestMakeSphere:
     def test_empty(self):
         s = make_sphere(3, 0, "000")
         assert (s.inner_radius, s.shell_count) == (-1, 0)
-        assert s.members() == []
+        assert not s.indicator().any()
 
     def test_ball_plus_one(self):
         s = make_sphere(4, 12, "0000")  # b(4,2) = 11
@@ -241,7 +242,7 @@ class TestMakeSphere:
             for size in range((1 << n) + 1):
                 for center in ("0" * n, "1" + "0" * (n - 1)):
                     s = make_sphere(n, size, center)
-                    members = {vertex_text(v, n) for v in s.members()}
+                    members = {vertex_text(v, n) for v in np.flatnonzero(s.indicator())}
                     assert len(members) == size == s.size
                     if size:
                         inner = gamma_oracle({center}, max(s.inner_radius, 0)) \
@@ -255,7 +256,7 @@ class TestMakeSphere:
         for n in (2, 3, 4, 5, 6):
             for size in range((1 << n) + 1):
                 s = make_sphere(n, size, "0" * n)
-                comp = set(range(1 << n)) - set(s.members())
+                comp = np.flatnonzero(~s.indicator()).tolist()
                 dual = make_sphere(n, (1 << n) - size, "1" * n)
                 radius = min(dual.inner_radius + (1 if dual.shell_count else 0), n)
                 if not comp:
@@ -298,13 +299,26 @@ class TestHarper:
                 harper_min_neighborhood(*args)
 
 
+def shell_order(n: int, center: str) -> list[int]:
+    """The radius-2 shell's vertices in the order canonical spheres
+    around `center` take them in: each size past the radius-1 ball adds
+    one vertex to the sphere's indicator."""
+    ball = 1 + n
+    spheres = [make_sphere(n, ball + j, center).indicator() for j in range(math.comb(n, 2) + 1)]
+    order = []
+    for before, after in zip(spheres, spheres[1:]):
+        [added] = np.flatnonzero(after & ~before).tolist()
+        order.append(added)
+    return order
+
+
 class TestShellOrder:
     def test_descending_offset_masks(self):
-        assert shell_vertices(4, 2, 0) == [0b1100, 0b1010, 0b1001, 0b0110, 0b0101, 0b0011]
+        assert shell_order(4, "0000") == [0b1100, 0b1010, 0b1001, 0b0110, 0b0101, 0b0011]
 
     def test_translation_by_center(self):
-        base = shell_vertices(5, 2, 0)
-        shifted = shell_vertices(5, 2, 0b10101)
+        base = shell_order(5, "00000")
+        shifted = shell_order(5, "10101")  # vertex mask 0b10101: position i is bit i
         assert [v ^ 0b10101 for v in shifted] == base
 
 

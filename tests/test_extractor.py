@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from hamext.adversary import CorruptionReport, verify_similarity
 from hamext.bits import as_bits, to_text
-from hamext.budgets import parse_budget
+from hamext.budgets import lnln, parse_budget
 from hamext.cube import hamming_distance
 from hamext.errors import (ConfigError, ContractError, DimensionError,
                            DomainError, ResourceError)
 from hamext.extractor import (MAKE_SCHEDULE_SCAN_BOUND, BlockSchedule, check_schedule,
-                              default_lambda, extract, majority_bit, make_schedule,
+                              extract, majority_bit, make_schedule,
                               prefix_distances, psi_deviation, similar_g_phi,
                               similar_p_N)
 from hamext.rng import bit_stream
@@ -442,7 +442,7 @@ def test_one_checkpoint_contract(name):
             check(x, y, [1, bad])
     with pytest.raises(DimensionError):
         check(x, y[:4], [1])
-    if name == "psi_deviation":  # divides by sqrt(2 n Lambda(n))
+    if name == "psi_deviation":  # divides by sqrt(2 n lnln n)
         with pytest.raises(DomainError):
             check(x, y, [0])
     else:
@@ -455,15 +455,14 @@ class TestPsiDeviation:
         x = bit_stream(2, 256)
         for point in psi_deviation(x, x, checkpoints=[16, 64, 256]):
             assert point.statistic < 0
-            expect = -(point.n / 2) / math.sqrt(2 * point.n * default_lambda(point.n))
+            expect = -(point.n / 2) / math.sqrt(2 * point.n * lnln(point.n))
             assert point.statistic == pytest.approx(expect, rel=1e-12)
 
     def test_complement_statistic_exact_arithmetic(self):
         ones = np.ones(100, dtype=np.uint8)
         zeros = np.zeros(100, dtype=np.uint8)
         lam = math.log(math.log(100))  # 1.52718...
-        [point] = psi_deviation(ones, zeros, Lambda=lambda n: math.log(math.log(n)),
-                                checkpoints=[100])
+        [point] = psi_deviation(ones, zeros, checkpoints=[100])
         assert point.statistic == pytest.approx(50 / math.sqrt(200 * lam), rel=1e-12)
         assert point.statistic == pytest.approx(2.861, abs=5e-4)
         assert not point.within_envelope
@@ -477,10 +476,6 @@ class TestPsiDeviation:
             if -3 <= point.statistic <= 3:
                 hits += 1
         assert hits >= 63
-
-    def test_rejects_nonpositive_lambda(self):
-        with pytest.raises(DomainError):
-            psi_deviation("1010", "0000", Lambda=lambda n: 0.0, checkpoints=[4])
 
     @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_epsilon(self, epsilon):

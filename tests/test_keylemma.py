@@ -172,7 +172,7 @@ class TestCentralInequality:
                 members = frozenset(int(v) for v in rng.choice(1 << n, size, replace=False))
                 fam = EventFamily(n, members)
                 comp_sphere = make_sphere(n, (1 << n) - size, "0" * n)
-                hat = EventFamily(n, frozenset(range(1 << n)) - frozenset(comp_sphere.members()))
+                hat = EventFamily(n, frozenset(range(1 << n)) - frozenset(np.flatnonzero(comp_sphere.indicator()).tolist()))
                 prof, prof_hat = containment_profile(fam), containment_profile(hat)
                 for d in range(n + 1):
                     assert prof[d] <= prof_hat[d]

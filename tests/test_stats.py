@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from hamext.errors import ContractError, DimensionError, DomainError, ResourceError
 from hamext.rng import bit_stream
-from hamext.stats import (FrequencyReport, apply_selection, berry_esseen_bound,
-                          binomial_cdf_gap, frequency_on_set,
-                          majority_refinement, normal_cdf, select_all,
-                          select_even_parity_prefix, select_evens,
+from hamext.stats import (SELECTION_RULES, FrequencyReport, apply_selection,
+                          berry_esseen_bound, binomial_cdf_gap, frequency_on_set,
+                          majority_refinement, normal_cdf,
                           small_ball_bound, small_ball_probability,
                           sparse_subsequence, weber_series)
 
@@ -228,35 +227,36 @@ class TestSparseSubsequence:
 
 class TestSelectionRules:
     def test_select_all_counts_everything(self):
-        rep = apply_selection(select_all(), "10110")
+        rep = apply_selection(SELECTION_RULES["all"], "10110")
         assert rep == FrequencyReport(5, 3, 0.6, 0.6 - 0.5)
 
     def test_even_positions_of_alternating(self):
-        rep = apply_selection(select_evens(), "10" * 50)
+        rep = apply_selection(SELECTION_RULES["evens"], "10" * 50)
         assert rep.positions_examined == 50
         assert rep.relative_frequency == 1.0
 
     def test_parity_rule_smoke(self):
         x = bit_stream(7, 1 << 16)
-        rep = apply_selection(select_even_parity_prefix(), x)
+        rep = apply_selection(SELECTION_RULES["parity"], x)
         assert abs(rep.relative_frequency - 0.5) < 0.02
 
     def test_mask_matches_streaming_decide(self):
         # each rule's streaming definition: may position i be counted,
         # given only the prefix x[:i]
-        streaming = [(select_all, lambda prefix: True),
-                     (select_evens, lambda prefix: prefix.size % 2 == 0),
-                     (select_even_parity_prefix, lambda prefix: int(prefix.sum()) % 2 == 0)]
-        for make, decide in streaming:
+        streaming = {"all": lambda prefix: True,
+                     "evens": lambda prefix: prefix.size % 2 == 0,
+                     "parity": lambda prefix: int(prefix.sum()) % 2 == 0}
+        assert streaming.keys() == SELECTION_RULES.keys()
+        for name, decide in streaming.items():
             for length in (0, 1, 300):
                 x = bit_stream(3, length)
-                mask = make().mask(x)
+                mask = SELECTION_RULES[name](x)
                 assert mask.dtype == np.bool_
                 assert mask.tolist() == [bool(decide(x[:i])) for i in range(length)]
 
     def test_identity_rule_equals_frequency_on_all_positions(self):
         x = bit_stream(12, 500)
-        rep = apply_selection(select_all(), x)
+        rep = apply_selection(SELECTION_RULES["all"], x)
         [on_all] = frequency_on_set(x, range(500), [500])
         assert (rep.ones_count, rep.positions_examined) == (on_all.ones_count,
                                                             on_all.positions_examined)
