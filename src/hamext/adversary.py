@@ -117,22 +117,16 @@ def _cheapest_flips(x: np.ndarray, core) -> tuple[np.ndarray, int]:
     idx = core_indices(core, x.size)
     # an odd core of 2m+1 votes with margin 2·ones − 2m − 1 needs ones − m flips
     cost = max(0, (int(_margins(x, [idx])[0]) + 1) // 2)
-    if isinstance(idx, range):
-        return _first_ones(x, idx.start, idx.stop, cost), cost
-    return idx[x[idx] != 0][:cost], cost
+    return _first_ones(x, idx.start, idx.stop, cost), cost
 
 
 def force_majority_zero(X, core) -> tuple[list[int], int]:
     """Cheapest flips making the majority over `core` vote 0.
 
     Flips the lowest-indexed 1-bits first; cost is
-    max(0, ones - floor(|core|/2)). Always feasible. Only the core's
-    bits are read: a step-1 range is counted as one slice and scanned
-    only as far as the flips reach; any other core (list, set, ndarray)
-    is read through its sorted index array.
-
-    Raises ContractError for an empty or even-size core, a duplicate or
-    a non-integer index, and DimensionError for an index outside X.
+    max(0, ones - floor(|core|/2)). Always feasible. The core is a
+    step-1 range of odd size inside X, checked by core_indices, and is
+    scanned only as far as the flips reach.
     """
     flips, cost = _cheapest_flips(as_bits(X), core)
     return flips.tolist(), cost
@@ -245,8 +239,7 @@ def corrupt(X, schedule: BlockSchedule, adv: AdversarySchedule) -> CorruptionRep
         if blk_start < a or blk_end > b:
             raise ConfigError(
                 f"stage {s}: target block [{blk_start},{blk_end}) not inside window [{a},{b})")
-        core_start, core_end = schedule.odd_cores[target]
-        flips, cost = _cheapest_flips(y, range(core_start, core_end))
+        flips, cost = _cheapest_flips(y, range(*schedule.odd_cores[target]))
         stage_budget = adv.budget(b - a)
         if cost > stage_budget:
             records.append(StageRecord(s, (a, b), [], cost, False, 1, True))

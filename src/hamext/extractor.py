@@ -16,8 +16,7 @@ independent code path.
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -29,53 +28,32 @@ from .errors import ConfigError, ContractError, DimensionError, DomainError, Res
 MAKE_SCHEDULE_SCAN_BOUND = 1 << 28
 
 
-def core_indices(core, length: int) -> range | np.ndarray:
-    """Validate a majority core against an input of `length` bits.
-
-    A step-1 range comes back unchanged (callers slice with it, so it
-    costs O(1)); any other iterable or integer ndarray comes back as a
-    sorted int64 array. Raises ContractError for an empty or even-size
-    core, a duplicate index or a non-integer index, and DimensionError
-    for an index outside [0, length).
-    """
-    if isinstance(core, range) and core.step == 1:
-        idx = core
-    elif isinstance(core, np.ndarray):
-        if core.size and core.dtype.kind not in "iu":
-            raise ContractError(f"majority core indices must be integers, got {core.dtype}")
-        # uint64 values past the int64 range wrap negative and are rejected below
-        idx = np.sort(core.astype(np.int64), axis=None)
-    else:
-        try:
-            idx = np.sort(np.fromiter((operator.index(i) for i in core), dtype=np.int64))
-        except TypeError as exc:
-            raise ContractError(f"majority core indices must be integers: {exc}") from None
-        except OverflowError:
-            raise DimensionError(f"core index outside input of length {length}") from None
-    if len(idx) % 2 == 0:
-        raise ContractError(f"majority core must have odd size, got {len(idx)}")
-    if idx[0] < 0 or idx[-1] >= length:
-        bad = idx[0] if idx[0] < 0 else idx[-1]
-        raise DimensionError(f"core index {bad} outside input of length {length}")
-    if isinstance(idx, np.ndarray):
-        repeated = idx[1:][idx[1:] == idx[:-1]]
-        if repeated.size:
-            raise ContractError(f"majority core lists index {repeated[0]} more than once")
-    return idx
+def core_indices(core, length: int) -> range:
+    """Validate a majority core, a step-1 range of odd size, against an
+    input of `length` bits and return it. Any other value (a list, set,
+    ndarray, None or a range of another step) and an empty or even-size
+    range raise ContractError; a range reaching outside [0, length)
+    raises DimensionError."""
+    if not (isinstance(core, range) and core.step == 1):
+        raise ContractError(f"a majority core is a step-1 range, got {core!r}")
+    if len(core) % 2 == 0:
+        raise ContractError(f"majority core must have odd size, got {len(core)}")
+    if core.start < 0 or core.stop > length:
+        raise DimensionError(f"core {core!r} outside input of length {length}")
+    return core
 
 
 def _margins(x: np.ndarray, cores) -> np.ndarray:
-    """2·ones − |core| on x for each core in the form core_indices
-    returns: a range is counted as one slice, an array by fancy index."""
-    return np.array([2 * np.count_nonzero(x[c.start:c.stop] if isinstance(c, range) else x[c])
-                     - len(c) for c in cores], dtype=np.int64)
+    """2·ones − |core| on x for each core, a range counted as one slice."""
+    return np.array([2 * np.count_nonzero(x[c.start:c.stop]) - len(c) for c in cores],
+                    dtype=np.int64)
 
 
 def majority_bit(X, core) -> int:
-    """1 iff strictly more ones than zeros on the (odd-size) core.
+    """1 iff strictly more ones than zeros on the core.
 
-    The core is checked by core_indices: duplicates and indices outside
-    X raise instead of being counted twice or wrapped around.
+    The core is a step-1 range of odd size inside X, checked by
+    core_indices.
     """
     x = as_bits(X)
     return 1 if _margins(x, [core_indices(core, x.size)])[0] > 0 else 0
@@ -129,11 +107,8 @@ class BlockSchedule:
 
     @property
     def partial_sums(self) -> tuple[int, ...]:
-        sums, acc = [], 0
-        for s in self.sizes:
-            acc += s
-            sums.append(acc)
-        return tuple(sums)
+        """Each block's end: the prefix length through that block."""
+        return tuple(e for _, e in self.blocks)
 
     @property
     def total_length(self) -> int:
@@ -178,47 +153,26 @@ class ExtractionTrace:
     robust_flags: Optional[np.ndarray] = None
 
 
-def _cores_of(schedule, length: int) -> tuple[list[np.ndarray], list[int]]:
-    """Per index set: its odd core (minus its max when its size is even),
-    read by core_indices against `length`, and the set's size."""
-    cores, sizes = [], []
-    seen: set[int] = set()
-    for block in _collection(schedule, "schedule", ConfigError):
-        idx = np.unique(np.asarray(_collection(block, "index set", ConfigError)))
-        core = core_indices(idx[:idx.size - 1 + idx.size % 2], length)
-        if seen.intersection(core.tolist()):
-            raise ConfigError("extractor blocks must be disjoint")
-        seen.update(core.tolist())
-        cores.append(core)
-        sizes.append(idx.size)
-    return cores, sizes
-
-
 def extract(X, schedule, budget: BudgetFunction | None = None) -> ExtractionTrace:
     """Majority-vote every block's odd core of X.
 
-    `schedule` is a BlockSchedule or any sequence of disjoint index
-    sets; each set's odd core is read by core_indices, so a non-integer
-    index or one outside X raises. With a budget g, robust_flags marks
-    blocks whose margin magnitude exceeds g(n_k) (n_k the full block
-    size): flips of at most g(n_k) bits inside block k cannot change
-    those output bits.
+    `schedule` must be a BlockSchedule (anything else raises
+    ConfigError), and X must cover it. With a budget g, robust_flags
+    marks blocks whose margin magnitude exceeds g(n_k) (n_k the full
+    block size): flips of at most g(n_k) bits inside block k cannot
+    change those output bits.
     """
+    if not isinstance(schedule, BlockSchedule):
+        raise ConfigError(f"extract needs a BlockSchedule, got {schedule!r}")
     x = as_bits(X)
-    if isinstance(schedule, BlockSchedule):
-        if schedule.total_length > x.size:
-            missing = [k for k, (_, e) in enumerate(schedule.blocks) if e > x.size]
-            raise DimensionError(
-                f"input of length {x.size} does not cover blocks {missing}")
-        cores = [range(s, e) for s, e in schedule.odd_cores]
-        full_sizes = schedule.sizes
-    else:
-        cores, full_sizes = _cores_of(schedule, x.size)
-    margins = _margins(x, cores)
+    if schedule.total_length > x.size:
+        missing = [k for k, (_, e) in enumerate(schedule.blocks) if e > x.size]
+        raise DimensionError(f"input of length {x.size} does not cover blocks {missing}")
+    margins = _margins(x, [range(s, e) for s, e in schedule.odd_cores])
     outputs = (margins > 0).astype(np.uint8)
     robust = None
     if budget is not None:
-        allow = np.array([budget(int(n)) for n in full_sizes], dtype=np.int64)
+        allow = np.array([budget(n) for n in schedule.sizes], dtype=np.int64)
         robust = np.abs(margins) > 2 * allow
     return ExtractionTrace(outputs=outputs, margins=margins, robust_flags=robust)
 

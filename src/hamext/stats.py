@@ -38,6 +38,9 @@ CDF_GAP_CEILING = 10 ** 5
 # (10^4, 10^4), the worst call below the ceiling, takes 7-14 s on 2 cores,
 # and (20000, 20000) over a minute
 SMALL_BALL_CEILING = 10 ** 4
+# the weber scans build 2^m for each block m <= n_max (2^4096 has 1 234 digits, under
+# the 4 300 that int-to-text allows) and take time quadratic in n_max for a dense nu
+WEBER_CEILING = 4096
 
 
 def normal_cdf(x: float) -> float:
@@ -139,14 +142,22 @@ class WeberSeries:
         return math.log(p) if p else float("-inf")
 
 
+def _n_max(n_max) -> int:
+    n_max = read_index(n_max, "n_max", 1)
+    if n_max > WEBER_CEILING:
+        raise ResourceError(f"the weber scans handle 1 <= n_max <= {WEBER_CEILING}")
+    return n_max
+
+
 def weber_series(nu, n_max: int) -> WeberSeries:
     """Dyadic block hits of the subsequence nu (any iterable of integers).
 
     A range with a positive step is already strictly increasing and
     bisect searches it in place, so it is kept as it is rather than
-    listed out.
+    listed out. An n_max below 1 raises DomainError, one past
+    WEBER_CEILING ResourceError.
     """
-    n_max = read_index(n_max, "n_max", 1)
+    n_max = _n_max(n_max)
     ranged = isinstance(nu, range) and nu.step > 0
     try:
         seq = nu if ranged else tuple(read_index(v, "subsequence member", lo=None) for v in nu)
@@ -173,9 +184,9 @@ def sparse_subsequence(f: Callable[[int], float], n_max: int) -> SparseResult:
     2^m) only once ln(hits so far + 1) <= f(2^(m-1)); f nondecreasing
     then keeps every k in admitted and skipped blocks alike under f, so
     the reported violation threshold is 0 for genuine order functions.
-    An n_max below 1 raises DomainError, as in weber_series.
+    n_max is read as in weber_series, before the scan.
     """
-    n_max = read_index(n_max, "n_max", 1)
+    n_max = _n_max(n_max)
     nu: list[int] = []
     hits = 0
     for m in range(1, n_max + 1):

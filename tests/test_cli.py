@@ -387,6 +387,16 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().err)["error"] == "resource"
         assert not (tmp_path / "o").exists()
 
+    def test_weber_ceiling_is_three(self, tmp_path, capsys):
+        assert run(["weber", "--nu", 2, "--n", 4096, "--out-dir", tmp_path / "at"]) == 0
+        assert run(["weber", "--rate", "table:0", "--n", 4096, "--out-dir", tmp_path / "sp"]) == 0
+        capsys.readouterr()
+        # 16000 used to exit 1 on the 4 300-digit int-to-text limit, 10^14 never returned
+        for args in (["--nu", 2, "--n", 4097], ["--n", 16000], ["--n", 10 ** 14]):
+            assert run(["weber", *args, "--out-dir", tmp_path / "o"]) == 3
+            assert json.loads(capsys.readouterr().err)["error"] == "resource"
+        assert not (tmp_path / "o").exists()
+
     def test_refused_allocation_is_three(self, tmp_path, monkeypatch, capsys):
         def refuse(seed, length):
             raise MemoryError("Unable to allocate 11.4 TiB")
@@ -507,7 +517,7 @@ class TestExitCodes:
 
 # Values a fuzzed option may take. power:1/3 is left out, and gen-budget is
 # always given, because that budget's 5-block schedule spans 17 million bits.
-TOKENS = [*map(str, range(-3, 65)), "2.5", "1/2", "x",
+TOKENS = [*map(str, range(-3, 65)), "100000000000000", "2.5", "1/2", "x",
           "power:1/2", "power:2/3", "table:0", "table:1=2", "lil:1",
           "power:", "power:x", "table:1=", "lil:", "affine_sqrt:1", "cube:2",
           "2,4", "csv", "evens", "parity", "lnln"]

@@ -14,16 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamext.adversary import (AdversarySchedule, force_output_zero_generic,
-                              stages_from_blocks)
+from hamext.adversary import (AdversarySchedule, force_majority_zero,
+                              force_output_zero_generic, stages_from_blocks)
 from hamext.bits import read_index
 from hamext.budgets import (affine_sqrt_budget, lil_budget, parse_budget, power_budget,
                             table_budget)
 from hamext.cube import (EventFamily, SphereSpec, binomial_tail, make_sphere,
                          neighborhood)
-from hamext.errors import ConfigError, DimensionError, DomainError, HamextError
-from hamext.extractor import (BlockSchedule, check_schedule, extract, make_schedule,
-                              psi_deviation, similar_p_N)
+from hamext.errors import (ConfigError, ContractError, DimensionError, DomainError,
+                           HamextError)
+from hamext.extractor import (BlockSchedule, check_schedule, extract, majority_bit,
+                              make_schedule, psi_deviation, similar_p_N)
 from hamext.keylemma import KeyLemmaInstance, containment_profile, verify_key_lemma
 from hamext.rng import bit_stream
 from hamext.stats import (berry_esseen_bound, binomial_cdf_gap, frequency_on_set,
@@ -33,6 +34,7 @@ from hamext.stats import (berry_esseen_bound, binomial_cdf_gap, frequency_on_set
 G = parse_budget("power:1/3")
 FAMILY = EventFamily(3, frozenset({0}))
 REFUSED = (2.5, "3", None)
+NOT_A_CORE = ([0, 1, 2], {0, 1, 2}, np.arange(3), range(0, 5, 2), None)
 
 # (parameter, call with the value under test, its error, the values it refuses:
 # the non-integers and, where the parameter has a range, an integer outside it)
@@ -102,8 +104,12 @@ ROWS = [
     ("BlockSchedule block pair", lambda v: BlockSchedule((v,)), ConfigError,
      ((0,), (0, 1, 2), 5)),
     ("BlockSchedule blocks", lambda v: BlockSchedule(v), ConfigError, (5, None)),
-    ("extract index sets", lambda v: extract("101", v), ConfigError, (5, None)),
-    ("extract index set", lambda v: extract("101", [v]), ConfigError, (5, None)),
+    ("extract schedule", lambda v: extract("101", v), ConfigError,
+     (5, None, [[0, 1, 2]], ((0, 3),))),
+    # a majority core is a step-1 range
+    ("majority_bit core", lambda v: majority_bit("101", v), ContractError, NOT_A_CORE),
+    ("force_majority_zero core", lambda v: force_majority_zero("101", v),
+     ContractError, NOT_A_CORE),
     ("neighborhood A", lambda v: neighborhood(v, 1), DomainError, (5, None)),
     ("majority_refinement strings", lambda v: majority_refinement(v), DomainError, (5, None)),
     ("EventFamily.from_strings strings", lambda v: EventFamily.from_strings(v),

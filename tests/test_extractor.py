@@ -1,12 +1,11 @@
 import math
-from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamext.adversary import CorruptionReport, verify_similarity
+from hamext.adversary import CorruptionReport, force_majority_zero, verify_similarity
 from hamext.bits import as_bits, to_text
 from hamext.budgets import lnln, parse_budget
 from hamext.cube import hamming_distance
@@ -32,37 +31,38 @@ def majority_oracle(x: str, core) -> int:
 
 class TestMajorityBit:
     def test_two_of_three(self):
-        assert majority_bit("110", {0, 1, 2}) == 1
+        assert majority_bit("110", range(3)) == 1
 
     def test_all_zeros(self):
-        assert majority_bit("0" * 9, {1, 3, 5}) == 0
+        assert majority_bit("0" * 9, range(1, 6)) == 0
 
     def test_hand_trace(self):
         # bits at 3,4,5,6,7 of 11001101 are 0,1,1,0,1 -> three ones
         assert majority_oracle("11001101", [3, 4, 5, 6, 7]) == 1
-        assert majority_bit("11001101", {3, 4, 5, 6, 7}) == 1
+        assert majority_bit("11001101", range(3, 8)) == 1
 
     def test_even_core_rejected(self):
-        with pytest.raises(ContractError):
-            majority_bit("1100", {0, 1})
+        for core in (range(2), range(1, 1)):
+            with pytest.raises(ContractError):
+                majority_bit("1100", core)
 
     def test_out_of_range(self):
         with pytest.raises(DimensionError):
-            majority_bit("11", {0, 1, 2})
-
-    def test_duplicate_index_rejected(self):
-        # [0, 0, 1] would count position 0 twice and vote 0 on "011"
-        with pytest.raises(ContractError):
-            majority_bit("011", [0, 0, 1])
+            majority_bit("11", range(3))
 
     def test_negative_index_rejected(self):
         with pytest.raises(DimensionError):
-            majority_bit("011", [-1, 0, 1])
+            majority_bit("011", range(-1, 2))
 
-    def test_list_range_and_array_cores_agree(self):
+    def test_only_a_step_one_range_is_a_core(self):
         x = "1101001110"
-        for core in ([1, 2, 3, 4, 5], range(1, 6), np.arange(5, 0, -1), {5, 4, 3, 2, 1}):
-            assert majority_bit(x, core) == majority_oracle(x, [1, 2, 3, 4, 5])
+        assert majority_bit(x, range(1, 6)) == majority_oracle(x, [1, 2, 3, 4, 5])
+        for core in ([1, 2, 3, 4, 5], {1, 2, 3, 4, 5}, np.arange(1, 6), range(1, 10, 2),
+                     [0.5, 1, 2], np.array([0.0, 1.0, 2.0]), None):
+            with pytest.raises(ContractError):
+                majority_bit(x, core)
+            with pytest.raises(ContractError):
+                force_majority_zero(x, core)
 
 
 class TestExtract:
@@ -91,51 +91,6 @@ class TestExtract:
             x = to_text(bit_stream(seed, 14))
             trace = extract(x, sched)
             assert [int(v) for v in trace.outputs] == [majority_oracle(x, c) for c in cores]
-
-    def test_accepts_raw_disjoint_cores(self):
-        trace = extract("1101100", [{0, 2, 4}, {1, 5, 6}])
-        assert [int(v) for v in trace.outputs] == [majority_oracle("1101100", [0, 2, 4]),
-                                                   majority_oracle("1101100", [1, 5, 6])]
-
-    def test_one_shot_iterable_schedule(self):
-        x = "1101100"
-        blocks = [[0, 1, 2], [3, 4, 5]]
-        budget = parse_budget("table:0")
-        expect = extract(x, blocks, budget)
-        trace = extract(x, iter(blocks), budget)
-        assert trace.outputs.tolist() == expect.outputs.tolist() == [1, 1]
-        assert trace.robust_flags.tolist() == expect.robust_flags.tolist()
-
-    def test_rejects_overlapping_cores(self):
-        with pytest.raises(ConfigError):
-            extract("1101100", [{0, 2, 4}, {4, 5, 6}])
-
-    def test_even_raw_block_drops_its_max(self):
-        # core {0, 1, 2} votes 0, 0, 1; dropping the min would vote 0, 1, 1
-        trace = extract("0011", [[0, 1, 2, 3]])
-        assert trace.margins.tolist() == [-1]
-        assert trace.outputs.tolist() == [0]
-
-    def test_even_raw_blocks_match_block_schedule(self):
-        sched = BlockSchedule.from_sizes((2, 2, 4, 6, 8, 12))
-        raw = [list(range(s, e)) for s, e in sched.blocks]
-        for seed in range(20):
-            x = bit_stream(seed, sched.total_length)
-            assert extract(x, raw).margins.tolist() == extract(x, sched).margins.tolist()
-
-    @pytest.mark.parametrize("block, error", [
-        ([-1, 2, 4], DimensionError),  # used to vote with the last bit
-        ([2, 4, 7], DimensionError),
-        ([0.5, 2, 4], ContractError),  # used to read 0.5 as 0
-        ([1, "3", 5], ContractError),  # used to read "3" as 3
-        ([], ContractError),
-    ], ids=["negative", "past_end", "fraction", "text", "empty"])
-    def test_raw_blocks_read_like_majority_cores(self, block, error):
-        with pytest.raises(error):
-            extract("1101100", [block])
-        if block:
-            with pytest.raises(error):
-                majority_bit("1101100", block)
 
     @given(st.integers(0, (1 << 14) - 1))
     @settings(max_examples=300)
@@ -260,6 +215,14 @@ class TestMakeSchedule:
         g = parse_budget("power:1/3")
         with pytest.raises(ResourceError):
             make_schedule(g, 3, N_constraint=[1, 65, 100])
+
+    def test_offset_schedule_checkpoints_are_block_ends(self):
+        # partial sums used to add up sizes: (3, 6) for a schedule starting at 5
+        sched = BlockSchedule(((5, 8), (8, 11)))
+        assert sched.partial_sums == (8, 11)
+        g = parse_budget("power:1/3")
+        assert not [v for v in check_schedule(sched, g, [8, 11]) if "partial sum" in v]
+        assert len([v for v in check_schedule(sched, g, [3, 6]) if "partial sum" in v]) == 2
 
     def test_rechecker_catches_bad_schedules(self):
         g = parse_budget("power:1/3")

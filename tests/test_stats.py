@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from hamext.errors import ContractError, DimensionError, DomainError, ResourceError
 from hamext.rng import bit_stream
-from hamext.stats import (SELECTION_RULES, FrequencyReport, apply_selection,
+from hamext.stats import (SELECTION_RULES, WEBER_CEILING, FrequencyReport, apply_selection,
                           berry_esseen_bound, binomial_cdf_gap, frequency_on_set,
                           majority_refinement, normal_cdf,
                           small_ball_bound, small_ball_probability,
@@ -190,6 +190,17 @@ class TestWeberSeries:
                 weber_series(nu, n_max)
         with pytest.raises(DomainError):
             sparse_subsequence(lambda k: float(k), n_max)
+
+    def test_n_max_ceiling(self):
+        # 16000 ran over the 4 300-digit int-to-text limit in the report,
+        # and 10^14 never returned
+        assert weber_series([2], WEBER_CEILING).p_counts[-1] == 1
+        assert sparse_subsequence(lambda k: 0.0, WEBER_CEILING) == ([2], 0)
+        for n_max in (WEBER_CEILING + 1, 16000, 10 ** 14):
+            with pytest.raises(ResourceError):
+                weber_series([2], n_max)
+            with pytest.raises(ResourceError):
+                sparse_subsequence(lambda k: 0.0, n_max)
 
     def test_rate_domain(self):
         series = weber_series([2], 4)
