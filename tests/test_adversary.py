@@ -109,6 +109,11 @@ class TestForceMajorityZero:
             with pytest.raises(DimensionError):
                 force_majority_zero("110", core)
 
+    def test_non_integer_index_rejected(self):
+        for core in ([0.5, 1, 2], np.array([0.0, 1.0, 2.0])):
+            with pytest.raises(ContractError):
+                force_majority_zero("110", core)
+
 
 class TestForceOutputZeroGeneric:
     @staticmethod
