@@ -19,9 +19,7 @@ from .cube import (EventFamily, SphereSpec, binomial_tail, hamming_distance,
 from .extractor import (BlockSchedule, ExtractionTrace, check_schedule,
                         extract, majority_bit, make_schedule,
                         psi_deviation, similar_g_phi, similar_p_N)
-from .keylemma import (KeyLemmaInstance, ball_containment_probability,
-                       containment_profile, sphere_tail_bound,
-                       verify_key_lemma)
+from .keylemma import containment_profile, verify_key_lemma
 from .stats import (apply_selection, berry_esseen_bound, binomial_cdf_gap,
                     frequency_on_set, majority_refinement,
                     small_ball_bound, small_ball_probability,

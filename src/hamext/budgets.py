@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bits import _real, read_index
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 
 
 def _iroot(x: int, q: int) -> int:
@@ -94,8 +94,13 @@ class BudgetFunction:
                 if n >= bp:
                     value = v
             return value
-        # lil
-        return math.ceil(lil_envelope(n, self.params[0]))
+        # lil: the envelope is a float, inf (nan at eps = 1) from n ~ 2^1021;
+        # past 2^1024 n itself has no float
+        try:
+            return math.ceil(lil_envelope(n, self.params[0]))
+        except (OverflowError, ValueError):
+            raise ResourceError(f"the lil envelope at a {n.bit_length()}-bit n "
+                                "is past the float range") from None
 
     @property
     def is_bounded(self) -> bool:

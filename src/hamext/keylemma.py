@@ -11,7 +11,6 @@ over 2^n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
@@ -25,29 +24,6 @@ from .rng import generator
 
 CONTAINMENT_CEILING = 16
 
-#: vertices swept per distance_to_set call, in whole rows (one row holds
-#: at most 2^CONTAINMENT_CEILING of them): a batch's int64 histogram bins
-#: take at most 512 KiB however many families one n has
-BATCH_VERTICES = 1 << 16
-
-
-@dataclass(frozen=True)
-class KeyLemmaInstance:
-    family: EventFamily
-    ball_radius: int
-
-    def __post_init__(self):
-        read_index(self.ball_radius, "ball radius", 0, self.family.dimension)
-
-    @property
-    def r(self) -> int:
-        """Largest r with b(n,r) <= |E| (and |E| < b(n,r+1)); -1 when empty."""
-        size = self.family.size
-        n = self.family.dimension
-        if size >= 1 << n:
-            raise DomainError("the bound needs P(E) < 1 (proper subset)")
-        return bracket(binomial_tails(n), size)
-
 
 def _check_ceiling(n: int):
     if n > CONTAINMENT_CEILING:
@@ -56,26 +32,18 @@ def _check_ceiling(n: int):
 
 
 def _contained_counts(inside: np.ndarray, n: int) -> np.ndarray:
-    """(families, n+1) int64: per row of the (families, 2^n) membership
-    array and d = 0..n, the points whose radius-d ball stays inside it.
+    """(families, n+1): per row of the (families, 2^n) membership array
+    and d = 0..n, the points whose radius-d ball stays inside it.
 
     A point fails iff it lies within d of the complement, so the count
     is 2^n minus the points at distance <= d from the complement. An
     empty complement sits at distance n+1 from every point and never
-    counts. The complements go through distance_to_set in batches of
-    whole rows; each batch is read as one histogram of distances (row
-    r's values land in bins r*(n+2) .. r*(n+2)+n+1), whose running sums
-    give every d at once.
+    counts. Every row's complement goes through one distance_to_set
+    call.
     """
-    counts = np.empty((len(inside), n + 1), dtype=np.int64)
-    step = max(1, BATCH_VERTICES >> n)
-    for lo in range(0, len(inside), step):
-        dist = kernels.distance_to_set(~inside[lo:lo + step], n)
-        rows = len(dist)
-        bins = dist + np.arange(0, rows * (n + 2), n + 2)[:, None]
-        hist = np.bincount(bins.ravel(), minlength=rows * (n + 2)).reshape(rows, n + 2)
-        counts[lo:lo + rows] = (1 << n) - np.cumsum(hist[:, :n + 1], axis=1)
-    return counts
+    dist = kernels.distance_to_set(~inside, n)
+    return (1 << n) - np.stack([np.count_nonzero(dist <= d, axis=-1) for d in range(n + 1)],
+                               axis=-1)
 
 
 def containment_profile(family: EventFamily, max_d: int | None = None) -> list[Fraction]:
@@ -86,16 +54,6 @@ def containment_profile(family: EventFamily, max_d: int | None = None) -> list[F
     total = 1 << n
     counts = _contained_counts(family.indicator()[None], n)[0].tolist()
     return [Fraction(counts[min(d, n)], total) for d in range(max_d + 1)]
-
-
-def ball_containment_probability(instance: KeyLemmaInstance) -> Fraction:
-    return containment_profile(instance.family, instance.ball_radius)[-1]
-
-
-def sphere_tail_bound(instance: KeyLemmaInstance) -> Fraction:
-    """q_{r+1-d} = b(n, r+1-d)/2^n (zero once the index goes negative)."""
-    n = instance.family.dimension
-    return Fraction(binomial_tail(n, instance.r + 1 - instance.ball_radius), 1 << n)
 
 
 def adversarial_families(n: int, max_size: int, rng) -> list[tuple[str, np.ndarray]]:

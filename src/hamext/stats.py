@@ -121,16 +121,17 @@ class WeberSeries:
     """Hit counts of a subsequence across dyadic blocks.
 
     p_count(n) = how many of the blocks (2^(m-1), 2^m], m <= n, meet the
-    subsequence; the log statistic is constant on each block.
+    subsequence; the log statistic is constant on each block. hit_blocks
+    lists the hit m in increasing order.
     """
 
     nu: Sequence[int]  # a positive-step range stays a range
     n_max: int
-    hit_blocks: frozenset[int]
+    hit_blocks: tuple[int, ...]
 
     def p_count(self, n: int) -> int:
         n = read_index(n, "n", 1, self.n_max)
-        return sum(1 for m in self.hit_blocks if m <= n)
+        return bisect_right(self.hit_blocks, n)
 
     @property
     def p_counts(self) -> list[int]:
@@ -168,8 +169,8 @@ def weber_series(nu, n_max: int) -> WeberSeries:
     # block m = (2^(m-1), 2^m] is hit iff the first member past 2^(m-1) is at
     # most 2^m; no block past the last member's can be
     top = min(n_max, _block_of(seq[-1])) if seq else 0
-    hits = {m for m in range(1, top + 1) if seq[bisect_right(seq, 1 << (m - 1))] <= 1 << m}
-    return WeberSeries(seq, n_max, frozenset(hits))
+    hits = tuple(m for m in range(1, top + 1) if seq[bisect_right(seq, 1 << (m - 1))] <= 1 << m)
+    return WeberSeries(seq, n_max, hits)
 
 
 class SparseResult(NamedTuple):

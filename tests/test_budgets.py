@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hamext.budgets import (affine_sqrt_budget, lil_budget, parse_budget,
                             power_budget, table_budget)
-from hamext.errors import DomainError
+from hamext.errors import DomainError, HamextError
 
 
 def ceil_oracle(value: Fraction) -> int:
@@ -103,6 +103,21 @@ class TestLil:
 
     def test_not_bounded(self):
         assert not parse_budget("lil:0.5").is_bounded
+
+
+class TestEveryLength:
+    # lil's float envelope is inf or nan from n ~ 2^1021, and n past 2^1024
+    # has no float at all: each must surface as a HamextError
+    @given(st.sampled_from(["power:2/3", "power:3/4:2", "affine_sqrt:1/2:1", "table:1=0,4=1",
+                            "lil:0", "lil:0.5", "lil:1"]),
+           st.integers(0, 2 ** 1100) | st.integers(2 ** 1015, 2 ** 1030))
+    @settings(max_examples=300, deadline=None)
+    def test_an_int_or_a_hamext_error(self, token, n):
+        try:
+            value = parse_budget(token)(n)
+        except HamextError:
+            return
+        assert isinstance(value, int) and value >= 0
 
 
 class TestModulus:

@@ -397,6 +397,14 @@ class TestExitCodes:
             assert json.loads(capsys.readouterr().err)["error"] == "resource"
         assert not (tmp_path / "o").exists()
 
+    def test_lil_rate_past_the_float_range_is_three(self, tmp_path, capsys):
+        # the sparse scan reads the rate at 2^(n-1); 2^1021 overflows lil's float envelope
+        assert run(["weber", "--rate", "lil:1", "--n", 1021, "--out-dir", tmp_path / "ok"]) == 0
+        capsys.readouterr()
+        assert run(["weber", "--rate", "lil:1", "--n", 1022, "--out-dir", tmp_path / "o"]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "resource"
+        assert not (tmp_path / "o").exists()
+
     def test_refused_allocation_is_three(self, tmp_path, monkeypatch, capsys):
         def refuse(seed, length):
             raise MemoryError("Unable to allocate 11.4 TiB")

@@ -25,7 +25,7 @@ from hamext.errors import (ConfigError, ContractError, DimensionError, DomainErr
                            HamextError)
 from hamext.extractor import (BlockSchedule, check_schedule, extract, majority_bit,
                               make_schedule, psi_deviation, similar_p_N)
-from hamext.keylemma import KeyLemmaInstance, containment_profile, verify_key_lemma
+from hamext.keylemma import containment_profile, verify_key_lemma
 from hamext.rng import bit_stream
 from hamext.stats import (berry_esseen_bound, binomial_cdf_gap, frequency_on_set,
                           majority_refinement, small_ball_bound, small_ball_probability,
@@ -58,8 +58,6 @@ ROWS = [
     ("neighborhood d", lambda v: neighborhood(["00"], v), DomainError, REFUSED + (3,)),
     ("EventFamily dimension", lambda v: EventFamily(v, frozenset()),
      DomainError, REFUSED + (-1,)),
-    ("KeyLemmaInstance ball_radius", lambda v: KeyLemmaInstance(FAMILY, v),
-     DomainError, REFUSED + (4,)),
     # None is the default: the profile up to d = n
     ("containment_profile max_d", lambda v: containment_profile(FAMILY, v),
      DomainError, (2.5, "3", -1)),

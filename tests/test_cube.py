@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamext.cube import (EventFamily, binomial_tail, binomial_tails, hamming_distance,
-                         harper_min_neighborhood, make_sphere, neighborhood,
-                         vertex_text)
+from hamext.cube import (EventFamily, binomial_tail, binomial_tails, bracket,
+                         hamming_distance, harper_min_neighborhood, make_sphere,
+                         neighborhood, vertex_text)
 from hamext.errors import DimensionError, DomainError, ResourceError
 
 
@@ -115,6 +115,14 @@ class TestBinomialTail:
     def test_row_matches_per_k_tails(self):
         for n in range(12):
             assert binomial_tails(n) == [binomial_tail(n, k) for k in range(n + 1)]
+
+    def test_bracket_holds_every_proper_size(self):
+        # b(n,r) <= |E| < b(n,r+1), r = -1 below one point
+        for n in range(9):
+            tails = binomial_tails(n)
+            for size in range(1 << n):
+                r = bracket(tails, size)
+                assert (r == -1 or tails[r] <= size) and size < tails[r + 1]
 
     def test_mirror_identity_and_comb_sums_at_large_n(self):
         # both sides of the middle: the mirror branch and the direct sum

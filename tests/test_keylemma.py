@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from hamext import keylemma, kernels
-from hamext.cube import EventFamily, binomial_tail, make_sphere
+from hamext.cube import EventFamily, binomial_tail, binomial_tails, bracket, make_sphere
 from hamext.errors import DomainError, ResourceError
-from hamext.keylemma import (KeyLemmaInstance, ball_containment_probability,
-                             containment_profile, sphere_tail_bound,
-                             verify_key_lemma)
+from hamext.keylemma import containment_profile, verify_key_lemma
 from hamext.rng import generator
 
 
@@ -42,13 +40,12 @@ def weight_cut(n, w):
 class TestBallContainment:
     def test_weight_cut_example(self):
         fam = weight_cut(4, 2)
-        inst = KeyLemmaInstance(fam, 1)
         assert containment_oracle(fam, 1) == Fraction(5, 16)
-        assert ball_containment_probability(inst) == Fraction(5, 16)
+        assert containment_profile(fam)[1] == Fraction(5, 16)
 
     def test_radius_zero_is_event_probability(self):
         fam = weight_cut(5, 2)
-        assert ball_containment_probability(KeyLemmaInstance(fam, 0)) == fam.probability
+        assert containment_profile(fam)[0] == fam.probability
 
     def test_full_cube(self):
         fam = EventFamily(3, frozenset(range(8)))
@@ -81,7 +78,7 @@ class TestBallContainment:
                         containment_oracle(fam, d) for d in range(max_d + 1)]
 
     @pytest.mark.parametrize("n", range(7))
-    def test_contained_counts_match_brute_force(self, monkeypatch, n):
+    def test_contained_counts_match_brute_force(self, n):
         rng = generator(60 + n)
         density = rng.random((8, 1))
         full_minus_one = np.ones(1 << n, dtype=np.bool_)
@@ -89,8 +86,6 @@ class TestBallContainment:
         inside = np.vstack([rng.random((8, 1 << n)) < density,
                             np.zeros(1 << n, dtype=np.bool_), full_minus_one])
         expected = contained_counts_oracle(inside, n)
-        assert keylemma._contained_counts(inside, n).tolist() == expected
-        monkeypatch.setattr(keylemma, "BATCH_VERTICES", 3 << n)  # batches of 3, 3, 3, 1
         assert keylemma._contained_counts(inside, n).tolist() == expected
 
     def test_ceiling(self):
@@ -100,29 +95,24 @@ class TestBallContainment:
             verify_key_lemma(17, 1, Fraction(1, 2), 0)
 
 
+def ball_row(label: str) -> dict:
+    """The stress-set family `label` of the n = 4 report at threshold 3/4,
+    whose size cap 12 admits the radius-2 ball (b(4,2) = 11)."""
+    report = verify_key_lemma(4, 0, Fraction(3, 4), 0)
+    return next(f for f in report["families"] if f["label"] == label)
+
+
 class TestSphereTailBound:
     def test_r_bracket(self):
-        fam = EventFamily(4, frozenset(range(11)))  # |E| = 11 = b(4,2)
-        inst = KeyLemmaInstance(fam, 1)
-        assert inst.r == 2
-        assert sphere_tail_bound(inst) == Fraction(11, 16)  # q_2 = b(4,2)/16
+        fam = ball_row("ball r=2 c=0")  # |E| = 11 = b(4,2)
+        assert fam["size"] == 11 and fam["r"] == 2
+        assert fam["rows"][1]["bound"] == Fraction(11, 16)  # q_2 = b(4,2)/16
 
     def test_radius_past_bracket_gives_zero(self):
-        fam = EventFamily(4, frozenset({0}))  # r = 0
-        assert sphere_tail_bound(KeyLemmaInstance(fam, 2)) == 0
-        assert sphere_tail_bound(KeyLemmaInstance(fam, 1)) == Fraction(1, 16)
-
-    def test_radius_zero_dominates_probability(self):
-        rng = generator(2)
-        for _ in range(10):
-            size = int(rng.integers(0, 15))
-            fam = EventFamily(4, frozenset(int(v) for v in rng.choice(16, size, replace=False)))
-            inst = KeyLemmaInstance(fam, 0)
-            assert fam.probability < sphere_tail_bound(inst) or fam.size == binomial_tail(4, inst.r)
-
-    def test_full_cube_has_no_bracket(self):
-        with pytest.raises(DomainError):
-            KeyLemmaInstance(EventFamily(3, frozenset(range(8))), 0).r
+        fam = ball_row("ball r=0 c=0")  # r = 0
+        assert fam["r"] == 0
+        assert fam["rows"][2]["bound"] == 0
+        assert fam["rows"][1]["bound"] == Fraction(1, 16)
 
 
 class TestCentralInequality:
@@ -139,10 +129,11 @@ class TestCentralInequality:
                                   for r in r_of_size])
         assert (contained <= bound_of_size[members.sum(axis=1)]).all()
         # the library's per-family path reads the same rows
+        tails = binomial_tails(n)
         sample = generator(44).choice(index.size, 200, replace=False).tolist()
         for row in [0, index.size - 1, *sample]:
             fam = EventFamily(n, frozenset(np.flatnonzero(members[row]).tolist()))
-            assert KeyLemmaInstance(fam, 0).r == r_of_size[fam.size]
+            assert bracket(tails, fam.size) == r_of_size[fam.size]
             assert containment_profile(fam) == [Fraction(int(c), total) for c in contained[row]]
 
     def test_monotone_in_radius_and_event(self):
@@ -157,7 +148,7 @@ class TestCentralInequality:
         for n in (4, 6, 8):
             for rho in range(n // 2 + 1):
                 fam = weight_cut(n, rho)
-                r = KeyLemmaInstance(fam, 0).r
+                r = bracket(binomial_tails(n), fam.size)
                 assert r == rho
                 profile = containment_profile(fam)
                 for d in range(n + 1):
@@ -197,18 +188,15 @@ class TestVerifyKeyLemma:
         assert all(a <= b for a, b in zip(steps, steps[1:]))
         assert all(s is not None for s in steps)
 
-    def test_family_batches_do_not_change_the_report(self, monkeypatch):
-        whole = verify_key_lemma(5, trials=30, p_threshold=Fraction(1, 2), seed=3)
-        monkeypatch.setattr(keylemma, "BATCH_VERTICES", 3 << 5)  # three families per sweep
-        assert verify_key_lemma(5, trials=30, p_threshold=Fraction(1, 2), seed=3) == whole
-
     def test_no_families_under_a_tiny_threshold(self):
         report = verify_key_lemma(3, trials=0, p_threshold=Fraction(1, 16), seed=0)
         assert report["families"] == [] and report["violations"] == 0
 
     def test_threshold_domain(self):
-        with pytest.raises(DomainError):
-            verify_key_lemma(4, 1, Fraction(3, 2), 0)
+        # 0 and 1 are refused too: a threshold under 1 alone keeps every family proper
+        for threshold in (Fraction(3, 2), Fraction(0), Fraction(1)):
+            with pytest.raises(DomainError):
+                verify_key_lemma(4, 1, threshold, 0)
 
     @pytest.mark.parametrize("n, trials", [(-2, 1), (4, -1), (4, 1.5), (2.0, 1)])
     def test_dimension_and_trials_domain(self, n, trials):
