@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import time
 from fractions import Fraction
-from itertools import combinations, pairwise
+from itertools import pairwise
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from . import kernels
 from .adversary import StageRecord, corrupt, stages_from_blocks, verify_similarity
 from .budgets import lnln, parse_budget
-from .cube import binomial_tail, harper_min_neighborhood
+from .cube import harper_min_neighborhood
 from .extractor import BlockSchedule, extract, make_schedule
 from .keylemma import verify_key_lemma
 from .rng import bit_stream
@@ -240,9 +240,9 @@ def crit_lil_smoke() -> CriterionResult:
     unit-variance walk, not a theorem."""
     t0 = time.perf_counter()
     length = 1 << 20
-    cps = np.array([1 << j for j in range(4, 21)], dtype=np.int64)
-    segments = list(pairwise([0, *cps.tolist()]))  # [0, 16), [16, 32), ..., [2^19, length)
-    denom = np.sqrt(2.0 * cps * np.log(np.log(cps)))
+    cps = [1 << j for j in range(4, 21)]
+    segments = list(pairwise([0, *cps]))  # [0, 16), [16, 32), ..., [2^19, length)
+    denom = np.sqrt([2.0 * n * lnln(n) for n in cps])
     in_range = 0
     maxima = []
     for seed in range(64):

@@ -39,10 +39,13 @@ class AdversarySchedule:
         targets = read_indices(self.targets, "target", error=ConfigError)
         if len(nb) < 2 or len(targets) != len(nb) - 1:
             raise ConfigError("need S+1 stage bounds for S targets")
-        if any(a >= b for a, b in zip(nb, nb[1:])):
-            raise ConfigError("stage bounds must be strictly increasing")
+        # targets first: stages_from_blocks derives repeated bounds from repeated targets
         if any(a >= b for a, b in zip(targets, targets[1:])):
             raise ConfigError("targets must be strictly increasing")
+        if any(a >= b for a, b in zip(nb, nb[1:])):
+            raise ConfigError("stage bounds must be strictly increasing")
+        object.__setattr__(self, "stage_bounds", tuple(nb))
+        object.__setattr__(self, "targets", tuple(targets))
 
     @property
     def stage_count(self) -> int:
@@ -112,14 +115,6 @@ def _first_ones(x: np.ndarray, start: int, stop: int, count: int) -> np.ndarray:
         width *= 2
 
 
-def _cheapest_flips(x: np.ndarray, core) -> tuple[np.ndarray, int]:
-    """force_majority_zero on a bit array, flips as an int64 array."""
-    idx = core_indices(core, x.size)
-    # an odd core of 2m+1 votes with margin 2·ones − 2m − 1 needs ones − m flips
-    cost = max(0, (int(_margins(x, [idx])[0]) + 1) // 2)
-    return _first_ones(x, idx.start, idx.stop, cost), cost
-
-
 def force_majority_zero(X, core) -> tuple[list[int], int]:
     """Cheapest flips making the majority over `core` vote 0.
 
@@ -128,8 +123,11 @@ def force_majority_zero(X, core) -> tuple[list[int], int]:
     step-1 range of odd size inside X, checked by core_indices, and is
     scanned only as far as the flips reach.
     """
-    flips, cost = _cheapest_flips(as_bits(X), core)
-    return flips.tolist(), cost
+    x = as_bits(X)
+    idx = core_indices(core, x.size)
+    # an odd core of 2m+1 votes with margin 2·ones − 2m − 1 needs ones − m flips
+    cost = max(0, (int(_margins(x, [idx])[0]) + 1) // 2)
+    return _first_ones(x, idx.start, idx.stop, cost).tolist(), cost
 
 
 class ForceResult(NamedTuple):
@@ -230,6 +228,7 @@ def corrupt(X, schedule: BlockSchedule, adv: AdversarySchedule) -> CorruptionRep
     cumulative: list[int] = []
     running = 0
     budget_ok = True
+    cores = schedule.odd_cores
     for s in range(adv.stage_count):
         a, b = adv.window(s)
         target = adv.targets[s]
@@ -239,13 +238,13 @@ def corrupt(X, schedule: BlockSchedule, adv: AdversarySchedule) -> CorruptionRep
         if blk_start < a or blk_end > b:
             raise ConfigError(
                 f"stage {s}: target block [{blk_start},{blk_end}) not inside window [{a},{b})")
-        flips, cost = _cheapest_flips(y, range(*schedule.odd_cores[target]))
+        flips, cost = force_majority_zero(y, range(*cores[target]))
         stage_budget = adv.budget(b - a)
         if cost > stage_budget:
             records.append(StageRecord(s, (a, b), [], cost, False, 1, True))
         else:
             y[flips] ^= 1
-            records.append(StageRecord(s, (a, b), flips.tolist(), cost, True, 1, False))
+            records.append(StageRecord(s, (a, b), flips, cost, True, 1, False))
             running += cost
         cumulative.append(running)
         if running > adv.budget(b):

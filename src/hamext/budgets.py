@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bits import _real, read_index
+from .bits import _collection, _real, read_index
 from .errors import DomainError, ResourceError
 
 
@@ -75,10 +75,48 @@ def lil_envelope(n: int, eps: float) -> float:
     return n / 2.0 + (1.0 - eps) * math.sqrt(2.0 * n * lnln(n))
 
 
+#: per kind but table: the reader bits._real applies, then each parameter's name
+_PARAMS = {"power": (Fraction, "power exponent", "power coefficient"),
+           "affine_sqrt": (Fraction, "affine_sqrt slope", "affine_sqrt sqrt coefficient"),
+           "lil": (float, "lil eps")}
+
+
 @dataclass(frozen=True)
 class BudgetFunction:
+    """A budget of one kind (see the module docstring); every parameter
+    is read and checked here, not in the kind constructors."""
+
     kind: str
     params: tuple
+
+    def __post_init__(self):
+        if self.kind == "table":
+            try:
+                params = sorted((read_index(n, "table length", lo=None), read_index(v, "table value"))
+                                for n, v in self.params)
+            except (TypeError, ValueError):  # not a collection of pairs
+                raise DomainError(f"table budget needs (length, value) pairs, "
+                                  f"got {self.params!r}") from None
+            if not params:
+                raise DomainError("table budget needs at least one entry")
+            values = [v for _, v in params]
+            if values != sorted(values):
+                raise DomainError("table budget values must be nondecreasing")
+        elif isinstance(self.kind, str) and self.kind in _PARAMS:
+            read, *names = _PARAMS[self.kind]
+            given = _collection(self.params, f"{self.kind} budget parameter")
+            if len(given) != len(names):
+                raise DomainError(f"a {self.kind} budget takes {len(names)} parameter(s), "
+                                  f"got {len(given)}")
+            params = [_real(v, name, read) for v, name in zip(given, names)]
+            if min(params) < 0:
+                raise DomainError(f"{self.kind} budget needs nonnegative parameters, "
+                                  f"got {self.params!r}")
+            if self.kind == "lil" and params[0] > 1:
+                raise DomainError("lil budget needs eps <= 1")
+        else:
+            raise DomainError(f"unknown budget kind {self.kind!r}")
+        object.__setattr__(self, "params", tuple(params))
 
     def __call__(self, n: int) -> int:
         n = read_index(n, "budget length")
@@ -171,42 +209,20 @@ class BudgetFunction:
 
 
 def power_budget(alpha, coeff=1) -> BudgetFunction:
-    alpha, coeff = _real(alpha, "power exponent"), _real(coeff, "power coefficient")
-    if alpha < 0 or coeff < 0:
-        raise DomainError("power budget needs nonnegative exponent and coefficient")
     return BudgetFunction("power", (alpha, coeff))
 
 
 def affine_sqrt_budget(a, c) -> BudgetFunction:
-    a, c = _real(a, "affine_sqrt slope"), _real(c, "affine_sqrt sqrt coefficient")
-    if a < 0 or c < 0:
-        raise DomainError("affine_sqrt budget needs nonnegative parameters")
     return BudgetFunction("affine_sqrt", (a, c))
 
 
 def table_budget(entries) -> BudgetFunction:
     """A step function from (length, value) pairs, or the constant
     `entries` when it is one integer."""
-    if hasattr(entries, "__index__"):
-        entries = [(0, entries)]
-    try:
-        entries = sorted((read_index(n, "table length", lo=None), read_index(v, "table value"))
-                         for n, v in entries)
-    except (TypeError, ValueError):  # not a collection of pairs
-        raise DomainError(f"table budget needs an integer or (length, value) pairs, "
-                          f"got {entries!r}") from None
-    if not entries:
-        raise DomainError("table budget needs at least one entry")
-    values = [v for _, v in entries]
-    if values != sorted(values):
-        raise DomainError("table budget values must be nondecreasing")
-    return BudgetFunction("table", tuple(entries))
+    return BudgetFunction("table", [(0, entries)] if hasattr(entries, "__index__") else entries)
 
 
 def lil_budget(eps: float) -> BudgetFunction:
-    eps = _real(eps, "lil eps", float)
-    if not 0 <= eps <= 1:
-        raise DomainError("lil budget needs 0 <= eps <= 1")
     return BudgetFunction("lil", (eps,))
 
 
@@ -216,19 +232,15 @@ def parse_budget(token: str) -> BudgetFunction:
         raise DomainError(f"a budget token is text, got {token!r}")
     kind, _, rest = token.strip().partition(":")
     try:
-        if kind == "power":
-            return power_budget(*rest.split(":")[:2])
-        if kind == "affine_sqrt":
-            a, c = rest.split(":")
-            return affine_sqrt_budget(a, c)
         if kind == "table":
             if "=" not in rest:
                 return table_budget(int(rest))
             return table_budget(tuple(
                 (int(p.split("=")[0]), int(p.split("=")[1]))
                 for p in rest.split(",")))
-        if kind == "lil":
-            return lil_budget(rest)
+        params = rest.split(":")
+        if kind == "power" and len(params) == 1:
+            return power_budget(rest)  # its default coefficient, 1
+        return BudgetFunction(kind, params)
     except (DomainError, ValueError, IndexError) as exc:
         raise DomainError(f"malformed budget token {token!r}: {exc}") from None
-    raise DomainError(f"unknown budget kind {kind!r}")

@@ -39,25 +39,14 @@ from .stats import (SELECTION_RULES, apply_selection, berry_esseen_bound, binomi
                     sparse_subsequence, weber_series)
 
 
-def _jsonable(x):
-    if isinstance(x, Fraction):
-        den = x.denominator
-        if den & (den - 1) == 0:
-            return {"num": x.numerator, "den_pow2": den.bit_length() - 1}
-        return {"num": x.numerator, "den": den}
-    if isinstance(x, float) and math.isinf(x):
-        return None
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return float(x)
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    return x
+def _fraction(x) -> dict:
+    """json.dumps's hook for a Fraction, the one payload type JSON lacks."""
+    if not isinstance(x, Fraction):
+        raise TypeError(f"{type(x).__name__} is not JSON serializable")
+    den = x.denominator
+    if den & (den - 1) == 0:
+        return {"num": x.numerator, "den_pow2": den.bit_length() - 1}
+    return {"num": x.numerator, "den": den}
 
 
 def load_config(path: str | None) -> dict:
@@ -113,11 +102,9 @@ def _write(out_dir: Path, cfg: dict, run: Run) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     if run.stream is not None:
         write_packed_bits(out_dir / _Y_FILE, run.stream)
-    payload = {"artifact_version": __version__,
-               "config": _jsonable({k: str(v) for k, v in sorted(cfg.items())}),
-               **run.payload}
+    payload = {"artifact_version": __version__, "config": cfg, **run.payload}
     (out_dir / f"{name}.json").write_text(
-        json.dumps(_jsonable(payload), sort_keys=True, indent=1) + "\n")
+        json.dumps(payload, sort_keys=True, indent=1, default=_fraction) + "\n")
     if run.table is not None and (cfg["format"] == "csv"
                                   or "format" not in _COMMANDS[cfg["command"]][2]):
         header, rows = run.table
@@ -262,9 +249,12 @@ def cmd_weber(cfg: dict) -> Run:
         payload = {"mode": "sparse", "rate": rate, "nu": nu,
                    "threshold": threshold, "p_counts": series.p_counts}
         summary = f"weber sparse: |nu| = {len(nu)}, threshold {threshold}"
-    payload["log_rates"] = [{"block": m, "k_low": (1 << (m - 1)) + 1,
-                             "log_rate": series.log_rate((1 << (m - 1)) + 1)}
-                            for m in range(1, n_max + 1)]
+    payload["log_rates"] = []
+    for m in range(1, n_max + 1):
+        k_low = (1 << (m - 1)) + 1
+        rate = series.log_rate(k_low)  # JSON has no -inf: an unhit block's is null
+        payload["log_rates"].append({"block": m, "k_low": k_low,
+                                     "log_rate": None if rate == -math.inf else rate})
     return Run(payload, summary, (["n", "p_count"], list(enumerate(series.p_counts, start=1))))
 
 

@@ -104,26 +104,19 @@ def vertex_text(v: int, n: int) -> str:
     return "".join("1" if (v >> i) & 1 else "0" for i in range(n))
 
 
-def _indicator(vertices, n: int) -> np.ndarray:
-    ind = np.zeros(1 << n, dtype=np.bool_)
-    ind[np.fromiter(vertices, dtype=np.int64)] = True
-    return ind
-
-
 def neighborhood(A, d: int) -> set[str]:
     """All strings within distance d of the set A (as printable strings).
 
     A is any iterable of equal-length bit strings. The empty set has an
     empty neighborhood for every d (distance to the empty set is +inf).
     """
-    members = [as_bits(a) for a in _collection(A, "neighborhood member")]
+    members = _collection(A, "neighborhood member")
     if not members:
         return set()
-    n = members[0].size
-    if any(m.size != n for m in members):
-        raise DimensionError("neighborhood members must share one dimension")
+    family = EventFamily.from_strings(members)
+    n = family.dimension
     d = read_index(d, "d", 0, n)
-    dist = kernels.distance_to_set(_indicator((bits_to_mask(m) for m in members), n), n)
+    dist = kernels.distance_to_set(family.indicator(), n)
     return {vertex_text(int(v), n) for v in np.flatnonzero(dist <= d)}
 
 
@@ -188,9 +181,8 @@ def make_sphere(n: int, size: int, center) -> SphereSpec:
 
 @lru_cache(maxsize=None)
 def _harper_mins(n: int, d: int) -> tuple[int, ...]:
-    # row v of the identity is the singleton {v}; its distance row read
-    # at <= d is the d-ball around v, packed as a vertex-set word
-    inside = kernels.distance_to_set(np.eye(1 << n, dtype=np.bool_), n) <= d
+    # row v is the d-ball around v, packed as a vertex-set word
+    inside = np.array([distances_from(n, v) <= d for v in range(1 << n)])
     weights = np.uint64(1) << np.arange(1 << n, dtype=np.uint64)
     ball = np.bitwise_or.reduce(inside * weights, axis=1)
     return tuple(int(x) for x in kernels.subset_min_gamma(ball))
@@ -247,4 +239,6 @@ class EventFamily:
         return Fraction(self.size, 1 << self.dimension)
 
     def indicator(self) -> np.ndarray:
-        return _indicator(self.members, self.dimension)
+        ind = np.zeros(1 << self.dimension, dtype=np.bool_)
+        ind[np.fromiter(self.members, dtype=np.int64)] = True
+        return ind

@@ -232,20 +232,12 @@ def make_schedule(g: BudgetFunction, block_count: int,
 
 def check_schedule(schedule: BlockSchedule, g: BudgetFunction,
                    N_constraint=None) -> list[str]:
-    """Independent re-check of every schedule constraint; returns the
-    list of violations (empty means admissible)."""
+    """Independent re-check of make_schedule's superadditivity, decay and
+    checkpoint constraints (BlockSchedule itself refuses gaps, empty and
+    shrinking blocks); returns the violations (empty means admissible)."""
     bad = []
-    sizes = schedule.sizes
-    for k in range(1, len(sizes)):
-        if sizes[k] < sizes[k - 1]:
-            bad.append(f"sizes decrease at block {k}")
-    for k, (s, e) in enumerate(schedule.blocks):
-        if k and s != schedule.blocks[k - 1][1]:
-            bad.append(f"gap before block {k}")
-        if e <= s:
-            bad.append(f"block {k} empty")
     running = 0
-    for k, n in enumerate(sizes):
+    for k, n in enumerate(schedule.sizes):
         if n < running:
             bad.append(f"block {k} smaller than sum of earlier blocks")
         running += n

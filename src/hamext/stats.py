@@ -21,7 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise, starmap
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -125,7 +125,6 @@ class WeberSeries:
     lists the hit m in increasing order.
     """
 
-    nu: Sequence[int]  # a positive-step range stays a range
     n_max: int
     hit_blocks: tuple[int, ...]
 
@@ -170,7 +169,7 @@ def weber_series(nu, n_max: int) -> WeberSeries:
     # most 2^m; no block past the last member's can be
     top = min(n_max, _block_of(seq[-1])) if seq else 0
     hits = tuple(m for m in range(1, top + 1) if seq[bisect_right(seq, 1 << (m - 1))] <= 1 << m)
-    return WeberSeries(seq, n_max, hits)
+    return WeberSeries(n_max, hits)
 
 
 class SparseResult(NamedTuple):
@@ -189,16 +188,13 @@ def sparse_subsequence(f: Callable[[int], float], n_max: int) -> SparseResult:
     """
     n_max = _n_max(n_max)
     nu: list[int] = []
-    hits = 0
-    for m in range(1, n_max + 1):
-        if math.log(hits + 1) <= f(1 << (m - 1)):
-            nu.append(1 << m)
-            hits += 1
-    series = weber_series(nu, n_max)
     threshold = 0
     for m in range(1, n_max + 1):
-        low = (1 << (m - 1)) + 1
-        if series.log_rate(low) > f(low):
+        if math.log(len(nu) + 1) <= f(1 << (m - 1)):
+            nu.append(1 << m)
+        # the admitted blocks are the hit blocks, so the statistic on block m
+        # is ln len(nu) (-inf before the first admission, under any f)
+        if nu and math.log(len(nu)) > f((1 << (m - 1)) + 1):
             threshold = 1 << m
     return SparseResult(nu, threshold)
 

@@ -182,6 +182,24 @@ class TestAdversarySchedule:
         adv = stages_from_blocks(sched, parse_budget("power:2/3"), targets=(0, 2))
         assert adv.stage_bounds == (0, sched.blocks[2][0], sched.blocks[2][1])
 
+    def test_fields_are_stored_as_int_tuples(self):
+        # lists and arrays were kept as given: unequal to the tuple form,
+        # unhashable, and an array field made == raise ValueError
+        p = parse_budget("power:2/3")
+        tupled = AdversarySchedule((0, 5), (0,), p)
+        for bounds, targets in (([0, 5], [0]), (np.array([0, 5]), np.array([0]))):
+            adv = AdversarySchedule(bounds, targets, p)
+            assert adv == tupled
+            assert hash(adv) == hash(tupled)
+            assert all(type(v) is int for v in adv.stage_bounds + adv.targets)
+
+    def test_repeated_targets_name_the_targets(self):
+        # repeated targets give repeated stage bounds, and the bound check
+        # used to run first and blame bounds the caller never gave
+        sched = make_schedule(parse_budget("power:1/3"), 4)
+        with pytest.raises(ConfigError, match="targets"):
+            stages_from_blocks(sched, parse_budget("power:2/3"), (0, 0))
+
     def test_no_targets_rejected(self):
         # used to raise IndexError
         sched = make_schedule(parse_budget("power:1/3"), 4)

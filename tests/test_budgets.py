@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamext.budgets import (affine_sqrt_budget, lil_budget, parse_budget,
+from hamext.budgets import (BudgetFunction, affine_sqrt_budget, lil_budget, parse_budget,
                             power_budget, table_budget)
 from hamext.errors import DomainError, HamextError
 
@@ -144,9 +144,17 @@ class TestTokens:
         assert parse_budget(b.token) == b
 
     def test_malformed(self):
-        for bad in ("power:", "nope:3", "affine_sqrt:1", "table:a=b", "lil:x"):
+        # power:1/2:3:x was read as power:1/2:3, its extra field dropped
+        for bad in ("power:", "nope:3", "affine_sqrt:1", "table:a=b", "lil:x", "power:1/2:3:x",
+                    "affine_sqrt:1:1:1", "lil:0.1:2"):
             with pytest.raises(DomainError):
                 parse_budget(bad)
+
+    def test_raw_constructor_reads_like_the_kind_constructors(self):
+        assert BudgetFunction("power", (1, 2)) == power_budget(1, 2)
+        assert BudgetFunction("power", (0.5, 1)) == power_budget(Fraction(1, 2))
+        assert BudgetFunction("table", [(4, 1), (0, 0)]) == parse_budget("table:0=0,4=1")
+        assert BudgetFunction("lil", ["0.5"]) == lil_budget(0.5)
 
     def test_negative_rejected(self):
         with pytest.raises(DomainError):

@@ -16,6 +16,7 @@ from hamext.cli import main
 from hamext.errors import ConfigError
 from hamext.extractor import BlockSchedule
 from hamext.rng import bit_stream
+from hamext.stats import CDF_GAP_CEILING, SMALL_BALL_CEILING, WEBER_CEILING
 
 
 # The option keys each subcommand reads. Every subcommand also takes
@@ -525,7 +526,11 @@ class TestExitCodes:
 
 # Values a fuzzed option may take. power:1/3 is left out, and gen-budget is
 # always given, because that budget's 5-block schedule spans 17 million bits.
+# One past each size ceiling that range(-3, 65) does not reach (weber --n,
+# smallball and clt-check --n-list) must exit 3 at once; the ceilings
+# themselves are left out, as smallball at n = SMALL_BALL_CEILING takes 7-14 s.
 TOKENS = [*map(str, range(-3, 65)), "100000000000000", "2.5", "1/2", "x",
+          *(str(c + 1) for c in (WEBER_CEILING, SMALL_BALL_CEILING, CDF_GAP_CEILING)),
           "power:1/2", "power:2/3", "table:0", "table:1=2", "lil:1",
           "power:", "power:x", "table:1=", "lil:", "affine_sqrt:1", "cube:2",
           "2,4", "csv", "evens", "parity", "lnln"]
@@ -594,6 +599,21 @@ class TestPipelines:
         # the float range (n^100 at n = 2^19)
         assert run(["weber", "--rate", "power:100", "--n", 20, "--out-dir", tmp_path / "b"]) == 0
         assert read_json(tmp_path / "b" / "weber.json")["threshold"] == 0
+
+    def test_weber_writes_unhit_log_rates_as_null(self, tmp_path):
+        run(["weber", "--nu", "256", "--n", 10, "--out-dir", tmp_path])
+
+        def refuse(constant):
+            raise AssertionError(f"non-standard JSON constant {constant}")
+
+        doc = json.loads((tmp_path / "weber.json").read_text(), parse_constant=refuse)
+        # 256 = 2^8 lies in block 8: blocks 1-7 are unhit
+        assert [r["log_rate"] for r in doc["log_rates"][:7]] == [None] * 7
+        assert doc["log_rates"][7]["log_rate"] == 0.0
+
+    def test_keylemma_writes_a_non_dyadic_threshold_as_num_den(self, tmp_path):
+        run(["keylemma", "--n", 3, "--trials", 2, "--threshold", "1/3", "--out-dir", tmp_path])
+        assert read_json(tmp_path / "keylemma.json")["p_threshold"] == {"num": 1, "den": 3}
 
     def test_keylemma_violations_exit(self, tmp_path):
         assert run(["keylemma", "--n", 5, "--trials", 10, "--seed", 1,

@@ -8,6 +8,7 @@ text that spells no number, nan, ±inf and None with DomainError."""
 
 import math
 import operator
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from hypothesis import strategies as st
 from hamext.adversary import (AdversarySchedule, force_majority_zero,
                               force_output_zero_generic, stages_from_blocks)
 from hamext.bits import read_index
-from hamext.budgets import (affine_sqrt_budget, lil_budget, parse_budget, power_budget,
-                            table_budget)
+from hamext.budgets import (BudgetFunction, affine_sqrt_budget, lil_budget, parse_budget,
+                            power_budget, table_budget)
 from hamext.cube import (EventFamily, SphereSpec, binomial_tail, make_sphere,
                          neighborhood)
 from hamext.errors import (ConfigError, ContractError, DimensionError, DomainError,
@@ -114,6 +115,15 @@ ROWS = [
      DomainError, (5, None)),
     ("similar_p_N n0", lambda v: similar_p_N("1011", "1011", G, [4], n0=v),
      DomainError, REFUSED + (-1,)),
+    # the raw budget constructor reads its kind and params as the kind constructors do
+    ("BudgetFunction kind", lambda v: BudgetFunction(v, (1, 1)), DomainError,
+     ("foo", "", 5, None, ["power"])),
+    ("BudgetFunction power params", lambda v: BudgetFunction("power", v), DomainError,
+     ((), (Fraction(1, 2),), (1, 2, 3), ("x", 1), (-1, 1), 5, None)),
+    ("BudgetFunction table params", lambda v: BudgetFunction("table", v), DomainError,
+     ((), ((0, 2.5),), ((0, 2), (4, 1)), (3,), 5, None)),
+    ("BudgetFunction lil params", lambda v: BudgetFunction("lil", v), DomainError,
+     ((), ("x",), (1.5,), (-0.5,), 5, None)),
     # a bit string given a value that is not one
     ("SphereSpec center", lambda v: SphereSpec(3, v, 0, 0), DomainError, (101, "abc", None)),
     # text given a value that is not text

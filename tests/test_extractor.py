@@ -267,6 +267,14 @@ class TestSchedaleSerialization:
         with pytest.raises(ConfigError):
             BlockSchedule.from_text("0 0 4 4\n")
 
+    @pytest.mark.parametrize("blocks", [((0, 3), (4, 7)), ((0, 3), (2, 6)), ((0, 3), (3, 5)),
+                                        ((0, 3), (3, 3))],
+                             ids=["gap", "overlap", "shrinking", "empty"])
+    def test_rejects_malformed_structure(self, blocks):
+        # check_schedule does not re-check these: a schedule cannot hold them
+        with pytest.raises(ConfigError):
+            BlockSchedule(blocks)
+
     def test_rejects_start_below_zero(self):
         with pytest.raises(ConfigError):
             BlockSchedule(((-3, 0),))

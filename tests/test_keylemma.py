@@ -8,7 +8,7 @@ import pytest
 from hamext import keylemma, kernels
 from hamext.cube import EventFamily, binomial_tail, binomial_tails, bracket, make_sphere
 from hamext.errors import DomainError, ResourceError
-from hamext.keylemma import containment_profile, verify_key_lemma
+from hamext.keylemma import TRIALS_CEILING, containment_profile, verify_key_lemma
 from hamext.rng import generator
 
 
@@ -93,6 +93,9 @@ class TestBallContainment:
             containment_profile(EventFamily(17, frozenset()))
         with pytest.raises(ResourceError):
             verify_key_lemma(17, 1, Fraction(1, 2), 0)
+        # 100 001 trials at n = 16 asked for a 6.5 GB array and were killed
+        with pytest.raises(ResourceError):
+            verify_key_lemma(16, TRIALS_CEILING + 1, Fraction(1, 2), 0)
 
 
 def ball_row(label: str) -> dict:
