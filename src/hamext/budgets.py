@@ -140,18 +140,6 @@ class BudgetFunction:
             raise ResourceError(f"the lil envelope at a {n.bit_length()}-bit n "
                                 "is past the float range") from None
 
-    @property
-    def is_bounded(self) -> bool:
-        if self.kind == "table":
-            return True
-        if self.kind == "power":
-            alpha, coeff = self.params
-            return alpha == 0 or coeff == 0
-        if self.kind == "affine_sqrt":
-            a, c = self.params
-            return a == 0 and c == 0
-        return False
-
     def divergence_modulus(self, k: int):
         """Witness N(k) for value(n)/sqrt(n) -> infinity, or None.
 

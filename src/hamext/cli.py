@@ -30,7 +30,7 @@ from .adversary import corrupt, stages_from_blocks, verify_similarity
 from .bits import read_packed_bits, read_text_bits, to_text, write_packed_bits
 from .budgets import lnln, parse_budget
 from .cube import harper_min_neighborhood
-from .errors import ConfigError, DomainError, HamextError, ResourceError
+from .errors import ConfigError, HamextError, ResourceError
 from .extractor import BlockSchedule, extract, make_schedule, psi_deviation
 from .keylemma import verify_key_lemma
 from .rng import bit_stream
@@ -175,8 +175,7 @@ def cmd_corrupt(cfg: dict) -> Run:
 
 def cmd_harper(cfg: dict) -> Run:
     n = _option(cfg, "n", int, 3)
-    if n < 0:
-        raise DomainError(f"n must be nonnegative, got {n}")
+    harper_min_neighborhood(n, 0, 0)  # refuses a negative n or one past its ceiling
     rows = []
     equal = True
     for size in range((1 << n) + 1):

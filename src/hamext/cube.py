@@ -122,7 +122,8 @@ def neighborhood(A, d: int) -> set[str]:
 
 def distances_from(n: int, center: int = 0) -> np.ndarray:
     """popcount(v ^ center) for every vertex v of {0,1}^n: the distance
-    of each vertex from the vertex mask `center`."""
+    of each vertex from the vertex mask `center`, an integer in 0..2^n-1."""
+    center = read_index(center, "center", 0, (1 << n) - 1)
     return np.bitwise_count(np.arange(1 << n, dtype=np.uint64) ^ np.uint64(center))
 
 

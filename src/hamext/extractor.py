@@ -6,16 +6,18 @@ odd-trimmed (drop its top index when the size is even) before the
 majority vote, so votes never tie. The extractor's outputs, per-block
 margins, and robustness flags come back in an ExtractionTrace.
 
-make_schedule builds the smallest schedule whose blocks satisfy the
-geometric-decay constraint g(n_k)/sqrt(n_k) <= 2^-k plus
-superadditivity, optionally pinning every partial sum into a prescribed
-checkpoint set; check_schedule re-verifies those constraints through an
-independent code path.
+make_schedule builds, for every budget g (bounded or not), the smallest
+schedule whose blocks satisfy the geometric-decay constraint
+g(n_k)/sqrt(n_k) <= 2^-k plus superadditivity, optionally pinning every
+partial sum into a prescribed checkpoint set, and refuses one longer
+than MAKE_SCHEDULE_SCAN_BOUND bits in total; check_schedule re-verifies
+those constraints through an independent code path.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -25,7 +27,7 @@ from .bits import _collection, _real, as_bits, prefix_distances, read_index, rea
 from .budgets import BudgetFunction, lil_envelope, lnln
 from .errors import ConfigError, ContractError, DimensionError, DomainError, ResourceError
 
-MAKE_SCHEDULE_SCAN_BOUND = 1 << 28
+MAKE_SCHEDULE_SCAN_BOUND = 1 << 25  # bits, the longest schedule make_schedule builds
 
 
 def core_indices(core, length: int) -> range:
@@ -177,56 +179,39 @@ def extract(X, schedule, budget: BudgetFunction | None = None) -> ExtractionTrac
     return ExtractionTrace(outputs=outputs, margins=margins, robust_flags=robust)
 
 
-def _decay_ok(g: BudgetFunction, n: int, k: int) -> bool:
-    # g(n)/sqrt(n) <= 2^-k, exactly: g(n)^2 * 4^k <= n
-    return g(n) ** 2 << (2 * k) <= n
-
-
 def make_schedule(g: BudgetFunction, block_count: int,
                   N_constraint=None) -> BlockSchedule:
-    """Smallest admissible schedule for the budget g.
+    """Smallest admissible schedule for the budget g, bounded or not.
 
     Block k gets the least size n_k (scanned in increasing order) with
     g(n_k)^2 * 4^k <= n_k, n_k >= n_{k-1}, and n_k >= sum of earlier
     sizes; when N_constraint (nonnegative integers) is given every
-    partial sum must land in it. A bounded budget falls back to the
-    identity schedule (all blocks singletons) and ignores N_constraint.
+    partial sum must land in it. A schedule whose total length would
+    pass MAKE_SCHEDULE_SCAN_BOUND raises ResourceError.
     """
     block_count = read_index(block_count, "block_count", 1)
-    if g.is_bounded:
-        return BlockSchedule.from_sizes([1] * block_count)
     sizes: list[int] = []
     total = 0
     checkpoints = (None if N_constraint is None
                    else sorted(set(read_indices(N_constraint, "checkpoint"))))
     for k in range(block_count):
-        lower = max(sizes[-1] if sizes else 1, total, 1)
-        if checkpoints is not None:
-            chosen = None
-            for s in checkpoints:
-                n = s - total
-                if n < lower:
-                    continue
-                if _decay_ok(g, n, k):
-                    chosen = n
-                    break
-            if chosen is None:
-                raise ResourceError(
-                    f"no checkpoint admits block {k} (need partial sum in "
-                    f"{checkpoints} with size >= {lower} passing decay)")
-            sizes.append(chosen)
-        else:
-            n = lower
-            while True:
-                if n > MAKE_SCHEDULE_SCAN_BOUND:
-                    raise ResourceError(f"block {k}: no admissible size below scan "
-                                        f"bound {MAKE_SCHEDULE_SCAN_BOUND}")
-                jump = g(n) ** 2 << (2 * k)
-                if jump <= n:
-                    break
-                n = jump  # every size in [n, jump) fails too: g is nondecreasing
-            sizes.append(n)
-        total += sizes[-1]
+        n = max(sizes[-1] if sizes else 1, total)
+        while True:
+            if checkpoints is not None:  # the least size whose partial sum is a checkpoint
+                i = bisect_left(checkpoints, total + n)
+                if i == len(checkpoints):
+                    raise ResourceError(f"no checkpoint admits block {k} (need a partial sum "
+                                        f"in {checkpoints} of at least {total + n})")
+                n = checkpoints[i] - total
+            if total + n > MAKE_SCHEDULE_SCAN_BOUND:
+                raise ResourceError(f"block {k}: no admissible size within the scan bound "
+                                    f"{MAKE_SCHEDULE_SCAN_BOUND} on total length")
+            jump = g(n) ** 2 << (2 * k)
+            if jump <= n:
+                break
+            n = jump  # every size in [n, jump) fails too: g is nondecreasing
+        sizes.append(n)
+        total += n
     return BlockSchedule.from_sizes(sizes)
 
 
@@ -241,11 +226,9 @@ def check_schedule(schedule: BlockSchedule, g: BudgetFunction,
         if n < running:
             bad.append(f"block {k} smaller than sum of earlier blocks")
         running += n
-        if not g.is_bounded:
-            ratio_sq_num = g(n) ** 2 * (1 << (2 * k))
-            if ratio_sq_num > n:
-                bad.append(f"block {k}: g(n_k)/sqrt(n_k) exceeds 2^-{k}")
-    if N_constraint is not None and not g.is_bounded:
+        if g(n) ** 2 * (1 << (2 * k)) > n:
+            bad.append(f"block {k}: g(n_k)/sqrt(n_k) exceeds 2^-{k}")
+    if N_constraint is not None:
         allowed = set(read_indices(N_constraint, "checkpoint"))
         for m, s in enumerate(schedule.partial_sums):
             if s not in allowed:

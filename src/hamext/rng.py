@@ -13,17 +13,21 @@ from __future__ import annotations
 import numpy as np
 
 from .bits import read_index
+from .errors import ResourceError
 
 
 def _philox(seed: int, length: int = 0) -> np.random.Philox:
     """Philox keyed by `seed`, once the seed is a 64-bit key and the
-    requested stream length is nonnegative; else a DomainError."""
-    read_index(length, "length")
+    requested stream length is nonnegative (else a DomainError) and no
+    longer than the largest numpy array (else a ResourceError)."""
+    if read_index(length, "length") > np.iinfo(np.intp).max:
+        raise ResourceError(f"a {length}-bit stream is longer than any array")
     return np.random.Philox(key=read_index(seed, "seed", 0, (1 << 64) - 1))
 
 
 def bit_stream(seed: int, length: int) -> np.ndarray:
-    """First `length` bits (uint8) of the Philox stream for `seed`."""
+    """First `length` bits (uint8) of the Philox stream for `seed`; a
+    length no numpy array can hold raises ResourceError."""
     words = _philox(seed, length).random_raw((length + 63) // 64)
     bits = np.unpackbits(words.view(np.uint8), bitorder="little")
     return bits[:length]

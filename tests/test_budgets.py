@@ -84,7 +84,6 @@ class TestTable:
     def test_constant(self):
         g = parse_budget("table:1")
         assert [g(0), g(5), g(10 ** 9)] == [1, 1, 1]
-        assert g.is_bounded
 
     def test_step(self):
         g = parse_budget("table:1=0,4=1,16=2")
@@ -100,9 +99,6 @@ class TestLil:
         b = parse_budget("lil:0.1")
         lam = math.log(math.log(100))
         assert b(100) == math.ceil(50 + 0.9 * math.sqrt(200 * lam))
-
-    def test_not_bounded(self):
-        assert not parse_budget("lil:0.5").is_bounded
 
 
 class TestEveryLength:

@@ -406,6 +406,22 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().err)["error"] == "resource"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["extract", "--length", 10 ** 20],
+        ["lil", "--length", 10 ** 20],
+        ["select", "--length", 10 ** 20],
+        ["harper", "--n", 10 ** 20],
+        ["extract", "--gen-budget", "table:0", "--blocks", 10 ** 20],
+        ["extract", "--gen-budget", "table:0", "--blocks", 10 ** 6],
+    ], ids=["extract-length", "lil-length", "select-length", "harper-n",
+            "extract-blocks-10^20", "extract-blocks-10^6"])
+    def test_sizes_no_machine_holds_are_three(self, tmp_path, capsys, args):
+        # each exited 1 with a numpy ValueError or an OverflowError; the
+        # 10^6 singleton blocks of table:0 took 7 s and 368 MB
+        assert run([*args, "--out-dir", tmp_path / "o"]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "resource"
+        assert not (tmp_path / "o").exists()
+
     def test_refused_allocation_is_three(self, tmp_path, monkeypatch, capsys):
         def refuse(seed, length):
             raise MemoryError("Unable to allocate 11.4 TiB")
@@ -525,11 +541,14 @@ class TestExitCodes:
 
 
 # Values a fuzzed option may take. power:1/3 is left out, and gen-budget is
-# always given, because that budget's 5-block schedule spans 17 million bits.
+# always given, because that budget's 5-block schedule spans 17 million bits;
+# no schedule passes 2^25 bits, which table:0 reaches at 26 blocks.
 # One past each size ceiling that range(-3, 65) does not reach (weber --n,
 # smallball and clt-check --n-list) must exit 3 at once; the ceilings
 # themselves are left out, as smallball at n = SMALL_BALL_CEILING takes 7-14 s.
-TOKENS = [*map(str, range(-3, 65)), "100000000000000", "2.5", "1/2", "x",
+# 10^20 is past every ceiling and longer than any array.
+TOKENS = [*map(str, range(-3, 65)), "100000000000000", "100000000000000000000",
+          "2.5", "1/2", "x",
           *(str(c + 1) for c in (WEBER_CEILING, SMALL_BALL_CEILING, CDF_GAP_CEILING)),
           "power:1/2", "power:2/3", "table:0", "table:1=2", "lil:1",
           "power:", "power:x", "table:1=", "lil:", "affine_sqrt:1", "cube:2",

@@ -20,8 +20,8 @@ from hamext.adversary import (AdversarySchedule, force_majority_zero,
 from hamext.bits import read_index
 from hamext.budgets import (BudgetFunction, affine_sqrt_budget, lil_budget, parse_budget,
                             power_budget, table_budget)
-from hamext.cube import (EventFamily, SphereSpec, binomial_tail, make_sphere,
-                         neighborhood)
+from hamext.cube import (EventFamily, SphereSpec, binomial_tail, distances_from,
+                         harper_min_neighborhood, make_sphere, neighborhood)
 from hamext.errors import (ConfigError, ContractError, DimensionError, DomainError,
                            HamextError)
 from hamext.extractor import (BlockSchedule, check_schedule, extract, majority_bit,
@@ -57,6 +57,9 @@ ROWS = [
     ("SphereSpec.gamma_size d", lambda v: make_sphere(3, 4, "000").gamma_size(v),
      DomainError, REFUSED + (4,)),
     ("neighborhood d", lambda v: neighborhood(["00"], v), DomainError, REFUSED + (3,)),
+    # 8 used to read as popcount(v) + 1, 2^64 to leak OverflowError
+    ("distances_from center", lambda v: distances_from(3, v), DomainError,
+     REFUSED + (-1, 8, 1 << 64)),
     ("EventFamily dimension", lambda v: EventFamily(v, frozenset()),
      DomainError, REFUSED + (-1,)),
     # None is the default: the profile up to d = n
@@ -169,6 +172,33 @@ def test_numbers_and_text_raise_only_hamext_errors(value):
             call(value)
         except HamextError:
             pass
+
+
+# (entry point, call with a drawn integer, the integers drawn): any integer
+# in ±2^80 returns or raises a HamextError, or MemoryError for an allocation
+# the machine refuses at once. A stream length from 2^20 up to the largest
+# array is not drawn: the machine might really allocate it.
+ANY_INTEGER = st.integers(-1 << 80, 1 << 80)
+INTEGER_CALLS = [
+    ("make_schedule block_count", lambda v: make_schedule(parse_budget("table:0"), v),
+     ANY_INTEGER),
+    ("BlockSchedule.from_sizes sizes", lambda v: BlockSchedule.from_sizes((v, v)), ANY_INTEGER),
+    ("bit_stream length", lambda v: bit_stream(0, v),
+     st.integers(-1 << 80, 1 << 20) | st.integers(np.iinfo(np.intp).max + 1, 1 << 80)),
+    ("distances_from center", lambda v: distances_from(3, v), ANY_INTEGER),
+    ("harper_min_neighborhood n", lambda v: harper_min_neighborhood(v, 0, 0), ANY_INTEGER),
+]
+
+
+@pytest.mark.parametrize("call, drawn", [row[1:] for row in INTEGER_CALLS],
+                         ids=[row[0] for row in INTEGER_CALLS])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_integers_raise_only_hamext_errors(call, drawn, data):
+    try:
+        call(data.draw(drawn))
+    except (HamextError, MemoryError):
+        pass
 
 
 values = st.one_of(

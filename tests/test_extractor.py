@@ -199,9 +199,32 @@ class TestMakeSchedule:
         assert sizes[1] >= sizes[0] and sizes[2] >= sizes[0] + sizes[1]
         assert check_schedule(BlockSchedule.from_sizes(sizes), g) == []
 
-    def test_bounded_budget_identity_schedule(self):
-        sched = make_schedule(parse_budget("table:3"), 4)
-        assert sched.sizes == (1, 1, 1, 1)
+    @pytest.mark.parametrize("token, sizes", [
+        ("table:0", (1, 1, 2, 4)), ("table:3", (9, 36, 144, 576)),
+        ("power:0", (1, 4, 16, 64)), ("table:1=0,16=2", (1, 1, 2, 4))])
+    def test_bounded_budget_gets_the_least_admissible_sizes(self, token, sizes):
+        # a bounded budget used to get all-singleton blocks, which
+        # check_schedule rejects from the second block on
+        g = parse_budget(token)
+        sched = make_schedule(g, 4)
+        assert sched.sizes == sizes
+        assert check_schedule(sched, g) == []
+
+    def test_bounded_budget_honours_checkpoints(self):
+        g = parse_budget("table:0")
+        assert make_schedule(g, 3, N_constraint=[1, 2, 4]).partial_sums == (1, 2, 4)
+        # table:3 used to ignore the checkpoints and return (1, 1, 1)
+        with pytest.raises(ResourceError):
+            make_schedule(parse_budget("table:3"), 3, N_constraint=[5, 7, 9])
+
+    def test_total_length_is_bounded(self):
+        # table:0 doubles the total from the second block on: 26 blocks
+        # reach the bound, a 27th passes it
+        g = parse_budget("table:0")
+        assert make_schedule(g, 26).total_length == MAKE_SCHEDULE_SCAN_BOUND
+        for count in (27, 10 ** 6, 10 ** 20):
+            with pytest.raises(ResourceError, match=f"scan bound {MAKE_SCHEDULE_SCAN_BOUND}"):
+                make_schedule(g, count)
 
     def test_budget_at_sqrt_scale_fails(self):
         with pytest.raises(ResourceError, match=f"scan bound {MAKE_SCHEDULE_SCAN_BOUND}"):
