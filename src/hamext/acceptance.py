@@ -21,7 +21,7 @@ from . import kernels
 from .adversary import StageRecord, corrupt, stages_from_blocks, verify_similarity
 from .budgets import lnln, parse_budget
 from .cube import harper_min_neighborhood
-from .extractor import BlockSchedule, extract, make_schedule
+from .extractor import BlockSchedule, _margins, extract, make_schedule
 from .keylemma import verify_key_lemma
 from .rng import bit_stream
 from .stats import (berry_esseen_bound, binomial_cdf_gap, small_ball_bound,
@@ -241,14 +241,13 @@ def crit_lil_smoke() -> CriterionResult:
     t0 = time.perf_counter()
     length = 1 << 20
     cps = [1 << j for j in range(4, 21)]
-    segments = list(pairwise([0, *cps]))  # [0, 16), [16, 32), ..., [2^19, length)
+    segments = [range(a, b) for a, b in pairwise([0, *cps])]  # [0, 16), ..., [2^19, length)
     denom = np.sqrt([2.0 * n * lnln(n) for n in cps])
     in_range = 0
     maxima = []
     for seed in range(64):
         x = bit_stream(seed, length)
-        ones = np.cumsum([np.count_nonzero(x[a:b]) for a, b in segments])
-        walk = 2.0 * ones - cps
+        walk = np.cumsum(_margins(x, segments))  # 2·ones(n) − n at each checkpoint
         m = float(np.max(np.abs(walk) / denom))
         maxima.append(m)
         if 0.5 <= m <= 1.6:

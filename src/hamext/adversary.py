@@ -19,7 +19,7 @@ import numpy as np
 
 from .bits import as_bits, read_index, read_indices
 from .budgets import BudgetFunction
-from .errors import ConfigError, DimensionError, ResourceError
+from .errors import ConfigError, DimensionError
 from .extractor import BlockSchedule, _margins, core_indices, similar_p_N
 
 GENERIC_WINDOW_CEILING = 24
@@ -155,10 +155,7 @@ def force_output_zero_generic(X, stage_window: tuple[int, int], oracle_prefix,
     a, b = stage_window
     a = read_index(a, "window start", 0, x.size - 1, DimensionError)
     b = read_index(b, "window end", a + 1, x.size, DimensionError)
-    width = b - a
-    if width > GENERIC_WINDOW_CEILING:
-        raise ResourceError(
-            f"window of {width} bits exceeds the exhaustive ceiling {GENERIC_WINDOW_CEILING}")
+    width = read_index(b - a, "window width", ceiling=GENERIC_WINDOW_CEILING)
     prefix = as_bits(oracle_prefix)
     if prefix.size != a:
         raise DimensionError(f"oracle prefix must have length {a}, got {prefix.size}")

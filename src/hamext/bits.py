@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, HamextError
+from .errors import DimensionError, DomainError, HamextError, ResourceError
 
 
 def as_bits(x) -> np.ndarray:
@@ -51,17 +51,29 @@ def as_bits(x) -> np.ndarray:
     return bits
 
 
+def _text(n: int) -> str:
+    """n in decimal, or its size where the decimal would pass the digit
+    limit of int-to-text."""
+    if n.bit_length() <= 4096:
+        return str(n)
+    return f"<{'negative ' if n < 0 else ''}{n.bit_length()}-bit integer>"
+
+
 def read_index(value, name: str, lo: int | None = 0, hi: int | None = None,
-               error: type[HamextError] = DomainError) -> int:
+               error: type[HamextError] = DomainError, ceiling: int | None = None) -> int:
     """`value` as an int in lo..hi (None leaves that end open), read with
     operator.index, so 2.5, "3" and None are refused, not rounded;
-    anything else raises `error`."""
+    anything else raises `error`. A value in range but past `ceiling`, the
+    most an exact or exhaustive computation takes on, raises ResourceError."""
     try:
         n = operator.index(value)
     except TypeError:
         raise error(f"{name} must be an integer, got {value!r}") from None
     if lo is not None and n < lo or hi is not None and n > hi:
-        raise error(f"{name} {n} outside {'' if lo is None else lo}..{'' if hi is None else hi}")
+        raise error(f"{name} {_text(n)} outside "
+                    f"{'' if lo is None else _text(lo)}..{'' if hi is None else _text(hi)}")
+    if ceiling is not None and n > ceiling:
+        raise ResourceError(f"{name} {_text(n)} is past the resource ceiling {ceiling}")
     return n
 
 

@@ -24,9 +24,11 @@ import numpy as np
 from . import kernels
 from .bits import (_collection, as_bits, bits_to_mask, prefix_distances, read_index,
                    read_indices, to_text)
-from .errors import DimensionError, DomainError, ResourceError
+from .errors import DimensionError, DomainError
 
 HARPER_CEILING = 4
+# the largest n whose 2^n vertices a numpy array can index, as bit_stream's length rule
+CUBE_CEILING = np.iinfo(np.intp).max.bit_length() - 1
 
 
 def hamming_distance(sigma, tau) -> int:
@@ -122,7 +124,9 @@ def neighborhood(A, d: int) -> set[str]:
 
 def distances_from(n: int, center: int = 0) -> np.ndarray:
     """popcount(v ^ center) for every vertex v of {0,1}^n: the distance
-    of each vertex from the vertex mask `center`, an integer in 0..2^n-1."""
+    of each vertex from the vertex mask `center`, an integer in 0..2^n-1;
+    an n past CUBE_CEILING raises ResourceError."""
+    n = read_index(n, "n", ceiling=CUBE_CEILING)
     center = read_index(center, "center", 0, (1 << n) - 1)
     return np.bitwise_count(np.arange(1 << n, dtype=np.uint64) ^ np.uint64(center))
 
@@ -196,10 +200,7 @@ def harper_min_neighborhood(n: int, size: int, d: int) -> tuple[int, int]:
     all C(2^n, size) subsets, so n is capped at HARPER_CEILING; larger n
     raises rather than approximating.
     """
-    n = read_index(n, "n")
-    if n > HARPER_CEILING:
-        raise ResourceError(
-            f"exhaustive search needs n <= {HARPER_CEILING} (2^2^n subsets), got n={n}")
+    n = read_index(n, "n", ceiling=HARPER_CEILING)
     size, d = read_index(size, "size", 0, 1 << n), read_index(d, "d", 0, n)
     exhaustive = _harper_mins(n, d)[size]
     sphere = make_sphere(n, size, "0" * n)
@@ -214,7 +215,7 @@ class EventFamily:
     members: frozenset[int]
 
     def __post_init__(self):
-        n = read_index(self.dimension, "dimension")
+        n = read_index(self.dimension, "dimension", ceiling=CUBE_CEILING)
         members = read_indices(self.members, "event member", 0, (1 << n) - 1)
         unique = frozenset(members)
         if len(unique) < len(members):

@@ -19,19 +19,13 @@ import numpy as np
 from . import kernels
 from .bits import _real, read_index
 from .cube import EventFamily, binomial_tail, binomial_tails, bracket, distances_from
-from .errors import DomainError, ResourceError
+from .errors import DomainError
 from .rng import generator
 
 CONTAINMENT_CEILING = 16
 # verify_key_lemma holds (trials, 2^n) arrays several copies deep: 1024 trials at
 # n = 16 peak near 360 MB in ~3.4 s on 2 cores, and 100 001 ran out of memory
 TRIALS_CEILING = 1024
-
-
-def _check_ceiling(n: int):
-    if n > CONTAINMENT_CEILING:
-        raise ResourceError(
-            f"exact containment enumerates 2^n points; n <= {CONTAINMENT_CEILING} required")
 
 
 def _contained_counts(inside: np.ndarray, n: int) -> np.ndarray:
@@ -49,14 +43,11 @@ def _contained_counts(inside: np.ndarray, n: int) -> np.ndarray:
                                axis=-1)
 
 
-def containment_profile(family: EventFamily, max_d: int | None = None) -> list[Fraction]:
-    """P(ball_d(X) ⊆ E) for d = 0..max_d, exactly, in one sweep."""
-    n = family.dimension
-    _check_ceiling(n)
-    max_d = n if max_d is None else read_index(max_d, "max_d")
+def containment_profile(family: EventFamily) -> list[Fraction]:
+    """P(ball_d(X) ⊆ E) for d = 0..n, exactly, in one sweep."""
+    n = read_index(family.dimension, "n", ceiling=CONTAINMENT_CEILING)
     total = 1 << n
-    counts = _contained_counts(family.indicator()[None], n)[0].tolist()
-    return [Fraction(counts[min(d, n)], total) for d in range(max_d + 1)]
+    return [Fraction(c, total) for c in _contained_counts(family.indicator()[None], n)[0].tolist()]
 
 
 def adversarial_families(n: int, max_size: int, rng) -> list[tuple[str, np.ndarray]]:
@@ -93,10 +84,8 @@ def verify_key_lemma(n: int, trials: int, p_threshold: Fraction, seed: int) -> d
     for each j, the least d whose bound falls to 2^-j for the largest
     admissible r at this threshold.
     """
-    n, trials = read_index(n, "n"), read_index(trials, "trials")
-    _check_ceiling(n)
-    if trials > TRIALS_CEILING:
-        raise ResourceError(f"verify_key_lemma handles 0 <= trials <= {TRIALS_CEILING}")
+    n = read_index(n, "n", ceiling=CONTAINMENT_CEILING)
+    trials = read_index(trials, "trials", ceiling=TRIALS_CEILING)
     p_threshold = _real(p_threshold, "threshold")
     if not 0 < p_threshold < 1:
         raise DomainError("threshold must lie strictly between 0 and 1")

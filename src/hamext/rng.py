@@ -13,15 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 from .bits import read_index
-from .errors import ResourceError
 
 
 def _philox(seed: int, length: int = 0) -> np.random.Philox:
     """Philox keyed by `seed`, once the seed is a 64-bit key and the
     requested stream length is nonnegative (else a DomainError) and no
     longer than the largest numpy array (else a ResourceError)."""
-    if read_index(length, "length") > np.iinfo(np.intp).max:
-        raise ResourceError(f"a {length}-bit stream is longer than any array")
+    read_index(length, "length", ceiling=np.iinfo(np.intp).max)
     return np.random.Philox(key=read_index(seed, "seed", 0, (1 << 64) - 1))
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .bits import _collection, as_bits, read_index, read_indices
 from .cube import _middle_out_tails
-from .errors import ContractError, DimensionError, DomainError, ResourceError
+from .errors import ContractError, DimensionError, DomainError
 
 #: the upper explicit constant in the quantitative CLT bound d*rho/(sigma^3 sqrt(n));
 #: for centered fair coins rho = sigma^3 = 1/8, so the bound is just 0.71/sqrt(n).
@@ -67,9 +67,7 @@ def binomial_cdf_gap(n: int) -> float:
     j rises. Every visited point's gap is the same float a scan of the
     whole row computes, so the result equals that scan's bit for bit.
     """
-    n = read_index(n, "n", 1)
-    if n > CDF_GAP_CEILING:
-        raise ResourceError(f"binomial_cdf_gap handles 1 <= n <= {CDF_GAP_CEILING}")
+    n = read_index(n, "n", 1, ceiling=CDF_GAP_CEILING)
     denom = 1 << n
     scale = 2.0 / math.sqrt(n)
     half = n / 2.0
@@ -92,9 +90,7 @@ def binomial_cdf_gap(n: int) -> float:
 def small_ball_probability(n: int, g_of_n: int) -> Fraction:
     """Exact P(|S_n| <= g) for S_n = ones - n/2 over n fair bits; an n
     past SMALL_BALL_CEILING raises ResourceError."""
-    n, g_of_n = read_index(n, "n", 1), read_index(g_of_n, "g")
-    if n > SMALL_BALL_CEILING:
-        raise ResourceError(f"small_ball_probability handles 1 <= n <= {SMALL_BALL_CEILING}")
+    n, g_of_n = read_index(n, "n", 1, ceiling=SMALL_BALL_CEILING), read_index(g_of_n, "g")
     # |ones - n/2| <= g  <=>  ceil(n/2 - g) <= ones <= floor(n/2 + g)
     lo = max(0, -(-(n - 2 * g_of_n) // 2))
     hi = min(n, (n + 2 * g_of_n) // 2)
@@ -142,13 +138,6 @@ class WeberSeries:
         return math.log(p) if p else float("-inf")
 
 
-def _n_max(n_max) -> int:
-    n_max = read_index(n_max, "n_max", 1)
-    if n_max > WEBER_CEILING:
-        raise ResourceError(f"the weber scans handle 1 <= n_max <= {WEBER_CEILING}")
-    return n_max
-
-
 def weber_series(nu, n_max: int) -> WeberSeries:
     """Dyadic block hits of the subsequence nu (any iterable of integers).
 
@@ -157,7 +146,7 @@ def weber_series(nu, n_max: int) -> WeberSeries:
     listed out. An n_max below 1 raises DomainError, one past
     WEBER_CEILING ResourceError.
     """
-    n_max = _n_max(n_max)
+    n_max = read_index(n_max, "n_max", 1, ceiling=WEBER_CEILING)
     ranged = isinstance(nu, range) and nu.step > 0
     try:
         seq = nu if ranged else tuple(read_index(v, "subsequence member", lo=None) for v in nu)
@@ -186,7 +175,7 @@ def sparse_subsequence(f: Callable[[int], float], n_max: int) -> SparseResult:
     the reported violation threshold is 0 for genuine order functions.
     n_max is read as in weber_series, before the scan.
     """
-    n_max = _n_max(n_max)
+    n_max = read_index(n_max, "n_max", 1, ceiling=WEBER_CEILING)
     nu: list[int] = []
     threshold = 0
     for m in range(1, n_max + 1):

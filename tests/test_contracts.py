@@ -20,26 +20,25 @@ from hamext.adversary import (AdversarySchedule, force_majority_zero,
 from hamext.bits import read_index
 from hamext.budgets import (BudgetFunction, affine_sqrt_budget, lil_budget, parse_budget,
                             power_budget, table_budget)
-from hamext.cube import (EventFamily, SphereSpec, binomial_tail, distances_from,
+from hamext.cube import (CUBE_CEILING, EventFamily, SphereSpec, binomial_tail, distances_from,
                          harper_min_neighborhood, make_sphere, neighborhood)
 from hamext.errors import (ConfigError, ContractError, DimensionError, DomainError,
-                           HamextError)
+                           HamextError, ResourceError)
 from hamext.extractor import (BlockSchedule, check_schedule, extract, majority_bit,
                               make_schedule, psi_deviation, similar_p_N)
-from hamext.keylemma import containment_profile, verify_key_lemma
+from hamext.keylemma import verify_key_lemma
 from hamext.rng import bit_stream
 from hamext.stats import (berry_esseen_bound, binomial_cdf_gap, frequency_on_set,
                           majority_refinement, small_ball_bound, small_ball_probability,
                           sparse_subsequence, weber_series)
 
 G = parse_budget("power:1/3")
-FAMILY = EventFamily(3, frozenset({0}))
 REFUSED = (2.5, "3", None)
 NOT_A_CORE = ([0, 1, 2], {0, 1, 2}, np.arange(3), range(0, 5, 2), None)
 
 # (parameter, call with the value under test, its error, the values it refuses:
 # the non-integers and, where the parameter has a range, an integer outside it)
-ROWS = [
+INTEGER_ROWS = [
     ("table_budget constant", lambda v: table_budget(v), DomainError, REFUSED + (-1,)),
     ("table_budget value", lambda v: table_budget([(1, v)]), DomainError, REFUSED + (-1,)),
     ("BudgetFunction n", lambda v: G(v), DomainError, REFUSED + (-1,)),
@@ -60,11 +59,9 @@ ROWS = [
     # 8 used to read as popcount(v) + 1, 2^64 to leak OverflowError
     ("distances_from center", lambda v: distances_from(3, v), DomainError,
      REFUSED + (-1, 8, 1 << 64)),
+    ("distances_from n", lambda v: distances_from(v), DomainError, REFUSED + (2.0, -1)),
     ("EventFamily dimension", lambda v: EventFamily(v, frozenset()),
      DomainError, REFUSED + (-1,)),
-    # None is the default: the profile up to d = n
-    ("containment_profile max_d", lambda v: containment_profile(FAMILY, v),
-     DomainError, (2.5, "3", -1)),
     ("bit_stream seed", lambda v: bit_stream(v, 8), DomainError, REFUSED + (1 << 64,)),
     ("berry_esseen_bound n", lambda v: berry_esseen_bound(v), DomainError, REFUSED + (0,)),
     ("binomial_cdf_gap n", lambda v: binomial_cdf_gap(v), DomainError, REFUSED + (0,)),
@@ -93,6 +90,10 @@ ROWS = [
     ("stages_from_blocks target",
      lambda v: stages_from_blocks(BlockSchedule.from_sizes((1, 2, 3)), G, [v]),
      ConfigError, REFUSED + (3,)),
+    ("similar_p_N n0", lambda v: similar_p_N("1011", "1011", G, [4], n0=v),
+     DomainError, REFUSED + (-1,)),
+]
+ROWS = INTEGER_ROWS + [
     # collections of integers given a value that is not one
     ("frequency_on_set positions", lambda v: frequency_on_set("1011", v, [4]),
      DomainError, (5, None)),
@@ -116,8 +117,6 @@ ROWS = [
     ("majority_refinement strings", lambda v: majority_refinement(v), DomainError, (5, None)),
     ("EventFamily.from_strings strings", lambda v: EventFamily.from_strings(v),
      DomainError, (5, None)),
-    ("similar_p_N n0", lambda v: similar_p_N("1011", "1011", G, [4], n0=v),
-     DomainError, REFUSED + (-1,)),
     # the raw budget constructor reads its kind and params as the kind constructors do
     ("BudgetFunction kind", lambda v: BudgetFunction(v, (1, 1)), DomainError,
      ("foo", "", 5, None, ["power"])),
@@ -176,17 +175,20 @@ def test_numbers_and_text_raise_only_hamext_errors(value):
 
 # (entry point, call with a drawn integer, the integers drawn): any integer
 # in ±2^80 returns or raises a HamextError, or MemoryError for an allocation
-# the machine refuses at once. A stream length from 2^20 up to the largest
-# array is not drawn: the machine might really allocate it.
+# the machine refuses at once. A length or cube dimension past 2^20 bits, up
+# to the largest array, is not drawn: the machine might really allocate it.
 ANY_INTEGER = st.integers(-1 << 80, 1 << 80)
-INTEGER_CALLS = [
-    ("make_schedule block_count", lambda v: make_schedule(parse_budget("table:0"), v),
-     ANY_INTEGER),
+UNALLOCATED = {
+    "distances_from n": st.integers(-1 << 80, 20) | st.integers(CUBE_CEILING + 1, 1 << 80),
+}
+INTEGER_CALLS = [(name, call, UNALLOCATED.get(name, ANY_INTEGER))
+                 for name, call, _, _ in INTEGER_ROWS] + [
     ("BlockSchedule.from_sizes sizes", lambda v: BlockSchedule.from_sizes((v, v)), ANY_INTEGER),
     ("bit_stream length", lambda v: bit_stream(0, v),
      st.integers(-1 << 80, 1 << 20) | st.integers(np.iinfo(np.intp).max + 1, 1 << 80)),
-    ("distances_from center", lambda v: distances_from(3, v), ANY_INTEGER),
     ("harper_min_neighborhood n", lambda v: harper_min_neighborhood(v, 0, 0), ANY_INTEGER),
+    ("verify_key_lemma n", lambda v: verify_key_lemma(v, 1, Fraction(1, 2), 0), ANY_INTEGER),
+    ("verify_key_lemma trials", lambda v: verify_key_lemma(3, v, Fraction(1, 2), 0), ANY_INTEGER),
 ]
 
 
@@ -201,6 +203,19 @@ def test_integers_raise_only_hamext_errors(call, drawn, data):
         pass
 
 
+def test_read_index_names_an_integer_past_the_digit_limit_by_its_size():
+    # spelled out in a message, such an integer raised ValueError
+    huge = 10 ** 5000  # 16 610 bits
+    with pytest.raises(DomainError, match="<16610-bit integer> outside 0..3"):
+        read_index(huge, "n", 0, 3)
+    with pytest.raises(DomainError, match="<negative 16610-bit integer> outside 0.."):
+        read_index(-huge, "n")
+    with pytest.raises(DomainError, match="outside 0..<16610-bit integer>"):
+        read_index(huge + 1, "n", 0, huge)
+    with pytest.raises(ResourceError, match="<16610-bit integer> is past the resource ceiling 3"):
+        read_index(huge, "n", ceiling=3)
+
+
 values = st.one_of(
     st.integers(-1 << 70, 1 << 70),
     st.booleans(),
@@ -213,16 +228,20 @@ values = st.one_of(
 ends = st.none() | st.integers(-20, 20)
 
 
-@given(values, ends, ends, st.sampled_from([DomainError, ConfigError, DimensionError]))
+@given(values, ends, ends, st.sampled_from([DomainError, ConfigError, DimensionError]), ends)
 @settings(max_examples=200)
-def test_read_index(value, lo, hi, error):
+def test_read_index(value, lo, hi, error, ceiling):
+    # the range is checked first: past the ceiling only what the range admits
     try:
         expect = operator.index(value)
     except TypeError:
         expect = None
     if expect is None or lo is not None and expect < lo or hi is not None and expect > hi:
         with pytest.raises(error):
-            read_index(value, "value", lo, hi, error)
+            read_index(value, "value", lo, hi, error, ceiling)
+    elif ceiling is not None and expect > ceiling:
+        with pytest.raises(ResourceError, match=f"past the resource ceiling {ceiling}"):
+            read_index(value, "value", lo, hi, error, ceiling)
     else:
-        got = read_index(value, "value", lo, hi, error)
+        got = read_index(value, "value", lo, hi, error, ceiling)
         assert got == expect and type(got) is int

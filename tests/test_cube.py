@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamext.cube import (EventFamily, binomial_tail, binomial_tails, bracket,
-                         hamming_distance, harper_min_neighborhood, make_sphere,
+from hamext.cube import (CUBE_CEILING, EventFamily, binomial_tail, binomial_tails, bracket,
+                         distances_from, hamming_distance, harper_min_neighborhood, make_sphere,
                          neighborhood, vertex_text)
 from hamext.errors import DimensionError, DomainError, ResourceError
 
@@ -330,6 +330,20 @@ class TestShellOrder:
         assert [v ^ 0b10101 for v in shifted] == base
 
 
+class TestCubeCeiling:
+    def test_ceiling_is_the_largest_indexable_cube(self):
+        # the rule bit_stream applies to a length: 2^n vertices fit a numpy index
+        assert 1 << CUBE_CEILING <= np.iinfo(np.intp).max < 1 << (CUBE_CEILING + 1)
+
+    @pytest.mark.parametrize("n", [CUBE_CEILING + 1, 10 ** 20, 2 ** 64 + 1])
+    def test_dimension_past_the_ceiling_is_a_resource_error(self, n):
+        # 10^20 leaked OverflowError and 2^64 + 1 MemoryError from 1 << n
+        with pytest.raises(ResourceError):
+            EventFamily(n, frozenset())
+        with pytest.raises(ResourceError):
+            distances_from(n)
+
+
 class TestEventFamily:
     def test_probability_is_dyadic(self):
         fam = EventFamily.from_strings(["000", "011", "101"])
@@ -354,9 +368,11 @@ class TestEventFamily:
                 EventFamily(n, frozenset())
 
     def test_members_past_int64_are_checked_exactly(self):
-        assert EventFamily(70, frozenset({1 << 69, 3})).size == 2
-        with pytest.raises(DomainError):
-            EventFamily(70, frozenset({1 << 70}))
+        # members are read as python ints, so 2^64 + 3 is refused, not wrapped to 3
+        assert EventFamily(CUBE_CEILING, frozenset({(1 << CUBE_CEILING) - 1, 3})).size == 2
+        for member in (1 << CUBE_CEILING, 1 << 64, (1 << 64) + 3):
+            with pytest.raises(DomainError):
+                EventFamily(CUBE_CEILING, frozenset({member}))
 
     def test_indicator_flags_exactly_the_members(self):
         members = frozenset({0, 5, 6, 15})
