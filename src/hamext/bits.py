@@ -51,6 +51,11 @@ def as_bits(x) -> np.ndarray:
     return bits
 
 
+# the largest integer with a float: 2^1024 - 2^970, halfway from the largest
+# float to 2^1024, rounds to the even 2^1024 and overflows
+FLOAT_CEILING = (1 << 1024) - (1 << 970) - 1
+
+
 def _text(n: int) -> str:
     """n in decimal, or its size where the decimal would pass the digit
     limit of int-to-text."""

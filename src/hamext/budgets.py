@@ -6,7 +6,8 @@ up. Four kinds, serialized as ``kind:params`` tokens:
 * ``power:a/b[:coeff]``      coeff * n^(a/b)
 * ``affine_sqrt:a:c``        a*n + c*sqrt(n)
 * ``table:n0=v0,n1=v1,...``  step function (``table:v`` = constant v)
-* ``lil:eps``                n/2 + (1-eps)*sqrt(2 n lnln max(n,16))
+* ``lil:eps``                n/2 + (1-eps)*sqrt(2 n lnln max(n,16)), in floats,
+                             so an n past LIL_CEILING raises ResourceError
 
 Power and affine_sqrt take rational parameters and evaluate with exact
 integer arithmetic, so ceilings at exact powers (e.g. 4096^(2/3)) never
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bits import _collection, _real, read_index
-from .errors import DomainError, ResourceError
+from .errors import DomainError
 
 
 def _iroot(x: int, q: int) -> int:
@@ -75,6 +76,13 @@ def lil_envelope(n: int, eps: float) -> float:
     return n / 2.0 + (1.0 - eps) * math.sqrt(2.0 * n * lnln(n))
 
 
+# the largest n whose lil envelope is a finite float, for every eps: past it
+# 2.0 * n * lnln(n) overflows to inf. It is the largest float that keeps that
+# product finite plus its half ulp, 2^967, which still rounds down to it (a
+# tie goes to the even mantissa).
+LIL_CEILING = int(float.fromhex("0x1.3821ceb3e0796p+1020")) + (1 << 967)
+
+
 #: per kind but table: the reader bits._real applies, then each parameter's name
 _PARAMS = {"power": (Fraction, "power exponent", "power coefficient"),
            "affine_sqrt": (Fraction, "affine_sqrt slope", "affine_sqrt sqrt coefficient"),
@@ -119,7 +127,7 @@ class BudgetFunction:
         object.__setattr__(self, "params", tuple(params))
 
     def __call__(self, n: int) -> int:
-        n = read_index(n, "budget length")
+        n = read_index(n, "budget length", ceiling=LIL_CEILING if self.kind == "lil" else None)
         if self.kind == "power":
             alpha, coeff = self.params
             return _ceil_power(n, alpha, coeff)
@@ -132,13 +140,7 @@ class BudgetFunction:
                 if n >= bp:
                     value = v
             return value
-        # lil: the envelope is a float, inf (nan at eps = 1) from n ~ 2^1021;
-        # past 2^1024 n itself has no float
-        try:
-            return math.ceil(lil_envelope(n, self.params[0]))
-        except (OverflowError, ValueError):
-            raise ResourceError(f"the lil envelope at a {n.bit_length()}-bit n "
-                                "is past the float range") from None
+        return math.ceil(lil_envelope(n, self.params[0]))
 
     def divergence_modulus(self, k: int):
         """Witness N(k) for value(n)/sqrt(n) -> infinity, or None.

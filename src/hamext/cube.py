@@ -27,6 +27,11 @@ from .bits import (_collection, as_bits, bits_to_mask, prefix_distances, read_in
 from .errors import DimensionError, DomainError
 
 HARPER_CEILING = 4
+# the most bit-steps a binomial walk takes on: its steps times the bits of the
+# largest integer it builds. The worst calls under it take 0.2-0.3 s on 2 cores:
+# binomial_tails(16383) (a 30 MB row), b(32768, 8192) up the row and b(23168,
+# 11581) from the middle; 1 << (2^28 - 1) at k >= n holds 34 MB
+TAIL_CEILING = 1 << 28
 # the largest n whose 2^n vertices a numpy array can index, as bit_stream's length rule
 CUBE_CEILING = np.iinfo(np.intp).max.bit_length() - 1
 
@@ -69,6 +74,12 @@ def _middle_out_tails(n: int):
         coeff = coeff * j // (n - j + 1)
 
 
+def _price_walk(steps: int, bits: int) -> None:
+    """Refuse a walk of `steps` steps over integers of up to `bits` bits
+    past TAIL_CEILING bit-steps, before any of it is built."""
+    read_index(steps * bits, "binomial walk in bit-steps", ceiling=TAIL_CEILING)
+
+
 def binomial_tail(n: int, k: int) -> int:
     """b(n,k) = C(n,0)+...+C(n,k), exact; 0 for k<0, 2^n for k>=n.
 
@@ -78,23 +89,35 @@ def binomial_tail(n: int, k: int) -> int:
     up from j = 0 (t+1 terms), or down from the middle j = h (h-t+1
     terms after one math.comb), so a k within a few sqrt(n) of n/2 costs
     a few sqrt(n) steps rather than n/2.
+
+    A walk past TAIL_CEILING bit-steps raises ResourceError. Its largest
+    integer is 2^n at k >= n or past the middle, and C(n,h) from the
+    middle, whose math.comb is priced as the h+1 steps up the row that
+    reach it (1.3 s at n = 3*10^5, 10 s at 10^6).
     """
     n, k = read_index(n, "n"), read_index(k, "k", lo=None)
     if k < 0:
         return 0
     if k >= n:
+        _price_walk(1, n + 1)
         return 1 << n
     t, h = min(k, n - k - 1), (n - 1) // 2
     if t <= h - t:
+        # b(n,t) <= (n+1)^t has at most t times the bits of n+1
+        _price_walk(t + 1, n + 1 if t < k else min(n, t * (n + 1).bit_length()) + 1)
         low = next(islice(_running_tails(n), t, None))
     else:
+        _price_walk(h + 1, n + 1)
         low = next(islice(_middle_out_tails(n), h - t, None))
     return low if t == k else (1 << n) - low
 
 
 def binomial_tails(n: int) -> list[int]:
-    """[b(n,0), b(n,1), ..., b(n,n)], exact; the last entry is 2^n."""
-    return list(_running_tails(read_index(n, "n")))
+    """[b(n,0), b(n,1), ..., b(n,n)], exact; the last entry is 2^n. A row
+    past TAIL_CEILING bit-steps raises ResourceError."""
+    n = read_index(n, "n")
+    _price_walk(n + 1, n + 1)
+    return list(_running_tails(n))
 
 
 def bracket(tails: list[int], size: int) -> int:

@@ -1,11 +1,15 @@
 """Seeded pseudorandom bit streams.
 
 All randomness in the package flows through Philox (4x64, 10 rounds), a
-published counter-based generator, keyed directly by a 64-bit seed. A
-stream is the little-endian bit expansion of the raw 64-bit Philox
-output words, so any implementation of Philox can replicate it
-bit-exactly. Derived seeds for independent trials are seed + trial
-index, which never collides across a run's contiguous seed range.
+published counter-based generator, keyed directly by a 64-bit seed. The
+stream is exactly this: the key is (seed, 0); the first block's 256-bit
+counter is 1, not 0 (numpy steps the counter before each block), and
+the next blocks count up from it; each block's four 64-bit output words
+come in order, blocks in counter order; and the bits of each word come
+little-endian, bit i of word w at stream position 64*w + i. Any
+implementation of Philox can replicate it bit-exactly from that.
+Derived seeds for independent trials are seed + trial index, which
+never collides across a run's contiguous seed range.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .bits import _collection, as_bits, read_index, read_indices
+from .bits import FLOAT_CEILING, _collection, as_bits, read_index, read_indices
 from .cube import _middle_out_tails
 from .errors import ContractError, DimensionError, DomainError
 
@@ -38,6 +38,11 @@ CDF_GAP_CEILING = 10 ** 5
 # (10^4, 10^4), the worst call below the ceiling, takes 7-14 s on 2 cores,
 # and (20000, 20000) over a minute
 SMALL_BALL_CEILING = 10 ** 4
+# the largest n whose 2.0 * math.pi * n in small_ball_bound is a finite float (past
+# it the first term's denominator is inf and the term drops to 0): the largest float
+# that keeps it finite plus its half ulp, 2^968, which still rounds down to it (a tie
+# goes to the even mantissa)
+SMALL_BALL_BOUND_CEILING = int(float.fromhex("0x1.45f306dc9c882p+1021")) + (1 << 968)
 # the weber scans build 2^m for each block m <= n_max (2^4096 has 1 234 digits, under
 # the 4 300 that int-to-text allows) and take time quadratic in n_max for a dense nu
 WEBER_CEILING = 4096
@@ -48,8 +53,9 @@ def normal_cdf(x: float) -> float:
 
 
 def berry_esseen_bound(n: int) -> float:
-    """0.71/sqrt(n): the explicit CLT error bound for fair coin sums."""
-    return BERRY_ESSEEN_D / math.sqrt(read_index(n, "n", 1))
+    """0.71/sqrt(n): the explicit CLT error bound for fair coin sums; an
+    n past FLOAT_CEILING, which has no float, raises ResourceError."""
+    return BERRY_ESSEEN_D / math.sqrt(read_index(n, "n", 1, ceiling=FLOAT_CEILING))
 
 
 def binomial_cdf_gap(n: int) -> float:
@@ -99,8 +105,11 @@ def small_ball_probability(n: int, g_of_n: int) -> Fraction:
 
 
 def small_ball_bound(n: int, g_of_n: int) -> float:
-    """The explicit envelope 4g/sqrt(2 pi n) + 2*0.71/sqrt(n)."""
-    n, g_of_n = read_index(n, "n", 1), read_index(g_of_n, "g")
+    """The explicit envelope 4g/sqrt(2 pi n) + 2*0.71/sqrt(n); an n past
+    SMALL_BALL_BOUND_CEILING, or a g past a quarter of FLOAT_CEILING, where
+    4.0 * g overflows, raises ResourceError."""
+    n = read_index(n, "n", 1, ceiling=SMALL_BALL_BOUND_CEILING)
+    g_of_n = read_index(g_of_n, "g", ceiling=FLOAT_CEILING // 4)
     return 4.0 * g_of_n / math.sqrt(2.0 * math.pi * n) + 2.0 * BERRY_ESSEEN_D / math.sqrt(n)
 
 
@@ -207,13 +216,20 @@ class FrequencyReport:
         return cls(0, 0, None, None, checkpoint)
 
 
+def _evens(x: np.ndarray) -> np.ndarray:
+    mask = np.zeros(x.size, dtype=np.bool_)
+    mask[::2] = True
+    return mask
+
+
 #: monotone selection rules by name: mask(x)[i] says whether position i
-#: is counted, and reads only the bits before it, x[:i]
+#: is counted, and reads only the bits before it, x[:i]; each mask takes
+#: one byte per bit, and no rule builds a wider temporary
 SELECTION_RULES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "all": lambda x: np.ones(x.size, dtype=np.bool_),
-    "evens": lambda x: np.arange(x.size) % 2 == 0,
-    # exclusive prefix sums: position i sees the ones of x[:i]
-    "parity": lambda x: (np.cumsum(x, dtype=np.int64) - x) % 2 == 0,
+    "evens": _evens,
+    # the running parity through x[i] equals x[i] iff x[:i] holds an even count of ones
+    "parity": lambda x: np.bitwise_xor.accumulate(x) == x,
 }
 
 
@@ -224,7 +240,7 @@ def apply_selection(rule: Callable[[np.ndarray], np.ndarray], X) -> FrequencyRep
     x = as_bits(X)
     mask = rule(x)
     examined = int(np.count_nonzero(mask))
-    ones = int(x[mask].sum())
+    ones = int(np.count_nonzero(x & mask))
     return FrequencyReport.of(examined, ones)
 
 

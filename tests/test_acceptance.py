@@ -29,8 +29,7 @@ GOLDEN_DETAILS = {
 def test_criterion(runner):
     result = runner()
     verdict = "PASS" if result.passed else "FAIL"
-    print(f"[{verdict}] criterion {result.number}: {result.name} "
-          f"({result.elapsed:.2f}s) - {result.detail}")
+    print(f"[{verdict}] criterion {result.number}: {result.name} - {result.detail}")
     assert result.passed, f"criterion {result.number} failed: {result.detail}"
     assert result.detail == GOLDEN_DETAILS[result.number]
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamext.budgets import (BudgetFunction, affine_sqrt_budget, lil_budget, parse_budget,
-                            power_budget, table_budget)
-from hamext.errors import DomainError, HamextError
+from hamext.budgets import (LIL_CEILING, BudgetFunction, affine_sqrt_budget, lil_budget,
+                            lil_envelope, lnln, parse_budget, power_budget, table_budget)
+from hamext.errors import DomainError, HamextError, ResourceError
 
 
 def ceil_oracle(value: Fraction) -> int:
@@ -99,6 +99,17 @@ class TestLil:
         b = parse_budget("lil:0.1")
         lam = math.log(math.log(100))
         assert b(100) == math.ceil(50 + 0.9 * math.sqrt(200 * lam))
+
+    @pytest.mark.parametrize("eps", [0, 0.5, 1])
+    def test_lengths_past_the_float_range_are_refused(self, eps):
+        # the envelope's 2.0 * n * lnln(n) is finite up to LIL_CEILING, inf past it
+        assert math.isfinite(2.0 * LIL_CEILING * lnln(LIL_CEILING))
+        assert 2.0 * (LIL_CEILING + 1) * lnln(LIL_CEILING + 1) == math.inf
+        b = lil_budget(eps)
+        assert b(LIL_CEILING) == math.ceil(lil_envelope(LIL_CEILING, eps))
+        for n in (LIL_CEILING + 1, 1 << 1021, 10 ** 5000):
+            with pytest.raises(ResourceError, match="past the resource ceiling"):
+                b(n)
 
 
 class TestEveryLength:

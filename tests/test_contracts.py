@@ -69,6 +69,7 @@ INTEGER_ROWS = [
      DomainError, REFUSED + (0,)),
     ("small_ball_probability g", lambda v: small_ball_probability(10, v),
      DomainError, REFUSED + (-1,)),
+    ("small_ball_bound n", lambda v: small_ball_bound(v, 3), DomainError, REFUSED + (0,)),
     ("small_ball_bound g", lambda v: small_ball_bound(10, v), DomainError, REFUSED + (-1,)),
     ("weber_series n_max", lambda v: weber_series([2, 4], v), DomainError, REFUSED + (0,)),
     ("WeberSeries.p_count n", lambda v: weber_series([2], 4).p_count(v),
@@ -173,19 +174,35 @@ def test_numbers_and_text_raise_only_hamext_errors(value):
             pass
 
 
+class Huge(int):
+    """An int whose repr gives its size. A failing example prints the
+    strategy it was drawn from; spelled in decimal, 10^5000 passes
+    int-to-text's digit limit, and Hypothesis then reported a flaky
+    strategy instead of the failure."""
+
+    def __repr__(self):
+        return f"<{self.bit_length()}-bit integer>"
+
+
 # (entry point, call with a drawn integer, the integers drawn): any integer
-# in ±2^80 returns or raises a HamextError, or MemoryError for an allocation
-# the machine refuses at once. A length or cube dimension past 2^20 bits, up
-# to the largest array, is not drawn: the machine might really allocate it.
-ANY_INTEGER = st.integers(-1 << 80, 1 << 80)
+# in ±2^80, and ±2^1100 and ±10^5000, past the float range and int-to-text's
+# digit limit, returns or raises a HamextError, or MemoryError for an
+# allocation the machine refuses at once. A length or cube dimension past
+# 2^20 bits, up to the largest array, is not drawn: the machine might really
+# allocate it.
+BIG = st.sampled_from([Huge(v) for v in (1 << 1100, -(1 << 1100), 10 ** 5000, -10 ** 5000)])
+ANY_INTEGER = st.integers(-1 << 80, 1 << 80) | BIG
 UNALLOCATED = {
-    "distances_from n": st.integers(-1 << 80, 20) | st.integers(CUBE_CEILING + 1, 1 << 80),
+    "distances_from n": st.integers(-1 << 80, 20) | st.integers(CUBE_CEILING + 1, 1 << 80) | BIG,
 }
 INTEGER_CALLS = [(name, call, UNALLOCATED.get(name, ANY_INTEGER))
                  for name, call, _, _ in INTEGER_ROWS] + [
     ("BlockSchedule.from_sizes sizes", lambda v: BlockSchedule.from_sizes((v, v)), ANY_INTEGER),
+    # k = n takes 2^n, and k near n/2 the walk from the middle of the row
+    ("binomial_tail n, k = n", lambda v: binomial_tail(v, v), ANY_INTEGER),
+    ("binomial_tail n, k = n/2", lambda v: binomial_tail(v, v // 2), ANY_INTEGER),
     ("bit_stream length", lambda v: bit_stream(0, v),
-     st.integers(-1 << 80, 1 << 20) | st.integers(np.iinfo(np.intp).max + 1, 1 << 80)),
+     st.integers(-1 << 80, 1 << 20) | st.integers(np.iinfo(np.intp).max + 1, 1 << 80) | BIG),
     ("harper_min_neighborhood n", lambda v: harper_min_neighborhood(v, 0, 0), ANY_INTEGER),
     ("verify_key_lemma n", lambda v: verify_key_lemma(v, 1, Fraction(1, 2), 0), ANY_INTEGER),
     ("verify_key_lemma trials", lambda v: verify_key_lemma(3, v, Fraction(1, 2), 0), ANY_INTEGER),

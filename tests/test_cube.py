@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamext.cube import (CUBE_CEILING, EventFamily, binomial_tail, binomial_tails, bracket,
+from hamext.cube import (CUBE_CEILING, TAIL_CEILING, EventFamily, binomial_tail, binomial_tails, bracket,
                          distances_from, hamming_distance, harper_min_neighborhood, make_sphere,
                          neighborhood, vertex_text)
 from hamext.errors import DimensionError, DomainError, ResourceError
@@ -141,6 +141,25 @@ class TestBinomialTail:
                 else:
                     expect = below + sum(math.comb(n, i) for i in range(half, k + 1))
                 assert binomial_tail(n, k) == expect
+
+    @pytest.mark.parametrize("n, k", [(10 ** 20, 10 ** 20), (2 ** 40, 2 ** 39),
+                                      (2 ** 80, 2 ** 80 - 2), (TAIL_CEILING, TAIL_CEILING)])
+    def test_walks_past_the_ceiling_are_refused(self, n, k):
+        # 10^20 leaked OverflowError from 1 << n, and 2^40 built the middle
+        # term C(2^40, 2^39) of about 2^40 bits for longer than 10 s
+        with pytest.raises(ResourceError, match="past the resource ceiling"):
+            binomial_tail(n, k)
+
+    def test_rows_past_the_ceiling_are_refused(self):
+        # (n+1)^2 bit-steps: 16383 is the longest row under the ceiling
+        assert math.isqrt(TAIL_CEILING) == 16383 + 1
+        with pytest.raises(ResourceError, match="past the resource ceiling"):
+            binomial_tails(16384)
+
+    def test_a_short_walk_is_priced_by_its_terms_not_by_n(self):
+        assert binomial_tail(2 ** 80, 1) == 2 ** 80 + 1
+        assert binomial_tail(2 ** 80, 0) == 1
+        assert binomial_tail(10 ** 5000, 2) == 1 + 10 ** 5000 + 10 ** 5000 * (10 ** 5000 - 1) // 2
 
 
 class TestNeighborhood:

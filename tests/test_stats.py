@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -8,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamext.bits import FLOAT_CEILING
 from hamext.errors import ContractError, DimensionError, DomainError, ResourceError
 from hamext.rng import bit_stream
-from hamext.stats import (SELECTION_RULES, WEBER_CEILING, FrequencyReport, apply_selection,
-                          berry_esseen_bound, binomial_cdf_gap, frequency_on_set,
-                          majority_refinement, normal_cdf,
+from hamext.stats import (SELECTION_RULES, SMALL_BALL_BOUND_CEILING, WEBER_CEILING,
+                          FrequencyReport, apply_selection, berry_esseen_bound,
+                          binomial_cdf_gap, frequency_on_set, majority_refinement, normal_cdf,
                           small_ball_bound, small_ball_probability,
                           sparse_subsequence, weber_series)
 
@@ -28,6 +30,15 @@ class TestBerryEsseenBound:
         n = 57
         assert berry_esseen_bound(n) == pytest.approx(
             0.71 * (1 / 8) / ((1 / 8) * math.sqrt(n)), rel=1e-12)
+
+    def test_an_n_past_the_float_range_is_refused(self):
+        # 2^1100 leaked OverflowError from math.sqrt
+        with pytest.raises(OverflowError):
+            float(FLOAT_CEILING + 1)
+        assert berry_esseen_bound(FLOAT_CEILING) == 0.71 / math.sqrt(float(FLOAT_CEILING))
+        for n in (FLOAT_CEILING + 1, 1 << 1100, 10 ** 5000):
+            with pytest.raises(ResourceError, match="past the resource ceiling"):
+                berry_esseen_bound(n)
 
 
 class TestBinomialCdfGap:
@@ -113,6 +124,21 @@ class TestSmallBall:
             gmax = int(math.sqrt(n) * math.log(n))
             for g in {0, 1, gmax // 2, gmax}:
                 assert float(small_ball_probability(n, g)) <= small_ball_bound(n, g)
+
+    def test_envelope_past_the_float_range_is_refused(self):
+        # g = 2^1100 leaked OverflowError from 4.0 * g, and n = 2^1100 from
+        # math.sqrt. Past a quarter of the float range 4.0 * g was inf, no bound
+        # at all, and past SMALL_BALL_BOUND_CEILING 2 pi n was inf, which dropped
+        # the first term: 1.42/sqrt(n) understated the envelope about 4x at g = 3
+        g, n = FLOAT_CEILING // 4, SMALL_BALL_BOUND_CEILING
+        assert math.isfinite(4.0 * g) and 4.0 * (g + 1) == math.inf
+        assert math.isfinite(2.0 * math.pi * n) and 2.0 * math.pi * (n + 1) == math.inf
+        assert small_ball_bound(10, g) < math.inf
+        assert small_ball_bound(n, 3) == pytest.approx(
+            12 / math.sqrt(2 * math.pi) / math.sqrt(n) + 1.42 / math.sqrt(n), rel=1e-12)
+        for n, g in ((10, g + 1), (10, 1 << 1100), (1 << 1100, 3), (n + 1, 3)):
+            with pytest.raises(ResourceError, match="past the resource ceiling"):
+                small_ball_bound(n, g)
 
     def test_ceiling(self):
         # one n-bit term per window point: past 10^4 a call can take minutes
@@ -264,6 +290,19 @@ class TestSelectionRules:
                 mask = SELECTION_RULES[name](x)
                 assert mask.dtype == np.bool_
                 assert mask.tolist() == [bool(decide(x[:i])) for i in range(length)]
+
+    @pytest.mark.parametrize("name", sorted(SELECTION_RULES))
+    def test_traced_peak_is_at_most_three_bytes_per_bit(self, name):
+        # numpy reports its buffers to tracemalloc; an int64 mask or prefix
+        # sum would take 8 bytes per bit
+        x = bit_stream(5, 1 << 20)
+        tracemalloc.start()
+        try:
+            apply_selection(SELECTION_RULES[name], x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * x.size
 
     def test_identity_rule_equals_frequency_on_all_positions(self):
         x = bit_stream(12, 500)
