@@ -149,13 +149,19 @@ def force_output_zero_generic(X, stage_window: tuple[int, int], oracle_prefix,
     (the window is then left equal to X: "make no further changes") or
     because the cheapest one overruns the budget (flagged separately).
     For a majority reduction, force_majority_zero gives the same answer
-    in closed form on windows of any length.
+    in closed form on windows of any length. The window is a collection
+    of two integers, start < end; the budget an integer >= 0, or None
+    for no budget.
     """
     x = as_bits(X)
-    a, b = stage_window
-    a = read_index(a, "window start", 0, x.size - 1, DimensionError)
-    b = read_index(b, "window end", a + 1, x.size, DimensionError)
+    window = read_indices(stage_window, "window bound", None, error=DimensionError)
+    if len(window) != 2:
+        raise DimensionError(f"stage window must be a pair start < end, got {stage_window!r}")
+    a = read_index(window[0], "window start", 0, x.size - 1, DimensionError)
+    b = read_index(window[1], "window end", a + 1, x.size, DimensionError)
     width = read_index(b - a, "window width", ceiling=GENERIC_WINDOW_CEILING)
+    if budget is not None:
+        budget = read_index(budget, "budget")
     prefix = as_bits(oracle_prefix)
     if prefix.size != a:
         raise DimensionError(f"oracle prefix must have length {a}, got {prefix.size}")

@@ -169,6 +169,8 @@ class SphereSpec:
         if center.size != n:
             raise DimensionError(f"center has length {center.size}, want {n}")
         k = read_index(self.inner_radius, "inner radius", -1, n)
+        if k < n:  # C(n, j) = C(n, n-j) is priced as the steps up the row that reach it
+            _price_walk(min(k + 1, n - k - 1) + 1, n + 1)
         read_index(self.shell_count, "shell count", 0, comb(n, k + 1) if k < n else 0)
         object.__setattr__(self, "center", to_text(center))
 

@@ -18,13 +18,13 @@ import numpy as np
 
 from . import kernels
 from .bits import _real, read_index
-from .cube import EventFamily, binomial_tail, binomial_tails, bracket, distances_from
+from .cube import EventFamily, binomial_tails, bracket, distances_from
 from .errors import DomainError
-from .rng import generator
+from .rng import Sampler
 
 CONTAINMENT_CEILING = 16
 # verify_key_lemma holds (trials, 2^n) arrays several copies deep: 1024 trials at
-# n = 16 peak near 360 MB in ~3.4 s on 2 cores, and 100 001 ran out of memory
+# n = 16 peak near 362 MB in ~3.9 s on 2 cores, and 100 001 ran out of memory
 TRIALS_CEILING = 1024
 
 
@@ -50,23 +50,23 @@ def containment_profile(family: EventFamily) -> list[Fraction]:
     return [Fraction(c, total) for c in _contained_counts(family.indicator()[None], n)[0].tolist()]
 
 
-def adversarial_families(n: int, max_size: int, rng) -> list[tuple[str, np.ndarray]]:
+def adversarial_families(n: int, max_size: int, r_max: int,
+                         draw: Sampler) -> list[tuple[str, np.ndarray]]:
     """Deterministic stress set as (label, bool mask over the 2^n
-    vertices) pairs: balls, coordinate half-spaces / weight cuts, and
+    vertices) pairs: balls of radius 0..r_max (the largest radius whose
+    ball fits the size cap), coordinate half-spaces / weight cuts, and
     unions of two random balls, all within the size cap."""
     out: list[tuple[str, np.ndarray]] = []
-    center2 = int(rng.integers(0, 1 << n))
-    for rho in range(n + 1):
-        if binomial_tail(n, rho) > max_size:
-            break
+    center2 = draw.below(1 << n)
+    for rho in range(r_max + 1):
         for center in (0, center2):
             out.append((f"ball r={rho} c={center}", distances_from(n, center) <= rho))
     half = np.arange(1 << n) % 2 == 0
     if np.count_nonzero(half) <= max_size:
         out.append(("half-space x0=0", half))
     for trial in range(3):
-        c1, c2 = int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n))
-        r1, r2 = int(rng.integers(0, max(1, n // 3))), int(rng.integers(0, max(1, n // 3)))
+        c1, c2 = draw.below(1 << n), draw.below(1 << n)
+        r1, r2 = draw.below(max(1, n // 3)), draw.below(max(1, n // 3))
         union = (distances_from(n, c1) <= r1) | (distances_from(n, c2) <= r2)
         if np.count_nonzero(union) <= max_size:
             out.append((f"union of balls #{trial}", union))
@@ -89,22 +89,23 @@ def verify_key_lemma(n: int, trials: int, p_threshold: Fraction, seed: int) -> d
     p_threshold = _real(p_threshold, "threshold")
     if not 0 < p_threshold < 1:
         raise DomainError("threshold must lie strictly between 0 and 1")
-    rng = generator(seed)
+    draw = Sampler(seed)
     max_size = int(p_threshold * (1 << n))
+    total = 1 << n
+    tails = binomial_tails(n)  # numerators over 2^n; every family here is proper
+    r_max = bracket(tails, max_size)
     # one membership row per family; the draws keep the order seeded
     # reports depend on: per sampled family a size, then its members,
     # and then the stress set
     sampled = np.zeros((trials, 1 << n), dtype=np.bool_)
     for row in sampled:
-        size = int(rng.integers(0, max_size + 1))
+        size = draw.below(max_size + 1)
         if size:
-            row[rng.choice(1 << n, size=size, replace=False)] = True
-    stress = adversarial_families(n, max_size, rng)
+            row[:] = draw.subset(n, size)
+    stress = adversarial_families(n, max_size, r_max, draw)
     labels = [f"sampled #{t}" for t in range(trials)] + [label for label, _ in stress]
     inside = np.vstack([sampled, *(mask for _, mask in stress)])
     sizes = np.count_nonzero(inside, axis=1).tolist()
-    total = 1 << n
-    tails = binomial_tails(n)  # numerators over 2^n; every family here is proper
 
     def tail(t: int) -> int:
         return tails[t] if t >= 0 else 0
@@ -127,7 +128,6 @@ def verify_key_lemma(n: int, trials: int, p_threshold: Fraction, seed: int) -> d
                 tight_at.append(d)
         families.append({"label": label, "n": n, "size": size, "r": r,
                          "rows": rows, "tight_at": tight_at})
-    r_max = bracket(tails, max_size)
     modulus = {}
     for j in range(1, 9):
         # q_{r_max+1-d} <= 2^-j  <=>  b(n, r_max+1-d) * 2^j <= 2^n

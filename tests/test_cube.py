@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamext.cube import (CUBE_CEILING, TAIL_CEILING, EventFamily, binomial_tail, binomial_tails, bracket,
-                         distances_from, hamming_distance, harper_min_neighborhood, make_sphere,
-                         neighborhood, vertex_text)
+                         SphereSpec, distances_from, hamming_distance, harper_min_neighborhood,
+                         make_sphere, neighborhood, vertex_text)
 from hamext.errors import DimensionError, DomainError, ResourceError
 
 
@@ -263,6 +263,15 @@ class TestMakeSphere:
     def test_out_of_range(self):
         with pytest.raises(DomainError):
             make_sphere(3, 9, "000")
+
+    def test_shell_bound_is_priced_before_it_is_built(self):
+        # the bound C(300000, 150000) took 1.55 s before .size refused the sphere
+        with pytest.raises(ResourceError, match="past the resource ceiling"):
+            SphereSpec(300000, "0" * 300000, 149999, 0)
+        assert SphereSpec(300000, "0" * 300000, 0, 300000).size == 300001
+        # every sphere make_sphere builds is priced under the ceiling
+        s = make_sphere(16383, (1 << 16382) + 1, "0" * 16383)  # b(16383, 8191) = 2^16382
+        assert (s.inner_radius, s.shell_count) == (8191, 1)
 
     def test_realizes_size_and_sandwich(self):
         for n in (2, 3, 4, 5, 6):

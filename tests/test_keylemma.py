@@ -9,7 +9,6 @@ from hamext import keylemma, kernels
 from hamext.cube import EventFamily, binomial_tail, binomial_tails, bracket, make_sphere
 from hamext.errors import DomainError, ResourceError
 from hamext.keylemma import TRIALS_CEILING, containment_profile, verify_key_lemma
-from hamext.rng import generator
 
 
 def containment_oracle(family: EventFamily, d: int) -> Fraction:
@@ -57,7 +56,7 @@ class TestBallContainment:
         assert containment_profile(fam) == [Fraction(0)] * 4
 
     def test_matches_oracle_random_families(self):
-        rng = generator(6)
+        rng = np.random.Generator(np.random.Philox(key=6))
         for n in (3, 4, 5):
             for _ in range(8):
                 size = int(rng.integers(0, 1 << n))
@@ -68,7 +67,7 @@ class TestBallContainment:
                     assert profile[d] == containment_oracle(fam, d)
 
     def test_radii_up_to_dimension(self):
-        rng = generator(11)
+        rng = np.random.Generator(np.random.Philox(key=11))
         for n in (1, 3, 4):
             members = frozenset(int(v) for v in rng.choice(1 << n, (1 << n) - 1, replace=False))
             for fam in (EventFamily(n, frozenset()), EventFamily(n, frozenset(range(1 << n))),
@@ -78,7 +77,7 @@ class TestBallContainment:
 
     @pytest.mark.parametrize("n", range(7))
     def test_contained_counts_match_brute_force(self, n):
-        rng = generator(60 + n)
+        rng = np.random.Generator(np.random.Philox(key=60 + n))
         density = rng.random((8, 1))
         full_minus_one = np.ones(1 << n, dtype=np.bool_)
         full_minus_one[rng.integers(0, 1 << n)] = False
@@ -132,7 +131,8 @@ class TestCentralInequality:
         assert (contained <= bound_of_size[members.sum(axis=1)]).all()
         # the library's per-family path reads the same rows
         tails = binomial_tails(n)
-        sample = generator(44).choice(index.size, 200, replace=False).tolist()
+        rng = np.random.Generator(np.random.Philox(key=44))
+        sample = rng.choice(index.size, 200, replace=False).tolist()
         for row in [0, index.size - 1, *sample]:
             fam = EventFamily(n, frozenset(np.flatnonzero(members[row]).tolist()))
             assert bracket(tails, fam.size) == r_of_size[fam.size]
@@ -158,7 +158,7 @@ class TestCentralInequality:
 
     def test_harper_substitution_never_shrinks_containment(self):
         # replacing the complement by the canonical sphere of its size
-        rng = generator(31)
+        rng = np.random.Generator(np.random.Philox(key=31))
         for n in (4, 6, 8):
             for _ in range(12):
                 size = int(rng.integers(1, 1 << n))
@@ -206,19 +206,19 @@ class TestVerifyKeyLemma:
             verify_key_lemma(n, trials, Fraction(1, 2), 0)
 
     # sha256 of the nine reports acceptance criterion 8 reads, as canonical
-    # JSON with Fractions as strings, taken from the per-family frozenset
-    # implementation; the batched membership sweep must reproduce them
+    # JSON with Fractions as strings; the families come from the rng.Sampler
+    # draws that tests/test_rng.py replays from the Philox words
     @pytest.mark.parametrize("n, digest", [
-        (4, "19ccfd8b48fd4529083c9ff74132252e11cf9993d2337937a2f61672cfa46f78"),
-        (5, "a01a2a8bd471cbb8ac9033b8ee0ae777e5a9c6ab9669b7222c0b1ae8e4b7d26d"),
-        (6, "dcb0caa97b13c17c97fe3b5f01f99304f1d8b498772652ff4244f33454a972a0"),
-        (7, "7bf2bcf11c4528d0483bb97325d1b105740f5502c069c315784c636e1f10ec38"),
-        (8, "b25ee1467b675fbc4feacbee18a725d90b327d9e328d52136795a199ac105efc"),
-        (9, "60c80ee584fdf9c74e757ba221794272f542be7b708a00f1e28bed488646511b"),
-        (10, "245f7a05e08599de47de4a83f1572da5108817cacdf8981c900d6f739cef1359"),
-        (11, "37aef95701b6c725b1d8eb3d43764ab649532cacd96ade29142e101d07e43344"),
-        (12, "82f6929bc19e9839e278661f23a06504a68902cce77a9d9bd0b276b951a75d2e"),
-    ])
+        (4, "43ff00949844a0e80f14eb38a009f14a15fb57c28e6ffc8a7b5e7a39d4acb4b9"),
+        (5, "3c8b172281087f95a22f5375fbc5e7c2c4e2c4d040565139c2623765e340eb0b"),
+        (6, "c5724e88c55c6b4e162a99c506be3eb53fe7d5153db74a4aca28a5eee30b48fb"),
+        (7, "5e0d0948803d98bc967e6fccf07398c50127bd6c8fe29dea973b0a3bb873a244"),
+        (8, "f5947d4991715d5580f3a88e31821269d0b1435452186a123940129e35670be0"),
+        (9, "468757a4e180e26b5b2b8a4599d2e28b6e0d85571b369c6428c16a7aaa12865f"),
+        (10, "9c3a6d11487e225759ce82343ca560c933f8faa61356f3261ccf9a4b3dea5870"),
+        (11, "8321d81d3ac48682b2eacd8838b8c8529592acacf0d1fca7a284879955e0cb33"),
+        (12, "e4f841bdf2055cf9d275a652dc6ee3343d1b97c249b2c9c0dcfc834cbcd27975"),
+    ], ids=[f"n{n}" for n in range(4, 13)])
     def test_pinned_criterion_eight_reports(self, n, digest):
         report = verify_key_lemma(n, 200, Fraction(1, 2), 1000 + n)
         text = json.dumps(report, sort_keys=True, default=str)

@@ -1,10 +1,20 @@
 """The stream is the spec: a pure-Python Philox 4x64-10 (the Random123
 constants; Salmon et al., SC 2011), keyed (seed, 0) with the first
-block at counter 1, reproduces bit_stream bit for bit."""
+block at counter 1, reproduces bit_stream bit for bit, and the
+Sampler's draws from the same words replay the key-lemma families."""
+
+import ast
+from fractions import Fraction
+from itertools import count
+from pathlib import Path
 
 import pytest
 
-from hamext.rng import bit_stream
+import hamext
+from hamext import rng
+from hamext.cube import EventFamily
+from hamext.keylemma import containment_profile, verify_key_lemma
+from hamext.rng import Sampler, bit_stream
 
 MASK = (1 << 64) - 1
 MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -40,3 +50,91 @@ def test_oracle_reproduces_bit_stream(seed, length):
 
 def test_the_first_block_is_counter_one_not_zero():
     assert bit_stream(1, 256).tolist() != philox_bits(1, 256, first_counter=0)
+
+
+class OracleSampler:
+    """Sampler's two draws, spelled out over philox_block words."""
+
+    def __init__(self, seed: int):
+        self.words = (w for counter in count(1) for w in philox_block(counter, (seed, 0)))
+
+    def below(self, m: int) -> int:
+        limit = (1 << 64) - (1 << 64) % m
+        while (w := next(self.words)) >= limit:
+            pass
+        return w % m
+
+    def subset(self, n: int, k: int) -> set[int]:
+        keys = sorted(next(self.words) >> n << n | v for v in range(1 << n))
+        return {key % (1 << n) for key in keys[:k]}
+
+
+# 2^63 + 1 rejects about half the words (16 draws reject some at both
+# seeds), 2^64 and 1 none
+@pytest.mark.parametrize("seed", [0, MASK])
+def test_oracle_replays_the_sampler(seed):
+    sampler, oracle = Sampler(seed), OracleSampler(seed)
+    for m in (1, 2, 3, 1000, 1 << 64) * 4 + ((1 << 63) + 1,) * 16:
+        assert sampler.below(m) == oracle.below(m)
+    for n, k in ((0, 1), (3, 0), (3, 5), (5, 32), (6, 17)):
+        assert set(sampler.subset(n, k).nonzero()[0].tolist()) == oracle.subset(n, k)
+        assert sampler.below(1 << 64) == oracle.below(1 << 64)
+
+
+@pytest.mark.parametrize("n, seed", [(4, 0), (6, MASK)])
+def test_oracle_replays_the_key_lemma_draws(n, seed):
+    """Per sampled family its size, then its members if the size is
+    nonzero; then the stress set's second center; then c1, c2, r1, r2
+    for each union of two balls."""
+    trials, max_size = 24, 1 << (n - 1)
+    draw = OracleSampler(seed)
+    families = []
+    for t in range(trials):
+        size = draw.below(max_size + 1)
+        families.append((f"sampled #{t}", draw.subset(n, size) if size else set()))
+
+    def ball(center, radius):
+        return {v for v in range(1 << n) if (v ^ center).bit_count() <= radius}
+
+    center2 = draw.below(1 << n)
+    for radius in range(n + 1):
+        if len(ball(0, radius)) > max_size:
+            break
+        families += [(f"ball r={radius} c={c}", ball(c, radius)) for c in (0, center2)]
+    families.append(("half-space x0=0", set(range(0, 1 << n, 2))))
+    for t in range(3):
+        c1, c2 = draw.below(1 << n), draw.below(1 << n)
+        r1, r2 = draw.below(n // 3), draw.below(n // 3)
+        union = ball(c1, r1) | ball(c2, r2)
+        if len(union) <= max_size:
+            families.append((f"union of balls #{t}", union))
+    report = verify_key_lemma(n, trials, Fraction(1, 2), seed)
+    assert [f["label"] for f in report["families"]] == [label for label, _ in families]
+    for fam, (_, members) in zip(report["families"], families):
+        assert fam["size"] == len(members)
+        profile = containment_profile(EventFamily(n, frozenset(members)))
+        assert [row["exact"] for row in fam["rows"]] == profile
+
+
+def numpy_random_names(tree: ast.AST) -> set[str]:
+    """The names under np.random or numpy.random that a module spells
+    out or imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(ast.unparse(node))
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return {name for name in names if name.split(".")[:2] in (["np", "random"], ["numpy", "random"])}
+
+
+def test_the_sampler_is_the_only_randomness_source():
+    """No module but rng names numpy's random module, and rng names only
+    its Philox bit generator, not a Generator, whose draws numpy does not
+    promise to keep across versions."""
+    named = {path.name: names for path in Path(hamext.__file__).parent.glob("*.py")
+             if (names := numpy_random_names(ast.parse(path.read_text())))}
+    assert named == {"rng.py": {"np.random", "np.random.Philox"}}
+    assert not hasattr(rng, "generator")
