@@ -187,7 +187,6 @@ class StageRecord(NamedTuple):
     flips: list[int]
     cost: int
     forced: bool
-    case: int
     budget_exceeded: bool
 
 
@@ -203,8 +202,7 @@ class CorruptionReport:
             "y_file": y_file,
             "stages": [
                 {"s": r.stage, "window": list(r.window), "flips": list(map(int, r.flips)),
-                 "cost": r.cost, "forced": r.forced, "case": r.case,
-                 "budget_exceeded": r.budget_exceeded}
+                 "cost": r.cost, "forced": r.forced, "budget_exceeded": r.budget_exceeded}
                 for r in self.per_stage
             ],
             "cumulative": list(map(int, self.cumulative_cost_at_stage)),
@@ -244,10 +242,10 @@ def corrupt(X, schedule: BlockSchedule, adv: AdversarySchedule) -> CorruptionRep
         flips, cost = force_majority_zero(y, range(*cores[target]))
         stage_budget = adv.budget(b - a)
         if cost > stage_budget:
-            records.append(StageRecord(s, (a, b), [], cost, False, 1, True))
+            records.append(StageRecord(s, (a, b), [], cost, False, True))
         else:
             y[flips] ^= 1
-            records.append(StageRecord(s, (a, b), flips, cost, True, 1, False))
+            records.append(StageRecord(s, (a, b), flips, cost, True, False))
             running += cost
         cumulative.append(running)
         if running > adv.budget(b):

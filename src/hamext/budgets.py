@@ -27,20 +27,16 @@ from .errors import DomainError
 
 
 def _iroot(x: int, q: int) -> int:
-    """floor(x ** (1/q)) for x >= 0, exact."""
-    if x < 0:
-        raise DomainError("negative radicand")
-    if q == 1 or x in (0, 1):
-        return x
-    r = max(1, int(round(x ** (1.0 / q))) if x.bit_length() < 512
-            else 1 << -(-x.bit_length() // q))
+    """floor(x ** (1/q)) for x >= 0, exact: integer Newton steps down from
+    2^ceil(bits/q) > x^(1/q). A step from any r above the floor root lands
+    below r and, by AM-GM, not below the floor root, so the first r with
+    r^q <= x is the floor root (0 for x = 0)."""
+    r = 1 << -(-x.bit_length() // q)
     while True:
-        rq = r ** q
-        if rq <= x < (r + 1) ** q:
+        s = r ** (q - 1)
+        if s * r <= x:
             return r
-        r = ((q - 1) * r + x // r ** (q - 1)) // q
-        if r < 1:
-            r = 1
+        r = ((q - 1) * r + x // s) // q
 
 
 def ceil_root(num: int, den: int, q: int) -> int:

@@ -97,8 +97,8 @@ class Run(NamedTuple):
 
 def _write(out_dir: Path, cfg: dict, run: Run) -> None:
     """The CLI's one writer: _Y_FILE, then <command>.json, then
-    <command>.csv with --format csv or for a subcommand without
-    --format; the names take the subcommand's with '-' as '_'."""
+    <command>.csv for a run with a side table; the names take the
+    subcommand's with '-' as '_'."""
     name = cfg["command"].replace("-", "_")
     out_dir.mkdir(parents=True, exist_ok=True)
     if run.stream is not None:
@@ -106,8 +106,7 @@ def _write(out_dir: Path, cfg: dict, run: Run) -> None:
     payload = {"artifact_version": __version__, "config": cfg, **run.payload}
     (out_dir / f"{name}.json").write_text(
         json.dumps(payload, sort_keys=True, indent=1, default=_fraction) + "\n")
-    if run.table is not None and (cfg["format"] == "csv"
-                                  or "format" not in _COMMANDS[cfg["command"]][2]):
+    if run.table is not None:
         header, rows = run.table
         lines = [",".join(header)] + [",".join(str(c) for c in row) for row in rows]
         (out_dir / f"{name}.csv").write_text("\n".join(lines) + "\n")
@@ -313,20 +312,19 @@ def cmd_suite(cfg: dict) -> Run:
 # and no others.
 _COMMANDS = {
     "extract": (cmd_extract, "run the majority extractor over a schedule",
-                ("input", "length", "seed", "schedule-file", "blocks", "gen-budget", "budget",
-                 "format")),
+                ("input", "length", "seed", "schedule-file", "blocks", "gen-budget", "budget")),
     "corrupt": (cmd_corrupt, "corrupt a stream against the extractor within a budget",
                 ("input", "seed", "schedule-file", "blocks", "gen-budget", "budget", "targets")),
     "harper": (cmd_harper, "exhaustive isoperimetric sweep vs canonical spheres",
-               ("n", "format")),
+               ("n",)),
     "clt-check": (cmd_clt_check, "exact binomial CDF gap vs the explicit constant",
-                  ("n-list", "format")),
+                  ("n-list",)),
     "smallball": (cmd_smallball, "exact small-ball probabilities vs their envelope",
-                  ("n-list", "budget", "format")),
+                  ("n-list", "budget")),
     "lil": (cmd_lil, "normalized prefix-deviation series of a stream",
             ("input", "length", "seed", "epsilon")),
     "weber": (cmd_weber, "dyadic block-hit series / sparse construction",
-              ("n", "nu", "rate", "format")),
+              ("n", "nu", "rate")),
     "keylemma": (cmd_keylemma, "ball-containment bound verification",
                  ("n", "trials", "threshold", "seed")),
     "select": (cmd_select, "run a monotone selection rule and report frequencies",
@@ -337,7 +335,6 @@ _COMMANDS = {
 }
 
 _FLAG_HELP = {
-    "format": "json, or csv to also write CSV side tables",
     "seed": "64-bit Philox seed",
     "budget": "budget token, e.g. power:2/3",
     "input": "bit-stream file (text or packed)",
@@ -370,29 +367,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _merged_config(args: argparse.Namespace) -> dict:
     """The config file's keys, overridden by the flags given, plus the
-    subcommand's name and the format. Only the subcommand's declared keys
-    may appear, and `command` and `format` as every report's config block
-    carries them, so that a config file copied from a report replays it.
+    subcommand's name. Only the subcommand's declared keys may appear,
+    and `command` with its own name as every report's config block
+    carries it, so that a config file copied from a report replays it.
     out_dir names the write destination, not the experiment; keeping it
     out of the embedded config keeps replayed runs byte-identical."""
     keys = _COMMANDS[args.command][2]
-    implied = {"command": args.command}
-    if "format" not in keys:
-        implied["format"] = "json"
     cfg = load_config(args.config)
-    unknown = sorted(k for k, v in cfg.items() if k not in keys and implied.get(k) != v)
+    unknown = sorted(k for k, v in cfg.items() if k not in keys
+                     and (k, v) != ("command", args.command))
     if unknown:
         raise ConfigError(f"{args.command} does not read config key(s) {unknown}; "
                           f"it reads {sorted(keys)}")
     flags = vars(args)
     cfg.update((key, flags[key]) for key in keys if flags[key] is not None)
-    cfg.update(implied)
+    cfg["command"] = args.command
     empty = sorted(k for k, v in cfg.items() if not v.strip())
     if empty:
         raise ConfigError(f"empty value for {empty}; leave a key out to take its default")
-    cfg.setdefault("format", "json")
-    if cfg["format"] not in ("json", "csv"):
-        raise ConfigError(f"format: expected json or csv, got {cfg['format']!r}")
     return cfg
 
 

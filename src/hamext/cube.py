@@ -53,8 +53,8 @@ def _running_tails(n: int):
 
 
 def _middle_out_tails(n: int):
-    """Yield b(n,h), b(n,h-1), ..., b(n,0) for h = (n-1)//2, from the
-    middle of the row outwards; nothing for n = 0.
+    """Yield b(n,h), b(n,h-1), ..., b(n,0) for h = (n-1)//2 and n >= 1,
+    from the middle of the row outwards.
 
     The start needs one math.comb: by the symmetry C(n,j) = C(n,n-j) the
     lower half of the row holds 2^(n-1), less half the middle term
@@ -62,8 +62,6 @@ def _middle_out_tails(n: int):
     the next term from C(n,j-1) = C(n,j)j/(n-j+1).
     """
     h = (n - 1) // 2
-    if h < 0:
-        return
     coeff = comb(n, h)
     acc = 1 << (n - 1)
     if n % 2 == 0:

@@ -174,8 +174,9 @@ def extract(X, schedule, budget: BudgetFunction | None = None) -> ExtractionTrac
     outputs = (margins > 0).astype(np.uint8)
     robust = None
     if budget is not None:
-        allow = np.array([budget(n) for n in schedule.sizes], dtype=np.int64)
-        robust = np.abs(margins) > 2 * allow
+        # in Python ints: a budget may pass int64
+        robust = np.array([abs(m) > 2 * budget(n)
+                           for m, n in zip(margins.tolist(), schedule.sizes)], dtype=np.bool_)
     return ExtractionTrace(outputs=outputs, margins=margins, robust_flags=robust)
 
 

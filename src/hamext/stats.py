@@ -246,9 +246,14 @@ def apply_selection(rule: Callable[[np.ndarray], np.ndarray], X) -> FrequencyRep
 
 def frequency_on_set(X, N, checkpoints) -> list[FrequencyReport]:
     """Ones-frequency of X restricted to the position set N at each
-    checkpoint n in 0..len(X) (undefined, not an error, while N∩n is empty)."""
+    checkpoint n in 0..len(X) (undefined, not an error, while N∩n is
+    empty). A position listed twice raises DomainError, as in EventFamily."""
     x = as_bits(X)
-    pos = np.asarray(sorted(read_indices(N, "position", 0, x.size - 1)), dtype=np.int64)
+    positions = read_indices(N, "position", 0, x.size - 1)
+    pos = np.unique(np.asarray(positions, dtype=np.int64))
+    if pos.size < len(positions):
+        raise DomainError(f"position set lists {len(positions) - pos.size} position(s) "
+                          f"more than once")
     out = []
     for n in read_indices(checkpoints, "checkpoint", 0, x.size):
         upto = pos[pos < n]

@@ -9,7 +9,7 @@ from hamext.adversary import (AdversarySchedule, corrupt, force_majority_zero,
 from hamext.bits import as_bits, to_text
 from hamext.budgets import parse_budget
 from hamext.errors import ConfigError, ContractError, DimensionError, ResourceError
-from hamext.extractor import BlockSchedule, extract, make_schedule
+from hamext.extractor import BlockSchedule, extract, make_schedule, similar_p_N
 from hamext.rng import bit_stream
 
 
@@ -289,6 +289,24 @@ class TestCorrupt:
         with pytest.raises(DimensionError):
             corrupt("101", self.sched, self.adv)
 
+    def test_target_past_schedule_rejected(self):
+        with pytest.raises(ConfigError, match="targets output 4"):
+            corrupt(bit_stream(2, 8), BlockSchedule.from_sizes((1, 1, 2, 4)),
+                    AdversarySchedule((0, 8), (4,), self.p))
+
+    def test_prefix_budget_overrun_is_reported(self):
+        # each stage fits p of its window, but two forced stages pass p(2) = 1
+        sched = BlockSchedule.from_sizes((1, 1, 2, 4))
+        p = parse_budget("table:1")
+        adv = stages_from_blocks(sched, p)
+        x = np.ones(8, dtype=np.uint8)
+        rep = corrupt(x, sched, adv)
+        assert rep.cumulative_cost_at_stage == [1, 2, 3, 3]
+        assert [r.forced for r in rep.per_stage] == [True, True, True, False]
+        assert not rep.budget_ok
+        assert not verify_similarity(rep, x, p, adv.stage_bounds)
+        assert not similar_p_N(x, rep.Y, p, adv.stage_bounds)
+
 
 class TestVerifySimilarity:
     def setup_method(self):
@@ -335,6 +353,4 @@ class TestReportSerialization:
         doc = rep.to_json_dict("y.bits")
         assert set(doc) == {"y_file", "stages", "cumulative", "budget_ok"}
         for stage in doc["stages"]:
-            assert set(stage) == {"s", "window", "flips", "cost", "forced",
-                                  "case", "budget_exceeded"}
-            assert stage["case"] in (1, 2)
+            assert set(stage) == {"s", "window", "flips", "cost", "forced", "budget_exceeded"}

@@ -5,13 +5,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamext.budgets import (LIL_CEILING, BudgetFunction, affine_sqrt_budget, lil_budget,
-                            lil_envelope, lnln, parse_budget, power_budget, table_budget)
+from hamext.budgets import (LIL_CEILING, BudgetFunction, _iroot, affine_sqrt_budget,
+                            lil_budget, lil_envelope, lnln, parse_budget, power_budget,
+                            table_budget)
 from hamext.errors import DomainError, HamextError, ResourceError
 
 
 def ceil_oracle(value: Fraction) -> int:
     return -(-value.numerator // value.denominator)
+
+
+class TestIroot:
+    @staticmethod
+    def assert_floor_root(x, q):
+        r = _iroot(x, q)
+        assert r ** q <= x < (r + 1) ** q
+
+    @given(st.integers(0, 1 << 700), st.integers(1, 9))
+    @settings(max_examples=500)
+    def test_floor_root(self, x, q):
+        self.assert_floor_root(x, q)
+
+    @pytest.mark.parametrize("q", range(1, 10))
+    def test_exact_powers_and_neighbours(self, q):
+        roots = [*range(200), *(1 << b for b in range(8, 700 // q)),
+                 *((1 << b) - 1 for b in range(8, 700 // q)), 3 ** (440 // q)]
+        for r in roots:
+            for x in (r ** q - 1, r ** q, r ** q + 1):
+                if x >= 0:
+                    self.assert_floor_root(x, q)
 
 
 class TestPower:

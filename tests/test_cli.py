@@ -22,14 +22,13 @@ from hamext.stats import CDF_GAP_CEILING, SMALL_BALL_CEILING, WEBER_CEILING
 # The option keys each subcommand reads. Every subcommand also takes
 # --config and --out-dir, and no other option.
 KEYS = {
-    "extract": ["input", "length", "seed", "schedule-file", "blocks", "gen-budget", "budget",
-                "format"],
+    "extract": ["input", "length", "seed", "schedule-file", "blocks", "gen-budget", "budget"],
     "corrupt": ["input", "seed", "schedule-file", "blocks", "gen-budget", "budget", "targets"],
-    "harper": ["n", "format"],
-    "clt-check": ["n-list", "format"],
-    "smallball": ["n-list", "budget", "format"],
+    "harper": ["n"],
+    "clt-check": ["n-list"],
+    "smallball": ["n-list", "budget"],
     "lil": ["input", "length", "seed", "epsilon"],
-    "weber": ["n", "nu", "rate", "format"],
+    "weber": ["n", "nu", "rate"],
     "keylemma": ["n", "trials", "threshold", "seed"],
     "select": ["rule", "input", "length", "seed"],
     "trace-refine": ["input"],
@@ -56,8 +55,7 @@ class TestExtract:
         assert "extracted" in capsys.readouterr().out
 
     def test_csv_side_table(self, tmp_path):
-        run(["extract", "--seed", 3, "--blocks", 2, "--format", "csv",
-             "--out-dir", tmp_path])
+        run(["extract", "--seed", 3, "--blocks", 2, "--out-dir", tmp_path])
         lines = (tmp_path / "extract.csv").read_text().splitlines()
         assert lines[0] == "block,margin,output"
         assert len(lines) == 3
@@ -125,25 +123,20 @@ def test_suite_prints_one_line_per_criterion(tmp_path, capsys):
     assert read_json(tmp_path / "suite.json")["all_passed"] is True
 
 
-# The files each subcommand writes: its report, its side table with
-# --format csv (lil, which takes no --format, always writes its table),
-# and corrupt's stream; a subcommand without --format refuses it and
-# writes nothing
+# The files each subcommand writes: its report, its side table when it
+# has one, and corrupt's stream
 WRITES = [
-    (["extract", "--seed", 2, "--blocks", 2], {"extract.json"},
-     {"extract.json", "extract.csv"}),
-    (["corrupt", "--seed", 1, "--blocks", 2], {"corrupt.json", "y.bits"}, None),
-    (["harper", "--n", 2], {"harper.json"}, {"harper.json", "harper.csv"}),
-    (["clt-check", "--n-list", 10], {"clt_check.json"},
-     {"clt_check.json", "clt_check.csv"}),
-    (["smallball", "--n-list", 16], {"smallball.json"},
-     {"smallball.json", "smallball.csv"}),
-    (["lil", "--length", 256], {"lil.json", "lil.csv"}, None),
-    (["weber", "--n", 6], {"weber.json"}, {"weber.json", "weber.csv"}),
-    (["keylemma", "--n", 3, "--trials", 2], {"keylemma.json"}, None),
-    (["select", "--length", 64], {"select.json"}, None),
-    (["trace-refine", "--input", "strings.txt"], {"trace_refine.json"}, None),
-    (["suite"], {"suite.json"}, None),
+    (["extract", "--seed", 2, "--blocks", 2], {"extract.json", "extract.csv"}),
+    (["corrupt", "--seed", 1, "--blocks", 2], {"corrupt.json", "y.bits"}),
+    (["harper", "--n", 2], {"harper.json", "harper.csv"}),
+    (["clt-check", "--n-list", 10], {"clt_check.json", "clt_check.csv"}),
+    (["smallball", "--n-list", 16], {"smallball.json", "smallball.csv"}),
+    (["lil", "--length", 256], {"lil.json", "lil.csv"}),
+    (["weber", "--n", 6], {"weber.json", "weber.csv"}),
+    (["keylemma", "--n", 3, "--trials", 2], {"keylemma.json"}),
+    (["select", "--length", 64], {"select.json"}),
+    (["trace-refine", "--input", "strings.txt"], {"trace_refine.json"}),
+    (["suite"], {"suite.json"}),
 ]
 
 
@@ -160,44 +153,44 @@ class TestDeterminism:
     # from; a faster path must write the same bytes
     @pytest.mark.parametrize("args, name, digest", [
         (["keylemma", "--n", 4, "--trials", 200, "--seed", 0], "keylemma.json",
-         "b14457515ac842fef6a00acced3b43c42574fce061fd12aed5fdfe67789304fd"),
+         "826d31afbbf62ba16d1279fd748b125efd69c54a1bb12b667b31d0e3220ccc9a"),
         (["keylemma", "--n", 8, "--trials", 200, "--seed", 0], "keylemma.json",
-         "985e2393071e0f759dfd766073eead5b919fd7b80744a6c753879aee81b11969"),
+         "ed914fb562c34cc500d9b22a90d010335edc5ead660598b7ade723ec677dece0"),
         (["keylemma", "--n", 12, "--trials", 200, "--seed", 0], "keylemma.json",
-         "e188d91a4b81160ef891986294b9f94d6bad8197ecc0bdf37042548761c68fd1"),
+         "869c179c90c8c4ed62372fe2374d0f483f7b07d2ff5f05953b51da9fe85fa3c7"),
         (["weber"], "weber.json",
-         "88e4b0fe5552ede9e2627f8a081a603fa4d275f986d53ea30634af359278dbb4"),
+         "aefaa3f2df9143867cc2b1724bf6296fb693fa73d17bcb126ebae95e929fd56b"),
         (["clt-check"], "clt_check.json",
-         "94b62b9852820741f19e278f1cdf943ed8a52c090418b72c887879bf6e7b4138"),
+         "ed773ca5539f57311ebda6082c8e0c0ea2ef421d615749ebec1fc63f0c219bd8"),
         (["smallball"], "smallball.json",
-         "30d4ffc00886d4f503081f4eb4945346a5d29d47178788ebad6a26464a5ef51b"),
+         "c8b7f3adbc74689a6fa11d1bca5312188da3bc10a6ba4dd989f8559084a43dfc"),
         (["harper", "--n", 4], "harper.json",
-         "809a5d87c54c0a2a4f613d222658c63e1e7b58f0229f3995e2a570ebb33a79d1"),
-        (["extract", "--seed", 2, "--blocks", 3, "--budget", "power:1/3", "--format", "csv"],
-         "extract.json", "bfde5b8b81b438462c17222dab5f268f33eac329da6abe8e2dc939c8200f3c36"),
-        (["extract", "--seed", 2, "--blocks", 3, "--budget", "power:1/3", "--format", "csv"],
-         "extract.csv", "3b1c4e33a6740697c0d4ac538482b65abe39a50ef2ec9a6ab2727586ce43dd59"),
+         "2d276291e3f9824c42992bc8549417439b60387c1a18766ac612c678ecb960d0"),
+        (["extract", "--seed", 2, "--blocks", 3, "--budget", "power:1/3"], "extract.json",
+         "1d77ff66786edef0112ef7a8378301d5e2f2d3c37caf736500725596807a6c63"),
+        (["extract", "--seed", 2, "--blocks", 3, "--budget", "power:1/3"], "extract.csv",
+         "3b1c4e33a6740697c0d4ac538482b65abe39a50ef2ec9a6ab2727586ce43dd59"),
         (["corrupt", "--seed", 1], "corrupt.json",
-         "62a711e4c0a429a613a57c6dab8f0e9b6cff633186e5be1268ea2165607d74bd"),
+         "a51b357314f83df0b6f0b67260c325c3481a4b66791bedae062871c7901891db"),
         (["corrupt", "--seed", 1], "y.bits",
          "9f2bf7d3e065e843786597ab8be07bb37610cdfcb5cd6d72b3d9e1f16f8ceec4"),
         (["lil", "--seed", 5, "--length", 65536], "lil.json",
-         "952ece7079ddb2252b7b1aa6ec7fcec19b699b30a269614904c14ba69e47cba3"),
+         "31c9d3c0e3e2575f673fa0b8db19e201c7850d772f25b87331952461bc67b3ee"),
         (["lil", "--seed", 5, "--length", 65536], "lil.csv",
          "1c4ef0a64376cfd21ed3096336b081a8fa9d888672f0fa9a3dafc7c39b640b45"),
         (["select", "--rule", "evens", "--seed", 3, "--length", 1000], "select.json",
-         "9b7869d6c7174413a2500b0f24b559430a80a8881d9ccf606163dbadcb5927a3"),
+         "4f0dda1033318cea47db90ca52aa53025858f51769b8b54065dbb918aa0dd6e3"),
         (["trace-refine", "--input", "strings.txt"], "trace_refine.json",
-         "dfa6aab46d490890942b4e69959b7de275e554bddd3b4b764dcb09798f224558"),
+         "898bac39c1363ff6b91c639582c5d687a5d9bb0ac9c558fb7fd56f8d5ecf3210"),
         (["suite"], "suite.json",
-         "bd1d8904e8bd182651fa45be295c529582f462b03ec6e2be03ad07d4702b5762"),
-        (["harper", "--n", 4, "--format", "csv"], "harper.csv",
+         "8354f771f9776c87c2c4c679abb5a165e3807aa970bf91520c1f852f46447d42"),
+        (["harper", "--n", 4], "harper.csv",
          "0fd24eb3ff71ee140545bcebdfc2a10a9e229aaba91a7ff4989a6b30cc4df358"),
-        (["clt-check", "--format", "csv"], "clt_check.csv",
+        (["clt-check"], "clt_check.csv",
          "539b53ed71a9b3f606d4d90beac35831d0db677683be9110535533a9f6b6f04c"),
-        (["smallball", "--format", "csv"], "smallball.csv",
+        (["smallball"], "smallball.csv",
          "678b2110343558c14473495a8b82aa3b64723ffb5d51b5d0ff965637edccf452"),
-        (["weber", "--format", "csv"], "weber.csv",
+        (["weber"], "weber.csv",
          "4989590348f52d0da923ad55e71fb295a3533c0d231441d6ce554b400ef67d09"),
     ], ids=["keylemma-n4", "keylemma-n8", "keylemma-n12", "weber-default",
             "clt-check-default", "smallball-default", "harper-n4",
@@ -210,23 +203,22 @@ class TestDeterminism:
         assert run([*args, "--out-dir", "out"]) == 0
         assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize("args, written, csv_written", WRITES,
-                             ids=[args[0] for args, _, _ in WRITES])
+    # --format csv, which five subcommands took before every side table
+    # was written, is refused by all of them and writes nothing
+    @pytest.mark.parametrize("args, written", WRITES, ids=[args[0] for args, _ in WRITES])
     @pytest.mark.parametrize("fmt", ["default", "csv"])
-    def test_files_each_command_writes(self, tmp_path, monkeypatch, capsys,
-                                       args, written, csv_written, fmt):
+    def test_files_each_command_writes(self, tmp_path, monkeypatch, capsys, args, written, fmt):
         monkeypatch.chdir(tmp_path)
         write_text_bits("strings.txt", ["11100", "10110"])
         extra = ["--format", "csv"] if fmt == "csv" else []
         code = run([*args, *extra, "--out-dir", "out"])
-        if fmt == "csv" and csv_written is None:
+        if fmt == "csv":
             assert code == 2
             assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
             assert not (tmp_path / "out").exists()
         else:
             assert code == 0
-            expected = csv_written if fmt == "csv" else written
-            assert {p.name for p in (tmp_path / "out").iterdir()} == expected
+            assert {p.name for p in (tmp_path / "out").iterdir()} == written
 
     def test_reports_embed_config_and_version(self, tmp_path):
         run(["harper", "--n", 2, "--out-dir", tmp_path])
@@ -268,8 +260,11 @@ class TestOptionTable:
         assert flags == {"--help", "--config", "--out-dir",
                          *(f"--{key}" for key in KEYS[command])}
 
+    # format, which these five took, is refused as a flag and as a config key
     @pytest.mark.parametrize("command, key", [
-        (command, key) for command, keys in sorted(KEYS.items()) for key in keys])
+        *((command, key) for command, keys in sorted(KEYS.items()) for key in keys),
+        *((command, "format") for command in ("clt-check", "extract", "harper", "smallball",
+                                               "weber"))])
     @pytest.mark.parametrize("via", ["flag", "config"])
     def test_unreadable_value_is_two(self, tmp_path, monkeypatch, capsys, command, key, via):
         monkeypatch.chdir(tmp_path)  # so that "x" names no file
@@ -285,8 +280,8 @@ class TestOptionTable:
         ("extract", ["--input", "x.txt", "--blocks", 3], "input = x.txt\nblocks = 3\n"),
         ("extract", ["--input", "x.txt", "--schedule-file", "sched.txt"],
          "input = x.txt\nschedule-file = sched.txt\n"),
-        ("harper", ["--n", 2, "--format", "csv"], "n = 2\nformat = csv\n"),
-    ], ids=["input", "schedule-file", "format"])
+        ("harper", ["--n", 2], "n = 2\n"),
+    ], ids=["input", "schedule-file", "harper-n"])
     def test_config_line_acts_as_its_flag(self, tmp_path, monkeypatch, command, flags, config):
         monkeypatch.chdir(tmp_path)
         write_text_bits("x.txt", ["0" * 4161])
@@ -299,8 +294,7 @@ class TestOptionTable:
         for name in written:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    # a prefix of a declared flag (--n for --n-list, --form for --format)
-    # is no flag either
+    # a prefix of a declared flag (--n for --n-list) is no flag either
     @pytest.mark.parametrize("args", [
         ["harper", "--seed", 5], ["clt-check", "--n", 10], ["smallball", "--n", 16],
         ["extract", "--form", "csv"], ["keylemma", "--format", "csv"],
@@ -338,7 +332,10 @@ class TestOptionTable:
         ("harper", "n = 2\nseed = 7\n"),
         ("keylemma", "n = 2\nformat = csv\n"),
         ("extract", "blocks = 2\ncommand = harper\n"),
-    ], ids=["harper-seed", "keylemma-format-csv", "extract-command-harper"])
+        # every report written while the format option existed embeds this line
+        ("harper", "n = 2\nformat = json\n"),
+    ], ids=["harper-seed", "keylemma-format-csv", "extract-command-harper",
+            "harper-format-json"])
     def test_undeclared_config_key_is_two(self, tmp_path, capsys, command, config):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config)
@@ -346,16 +343,16 @@ class TestOptionTable:
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
         assert not (tmp_path / "o").exists()
 
-    # every report embeds its merged configuration, command and format
-    # included; written back as a config file, it replays the run
+    # every report embeds its merged configuration, command included;
+    # written back as a config file, it replays the run
     @pytest.mark.parametrize("args", [
-        ["extract", "--input", "x.txt", "--blocks", 3, "--format", "csv"],
+        ["extract", "--input", "x.txt", "--blocks", 3],
         ["corrupt", "--seed", 1, "--blocks", 2],
-        ["harper", "--n", 2, "--format", "csv"],
+        ["harper", "--n", 2],
         ["clt-check", "--n-list", "10,100"],
         ["smallball", "--n-list", "16,64", "--budget", "power:1/2"],
         ["lil", "--length", 256, "--epsilon", "0.5"],
-        ["weber", "--nu", "2,4,16", "--n", 6, "--format", "csv"],
+        ["weber", "--nu", "2,4,16", "--n", 6],
         ["keylemma", "--n", 4, "--trials", 5, "--seed", 3],
         ["select", "--rule", "evens", "--length", 64],
         ["trace-refine", "--input", "x.txt"],
@@ -367,7 +364,7 @@ class TestOptionTable:
         name = args[0].replace("-", "_")
         config = read_json(tmp_path / "a" / f"{name}.json")["config"]
         assert config["command"] == args[0]
-        assert config["format"] in ("json", "csv")
+        assert config.keys() <= {"command", *KEYS[args[0]]}
         (tmp_path / "run.cfg").write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
         assert run([args[0], "--config", "run.cfg", "--out-dir", "b"]) == 0
         written = sorted(p.name for p in (tmp_path / "a").iterdir())
@@ -421,6 +418,13 @@ class TestExitCodes:
         assert run([*args, "--out-dir", tmp_path / "o"]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "resource"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("budget", [
+        "power:100/1", "table:100000000000000000000", "affine_sqrt:100000000000000000000:0"])
+    def test_budget_past_int64_is_zero(self, tmp_path, budget):
+        # each leaked OverflowError from an int64 array of budget values
+        assert run(["extract", "--blocks", 2, "--budget", budget, "--out-dir", tmp_path]) == 0
+        assert read_json(tmp_path / "extract.json")["robust"] == [False, False]
 
     def test_refused_allocation_is_three(self, tmp_path, monkeypatch, capsys):
         def refuse(seed, length):
@@ -546,11 +550,13 @@ class TestExitCodes:
 # One past each size ceiling that range(-3, 65) does not reach (weber --n,
 # smallball and clt-check --n-list) must exit 3 at once; the ceilings
 # themselves are left out, as smallball at n = SMALL_BALL_CEILING takes 7-14 s.
-# 10^20 is past every ceiling and longer than any array.
+# 10^20 is past every ceiling and longer than any array; power:100/1 and
+# table:10^20 are budgets past int64.
 TOKENS = [*map(str, range(-3, 65)), "100000000000000", "100000000000000000000",
           "2.5", "1/2", "x",
           *(str(c + 1) for c in (WEBER_CEILING, SMALL_BALL_CEILING, CDF_GAP_CEILING)),
           "power:1/2", "power:2/3", "table:0", "table:1=2", "lil:1",
+          "power:100/1", "table:100000000000000000000",
           "power:", "power:x", "table:1=", "lil:", "affine_sqrt:1", "cube:2",
           "2,4", "csv", "evens", "parity", "lnln"]
 FILES = {"empty": b"", "text": b"0110100111\n", "lines": b"0110\n1010\n0011\n",
@@ -592,7 +598,7 @@ def test_every_command_exits_zero_two_or_three(input_dir, data):
 
 class TestPipelines:
     def test_clt_check(self, tmp_path):
-        run(["clt-check", "--n-list", "10,100", "--format", "csv", "--out-dir", tmp_path])
+        run(["clt-check", "--n-list", "10,100", "--out-dir", tmp_path])
         doc = read_json(tmp_path / "clt_check.json")
         assert doc["within_bound"] is True
         assert (tmp_path / "clt_check.csv").read_text().splitlines()[0] == "n,gap,bound,ok"

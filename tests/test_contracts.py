@@ -102,6 +102,9 @@ ROWS = INTEGER_ROWS + [
     # collections of integers given a value that is not one
     ("frequency_on_set positions", lambda v: frequency_on_set("1011", v, [4]),
      DomainError, (5, None)),
+    # a repeated position was counted twice, as EventFamily refuses a repeated member
+    ("frequency_on_set repeated position", lambda v: frequency_on_set("1011", v, [4]),
+     DomainError, ([0, 0, 1], (3, 3))),
     ("BlockSchedule.from_sizes sizes", lambda v: BlockSchedule.from_sizes(v),
      ConfigError, (5, None)),
     ("stages_from_blocks targets",

@@ -132,6 +132,14 @@ class TestExtract:
         # margins: 3, 1, 5 -> |m| > 2 means blocks 0 and 2
         assert trace.robust_flags.tolist() == [True, False, True]
 
+    @pytest.mark.parametrize("token", [
+        "power:100/1", "table:100000000000000000000", "affine_sqrt:100000000000000000000:0"])
+    def test_robust_flags_for_budgets_past_int64(self, token):
+        # each leaked OverflowError from an int64 array of budget values
+        trace = extract("111" + "10101", BlockSchedule.from_sizes((3, 5)),
+                        budget=parse_budget(token))
+        assert trace.robust_flags.tolist() == [False, False]
+
 
 class TestDistributionPreservation:
     def test_exhaustive_l15(self):
@@ -289,6 +297,10 @@ class TestSchedaleSerialization:
     def test_rejects_inconsistent_odd_end(self):
         with pytest.raises(ConfigError):
             BlockSchedule.from_text("0 0 4 4\n")
+
+    def test_rejects_lines_out_of_order(self):
+        with pytest.raises(ConfigError, match="out of order at block 1"):
+            BlockSchedule.from_text("1 3 8 8\n0 0 3 3\n")
 
     @pytest.mark.parametrize("blocks", [((0, 3), (4, 7)), ((0, 3), (2, 6)), ((0, 3), (3, 5)),
                                         ((0, 3), (3, 3))],
@@ -479,6 +491,13 @@ class TestPsiDeviation:
             if -3 <= point.statistic <= 3:
                 hits += 1
         assert hits >= 63
+
+    def test_short_stream_has_one_point_at_its_length(self):
+        # below 16 bits there is no dyadic checkpoint
+        for length in (1, 15):
+            [point] = psi_deviation(np.ones(length, dtype=np.uint8),
+                                    np.zeros(length, dtype=np.uint8))
+            assert point.n == length
 
     @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_epsilon(self, epsilon):

@@ -9,14 +9,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamext.adversary import corrupt, stages_from_blocks
 from hamext.bits import FLOAT_CEILING
+from hamext.budgets import parse_budget
 from hamext.errors import ContractError, DimensionError, DomainError, ResourceError
+from hamext.extractor import extract, make_schedule
 from hamext.rng import bit_stream
 from hamext.stats import (SELECTION_RULES, SMALL_BALL_BOUND_CEILING, WEBER_CEILING,
                           FrequencyReport, apply_selection, berry_esseen_bound,
                           binomial_cdf_gap, frequency_on_set, majority_refinement, normal_cdf,
                           small_ball_bound, small_ball_probability,
                           sparse_subsequence, weber_series)
+
+
+def traced_peak(call, *args) -> int:
+    """The peak of the memory traced while call(*args) runs, in bytes."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestBerryEsseenBound:
@@ -296,13 +309,19 @@ class TestSelectionRules:
         # numpy reports its buffers to tracemalloc; an int64 mask or prefix
         # sum would take 8 bytes per bit
         x = bit_stream(5, 1 << 20)
-        tracemalloc.start()
-        try:
-            apply_selection(SELECTION_RULES[name], x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3 * x.size
+        assert traced_peak(apply_selection, SELECTION_RULES[name], x) <= 3 * x.size
+
+    # the stream entry points that already hold O(1) bytes per bit: the
+    # stream, its majority votes, and its corrupted copy
+    @pytest.mark.parametrize("entry", ["bit_stream", "extract", "corrupt"])
+    def test_stream_entry_points_peak_at_most_two_bytes_per_bit(self, entry):
+        sched = make_schedule(parse_budget("table:0"), 21)  # 2^20 bits in all
+        x = bit_stream(5, sched.total_length)
+        adv = stages_from_blocks(sched, parse_budget("power:2/3"))
+        calls = {"bit_stream": (bit_stream, 5, x.size), "extract": (extract, x, sched),
+                 "corrupt": (corrupt, x, sched, adv)}
+        assert x.size == 1 << 20
+        assert traced_peak(*calls[entry]) <= 2 * x.size
 
     def test_identity_rule_equals_frequency_on_all_positions(self):
         x = bit_stream(12, 500)
