@@ -12,8 +12,7 @@ from .adversary import (AdversarySchedule, CorruptionReport, corrupt,
                         force_majority_zero, force_output_zero_generic,
                         stages_from_blocks, verify_similarity)
 from .bits import prefix_distances
-from .budgets import (BudgetFunction, affine_sqrt_budget, lil_budget,
-                      parse_budget, power_budget, table_budget)
+from .budgets import BudgetFunction, parse_budget
 from .cube import (EventFamily, SphereSpec, binomial_tail, hamming_distance,
                    harper_min_neighborhood, make_sphere, neighborhood)
 from .extractor import (BlockSchedule, ExtractionTrace, check_schedule,

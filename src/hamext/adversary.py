@@ -197,9 +197,8 @@ class CorruptionReport:
     cumulative_cost_at_stage: list[int]
     budget_ok: bool
 
-    def to_json_dict(self, y_file: str = "") -> dict:
+    def to_json_dict(self) -> dict:
         return {
-            "y_file": y_file,
             "stages": [
                 {"s": r.stage, "window": list(r.window), "flips": list(map(int, r.flips)),
                  "cost": r.cost, "forced": r.forced, "budget_exceeded": r.budget_exceeded}

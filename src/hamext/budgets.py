@@ -87,8 +87,9 @@ _PARAMS = {"power": (Fraction, "power exponent", "power coefficient"),
 
 @dataclass(frozen=True)
 class BudgetFunction:
-    """A budget of one kind (see the module docstring); every parameter
-    is read and checked here, not in the kind constructors."""
+    """A budget of one kind (see the module docstring) and its parameters,
+    each read and checked here: (alpha, coeff), (a, c), (length, value)
+    pairs or (eps,)."""
 
     kind: str
     params: tuple
@@ -190,27 +191,6 @@ class BudgetFunction:
             return "table:" + ",".join(f"{n}={v}" for n, v in self.params)
         return f"lil:{self.params[0]!r}"
 
-    def __str__(self):
-        return self.token
-
-
-def power_budget(alpha, coeff=1) -> BudgetFunction:
-    return BudgetFunction("power", (alpha, coeff))
-
-
-def affine_sqrt_budget(a, c) -> BudgetFunction:
-    return BudgetFunction("affine_sqrt", (a, c))
-
-
-def table_budget(entries) -> BudgetFunction:
-    """A step function from (length, value) pairs, or the constant
-    `entries` when it is one integer."""
-    return BudgetFunction("table", [(0, entries)] if hasattr(entries, "__index__") else entries)
-
-
-def lil_budget(eps: float) -> BudgetFunction:
-    return BudgetFunction("lil", (eps,))
-
 
 def parse_budget(token: str) -> BudgetFunction:
     """Parse a ``kind:params`` token (see module docstring)."""
@@ -220,13 +200,12 @@ def parse_budget(token: str) -> BudgetFunction:
     try:
         if kind == "table":
             if "=" not in rest:
-                return table_budget(int(rest))
-            return table_budget(tuple(
-                (int(p.split("=")[0]), int(p.split("=")[1]))
-                for p in rest.split(",")))
+                return BudgetFunction(kind, [(0, int(rest))])
+            return BudgetFunction(kind, [(int(p.split("=")[0]), int(p.split("=")[1]))
+                                         for p in rest.split(",")])
         params = rest.split(":")
         if kind == "power" and len(params) == 1:
-            return power_budget(rest)  # its default coefficient, 1
+            params.append(1)  # its default coefficient
         return BudgetFunction(kind, params)
     except (DomainError, ValueError, IndexError) as exc:
         raise DomainError(f"malformed budget token {token!r}: {exc}") from None

@@ -125,6 +125,8 @@ def _load_bits(path: str) -> np.ndarray:
 
 
 def _input_bits(cfg, default_length: int = 1 << 16) -> np.ndarray:
+    """The input file's bits, or the seeded stream's first `length` bits;
+    extract and corrupt take no length and pass their schedule's."""
     if cfg.get("input"):
         return _load_bits(cfg["input"])
     length = _option(cfg, "length", int, default_length)
@@ -140,7 +142,7 @@ def _schedule(cfg) -> BlockSchedule:
 
 def cmd_extract(cfg: dict) -> Run:
     sched = _schedule(cfg)
-    x = _input_bits(cfg, max(1 << 16, sched.total_length))
+    x = _input_bits(cfg, sched.total_length)
     budget = parse_budget(cfg["budget"]) if cfg.get("budget") else None
     trace = extract(x, sched, budget)
     payload = {"outputs": to_text(trace.outputs),
@@ -154,7 +156,6 @@ def cmd_extract(cfg: dict) -> Run:
 
 def cmd_corrupt(cfg: dict) -> Run:
     sched = _schedule(cfg)
-    # corrupt takes no length: a generated stream is exactly as long as the schedule
     x = _input_bits(cfg, sched.total_length)
     p = parse_budget(cfg.get("budget", "power:2/3"))
     targets = None
@@ -163,7 +164,8 @@ def cmd_corrupt(cfg: dict) -> Run:
     adv = stages_from_blocks(sched, p, targets)
     report = corrupt(x, sched, adv)
     re_outputs = extract(report.Y, sched).outputs
-    payload = report.to_json_dict(y_file=_Y_FILE)
+    payload = report.to_json_dict()
+    payload["y_file"] = _Y_FILE
     payload["targets_rezero"] = [int(re_outputs[t]) == 0 for t in adv.targets]
     payload["similarity_verified"] = verify_similarity(report, x, p, adv.stage_bounds)
     payload["stage_bounds"] = list(adv.stage_bounds)
@@ -312,7 +314,7 @@ def cmd_suite(cfg: dict) -> Run:
 # and no others.
 _COMMANDS = {
     "extract": (cmd_extract, "run the majority extractor over a schedule",
-                ("input", "length", "seed", "schedule-file", "blocks", "gen-budget", "budget")),
+                ("input", "seed", "schedule-file", "blocks", "gen-budget", "budget")),
     "corrupt": (cmd_corrupt, "corrupt a stream against the extractor within a budget",
                 ("input", "seed", "schedule-file", "blocks", "gen-budget", "budget", "targets")),
     "harper": (cmd_harper, "exhaustive isoperimetric sweep vs canonical spheres",

@@ -157,20 +157,22 @@ class SphereSpec:
     """Canonical sphere around a (printable) center: full ball of
     inner_radius plus shell_count canonical points of the next shell."""
 
-    dimension: int
     center: str
     inner_radius: int
     shell_count: int
 
     def __post_init__(self):
-        n, center = read_index(self.dimension, "dimension"), as_bits(self.center)
-        if center.size != n:
-            raise DimensionError(f"center has length {center.size}, want {n}")
+        center = as_bits(self.center)
+        n = center.size
         k = read_index(self.inner_radius, "inner radius", -1, n)
         if k < n:  # C(n, j) = C(n, n-j) is priced as the steps up the row that reach it
             _price_walk(min(k + 1, n - k - 1) + 1, n + 1)
         read_index(self.shell_count, "shell count", 0, comb(n, k + 1) if k < n else 0)
         object.__setattr__(self, "center", to_text(center))
+
+    @property
+    def dimension(self) -> int:
+        return len(self.center)
 
     @property
     def size(self) -> int:
@@ -204,7 +206,7 @@ def make_sphere(n: int, size: int, center) -> SphereSpec:
     size = read_index(size, "size", 0, 1 << n)
     tails = binomial_tails(n)
     k = bracket(tails, size)
-    return SphereSpec(n, cbits, k, size - tails[k] if k >= 0 else size)
+    return SphereSpec(cbits, k, size - tails[k] if k >= 0 else size)
 
 
 @lru_cache(maxsize=None)

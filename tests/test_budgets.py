@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamext.budgets import (LIL_CEILING, BudgetFunction, _iroot, affine_sqrt_budget,
-                            lil_budget, lil_envelope, lnln, parse_budget, power_budget,
-                            table_budget)
+from hamext.budgets import (LIL_CEILING, BudgetFunction, _iroot, lil_envelope, lnln,
+                            parse_budget)
 from hamext.errors import DomainError, HamextError, ResourceError
 
 
@@ -113,7 +112,7 @@ class TestTable:
 
     def test_rejects_decreasing(self):
         with pytest.raises(DomainError):
-            table_budget([(1, 2), (4, 1)])
+            BudgetFunction("table", [(1, 2), (4, 1)])
 
 
 class TestLil:
@@ -127,7 +126,7 @@ class TestLil:
         # the envelope's 2.0 * n * lnln(n) is finite up to LIL_CEILING, inf past it
         assert math.isfinite(2.0 * LIL_CEILING * lnln(LIL_CEILING))
         assert 2.0 * (LIL_CEILING + 1) * lnln(LIL_CEILING + 1) == math.inf
-        b = lil_budget(eps)
+        b = BudgetFunction("lil", (eps,))
         assert b(LIL_CEILING) == math.ceil(lil_envelope(LIL_CEILING, eps))
         for n in (LIL_CEILING + 1, 1 << 1021, 10 ** 5000):
             with pytest.raises(ResourceError, match="past the resource ceiling"):
@@ -179,16 +178,18 @@ class TestTokens:
             with pytest.raises(DomainError):
                 parse_budget(bad)
 
-    def test_raw_constructor_reads_like_the_kind_constructors(self):
-        assert BudgetFunction("power", (1, 2)) == power_budget(1, 2)
-        assert BudgetFunction("power", (0.5, 1)) == power_budget(Fraction(1, 2))
+    def test_raw_constructor_reads_like_parse_budget(self):
+        assert BudgetFunction("power", (1, 2)) == parse_budget("power:1:2")
+        assert BudgetFunction("power", (0.5, 1)) == parse_budget("power:1/2")
+        assert BudgetFunction("affine_sqrt", ("1/2", 1.0)) == parse_budget("affine_sqrt:1/2:1")
         assert BudgetFunction("table", [(4, 1), (0, 0)]) == parse_budget("table:0=0,4=1")
-        assert BudgetFunction("lil", ["0.5"]) == lil_budget(0.5)
+        assert BudgetFunction("table", [(0, 3)]) == parse_budget("table:3")
+        assert BudgetFunction("lil", ["0.5"]) == parse_budget("lil:0.5")
 
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
-            power_budget(Fraction(-1, 2))
+            BudgetFunction("power", (Fraction(-1, 2), 1))
         with pytest.raises(DomainError):
-            affine_sqrt_budget(-1, 0)
+            BudgetFunction("affine_sqrt", (-1, 0))
         with pytest.raises(DomainError):
-            lil_budget(1.5)
+            BudgetFunction("lil", (1.5,))

@@ -22,7 +22,7 @@ from hamext.stats import CDF_GAP_CEILING, SMALL_BALL_CEILING, WEBER_CEILING
 # The option keys each subcommand reads. Every subcommand also takes
 # --config and --out-dir, and no other option.
 KEYS = {
-    "extract": ["input", "length", "seed", "schedule-file", "blocks", "gen-budget", "budget"],
+    "extract": ["input", "seed", "schedule-file", "blocks", "gen-budget", "budget"],
     "corrupt": ["input", "seed", "schedule-file", "blocks", "gen-budget", "budget", "targets"],
     "harper": ["n"],
     "clt-check": ["n-list"],
@@ -260,11 +260,13 @@ class TestOptionTable:
         assert flags == {"--help", "--config", "--out-dir",
                          *(f"--{key}" for key in KEYS[command])}
 
-    # format, which these five took, is refused as a flag and as a config key
+    # format, which these five took, and extract's length, which its
+    # schedule fixes, are refused as a flag and as a config key
     @pytest.mark.parametrize("command, key", [
         *((command, key) for command, keys in sorted(KEYS.items()) for key in keys),
         *((command, "format") for command in ("clt-check", "extract", "harper", "smallball",
-                                               "weber"))])
+                                               "weber")),
+        ("extract", "length")])
     @pytest.mark.parametrize("via", ["flag", "config"])
     def test_unreadable_value_is_two(self, tmp_path, monkeypatch, capsys, command, key, via):
         monkeypatch.chdir(tmp_path)  # so that "x" names no file
@@ -298,7 +300,7 @@ class TestOptionTable:
     @pytest.mark.parametrize("args", [
         ["harper", "--seed", 5], ["clt-check", "--n", 10], ["smallball", "--n", 16],
         ["extract", "--form", "csv"], ["keylemma", "--format", "csv"],
-        ["lil", "--format", "json"],
+        ["lil", "--format", "json"], ["extract", "--length", 5],
     ], ids=lambda args: "-".join(map(str, args)))
     def test_undeclared_flag_is_two(self, tmp_path, capsys, args):
         assert run([*args, "--out-dir", tmp_path]) == 2
@@ -404,13 +406,12 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("args", [
-        ["extract", "--length", 10 ** 20],
         ["lil", "--length", 10 ** 20],
         ["select", "--length", 10 ** 20],
         ["harper", "--n", 10 ** 20],
         ["extract", "--gen-budget", "table:0", "--blocks", 10 ** 20],
         ["extract", "--gen-budget", "table:0", "--blocks", 10 ** 6],
-    ], ids=["extract-length", "lil-length", "select-length", "harper-n",
+    ], ids=["lil-length", "select-length", "harper-n",
             "extract-blocks-10^20", "extract-blocks-10^6"])
     def test_sizes_no_machine_holds_are_three(self, tmp_path, capsys, args):
         # each exited 1 with a numpy ValueError or an OverflowError; the
@@ -431,7 +432,7 @@ class TestExitCodes:
             raise MemoryError("Unable to allocate 11.4 TiB")
 
         monkeypatch.setattr("hamext.cli.bit_stream", refuse)
-        assert run(["extract", "--length", 10 ** 14, "--out-dir", tmp_path]) == 3
+        assert run(["lil", "--length", 10 ** 14, "--out-dir", tmp_path]) == 3
         assert json.loads(capsys.readouterr().err) == {
             "error": "resource", "message": "Unable to allocate 11.4 TiB"}
 

@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 from hamext.adversary import (AdversarySchedule, force_majority_zero,
                               force_output_zero_generic, stages_from_blocks)
 from hamext.bits import read_index
-from hamext.budgets import (BudgetFunction, affine_sqrt_budget, lil_budget, parse_budget,
-                            power_budget, table_budget)
+from hamext.budgets import BudgetFunction, parse_budget
 from hamext.cube import (CUBE_CEILING, EventFamily, SphereSpec, binomial_tail, distances_from,
                          harper_min_neighborhood, make_sphere, neighborhood)
 from hamext.errors import (ConfigError, ContractError, DimensionError, DomainError,
@@ -39,8 +38,10 @@ NOT_A_CORE = ([0, 1, 2], {0, 1, 2}, np.arange(3), range(0, 5, 2), None)
 # (parameter, call with the value under test, its error, the values it refuses:
 # the non-integers and, where the parameter has a range, an integer outside it)
 INTEGER_ROWS = [
-    ("table_budget constant", lambda v: table_budget(v), DomainError, REFUSED + (-1,)),
-    ("table_budget value", lambda v: table_budget([(1, v)]), DomainError, REFUSED + (-1,)),
+    ("BudgetFunction table constant", lambda v: BudgetFunction("table", [(0, v)]),
+     DomainError, REFUSED + (-1,)),
+    ("BudgetFunction table value", lambda v: BudgetFunction("table", [(1, v)]),
+     DomainError, REFUSED + (-1,)),
     ("BudgetFunction n", lambda v: G(v), DomainError, REFUSED + (-1,)),
     ("divergence_modulus k", lambda v: parse_budget("power:1").divergence_modulus(v),
      DomainError, REFUSED),
@@ -51,7 +52,7 @@ INTEGER_ROWS = [
      DomainError, REFUSED + (-1,)),
     ("binomial_tail n", lambda v: binomial_tail(v, 1), DomainError, REFUSED + (-1,)),
     ("make_sphere size", lambda v: make_sphere(3, v, "000"), DomainError, REFUSED + (9,)),
-    ("SphereSpec shell_count", lambda v: SphereSpec(3, "000", 0, v),
+    ("SphereSpec shell_count", lambda v: SphereSpec("000", 0, v),
      DomainError, REFUSED + (4,)),
     ("SphereSpec.gamma_size d", lambda v: make_sphere(3, 4, "000").gamma_size(v),
      DomainError, REFUSED + (4,)),
@@ -130,7 +131,7 @@ ROWS = INTEGER_ROWS + [
     ("majority_refinement strings", lambda v: majority_refinement(v), DomainError, (5, None)),
     ("EventFamily.from_strings strings", lambda v: EventFamily.from_strings(v),
      DomainError, (5, None)),
-    # the raw budget constructor reads its kind and params as the kind constructors do
+    # the budget constructor reads its kind and params
     ("BudgetFunction kind", lambda v: BudgetFunction(v, (1, 1)), DomainError,
      ("foo", "", 5, None, ["power"])),
     ("BudgetFunction power params", lambda v: BudgetFunction("power", v), DomainError,
@@ -140,7 +141,7 @@ ROWS = INTEGER_ROWS + [
     ("BudgetFunction lil params", lambda v: BudgetFunction("lil", v), DomainError,
      ((), ("x",), (1.5,), (-0.5,), 5, None)),
     # a bit string given a value that is not one
-    ("SphereSpec center", lambda v: SphereSpec(3, v, 0, 0), DomainError, (101, "abc", None)),
+    ("SphereSpec center", lambda v: SphereSpec(v, 0, 0), DomainError, (101, "abc", None)),
     # text given a value that is not text
     ("parse_budget token", lambda v: parse_budget(v), DomainError, (5, None)),
     ("BlockSchedule.from_text text", lambda v: BlockSchedule.from_text(v), ConfigError, (5, None)),
@@ -157,11 +158,11 @@ def test_integer_parameters_refuse_non_integers_and_out_of_range(call, error, re
 
 # (parameter, call with the value under test): each refuses these with DomainError
 REAL_ROWS = [
-    ("power_budget alpha", lambda v: power_budget(v)),
-    ("power_budget coeff", lambda v: power_budget(1, v)),
-    ("affine_sqrt_budget a", lambda v: affine_sqrt_budget(v, 1)),
-    ("affine_sqrt_budget c", lambda v: affine_sqrt_budget(1, v)),
-    ("lil_budget eps", lambda v: lil_budget(v)),
+    ("BudgetFunction power alpha", lambda v: BudgetFunction("power", (v, 1))),
+    ("BudgetFunction power coeff", lambda v: BudgetFunction("power", (1, v))),
+    ("BudgetFunction affine_sqrt a", lambda v: BudgetFunction("affine_sqrt", (v, 1))),
+    ("BudgetFunction affine_sqrt c", lambda v: BudgetFunction("affine_sqrt", (1, v))),
+    ("BudgetFunction lil eps", lambda v: BudgetFunction("lil", (v,))),
     ("verify_key_lemma p_threshold", lambda v: verify_key_lemma(3, 1, v, 1)),
     ("psi_deviation epsilon", lambda v: psi_deviation("1010", "0000", epsilon=v, checkpoints=[4])),
 ]

@@ -264,11 +264,17 @@ class TestMakeSphere:
         with pytest.raises(DomainError):
             make_sphere(3, 9, "000")
 
+    def test_dimension_is_the_center_length(self):
+        assert SphereSpec("000", 0, 1).dimension == 3
+        assert make_sphere(5, 7, "01101").dimension == 5
+        with pytest.raises(DimensionError, match="center has length 2, want 3"):
+            make_sphere(3, 4, "00")
+
     def test_shell_bound_is_priced_before_it_is_built(self):
         # the bound C(300000, 150000) took 1.55 s before .size refused the sphere
         with pytest.raises(ResourceError, match="past the resource ceiling"):
-            SphereSpec(300000, "0" * 300000, 149999, 0)
-        assert SphereSpec(300000, "0" * 300000, 0, 300000).size == 300001
+            SphereSpec("0" * 300000, 149999, 0)
+        assert SphereSpec("0" * 300000, 0, 300000).size == 300001
         # every sphere make_sphere builds is priced under the ceiling
         s = make_sphere(16383, (1 << 16382) + 1, "0" * 16383)  # b(16383, 8191) = 2^16382
         assert (s.inner_radius, s.shell_count) == (8191, 1)
