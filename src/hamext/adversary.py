@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .bits import as_bits, read_index, read_indices
+from .bits import as_bits, read_index, read_indices, read_instance
 from .budgets import BudgetFunction
 from .errors import ConfigError, DimensionError
 from .extractor import BlockSchedule, _margins, core_indices, similar_p_N
@@ -35,6 +35,7 @@ class AdversarySchedule:
     budget: BudgetFunction
 
     def __post_init__(self):
+        read_instance(self.budget, BudgetFunction, "budget")
         nb = read_indices(self.stage_bounds, "stage bound", error=ConfigError)
         targets = read_indices(self.targets, "target", error=ConfigError)
         if len(nb) < 2 or len(targets) != len(nb) - 1:
@@ -85,6 +86,7 @@ def stages_from_blocks(schedule: BlockSchedule, budget: BudgetFunction,
     window contains its target's full use; non-consecutive targets
     leave padding blocks inside the window.
     """
+    read_instance(schedule, BlockSchedule, "schedule", ConfigError)
     if targets is None:
         targets = tuple(range(len(schedule)))
     targets = tuple(read_indices(targets, "target block", 0, len(schedule) - 1, ConfigError))
@@ -153,6 +155,7 @@ def force_output_zero_generic(X, stage_window: tuple[int, int], oracle_prefix,
     of two integers, start < end; the budget an integer >= 0, or None
     for no budget.
     """
+    read_instance(evaluate, Callable, "evaluate")
     x = as_bits(X)
     window = read_indices(stage_window, "window bound", None, error=DimensionError)
     if len(window) != 2:
@@ -219,6 +222,8 @@ def corrupt(X, schedule: BlockSchedule, adv: AdversarySchedule) -> CorruptionRep
     Flips at stage s stay inside [n_s, n_{s+1}); cumulative costs and
     the overall prefix-budget verdict land in the report.
     """
+    read_instance(schedule, BlockSchedule, "schedule", ConfigError)
+    read_instance(adv, AdversarySchedule, "adversary schedule", ConfigError)
     x = as_bits(X)
     if adv.stage_bounds[-1] > x.size:
         raise DimensionError(
@@ -257,4 +262,5 @@ def verify_similarity(report: CorruptionReport, X, p: BudgetFunction, N) -> bool
     """Independent recomputation of the prefix distances at the
     checkpoints N: d(X|n, Y|n) <= p(n) for every n in N. Reads only
     report.Y, never the report's own cost accounting."""
+    read_instance(report, CorruptionReport, "report")
     return similar_p_N(X, report.Y, p, N)

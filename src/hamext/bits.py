@@ -82,6 +82,14 @@ def read_index(value, name: str, lo: int | None = 0, hi: int | None = None,
     return n
 
 
+def read_instance(value, kind, name: str, error: type[HamextError] = DomainError) -> None:
+    """Refuse a `value` that is not a `kind` (a class, or typing.Callable
+    for a rule) with `error`, not the TypeError or AttributeError of its
+    first use."""
+    if not isinstance(value, kind):
+        raise error(f"{name} must be of type {kind.__name__}, got {value!r}")
+
+
 def _real(value, name: str, kind: type = Fraction):
     """`value` read by `kind` (Fraction, exactly, or float) as a finite number;
     None, nan, ±inf and text that spells no number raise DomainError."""

@@ -51,7 +51,8 @@ def _fraction(x) -> dict:
 
 
 def load_config(path: str | None) -> dict:
-    """Flat key=value file; '#' starts a comment."""
+    """Flat key=value file; '#' starts a comment. A key set twice is a
+    ConfigError, not its last value."""
     cfg: dict[str, str] = {}
     if path:
         for raw in Path(path).read_text().splitlines():
@@ -60,8 +61,10 @@ def load_config(path: str | None) -> dict:
                 continue
             if "=" not in line:
                 raise ConfigError(f"config line without '=': {raw!r}")
-            key, value = line.split("=", 1)
-            cfg[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in cfg:
+                raise ConfigError(f"config key {key!r} set twice: {cfg[key]!r}, then {value!r}")
+            cfg[key] = value
     return cfg
 
 
@@ -336,6 +339,14 @@ _COMMANDS = {
     "suite": (cmd_suite, "run the full verification suite", ()),
 }
 
+# An option that replaces others: a run reads the key or those it replaces,
+# so _merged_config refuses a run that sets both.
+_REPLACES = {
+    "input": ("seed", "length"),
+    "schedule-file": ("blocks", "gen-budget"),
+    "nu": ("rate",),
+}
+
 _FLAG_HELP = {
     "seed": "64-bit Philox seed",
     "budget": "budget token, e.g. power:2/3",
@@ -371,7 +382,8 @@ def _merged_config(args: argparse.Namespace) -> dict:
     """The config file's keys, overridden by the flags given, plus the
     subcommand's name. Only the subcommand's declared keys may appear,
     and `command` with its own name as every report's config block
-    carries it, so that a config file copied from a report replays it.
+    carries it, so that a config file copied from a report replays it;
+    a key and one it replaces (_REPLACES) may not both appear.
     out_dir names the write destination, not the experiment; keeping it
     out of the embedded config keeps replayed runs byte-identical."""
     keys = _COMMANDS[args.command][2]
@@ -387,6 +399,10 @@ def _merged_config(args: argparse.Namespace) -> dict:
     empty = sorted(k for k, v in cfg.items() if not v.strip())
     if empty:
         raise ConfigError(f"empty value for {empty}; leave a key out to take its default")
+    for key, replaced in _REPLACES.items():
+        both = [k for k in replaced if key in cfg and k in cfg]
+        if both:
+            raise ConfigError(f"{key} replaces {both}; set one or the other")
     return cfg
 
 

@@ -23,7 +23,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bits import _collection, _real, as_bits, prefix_distances, read_index, read_indices
+from .bits import (_collection, _real, as_bits, prefix_distances, read_index, read_indices,
+                   read_instance)
 from .budgets import BudgetFunction, lil_envelope, lnln
 from .errors import ConfigError, ContractError, DimensionError, DomainError, ResourceError
 
@@ -159,13 +160,12 @@ def extract(X, schedule, budget: BudgetFunction | None = None) -> ExtractionTrac
     """Majority-vote every block's odd core of X.
 
     `schedule` must be a BlockSchedule (anything else raises
-    ConfigError), and X must cover it. With a budget g, robust_flags
-    marks blocks whose margin magnitude exceeds g(n_k) (n_k the full
-    block size): flips of at most g(n_k) bits inside block k cannot
-    change those output bits.
+    ConfigError), and X must cover it. With a budget g (a
+    BudgetFunction, else DomainError), robust_flags marks blocks whose
+    margin magnitude exceeds g(n_k) (n_k the full block size): flips of
+    at most g(n_k) bits inside block k cannot change those output bits.
     """
-    if not isinstance(schedule, BlockSchedule):
-        raise ConfigError(f"extract needs a BlockSchedule, got {schedule!r}")
+    read_instance(schedule, BlockSchedule, "schedule", ConfigError)
     x = as_bits(X)
     if schedule.total_length > x.size:
         missing = [k for k, (_, e) in enumerate(schedule.blocks) if e > x.size]
@@ -174,6 +174,7 @@ def extract(X, schedule, budget: BudgetFunction | None = None) -> ExtractionTrac
     outputs = (margins > 0).astype(np.uint8)
     robust = None
     if budget is not None:
+        read_instance(budget, BudgetFunction, "budget")
         # in Python ints: a budget may pass int64
         robust = np.array([abs(m) > 2 * budget(n)
                            for m, n in zip(margins.tolist(), schedule.sizes)], dtype=np.bool_)
@@ -190,6 +191,7 @@ def make_schedule(g: BudgetFunction, block_count: int,
     partial sum must land in it. A schedule whose total length would
     pass MAKE_SCHEDULE_SCAN_BOUND raises ResourceError.
     """
+    read_instance(g, BudgetFunction, "g")
     block_count = read_index(block_count, "block_count", 1)
     sizes: list[int] = []
     total = 0
@@ -221,6 +223,8 @@ def check_schedule(schedule: BlockSchedule, g: BudgetFunction,
     """Independent re-check of make_schedule's superadditivity, decay and
     checkpoint constraints (BlockSchedule itself refuses gaps, empty and
     shrinking blocks); returns the violations (empty means admissible)."""
+    read_instance(schedule, BlockSchedule, "schedule", ConfigError)
+    read_instance(g, BudgetFunction, "g")
     bad = []
     running = 0
     for k, n in enumerate(schedule.sizes):
@@ -241,6 +245,7 @@ def similar_p_N(X, Y, p: BudgetFunction, N, n0: int = 0) -> bool:
     """Prefix Hamming distances at the checkpoints N (from n0 on) all
     obey the budget: d(X|n, Y|n) <= p(n). Every checkpoint, those below
     n0 included, must be an integer in 0..len(X)."""
+    read_instance(p, BudgetFunction, "p")
     N, n0 = read_indices(N, "checkpoint"), read_index(n0, "n0")
     dist = prefix_distances(X, Y, N).tolist()
     return all(d <= p(n) for n, d in zip(N, dist) if n >= n0)
@@ -248,6 +253,8 @@ def similar_p_N(X, Y, p: BudgetFunction, N, n0: int = 0) -> bool:
 
 def similar_g_phi(X, Y, g: BudgetFunction, schedule: BlockSchedule) -> bool:
     """Per-block disagreement counts all within g of the block size."""
+    read_instance(g, BudgetFunction, "g")
+    read_instance(schedule, BlockSchedule, "schedule", ConfigError)
     x = as_bits(X)
     if schedule.total_length > x.size:
         raise DimensionError("inputs do not cover the schedule")

@@ -17,7 +17,7 @@ from itertools import chain
 import numpy as np
 
 from . import kernels
-from .bits import _real, read_index
+from .bits import _real, read_index, read_instance
 from .cube import EventFamily, binomial_tails, bracket, distances_from
 from .errors import DomainError
 from .rng import Sampler
@@ -45,6 +45,7 @@ def _contained_counts(inside: np.ndarray, n: int) -> np.ndarray:
 
 def containment_profile(family: EventFamily) -> list[Fraction]:
     """P(ball_d(X) ⊆ E) for d = 0..n, exactly, in one sweep."""
+    read_instance(family, EventFamily, "family")
     n = read_index(family.dimension, "n", ceiling=CONTAINMENT_CEILING)
     total = 1 << n
     return [Fraction(c, total) for c in _contained_counts(family.indicator()[None], n)[0].tolist()]

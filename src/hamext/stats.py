@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .bits import FLOAT_CEILING, _collection, as_bits, read_index, read_indices
+from .bits import FLOAT_CEILING, _collection, as_bits, read_index, read_indices, read_instance
 from .cube import _middle_out_tails
 from .errors import ContractError, DimensionError, DomainError
 
@@ -184,6 +184,7 @@ def sparse_subsequence(f: Callable[[int], float], n_max: int) -> SparseResult:
     the reported violation threshold is 0 for genuine order functions.
     n_max is read as in weber_series, before the scan.
     """
+    read_instance(f, Callable, "f")
     n_max = read_index(n_max, "n_max", 1, ceiling=WEBER_CEILING)
     nu: list[int] = []
     threshold = 0
@@ -237,6 +238,7 @@ def apply_selection(rule: Callable[[np.ndarray], np.ndarray], X) -> FrequencyRep
     """Stream X through a selection rule (a mask function, such as a
     SELECTION_RULES value); report the ones-frequency among the selected
     positions."""
+    read_instance(rule, Callable, "rule")
     x = as_bits(X)
     mask = rule(x)
     examined = int(np.count_nonzero(mask))

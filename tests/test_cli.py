@@ -34,6 +34,12 @@ KEYS = {
     "trace-refine": ["input"],
     "suite": [],
 }
+# Each key replaces those it maps to: a run reads one side or the other.
+REPLACES = {"input": ["seed", "length"], "schedule-file": ["blocks", "gen-budget"],
+            "nu": ["rate"]}
+CLASHES = [(command, key, other) for command, keys in sorted(KEYS.items())
+           for key, replaced in REPLACES.items() if key in keys
+           for other in replaced if other in keys]
 
 
 def run(args):
@@ -243,6 +249,16 @@ class TestConfigFile:
         doc = read_json(tmp_path / "o" / "corrupt.json")
         assert doc["config"]["budget"] == "power:1"
 
+    @pytest.mark.parametrize("flag", [[], ["--seed", 3]], ids=["file-only", "flag-too"])
+    def test_key_set_twice_is_two(self, tmp_path, capsys, flag):
+        # the last value was taken: seed = 2, and 3 with the flag
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 1\nlength = 64\nseed = 2\n")
+        assert run(["lil", "--config", cfg, *flag, "--out-dir", tmp_path / "o"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "'seed' set twice" in err["message"]
+        assert not (tmp_path / "o").exists()
+
     def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("just words\n")
@@ -306,6 +322,34 @@ class TestOptionTable:
         assert run([*args, "--out-dir", tmp_path]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
         assert not any(tmp_path.iterdir())
+
+    # a key and one it replaces: the second was dropped, yet the report's
+    # config block listed it
+    @pytest.mark.parametrize("command, key, other", CLASHES, ids=map("-".join, CLASHES))
+    @pytest.mark.parametrize("via", ["flag", "config", "mix"])
+    def test_key_and_one_it_replaces_is_two(self, tmp_path, monkeypatch, capsys,
+                                            command, key, other, via):
+        monkeypatch.chdir(tmp_path)
+        write_text_bits("x.txt", ["11001101"])
+        (tmp_path / "sched.txt").write_text("0 0 3 3\n1 3 8 8\n")
+        values = {"input": "x.txt", "schedule-file": "sched.txt", "seed": "5", "length": "64",
+                  "blocks": "3", "gen-budget": "power:1/2", "nu": "2,4", "rate": "power:1/2"}
+        # the input and schedule files cover each other
+        given = {k: values[k] for k in (key, *REPLACES) if k in KEYS[command]}
+        assert run([command, *(a for k, v in given.items() for a in (f"--{k}", v)),
+                    "--out-dir", "alone"]) == 0
+        given[other] = values[other]
+        lines = "".join(f"{k} = {v}\n" for k, v in given.items()
+                        if via == "config" or via == "mix" and k != other)
+        (tmp_path / "run.cfg").write_text(lines)
+        flags = [a for k, v in given.items() if via == "flag" or via == "mix" and k == other
+                 for a in (f"--{k}", v)]
+        capsys.readouterr()
+        assert run([command, "--config", "run.cfg", *flags, "--out-dir", "both"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert f"{key} replaces ['{other}']" in err["message"]
+        assert not (tmp_path / "both").exists()
 
     # an empty value is an error, not the key's default (an empty input
     # read the Philox seed-0 stream; an empty budget, targets or nu took
@@ -373,6 +417,41 @@ class TestOptionTable:
         assert written == sorted(p.name for p in (tmp_path / "b").iterdir())
         for name in written:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# A value other than its default for every option key; trace-refine's
+# input has no default, so its runs start from strings.txt
+CHANGED = {"input": "x.txt", "seed": 5, "length": 256, "schedule-file": "sched.txt",
+           "blocks": 2, "gen-budget": "table:0", "budget": "table:0", "targets": 0, "n": 2,
+           "n-list": 10, "epsilon": 0.5, "nu": "2,4", "rate": "power:1/2", "trials": 5,
+           "threshold": "1/3", "rule": "evens"}
+BASE = {"trace-refine": ["--input", "strings.txt"]}
+OPTIONS = [(command, key) for command, keys in sorted(KEYS.items()) for key in keys]
+
+
+def written_apart_from_config(out_dir):
+    """Every file a run wrote, each JSON report without its config block."""
+    files = {}
+    for path in out_dir.iterdir():
+        files[path.name] = path.read_bytes()
+        if path.suffix == ".json":
+            files[path.name] = {k: v for k, v in read_json(path).items() if k != "config"}
+    return files
+
+
+# an option whose value changes nothing but the config block's echo is an
+# option the run does not need (extract's length, which its schedule fixes)
+@pytest.mark.parametrize("command, key", OPTIONS, ids=map("-".join, OPTIONS))
+def test_every_option_changes_the_run(tmp_path, monkeypatch, command, key):
+    monkeypatch.chdir(tmp_path)
+    write_text_bits("x.txt", [bit_stream(7, 266305)])  # covers every default schedule
+    write_text_bits("strings.txt", ["11100", "10110"])
+    (tmp_path / "sched.txt").write_text("0 0 3 3\n1 3 8 8\n")
+    base = [command, *BASE.get(command, [])]
+    assert run([*base, "--out-dir", "default"]) == 0
+    assert run([*base, f"--{key}", CHANGED[key], "--out-dir", "changed"]) == 0
+    assert (written_apart_from_config(tmp_path / "default")
+            != written_apart_from_config(tmp_path / "changed"))
 
 
 class TestExitCodes:
@@ -546,7 +625,8 @@ class TestExitCodes:
 
 
 # Values a fuzzed option may take. power:1/3 is left out, and gen-budget is
-# always given, because that budget's 5-block schedule spans 17 million bits;
+# always given (unless a schedule file replaces it), because that budget's
+# 5-block schedule spans 17 million bits;
 # no schedule passes 2^25 bits, which table:0 reaches at 26 blocks.
 # One past each size ceiling that range(-3, 65) does not reach (weber --n,
 # smallball and clt-check --n-list) must exit 3 at once; the ceilings
@@ -579,6 +659,8 @@ def test_every_command_exits_zero_two_or_three(input_dir, data):
     command = data.draw(st.sampled_from(sorted(KEYS)), label="command")
     args = [command]
     for key in KEYS[command]:
+        if any(f"--{k}" in args for k, replaced in REPLACES.items() if key in replaced):
+            continue  # a key and one it replaces exit 2 at once
         if key in ("input", "schedule-file"):
             token = data.draw(st.none() | st.sampled_from([*FILES, "packed", "absent"]), label=key)
             token = token and input_dir / token

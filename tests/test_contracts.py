@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamext.adversary import (AdversarySchedule, force_majority_zero,
-                              force_output_zero_generic, stages_from_blocks)
+from hamext.adversary import (AdversarySchedule, corrupt, force_majority_zero,
+                              force_output_zero_generic, stages_from_blocks, verify_similarity)
 from hamext.bits import read_index
 from hamext.budgets import BudgetFunction, parse_budget
 from hamext.cube import (CUBE_CEILING, EventFamily, SphereSpec, binomial_tail, distances_from,
@@ -24,23 +24,25 @@ from hamext.cube import (CUBE_CEILING, EventFamily, SphereSpec, binomial_tail, d
 from hamext.errors import (ConfigError, ContractError, DimensionError, DomainError,
                            HamextError, ResourceError)
 from hamext.extractor import (BlockSchedule, check_schedule, extract, majority_bit,
-                              make_schedule, psi_deviation, similar_p_N)
-from hamext.keylemma import verify_key_lemma
+                              make_schedule, psi_deviation, similar_g_phi, similar_p_N)
+from hamext.keylemma import containment_profile, verify_key_lemma
 from hamext.rng import bit_stream
-from hamext.stats import (berry_esseen_bound, binomial_cdf_gap, frequency_on_set,
-                          majority_refinement, small_ball_bound, small_ball_probability,
-                          sparse_subsequence, weber_series)
+from hamext.stats import (apply_selection, berry_esseen_bound, binomial_cdf_gap,
+                          frequency_on_set, majority_refinement, small_ball_bound,
+                          small_ball_probability, sparse_subsequence, weber_series)
 
 G = parse_budget("power:1/3")
 REFUSED = (2.5, "3", None)
 NOT_A_CORE = ([0, 1, 2], {0, 1, 2}, np.arange(3), range(0, 5, 2), None)
 
 # (parameter, call with the value under test, its error, the values it refuses:
-# the non-integers and, where the parameter has a range, an integer outside it)
+# the non-integers and, where the parameter has a range, an integer outside it).
+# A row "<kind>_budget <name>" is the parameter `name` of a budget of that
+# kind, read by BudgetFunction(kind, params).
 INTEGER_ROWS = [
-    ("BudgetFunction table constant", lambda v: BudgetFunction("table", [(0, v)]),
+    ("table_budget constant", lambda v: BudgetFunction("table", [(0, v)]),
      DomainError, REFUSED + (-1,)),
-    ("BudgetFunction table value", lambda v: BudgetFunction("table", [(1, v)]),
+    ("table_budget value", lambda v: BudgetFunction("table", [(1, v)]),
      DomainError, REFUSED + (-1,)),
     ("BudgetFunction n", lambda v: G(v), DomainError, REFUSED + (-1,)),
     ("divergence_modulus k", lambda v: parse_budget("power:1").divergence_modulus(v),
@@ -156,13 +158,60 @@ def test_integer_parameters_refuse_non_integers_and_out_of_range(call, error, re
             call(value)
 
 
-# (parameter, call with the value under test): each refuses these with DomainError
+S3 = BlockSchedule.from_sizes((3,))
+NOT_AN_OBJECT = (None, 5, "x", [])
+
+# (parameter, call with the value under test, its error, the values it
+# refuses): a schedule or stage schedule of the wrong type raises
+# ConfigError, any other object parameter DomainError. Each leaked
+# TypeError or AttributeError, or was accepted and leaked one later.
+OBJECT_ROWS = [
+    # None is no budget
+    ("extract budget", lambda v: extract("101", S3, v), DomainError, (5, "x", [])),
+    ("make_schedule g", lambda v: make_schedule(v, 2), DomainError, NOT_AN_OBJECT),
+    ("check_schedule schedule", lambda v: check_schedule(v, G), ConfigError, NOT_AN_OBJECT),
+    ("check_schedule g", lambda v: check_schedule(S3, v), DomainError, NOT_AN_OBJECT),
+    ("similar_p_N p", lambda v: similar_p_N("101", "101", v, [3]), DomainError, NOT_AN_OBJECT),
+    ("similar_g_phi g", lambda v: similar_g_phi("101", "101", v, S3), DomainError,
+     NOT_AN_OBJECT),
+    ("similar_g_phi schedule", lambda v: similar_g_phi("101", "101", G, v), ConfigError,
+     NOT_AN_OBJECT),
+    ("AdversarySchedule budget", lambda v: AdversarySchedule((0, 3), (0,), v), DomainError,
+     NOT_AN_OBJECT),
+    ("stages_from_blocks schedule", lambda v: stages_from_blocks(v, G), ConfigError,
+     NOT_AN_OBJECT),
+    ("stages_from_blocks budget", lambda v: stages_from_blocks(S3, v), DomainError,
+     NOT_AN_OBJECT),
+    ("corrupt schedule", lambda v: corrupt("101", v, stages_from_blocks(S3, G)), ConfigError,
+     NOT_AN_OBJECT),
+    ("corrupt adv", lambda v: corrupt("101", S3, v), ConfigError, NOT_AN_OBJECT),
+    ("verify_similarity report", lambda v: verify_similarity(v, "101", G, [3]), DomainError,
+     NOT_AN_OBJECT),
+    ("force_output_zero_generic evaluate",
+     lambda v: force_output_zero_generic("0101", (0, 2), "", v), DomainError, NOT_AN_OBJECT),
+    ("apply_selection rule", lambda v: apply_selection(v, "1011"), DomainError, NOT_AN_OBJECT),
+    ("sparse_subsequence f", lambda v: sparse_subsequence(v, 3), DomainError, NOT_AN_OBJECT),
+    ("containment_profile family", lambda v: containment_profile(v), DomainError,
+     NOT_AN_OBJECT),
+]
+
+
+@pytest.mark.parametrize("call, error, refused", [row[1:] for row in OBJECT_ROWS],
+                         ids=[row[0] for row in OBJECT_ROWS])
+def test_object_parameters_refuse_other_types(call, error, refused):
+    for value in refused:
+        with pytest.raises(error):
+            call(value)
+
+
+# (parameter, call with the value under test, budget rows named as in
+# INTEGER_ROWS): each refuses these with DomainError
 REAL_ROWS = [
-    ("BudgetFunction power alpha", lambda v: BudgetFunction("power", (v, 1))),
-    ("BudgetFunction power coeff", lambda v: BudgetFunction("power", (1, v))),
-    ("BudgetFunction affine_sqrt a", lambda v: BudgetFunction("affine_sqrt", (v, 1))),
-    ("BudgetFunction affine_sqrt c", lambda v: BudgetFunction("affine_sqrt", (1, v))),
-    ("BudgetFunction lil eps", lambda v: BudgetFunction("lil", (v,))),
+    ("power_budget alpha", lambda v: BudgetFunction("power", (v, 1))),
+    ("power_budget coeff", lambda v: BudgetFunction("power", (1, v))),
+    ("affine_sqrt_budget a", lambda v: BudgetFunction("affine_sqrt", (v, 1))),
+    ("affine_sqrt_budget c", lambda v: BudgetFunction("affine_sqrt", (1, v))),
+    ("lil_budget eps", lambda v: BudgetFunction("lil", (v,))),
     ("verify_key_lemma p_threshold", lambda v: verify_key_lemma(3, 1, v, 1)),
     ("psi_deviation epsilon", lambda v: psi_deviation("1010", "0000", epsilon=v, checkpoints=[4])),
 ]
@@ -179,8 +228,8 @@ def test_real_parameters_refuse_non_numbers_and_non_finite(call):
 @given(st.one_of(st.floats(), st.text(max_size=8), st.none()))
 @settings(max_examples=200, deadline=None)
 def test_numbers_and_text_raise_only_hamext_errors(value):
-    # every parameter of both tables
-    for call in [row[1] for row in ROWS + REAL_ROWS]:
+    # every parameter of the three tables
+    for call in [row[1] for row in ROWS + OBJECT_ROWS + REAL_ROWS]:
         try:
             call(value)
         except HamextError:
