@@ -40,6 +40,12 @@ REPLACES = {"input": ["seed", "length"], "schedule-file": ["blocks", "gen-budget
 CLASHES = [(command, key, other) for command, keys in sorted(KEYS.items())
            for key, replaced in REPLACES.items() if key in keys
            for other in replaced if other in keys]
+# A value other than its default for every option key; trace-refine's
+# input has no default, so its runs start from strings.txt (BASE)
+CHANGED = {"input": "x.txt", "seed": 5, "length": 256, "schedule-file": "sched.txt",
+           "blocks": 2, "gen-budget": "table:0", "budget": "table:0", "targets": 0, "n": 2,
+           "n-list": 10, "epsilon": 0.5, "nu": "2,4", "rate": "power:1/2", "trials": 5,
+           "threshold": "1/3", "rule": "evens"}
 
 
 def run(args):
@@ -332,13 +338,11 @@ class TestOptionTable:
         monkeypatch.chdir(tmp_path)
         write_text_bits("x.txt", ["11001101"])
         (tmp_path / "sched.txt").write_text("0 0 3 3\n1 3 8 8\n")
-        values = {"input": "x.txt", "schedule-file": "sched.txt", "seed": "5", "length": "64",
-                  "blocks": "3", "gen-budget": "power:1/2", "nu": "2,4", "rate": "power:1/2"}
-        # the input and schedule files cover each other
-        given = {k: values[k] for k in (key, *REPLACES) if k in KEYS[command]}
+        # x.txt covers sched.txt, so the run without `other` succeeds
+        given = {k: CHANGED[k] for k in (key, *REPLACES) if k in KEYS[command]}
         assert run([command, *(a for k, v in given.items() for a in (f"--{k}", v)),
                     "--out-dir", "alone"]) == 0
-        given[other] = values[other]
+        given[other] = CHANGED[other]
         lines = "".join(f"{k} = {v}\n" for k, v in given.items()
                         if via == "config" or via == "mix" and k != other)
         (tmp_path / "run.cfg").write_text(lines)
@@ -419,12 +423,6 @@ class TestOptionTable:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-# A value other than its default for every option key; trace-refine's
-# input has no default, so its runs start from strings.txt
-CHANGED = {"input": "x.txt", "seed": 5, "length": 256, "schedule-file": "sched.txt",
-           "blocks": 2, "gen-budget": "table:0", "budget": "table:0", "targets": 0, "n": 2,
-           "n-list": 10, "epsilon": 0.5, "nu": "2,4", "rate": "power:1/2", "trials": 5,
-           "threshold": "1/3", "rule": "evens"}
 BASE = {"trace-refine": ["--input", "strings.txt"]}
 OPTIONS = [(command, key) for command, keys in sorted(KEYS.items()) for key in keys]
 
