@@ -55,27 +55,6 @@ class AdversarySchedule:
     def window(self, s: int) -> tuple[int, int]:
         return self.stage_bounds[s], self.stage_bounds[s + 1]
 
-    def growth_report(self) -> dict:
-        """Diagnostics for the two growth conditions.
-
-        `ratio_ok[s]`: p(w)/sqrt(w) >= 1 for window length w.
-        `telescoping_ok[s]`: sum of stage budgets through s fits inside
-        p(n_{s+1}). The latter is unattainable for strictly concave
-        budgets past two stages (stage budgets are subadditive), so it
-        is reported, not enforced; budget compliance of actual runs is
-        judged on realized costs.
-        """
-        ratio_ok, tele_ok = [], []
-        acc = 0
-        for s in range(self.stage_count):
-            a, b = self.window(s)
-            w = b - a
-            pw = self.budget(w)
-            ratio_ok.append(pw * pw >= w)
-            acc += pw
-            tele_ok.append(acc <= self.budget(b))
-        return {"ratio_ok": ratio_ok, "telescoping_ok": tele_ok}
-
 
 def stages_from_blocks(schedule: BlockSchedule, budget: BudgetFunction,
                        targets=None) -> AdversarySchedule:
@@ -153,7 +132,8 @@ def force_output_zero_generic(X, stage_window: tuple[int, int], oracle_prefix,
     For a majority reduction, force_majority_zero gives the same answer
     in closed form on windows of any length. The window is a collection
     of two integers, start < end; the budget an integer >= 0, or None
-    for no budget.
+    for no budget. Each value `evaluate` returns is read as one bit, as
+    bits.as_bits reads one; anything else raises DomainError.
     """
     read_instance(evaluate, Callable, "evaluate")
     x = as_bits(X)
@@ -174,7 +154,7 @@ def force_output_zero_generic(X, stage_window: tuple[int, int], oracle_prefix,
         for combo in combinations(positions, cost):
             for i in combo:
                 tau[i] ^= 1
-            hit = evaluate(tau) == 0
+            hit = as_bits([evaluate(tau)])[0] == 0
             for i in combo:
                 tau[i] ^= 1
             if hit:

@@ -8,7 +8,8 @@ on-disk formats:
 
 * text: ASCII '0'/'1', one string per line;
 * packed: an 8-byte little-endian bit count, then the bits packed
-  little-endian within each byte.
+  little-endian within each byte; a reader refuses a payload of any
+  other length, and set padding bits past the count.
 
 Both formats round-trip bit-exactly.
 """
@@ -181,7 +182,9 @@ def read_packed_bits(path) -> np.ndarray:
         length = int.from_bytes(header, "little")
         payload = fh.read()
     need = (length + 7) // 8
-    if len(payload) < need:
+    if len(payload) != need:
         raise DomainError(f"{path}: expected {need} payload bytes, got {len(payload)}")
-    raw = np.frombuffer(payload[:need], dtype=np.uint8)
+    raw = np.frombuffer(payload, dtype=np.uint8)
+    if length % 8 and raw[-1] >> (length % 8):
+        raise DomainError(f"{path}: padding bits past bit {length} are set")
     return np.unpackbits(raw, count=length, bitorder="little")

@@ -35,9 +35,9 @@ from .errors import ConfigError, HamextError, ResourceError
 from .extractor import BlockSchedule, extract, make_schedule, psi_deviation
 from .keylemma import verify_key_lemma
 from .rng import bit_stream
-from .stats import (SELECTION_RULES, apply_selection, berry_esseen_bound, binomial_cdf_gap,
-                    majority_refinement, small_ball_bound, small_ball_probability,
-                    sparse_subsequence, weber_series)
+from .stats import (apply_selection, berry_esseen_bound, binomial_cdf_gap, majority_refinement,
+                    small_ball_bound, small_ball_probability, sparse_subsequence,
+                    weber_series)
 
 
 def _fraction(x) -> dict:
@@ -274,10 +274,7 @@ def cmd_keylemma(cfg: dict) -> Run:
 
 def cmd_select(cfg: dict) -> Run:
     rule_name = cfg.get("rule", "all")
-    if rule_name not in SELECTION_RULES:
-        raise ConfigError(f"unknown selection rule {rule_name!r}; have {sorted(SELECTION_RULES)}")
-    x = _input_bits(cfg)
-    report = apply_selection(SELECTION_RULES[rule_name], x)
+    report = apply_selection(rule_name, _input_bits(cfg))
     return Run({"rule": rule_name,
                 "positions_examined": report.positions_examined,
                 "ones_count": report.ones_count,

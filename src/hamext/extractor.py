@@ -279,7 +279,7 @@ def psi_deviation(X, A, epsilon: float = 0.0,
     epsilon = _real(epsilon, "epsilon", float)
     x = as_bits(X)
     if checkpoints is None:
-        checkpoints = [1 << j for j in range(4, x.size.bit_length()) if 1 << j <= x.size]
+        checkpoints = [1 << j for j in range(4, x.size.bit_length())]
         if not checkpoints:
             checkpoints = [x.size]
     ns = read_indices(checkpoints, "checkpoint")

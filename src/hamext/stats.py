@@ -25,7 +25,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .bits import FLOAT_CEILING, _collection, as_bits, read_index, read_indices, read_instance
+from .bits import (FLOAT_CEILING, _collection, _real, as_bits, read_index, read_indices,
+                   read_instance)
 from .cube import _middle_out_tails
 from .errors import ContractError, DimensionError, DomainError
 
@@ -157,10 +158,7 @@ def weber_series(nu, n_max: int) -> WeberSeries:
     """
     n_max = read_index(n_max, "n_max", 1, ceiling=WEBER_CEILING)
     ranged = isinstance(nu, range) and nu.step > 0
-    try:
-        seq = nu if ranged else tuple(read_index(v, "subsequence member", lo=None) for v in nu)
-    except TypeError:  # nu itself is not iterable
-        raise DomainError(f"subsequence must be a collection of integers, got {nu!r}") from None
+    seq = nu if ranged else read_indices(nu, "subsequence member", lo=None)
     if not (ranged or all(starmap(operator.lt, pairwise(seq)))) or (seq and seq[0] < 1):
         raise DomainError("subsequence must be strictly increasing positive integers")
     # block m = (2^(m-1), 2^m] is hit iff the first member past 2^(m-1) is at
@@ -182,18 +180,20 @@ def sparse_subsequence(f: Callable[[int], float], n_max: int) -> SparseResult:
     2^m) only once ln(hits so far + 1) <= f(2^(m-1)); f nondecreasing
     then keeps every k in admitted and skipped blocks alike under f, so
     the reported violation threshold is 0 for genuine order functions.
-    n_max is read as in weber_series, before the scan.
+    n_max is read as in weber_series, before the scan. Each f(k) is read
+    exactly, by bits._real, so a rate past the float range still compares
+    with the log; one that is no finite number raises DomainError.
     """
     read_instance(f, Callable, "f")
     n_max = read_index(n_max, "n_max", 1, ceiling=WEBER_CEILING)
     nu: list[int] = []
     threshold = 0
     for m in range(1, n_max + 1):
-        if math.log(len(nu) + 1) <= f(1 << (m - 1)):
+        if math.log(len(nu) + 1) <= _real(f(1 << (m - 1)), "f(k)"):
             nu.append(1 << m)
         # the admitted blocks are the hit blocks, so the statistic on block m
         # is ln len(nu) (-inf before the first admission, under any f)
-        if nu and math.log(len(nu)) > f((1 << (m - 1)) + 1):
+        if nu and math.log(len(nu)) > _real(f((1 << (m - 1)) + 1), "f(k)"):
             threshold = 1 << m
     return SparseResult(nu, threshold)
 
@@ -203,18 +203,20 @@ def sparse_subsequence(f: Callable[[int], float], n_max: int) -> SparseResult:
 
 @dataclass
 class FrequencyReport:
+    """Ones among the examined positions; the frequency and its deviation
+    from 1/2 are None while no position is examined."""
+
     positions_examined: int
     ones_count: int
-    relative_frequency: Optional[float]
-    deviation_from_half: Optional[float]
-    checkpoint: Optional[int] = None
 
-    @classmethod
-    def of(cls, examined: int, ones: int, checkpoint: Optional[int] = None) -> "FrequencyReport":
-        if examined:
-            freq = ones / examined
-            return cls(examined, ones, freq, freq - 0.5, checkpoint)
-        return cls(0, 0, None, None, checkpoint)
+    @property
+    def relative_frequency(self) -> Optional[float]:
+        return self.ones_count / self.positions_examined if self.positions_examined else None
+
+    @property
+    def deviation_from_half(self) -> Optional[float]:
+        freq = self.relative_frequency
+        return None if freq is None else freq - 0.5
 
 
 def _evens(x: np.ndarray) -> np.ndarray:
@@ -234,22 +236,22 @@ SELECTION_RULES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
-def apply_selection(rule: Callable[[np.ndarray], np.ndarray], X) -> FrequencyReport:
-    """Stream X through a selection rule (a mask function, such as a
-    SELECTION_RULES value); report the ones-frequency among the selected
-    positions."""
-    read_instance(rule, Callable, "rule")
+def apply_selection(rule: str, X) -> FrequencyReport:
+    """Stream X through the selection rule named `rule` (a SELECTION_RULES
+    key; anything else raises DomainError); report the ones-frequency
+    among the selected positions."""
+    if not (isinstance(rule, str) and rule in SELECTION_RULES):
+        raise DomainError(f"unknown selection rule {rule!r}; have {sorted(SELECTION_RULES)}")
     x = as_bits(X)
-    mask = rule(x)
-    examined = int(np.count_nonzero(mask))
-    ones = int(np.count_nonzero(x & mask))
-    return FrequencyReport.of(examined, ones)
+    mask = SELECTION_RULES[rule](x)
+    return FrequencyReport(int(np.count_nonzero(mask)), int(np.count_nonzero(x & mask)))
 
 
 def frequency_on_set(X, N, checkpoints) -> list[FrequencyReport]:
     """Ones-frequency of X restricted to the position set N at each
-    checkpoint n in 0..len(X) (undefined, not an error, while N∩n is
-    empty). A position listed twice raises DomainError, as in EventFamily."""
+    checkpoint n in 0..len(X), in the order given (undefined, not an error,
+    while N∩n is empty). A position listed twice raises DomainError, as in
+    EventFamily."""
     x = as_bits(X)
     positions = read_indices(N, "position", 0, x.size - 1)
     pos = np.unique(np.asarray(positions, dtype=np.int64))
@@ -259,7 +261,7 @@ def frequency_on_set(X, N, checkpoints) -> list[FrequencyReport]:
     out = []
     for n in read_indices(checkpoints, "checkpoint", 0, x.size):
         upto = pos[pos < n]
-        out.append(FrequencyReport.of(upto.size, int(x[upto].sum()), checkpoint=n))
+        out.append(FrequencyReport(upto.size, int(x[upto].sum())))
     return out
 
 
@@ -292,6 +294,4 @@ def majority_refinement(strings) -> tuple[list[int], list[int]]:
         maj = 1 if 2 * ones >= vals.size else 0
         constants.append(maj)
         surviving = surviving[vals == maj]
-        if surviving.size == 0:
-            raise ContractError("refinement emptied despite the size precondition")
     return [int(i) for i in surviving], constants

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hamext.bits import (as_bits, bits_to_mask, read_packed_bits, read_text_bits,
@@ -53,6 +53,8 @@ def test_text_file_round_trip(tmp_path):
 
 
 @given(bitlists)
+@example([])  # no payload byte
+@example([1] * 16)  # no padding bit
 def test_packed_round_trip(bits):
     import tempfile
     with tempfile.TemporaryDirectory() as d:
@@ -72,5 +74,15 @@ def test_packed_header_is_length_little_endian(tmp_path):
 def test_packed_truncation_detected(tmp_path):
     path = tmp_path / "x.bits"
     path.write_bytes((100).to_bytes(8, "little") + b"\x01")
+    with pytest.raises(DomainError):
+        read_packed_bits(path)
+
+
+@pytest.mark.parametrize("payload", [b"\x1f\x00\x00\x00", b"\x3f"],
+                         ids=["trailing_bytes", "set_padding_bit"])
+def test_packed_payload_past_the_count_refused(tmp_path, payload):
+    # both read as the 5 bits 11111, dropping the rest
+    path = tmp_path / "x.bits"
+    path.write_bytes((5).to_bytes(8, "little") + payload)
     with pytest.raises(DomainError):
         read_packed_bits(path)

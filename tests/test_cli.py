@@ -467,6 +467,8 @@ class TestExitCodes:
     def test_weber_ceiling_is_three(self, tmp_path, capsys):
         assert run(["weber", "--nu", 2, "--n", 4096, "--out-dir", tmp_path / "at"]) == 0
         assert run(["weber", "--rate", "table:0", "--n", 4096, "--out-dir", tmp_path / "sp"]) == 0
+        # the scan reads power:1/2 at 2^4095 as an integer past the float range, exactly
+        assert run(["weber", "--rate", "power:1/2", "--n", 4096, "--out-dir", tmp_path / "pw"]) == 0
         capsys.readouterr()
         # 16000 used to exit 1 on the 4 300-digit int-to-text limit, 10^14 never returned
         for args in (["--nu", 2, "--n", 4097], ["--n", 16000], ["--n", 10 ** 14]):
@@ -527,6 +529,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("nu", ["1.5,2", "a", "2,,4"])
     def test_malformed_weber_nu_is_two(self, tmp_path, capsys, nu):
         self.assert_exit_two(["weber", "--nu", nu], tmp_path, capsys)
+
+    def test_packed_payload_past_the_count_is_two(self, tmp_path, capsys):
+        src = tmp_path / "x.bits"
+        src.write_bytes((5).to_bytes(8, "little") + b"\x1f\x00")
+        self.assert_exit_two(["select", "--input", src], tmp_path / "o", capsys, "DomainError")
 
     def test_malformed_clt_n_list_is_two(self, tmp_path, capsys):
         self.assert_exit_two(["clt-check", "--n-list", "1.5"], tmp_path, capsys)
@@ -728,13 +735,16 @@ class TestPipelines:
         assert doc["violations"] == 0
         assert doc["families"][0]["rows"][0]["exact"].keys() == {"num", "den_pow2"}
 
-    def test_select_rules(self, tmp_path):
+    def test_select_rules(self, tmp_path, capsys):
         run(["select", "--rule", "evens", "--seed", 3, "--length", 1000,
              "--out-dir", tmp_path])
         doc = read_json(tmp_path / "select.json")
         assert doc["positions_examined"] == 500
+        capsys.readouterr()
         assert run(["select", "--rule", "bogus", "--seed", 3,
                     "--out-dir", tmp_path]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DomainError" and "unknown selection rule 'bogus'" in err["message"]
 
     @pytest.mark.parametrize("rule", ["all", "evens", "parity"])
     def test_select_empty_stream(self, tmp_path, rule):

@@ -4,8 +4,10 @@ subclass rather than rounded, accepted or leaked as a TypeError, and so
 is an integer outside the parameter's range. A parameter that takes a
 collection of them refuses a value that is not one the same way.
 Rational and real parameters are read by bits._real, which refuses
-text that spells no number, nan, ±inf and None with DomainError."""
+text that spells no number, nan, ±inf and None with DomainError. What a
+callable parameter returns is read too, by the reader of its kind."""
 
+import inspect
 import math
 import operator
 from fractions import Fraction
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hamext
 from hamext.adversary import (AdversarySchedule, corrupt, force_majority_zero,
                               force_output_zero_generic, stages_from_blocks, verify_similarity)
 from hamext.bits import read_index
@@ -225,11 +228,43 @@ def test_real_parameters_refuse_non_numbers_and_non_finite(call):
             call(value)
 
 
+# (callable parameter, call with a callable that returns the value under
+# test, its error, the returned values it refuses). Each was compared as
+# returned: a rate of "x" or None leaked TypeError and one of nan admitted
+# no block, and an evaluate result of None, "0" or 2 read as "no
+# assignment works".
+RESULT_ROWS = [
+    ("sparse_subsequence f", lambda v: sparse_subsequence(lambda k: v, 3), DomainError,
+     (None, "x", math.nan, math.inf, -math.inf)),
+    ("force_output_zero_generic evaluate",
+     lambda v: force_output_zero_generic("0101", (0, 2), "", lambda t: v), DomainError,
+     (None, "x", "0", 2)),
+]
+
+
+@pytest.mark.parametrize("call, error, refused", [row[1:] for row in RESULT_ROWS],
+                         ids=[row[0] for row in RESULT_ROWS])
+def test_callable_results_are_read(call, error, refused):
+    for value in refused:
+        with pytest.raises(error):
+            call(value)
+
+
+def test_every_callable_parameter_has_a_result_row():
+    # each parameter annotated Callable of a function or class that hamext exports
+    annotated = {f"{name} {param.name}"
+                 for name, obj in vars(hamext).items()
+                 if inspect.isfunction(obj) or inspect.isclass(obj)
+                 for param in inspect.signature(obj).parameters.values()
+                 if "Callable" in str(param.annotation)}
+    assert annotated == {row[0] for row in RESULT_ROWS}
+
+
 @given(st.one_of(st.floats(), st.text(max_size=8), st.none()))
 @settings(max_examples=200, deadline=None)
 def test_numbers_and_text_raise_only_hamext_errors(value):
-    # every parameter of the three tables
-    for call in [row[1] for row in ROWS + OBJECT_ROWS + REAL_ROWS]:
+    # every parameter of the four tables
+    for call in [row[1] for row in ROWS + OBJECT_ROWS + REAL_ROWS + RESULT_ROWS]:
         try:
             call(value)
         except HamextError:

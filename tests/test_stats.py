@@ -277,18 +277,26 @@ class TestSparseSubsequence:
 
 class TestSelectionRules:
     def test_select_all_counts_everything(self):
-        rep = apply_selection(SELECTION_RULES["all"], "10110")
-        assert rep == FrequencyReport(5, 3, 0.6, 0.6 - 0.5)
+        rep = apply_selection("all", "10110")
+        assert rep == FrequencyReport(5, 3)
+        assert (rep.relative_frequency, rep.deviation_from_half) == (0.6, 0.6 - 0.5)
 
     def test_even_positions_of_alternating(self):
-        rep = apply_selection(SELECTION_RULES["evens"], "10" * 50)
+        rep = apply_selection("evens", "10" * 50)
         assert rep.positions_examined == 50
         assert rep.relative_frequency == 1.0
 
     def test_parity_rule_smoke(self):
         x = bit_stream(7, 1 << 16)
-        rep = apply_selection(SELECTION_RULES["parity"], x)
+        rep = apply_selection("parity", x)
         assert abs(rep.relative_frequency - 0.5) < 0.02
+
+    def test_a_mask_function_is_refused(self):
+        # a mask function was called as given: np.arange(4) counted three of
+        # 1011's positions and missed the one at position 2
+        for rule in (SELECTION_RULES["evens"], lambda x: np.arange(4)):
+            with pytest.raises(DomainError, match="unknown selection rule"):
+                apply_selection(rule, "1011")
 
     def test_mask_matches_streaming_decide(self):
         # each rule's streaming definition: may position i be counted,
@@ -309,7 +317,7 @@ class TestSelectionRules:
         # numpy reports its buffers to tracemalloc; an int64 mask or prefix
         # sum would take 8 bytes per bit
         x = bit_stream(5, 1 << 20)
-        assert traced_peak(apply_selection, SELECTION_RULES[name], x) <= 3 * x.size
+        assert traced_peak(apply_selection, name, x) <= 3 * x.size
 
     # the stream entry points that already hold O(1) bytes per bit: the
     # stream, its majority votes, and its corrupted copy
@@ -325,7 +333,7 @@ class TestSelectionRules:
 
     def test_identity_rule_equals_frequency_on_all_positions(self):
         x = bit_stream(12, 500)
-        rep = apply_selection(SELECTION_RULES["all"], x)
+        rep = apply_selection("all", x)
         [on_all] = frequency_on_set(x, range(500), [500])
         assert (rep.ones_count, rep.positions_examined) == (on_all.ones_count,
                                                             on_all.positions_examined)
@@ -335,6 +343,10 @@ class TestFrequencyOnSet:
     def test_alternating_on_evens(self):
         reports = frequency_on_set("10" * 50, range(0, 100, 2), [2, 10, 100])
         assert [r.relative_frequency for r in reports] == [1.0, 1.0, 1.0]
+
+    def test_reports_follow_the_checkpoints_given(self):
+        reports = frequency_on_set("1100", range(4), [4, 1, 2])
+        assert reports == [FrequencyReport(4, 2), FrequencyReport(1, 1), FrequencyReport(2, 2)]
 
     def test_empty_intersection_is_undefined_not_error(self):
         [r] = frequency_on_set("1111", {3}, [2])
