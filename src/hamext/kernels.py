@@ -24,20 +24,25 @@ def distance_to_set(ind: np.ndarray, n: int) -> np.ndarray:
     """dist[..., v] = min over members u of popcount(v ^ u); n+1 for an empty set.
 
     The last axis of `ind` indexes the 2^n vertices; any leading axes
-    batch independent sets, each swept on its own. Hamming distance sums
-    one term per coordinate, so one min-plus pass per coordinate (each
-    vertex against its partner across that coordinate) is exact. Values
-    stay within n+2, far inside int8 for any n whose 2^n-entry array
-    fits in memory.
+    batch independent sets, each swept on its own, in any memory layout.
+    Hamming distance sums one term per coordinate, so one min-plus pass
+    per coordinate (each vertex against its partner across that
+    coordinate) is exact. The passes run vertex-major, on one C-ordered
+    (2^n, sets) array, so each pairs contiguous runs of whole vertex rows
+    rather than short strided runs of one set; the result is its
+    transposed view. Values stay within n+2, far inside int8 for any n
+    whose 2^n-entry array fits in memory.
     """
     if np.shape(ind)[-1:] != (1 << n,):
         raise DimensionError(f"last axis must hold the 2^{n} vertices, got shape {np.shape(ind)}")
-    dist = np.multiply(~np.asarray(ind, dtype=np.bool_), np.int8(n + 1), dtype=np.int8)
-    batch = dist.shape[:-1]
+    sets = np.asarray(ind, dtype=np.bool_).reshape(-1, 1 << n)
+    # order="C": the product of a transposed view would keep its F order,
+    # and the reshapes below would then copy instead of passing in place
+    dist = np.multiply(~sets.T, np.int8(n + 1), dtype=np.int8, order="C")
     for i in range(n):
-        pairs = dist.reshape(batch + (1 << (n - 1 - i), 2, 1 << i))
-        np.minimum(pairs, pairs[..., ::-1, :] + np.int8(1), out=pairs)
-    return dist
+        pairs = dist.reshape(1 << (n - 1 - i), 2, sets.shape[0] << i)
+        np.minimum(pairs, pairs[:, ::-1] + np.int8(1), out=pairs)
+    return dist.T.reshape(np.shape(ind))
 
 
 # ---------------------------------------------------------------------------

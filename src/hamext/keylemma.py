@@ -12,7 +12,6 @@ over 2^n.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
@@ -33,14 +32,17 @@ def _contained_counts(inside: np.ndarray, n: int) -> np.ndarray:
     and d = 0..n, the points whose radius-d ball stays inside it.
 
     A point fails iff it lies within d of the complement, so the count
-    is 2^n minus the points at distance <= d from the complement. An
-    empty complement sits at distance n+1 from every point and never
+    is 2^n minus the points at distance <= d from the complement: one
+    histogram of each row's distances (0..n+1), summed up cumulatively.
+    An empty complement sits at distance n+1 from every point and never
     counts. Every row's complement goes through one distance_to_set
     call.
     """
     dist = kernels.distance_to_set(~inside, n)
-    return (1 << n) - np.stack([np.count_nonzero(dist <= d, axis=-1) for d in range(n + 1)],
-                               axis=-1)
+    hist = np.empty((dist.shape[0], n + 2), dtype=np.int64)
+    for row, h in zip(dist, hist):
+        h[:] = np.bincount(row, minlength=n + 2)
+    return (1 << n) - np.cumsum(hist[:, :-1], axis=1)
 
 
 def containment_profile(family: EventFamily) -> list[Fraction]:
@@ -106,32 +108,32 @@ def verify_key_lemma(n: int, trials: int, p_threshold: Fraction, seed: int) -> d
     stress = adversarial_families(n, max_size, r_max, draw)
     labels = [f"sampled #{t}" for t in range(trials)] + [label for label, _ in stress]
     inside = np.vstack([sampled, *(mask for _, mask in stress)])
-    sizes = np.count_nonzero(inside, axis=1).tolist()
+    sizes = np.count_nonzero(inside, axis=1)
 
-    def tail(t: int) -> int:
-        return tails[t] if t >= 0 else 0
-
-    counts = _contained_counts(inside, n).tolist()
+    # tail(t) = b(n, t), 0 for t < 0, is padded[t + n + 1] for every t
+    # the rows read (r - d and r + 1 - d, within -n-1..n); every count
+    # and tail is at most 2^16, inside int64
+    padded = np.array([0] * (n + 1) + tails, dtype=np.int64)
+    brackets = np.searchsorted(padded[n + 1:], sizes, side="right") - 1  # r, per family
+    shifted = brackets[:, None] + n + 1 - np.arange(n + 1)  # (families, n+1): r - d + n + 1
+    counts = _contained_counts(inside, n)
+    bounds = padded[shifted + 1]
+    violations = int(np.count_nonzero(counts > bounds))
+    is_tight = counts == padded[shifted]
     # one Fraction per distinct numerator; the report rows share them
-    over_total = {k: Fraction(k, total) for k in {0, *tails, *chain.from_iterable(counts)}}
-    families = []
-    violations = 0
-    for label, size, contained in zip(labels, sizes, counts):
-        r = bracket(tails, size)
-        rows = []
-        tight_at = []
-        for d, exact in enumerate(contained):
-            bound = tail(r + 1 - d)
-            rows.append({"d": d, "exact": over_total[exact], "bound": over_total[bound]})
-            if exact > bound:
-                violations += 1
-            if exact == tail(r - d):
-                tight_at.append(d)
-        families.append({"label": label, "n": n, "size": size, "r": r,
-                         "rows": rows, "tight_at": tight_at})
+    over_total = {k: Fraction(k, total) for k in {0, *tails, *counts.ravel().tolist()}}
+    families = [
+        {"label": label, "n": n, "size": size, "r": r,
+         "rows": [{"d": d, "exact": over_total[e], "bound": over_total[b]}
+                  for d, (e, b) in enumerate(zip(exact, bound))],
+         "tight_at": [d for d, hit in enumerate(tight) if hit]}
+        for label, size, r, exact, bound, tight in zip(
+            labels, sizes.tolist(), brackets.tolist(), counts.tolist(), bounds.tolist(),
+            is_tight.tolist())]
     modulus = {}
     for j in range(1, 9):
         # q_{r_max+1-d} <= 2^-j  <=>  b(n, r_max+1-d) * 2^j <= 2^n
-        modulus[j] = next((d for d in range(n + 2) if tail(r_max + 1 - d) << j <= total), None)
+        modulus[j] = next((d for d in range(n + 2) if padded[r_max + n + 2 - d] << j <= total),
+                          None)
     return {"n": n, "trials": trials, "p_threshold": p_threshold, "seed": seed,
             "violations": violations, "families": families, "modulus": modulus}

@@ -728,7 +728,7 @@ class TestPipelines:
         run(["keylemma", "--n", 3, "--trials", 2, "--threshold", "1/3", "--out-dir", tmp_path])
         assert read_json(tmp_path / "keylemma.json")["p_threshold"] == {"num": 1, "den": 3}
 
-    def test_keylemma_violations_exit(self, tmp_path):
+    def test_keylemma_without_violations_exits_zero(self, tmp_path):
         assert run(["keylemma", "--n", 5, "--trials", 10, "--seed", 1,
                     "--out-dir", tmp_path]) == 0
         doc = read_json(tmp_path / "keylemma.json")

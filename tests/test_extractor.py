@@ -264,6 +264,12 @@ class TestMakeSchedule:
         assert not [v for v in check_schedule(sched, g, [8, 11]) if "partial sum" in v]
         assert len([v for v in check_schedule(sched, g, [3, 6]) if "partial sum" in v]) == 2
 
+    def test_rechecker_names_a_block_below_the_earlier_sum(self):
+        # 3 < 2 + 2; a zero budget keeps every block inside its decay bound
+        sched = BlockSchedule.from_sizes((2, 2, 3))
+        assert check_schedule(sched, parse_budget("table:0")) == [
+            "block 2 smaller than sum of earlier blocks"]
+
     def test_rechecker_catches_bad_schedules(self):
         g = parse_budget("power:1/3")
         bad = BlockSchedule.from_sizes((1, 64, 4096))

@@ -49,6 +49,22 @@ def test_batched_distance_matches_single_sets(case):
     assert kernels.distance_to_set(batch[:0], n).shape == (0, size)
 
 
+@pytest.mark.parametrize("layout", ["fortran", "transposed", "three-axis", "one-row"])
+def test_distance_does_not_depend_on_the_input_layout(layout):
+    # the sweep transposes to vertex-major and back, so a batch in any
+    # memory order, or with any number of batch axes, gives each set's row
+    n = 5
+    rows = rng().random((6, 1 << n)) < 0.2
+    batch = {"fortran": np.asfortranarray(rows),
+             "transposed": np.ascontiguousarray(rows.T).T[::-1],  # neither C nor F order
+             "three-axis": rows.reshape(2, 3, 1 << n),
+             "one-row": rows[3]}[layout]
+    dist = kernels.distance_to_set(batch, n)
+    assert dist.dtype == np.int8 and dist.shape == batch.shape
+    expect = [_distance_oracle(row, n) for row in batch.reshape(-1, 1 << n)]
+    assert dist.reshape(-1, 1 << n).tolist() == expect
+
+
 def test_distance_needs_the_whole_cube_on_the_last_axis():
     for shape in ((8,), (2, 8), (16, 2)):
         with pytest.raises(DimensionError):

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hamext import keylemma, kernels
+from hamext.acceptance import crit_key_lemma
+from hamext.cli import main
 from hamext.cube import EventFamily, binomial_tail, binomial_tails, bracket, make_sphere
 from hamext.errors import DomainError, ResourceError
 from hamext.keylemma import TRIALS_CEILING, containment_profile, verify_key_lemma
@@ -217,3 +220,61 @@ class TestVerifyKeyLemma:
         report = verify_key_lemma(n, 200, Fraction(1, 2), 1000 + n)
         text = json.dumps(report, sort_keys=True, default=str)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    # the membership rows, their complements and the int8 distances peak
+    # near 5 bytes per family-vertex; one bincount over a flattened int64
+    # (families, 2^n) index array, in place of one per row, read 19
+    @pytest.mark.parametrize("n, trials", [(12, 200), (16, 64)])
+    def test_peak_at_most_six_bytes_per_family_vertex(self, n, trials):
+        tracemalloc.start()
+        try:
+            report = verify_key_lemma(n, trials, Fraction(1, 2), 1000 + n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * (len(report["families"]) << n)
+
+
+def raise_counts(monkeypatch, cells):
+    """Make _contained_counts report the whole cube, 2^n, at every
+    (family row, d) of `cells`: more than any proper family's shifted
+    tail, and more than the preceding tail a tight row equals."""
+    original = keylemma._contained_counts
+
+    def counts(inside, n):
+        out = original(inside, n)
+        for row, d in cells:
+            out[row, d] = 1 << n
+        return out
+
+    monkeypatch.setattr(keylemma, "_contained_counts", counts)
+
+
+class TestAViolationIsReported:
+    def test_report_counts_each_row_over_its_bound(self, monkeypatch):
+        clean = verify_key_lemma(6, 3, Fraction(1, 2), 4)
+        ball = next(i for i, fam in enumerate(clean["families"]) if fam["label"].startswith("ball "))
+        cells = [(0, 1), (ball, 2), (ball, 4)]
+        raise_counts(monkeypatch, cells)
+        report = verify_key_lemma(6, 3, Fraction(1, 2), 4)
+        assert clean["violations"] == 0 and report["violations"] == len(cells)
+        for row, d in cells:
+            line = report["families"][row]["rows"][d]
+            assert line["exact"] == 1 > line["bound"]
+        assert clean["families"][ball]["tight_at"] == list(range(7))
+        assert report["families"][ball]["tight_at"] == [0, 1, 3, 5, 6]
+        untouched = [i for i in range(len(clean["families"])) if i not in (0, ball)]
+        assert [report["families"][i] for i in untouched] == [clean["families"][i] for i in untouched]
+
+    def test_criterion_eight_fails_and_names_the_count(self, monkeypatch):
+        raise_counts(monkeypatch, [(0, 1)])  # once per n = 4..12
+        result = crit_key_lemma()
+        assert result.passed is False
+        assert result.detail == "violations 9, non-tight ball families []"
+
+    def test_cli_exits_two_and_still_writes_the_report(self, monkeypatch, tmp_path):
+        raise_counts(monkeypatch, [(0, 1), (0, 2)])
+        assert main(["keylemma", "--n", "5", "--trials", "10", "--seed", "1",
+                     "--out-dir", str(tmp_path)]) == 2
+        doc = json.loads((tmp_path / "keylemma.json").read_text())
+        assert doc["violations"] == 2

@@ -265,6 +265,13 @@ class TestSparseSubsequence:
         assert threshold == 0
         assert weber_series(nu, 12).p_counts == list(range(1, 13))
 
+    def test_rate_falling_right_after_an_admission_sets_the_threshold(self):
+        # block 2 is admitted at f(2) = 1 >= ln 2, but f(3) = 0 < ln 2 on
+        # that same block, so the threshold moves to its top point 2^2
+        nu, threshold = sparse_subsequence(lambda k: 1.0 if k <= 2 else 0.0, 2)
+        assert (nu, threshold) == ([2, 4], 4)
+        assert weber_series(nu, 2).log_rate(3) > 0.0
+
     def test_eventual_constant_rate(self):
         f = lambda k: 0.0 if k < 64 else 10.0
         nu, threshold = sparse_subsequence(f, 16)
