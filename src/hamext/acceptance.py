@@ -138,44 +138,52 @@ def crit_output_bias() -> CriterionResult:
                            f"clean frequency {clean_freq:.4f}")
 
 
+def harper_rows(n: int) -> list[tuple[int, int, int, int, bool]]:
+    """(size, d, exhaustive minimum, canonical sphere's, whether they are
+    equal) for every size and radius at dimension n; criterion 5 and
+    `hamext harper` read these rows."""
+    harper_min_neighborhood(n, 0, 0)  # refuses a negative n or one past its ceiling
+    return [(size, d, mn, sphere, mn == sphere)
+            for size in range((1 << n) + 1) for d in range(n + 1)
+            for mn, sphere in [harper_min_neighborhood(n, size, d)]]
+
+
+def clt_rows(ns) -> list[tuple[int, float, float, bool]]:
+    """(n, exact lattice CDF gap, 0.71/sqrt(n), whether the gap is within
+    it) per n; criterion 6 and `hamext clt-check` read these rows."""
+    return [(n, gap, bound, gap <= bound) for n in ns
+            for gap, bound in [(binomial_cdf_gap(n), berry_esseen_bound(n))]]
+
+
+def small_ball_rows(ns, g) -> list[tuple[int, int, Fraction, float, bool]]:
+    """(n, g(n), exact P(|S_n| <= g(n)), its envelope, whether it is within
+    the envelope) per n; criterion 7 and `hamext smallball` read these rows."""
+    return [(n, g(n), exact, bound, float(exact) <= bound) for n in ns
+            for exact, bound in [(small_ball_probability(n, g(n)), small_ball_bound(n, g(n)))]]
+
+
 def crit_harper_exhaustive() -> CriterionResult:
     """n in {2,3,4}, every size and radius: exhaustive minimum equals
     the canonical-sphere neighborhood size."""
-    mismatches = []
-    checked = 0
-    for n in (2, 3, 4):
-        for size in range((1 << n) + 1):
-            for d in range(n + 1):
-                mn, sph = harper_min_neighborhood(n, size, d)
-                checked += 1
-                if mn != sph:
-                    mismatches.append((n, size, d, mn, sph))
+    rows = [(n, *row) for n in (2, 3, 4) for row in harper_rows(n)]
+    mismatches = [row[:5] for row in rows if not row[5]]
     return CriterionResult(5, "isoperimetric minimum vs canonical sphere (n<=4)",
-                           not mismatches, f"{checked} cases, mismatches: {mismatches[:4]}")
+                           not mismatches, f"{len(rows)} cases, mismatches: {mismatches[:4]}")
 
 
 def crit_clt_gap() -> CriterionResult:
     """Exact binomial-vs-normal lattice gap within 0.71/sqrt(n)."""
-    rows = []
-    ok = True
-    for n in (10, 100, 1000, 10000):
-        gap, bound = binomial_cdf_gap(n), berry_esseen_bound(n)
-        ok &= gap <= bound
-        rows.append(f"n={n}: {gap:.6f} <= {bound:.6f}")
-    return CriterionResult(6, "CLT gap vs explicit constant", ok, "; ".join(rows))
+    rows = clt_rows((10, 100, 1000, 10000))
+    return CriterionResult(6, "CLT gap vs explicit constant", all(row[3] for row in rows),
+                           "; ".join(f"n={n}: {gap:.6f} {'<=' if ok else '>'} {bound:.6f}"
+                                     for n, gap, bound, ok in rows))
 
 
 def crit_small_ball() -> CriterionResult:
     """Exact P(|S_n| <= ceil(n^(1/3))) within its explicit envelope for
     n = 16..4096 (powers of two)."""
-    g = parse_budget("power:1/3")
-    bad = []
-    for e in range(4, 13):
-        n = 1 << e
-        exact = small_ball_probability(n, g(n))
-        bound = small_ball_bound(n, g(n))
-        if float(exact) > bound:
-            bad.append(n)
+    rows = small_ball_rows([1 << e for e in range(4, 13)], parse_budget("power:1/3"))
+    bad = [row[0] for row in rows if not row[4]]
     return CriterionResult(7, "small-ball probability envelope", not bad,
                            f"n in 16..4096, violations: {bad}")
 
@@ -206,19 +214,16 @@ def crit_weber() -> CriterionResult:
     every k <= 2^20, and the naturals hit every dyadic block."""
     nu, threshold = sparse_subsequence(lnln, 20)
     series = weber_series(nu, 20)
-    ok = True
-    for m in range(1, 21):
-        low = (1 << (m - 1)) + 1
-        if low > threshold and series.log_rate(low) > lnln(low):
-            ok = False  # rate is constant per block and lnln nondecreasing
-    for k in (2, 3, 100, 12345, 1 << 19, 1 << 20):
-        if k > threshold and series.log_rate(k) > lnln(k):
-            ok = False
-    naturals = weber_series(range(1, (1 << 20) + 1), 20)
-    ok &= naturals.p_counts == list(range(1, 21))
-    return CriterionResult(9, "dyadic hit-rate construction (k <= 2^20)", ok,
-                           f"|nu| = {len(nu)}, threshold {threshold}, naturals p_n = n: "
-                           f"{naturals.p_counts == list(range(1, 21))}")
+    # the rate is constant per block and lnln nondecreasing, so each block's
+    # lowest k stands for the block
+    ks = sorted({*((1 << (m - 1)) + 1 for m in range(1, 21)), 100, 12345, 1 << 19, 1 << 20})
+    over = [k for k in ks if k > threshold and series.log_rate(k) > lnln(k)]
+    naturals = weber_series(range(1, (1 << 20) + 1), 20).p_counts == list(range(1, 21))
+    detail = f"|nu| = {len(nu)}, threshold {threshold}, naturals p_n = n: {naturals}"
+    if over:
+        detail += f"; rate above lnln at k {over[:4]}"
+    return CriterionResult(9, "dyadic hit-rate construction (k <= 2^20)",
+                           naturals and not over, detail)
 
 
 def crit_lil_smoke() -> CriterionResult:

@@ -7,9 +7,10 @@ alone writes that into --out-dir (see _write). Runs are reproducible:
 all randomness flows from --seed through Philox, no report contains a
 timestamp, and identical configurations produce byte-identical files.
 
-Exit codes: 0 success, 2 contract/configuration violation, 3 resource
-ceiling or an allocation the machine refuses. Violations also emit a
-machine-readable JSON error object on stderr.
+Exit codes: 0 success, 2 contract/configuration violation or a failed
+claim (a run whose check fails still writes its report), 3 resource
+ceiling or an allocation the machine refuses. Violations and refusals
+also emit a machine-readable JSON error object on stderr.
 """
 
 from __future__ import annotations
@@ -26,18 +27,15 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from .acceptance import ALL_CRITERIA
+from .acceptance import ALL_CRITERIA, clt_rows, harper_rows, small_ball_rows
 from .adversary import corrupt, stages_from_blocks, verify_similarity
 from .bits import read_packed_bits, read_text_bits, to_text, write_packed_bits
 from .budgets import lnln, parse_budget
-from .cube import harper_min_neighborhood
 from .errors import ConfigError, HamextError, ResourceError
 from .extractor import BlockSchedule, extract, make_schedule, psi_deviation
 from .keylemma import verify_key_lemma
 from .rng import bit_stream
-from .stats import (apply_selection, berry_esseen_bound, binomial_cdf_gap, majority_refinement,
-                    small_ball_bound, small_ball_probability, sparse_subsequence,
-                    weber_series)
+from .stats import apply_selection, majority_refinement, sparse_subsequence, weber_series
 
 
 def _fraction(x) -> dict:
@@ -89,13 +87,14 @@ _Y_FILE = "y.bits"
 class Run(NamedTuple):
     """What a subcommand found: the report body, the summary printed on
     stdout, an optional CSV side table (header, rows), the packed stream
-    corrupt writes to _Y_FILE, and the exit code."""
+    corrupt writes to _Y_FILE, and whether every claim the run checked
+    held; main writes the report either way and exits 2 on a failed one."""
 
     payload: dict
     summary: str
     table: Optional[tuple[list[str], list]] = None
     stream: Optional[np.ndarray] = None
-    code: int = 0
+    passed: bool = True
 
 
 def _write(out_dir: Path, cfg: dict, run: Run) -> None:
@@ -180,51 +179,36 @@ def cmd_corrupt(cfg: dict) -> Run:
 
 def cmd_harper(cfg: dict) -> Run:
     n = _option(cfg, "n", int, 3)
-    harper_min_neighborhood(n, 0, 0)  # refuses a negative n or one past its ceiling
-    rows = []
-    equal = True
-    for size in range((1 << n) + 1):
-        for d in range(n + 1):
-            mn, sphere = harper_min_neighborhood(n, size, d)
-            rows.append((n, size, d, mn, sphere))
-            equal &= mn == sphere
+    rows = harper_rows(n)
+    equal = all(row[4] for row in rows)
     return Run({"n": n, "all_equal": equal,
-                "rows": [{"size": s, "d": d, "min": m, "sphere": sp}
-                         for _, s, d, m, sp in rows]},
+                "rows": [{"size": s, "d": d, "min": m, "sphere": sp} for s, d, m, sp, _ in rows]},
                f"harper n={n}: {len(rows)} cases, minima all equal canonical spheres: {equal}",
-               (["n", "size", "d", "exhaustive_min", "sphere_value"], rows))
+               (["n", "size", "d", "exhaustive_min", "sphere_value"],
+                [(n, *row[:4]) for row in rows]), passed=equal)
 
 
 def cmd_clt_check(cfg: dict) -> Run:
-    ns = _option(cfg, "n-list", _int_list, "10,100,1000,10000")
-    rows = []
-    ok = True
-    for n in ns:
-        gap, bound = binomial_cdf_gap(n), berry_esseen_bound(n)
-        rows.append((n, repr(gap), repr(bound), gap <= bound))
-        ok &= gap <= bound
+    rows = [(n, repr(gap), repr(bound), ok) for n, gap, bound, ok
+            in clt_rows(_option(cfg, "n-list", _int_list, "10,100,1000,10000"))]
+    ok = all(row[3] for row in rows)
     return Run({"within_bound": ok,
                 "rows": [{"n": n, "gap": g, "bound": b, "ok": o} for n, g, b, o in rows]},
                f"clt-check: {len(rows)} sizes, all within 0.71/sqrt(n): {ok}",
-               (["n", "gap", "bound", "ok"], rows))
+               (["n", "gap", "bound", "ok"], rows), passed=ok)
 
 
 def cmd_smallball(cfg: dict) -> Run:
     ns = _option(cfg, "n-list", _int_list, "16,64,256,1024,4096")
     g = parse_budget(cfg.get("budget", "power:1/3"))
-    rows = []
-    ok = True
-    for n in ns:
-        exact = small_ball_probability(n, g(n))
-        bound = small_ball_bound(n, g(n))
-        rows.append((n, g(n), exact.numerator, exact.denominator, repr(bound),
-                     float(exact) <= bound))
-        ok &= float(exact) <= bound
+    rows = [(n, gn, exact.numerator, exact.denominator, repr(bound), ok)
+            for n, gn, exact, bound, ok in small_ball_rows(ns, g)]
+    ok = all(row[5] for row in rows)
     return Run({"budget": g.token, "within_bound": ok,
-                "rows": [{"n": n, "g": gg, "exact_num": num, "exact_den": den,
-                          "bound": b, "ok": o} for n, gg, num, den, b, o in rows]},
+                "rows": [{"n": n, "g": gn, "exact_num": num, "exact_den": den,
+                          "bound": b, "ok": o} for n, gn, num, den, b, o in rows]},
                f"smallball: {len(rows)} sizes, exact within envelope: {ok}",
-               (["n", "g", "exact_num", "exact_den", "bound", "ok"], rows))
+               (["n", "g", "exact_num", "exact_den", "bound", "ok"], rows), passed=ok)
 
 
 def cmd_lil(cfg: dict) -> Run:
@@ -269,7 +253,7 @@ def cmd_keylemma(cfg: dict) -> Run:
     report = verify_key_lemma(n, trials, threshold, _option(cfg, "seed", int, 0))
     return Run(report, f"keylemma n={n}: {len(report['families'])} families, "
                        f"{report['violations']} violations",
-               code=0 if report["violations"] == 0 else 2)
+               passed=report["violations"] == 0)
 
 
 def cmd_select(cfg: dict) -> Run:
@@ -305,7 +289,7 @@ def cmd_suite(cfg: dict) -> Run:
     return Run({"all_passed": passed,
                 "criteria": [{"number": r.number, "name": r.name,
                               "passed": r.passed, "detail": r.detail} for r in results]},
-               "\n".join(lines), code=0 if passed else 2)
+               "\n".join(lines), passed=passed)
 
 
 # One row per subcommand: its handler, its help text and the option keys
@@ -410,7 +394,7 @@ def main(argv=None) -> int:
         run = _COMMANDS[args.command][0](cfg)
         _write(Path(args.out_dir), cfg, run)
         print(run.summary)
-        return run.code
+        return 0 if run.passed else 2
     except (ResourceError, MemoryError) as exc:  # numpy refuses a huge allocation at once
         print(json.dumps({"error": "resource", "message": str(exc)}), file=sys.stderr)
         return 3

@@ -2,9 +2,12 @@
 pass/fail line. Every criterion is deterministic (fixed Philox seeds).
 """
 
+import numpy as np
 import pytest
 
+from hamext import acceptance, kernels
 from hamext.acceptance import ALL_CRITERIA, crit_adversary_soundness, crit_output_bias
+from hamext.keylemma import verify_key_lemma
 
 # Every criterion is deterministic, so its detail line is pinned: a speed-up
 # that changes what the suite reports shows up here.
@@ -39,3 +42,69 @@ def test_criterion(runner):
 def test_shared_adversary_runs_give_identical_results(runner):
     first, second = runner(), runner()
     assert (first.passed, first.detail) == (second.passed, second.detail)
+
+
+def wrong_at(real, case, answer):
+    """real, except that a call whose leading arguments are `case` returns
+    answer(what real returns)."""
+    return lambda *args: answer(real(*args)) if args[:len(case)] == case else real(*args)
+
+
+def tampered_adversary_runs(shared=acceptance._adversary_runs):
+    """The shared runs with seed 1 broken four ways: its stage 0 unforced,
+    with a flip outside its window, a target left at 1 and its prefix
+    budget violated."""
+    sched, adv, p, runs = shared()
+    first = runs[0]
+    stage0 = first.per_stage[0]._replace(forced=False, flips=[-1])
+    first = first._replace(per_stage=(stage0, *first.per_stage[1:]), prefix_ok=False,
+                           corrupted_targets=(1, *first.corrupted_targets[1:]))
+    return sched, adv, p, (first, *runs[1:])
+
+
+def loosened_balls(n, **kwargs):
+    """verify_key_lemma's report with every ball family no longer tight at
+    d = 0 (test_keylemma.py makes criterion 8 count violations)."""
+    report = verify_key_lemma(n, **kwargs)
+    for fam in report["families"]:
+        if fam["label"].startswith("ball "):
+            fam["tight_at"] = fam["tight_at"][1:]
+            fam["rows"][0]["exact"] /= 2
+    return report
+
+
+# One wrong library answer per criterion, swapped in where the criterion
+# reads it: (criterion, attribute, its stand-in, the words of the failing
+# detail that name the case)
+FAILING = [
+    (1, (kernels, "all_outputs"), lambda *args: np.zeros(256, dtype=np.uint32),
+     "bit ones [0, 0], pair counts [256, 0, 0, 0]"),
+    (2, (kernels, "robustness_violations"), lambda *args: 3, "16384 inputs, 3 violations"),
+    (3, (acceptance, "_adversary_runs"), tampered_adversary_runs,
+     "; seed 1 stage 0 unforced/overranged; seed 1 stage 0 flip outside window; "
+     "seed 1: targeted output not 0 after re-extraction; seed 1: prefix budget violated"),
+    (4, (acceptance, "_adversary_runs"), tampered_adversary_runs, "corrupted frequency 1/400"),
+    (5, (acceptance, "harper_min_neighborhood"),
+     wrong_at(acceptance.harper_min_neighborhood, (3, 2, 1), lambda r: (r[0] + 1, r[1])),
+     "mismatches: [(3, 2, 1, 7, 6)]"),
+    (6, (acceptance, "berry_esseen_bound"),
+     wrong_at(acceptance.berry_esseen_bound, (100,), lambda bound: 0.01),
+     "n=100: 0.039795 > 0.010000"),
+    (7, (acceptance, "small_ball_bound"),
+     wrong_at(acceptance.small_ball_bound, (256,), lambda bound: 0.0), "violations: [256]"),
+    (8, (acceptance, "verify_key_lemma"), loosened_balls, "non-tight ball families [(4, 'ball "),
+    (9, (acceptance, "sparse_subsequence"),
+     lambda f, n_max: ([1 << m for m in range(1, n_max + 1)], 0),  # every block hit
+     "rate above lnln at k [5, 9, 17, 33]"),
+    (10, (acceptance, "bit_stream"), lambda seed, length: np.zeros(length, dtype=np.uint8),
+     "0/64 maxima in [0.5, 1.6]"),
+]
+
+
+@pytest.mark.parametrize("number, target, stand_in, named", FAILING,
+                         ids=[f"criterion-{row[0]}" for row in FAILING])
+def test_a_wrong_answer_fails_its_criterion(monkeypatch, number, target, stand_in, named):
+    monkeypatch.setattr(*target, stand_in)
+    result = ALL_CRITERIA[number - 1]()
+    assert result.passed is False
+    assert named in result.detail

@@ -19,6 +19,10 @@ def test_as_bits_rejects_garbage():
         as_bits("01x1")
     with pytest.raises(DomainError):
         as_bits([0, 2, 1])
+    with pytest.raises(DomainError):
+        as_bits(np.array([0, 2, 1], dtype=np.uint8))
+    with pytest.raises(DomainError):
+        as_bits(np.zeros((2, 3), dtype=np.uint8))
 
 
 @pytest.mark.parametrize("values", [[-1], [0, -1, 1], [0.5], [1, 0.5], [0, 2 ** 70]])
@@ -73,9 +77,10 @@ def test_packed_header_is_length_little_endian(tmp_path):
 
 def test_packed_truncation_detected(tmp_path):
     path = tmp_path / "x.bits"
-    path.write_bytes((100).to_bytes(8, "little") + b"\x01")
-    with pytest.raises(DomainError):
-        read_packed_bits(path)
+    for raw in ((100).to_bytes(8, "little") + b"\x01", b"\x05\x00\x00"):  # payload, header
+        path.write_bytes(raw)
+        with pytest.raises(DomainError):
+            read_packed_bits(path)
 
 
 @pytest.mark.parametrize("payload", [b"\x1f\x00\x00\x00", b"\x3f"],

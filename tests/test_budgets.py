@@ -162,6 +162,7 @@ class TestModulus:
         assert parse_budget("table:7").divergence_modulus(2) is None
         assert parse_budget("power:1/2").divergence_modulus(2) is None
         assert parse_budget("power:1/3").divergence_modulus(2) is None
+        assert parse_budget("affine_sqrt:0:1").divergence_modulus(2) is None
 
 
 class TestTokens:

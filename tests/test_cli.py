@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamext.bits import read_packed_bits, write_packed_bits, write_text_bits
-from hamext.cli import main
+from hamext.cli import _fraction, main
 from hamext.errors import ConfigError
 from hamext.extractor import BlockSchedule
 from hamext.rng import bit_stream
@@ -133,6 +133,33 @@ def test_suite_prints_one_line_per_criterion(tmp_path, capsys):
     assert [line.split(":")[0] for line in lines] == [
         f"[PASS] criterion {k}" for k in range(1, 11)]
     assert read_json(tmp_path / "suite.json")["all_passed"] is True
+
+
+def test_suite_with_a_failing_criterion_exits_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("hamext.acceptance.small_ball_bound", lambda n, g: 0.0)
+    assert run(["suite", "--out-dir", tmp_path]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("]")[0] for line in lines] == ["[PASS"] * 6 + ["[FAIL"] + ["[PASS"] * 3
+    assert read_json(tmp_path / "suite.json")["all_passed"] is False
+
+
+# A wrong library answer, swapped in where the row function the command
+# shares with its criterion reads it, fails the command's claim: the
+# report is still written, with its verdict false, and the run exits 2.
+@pytest.mark.parametrize("args, name, verdict, target, stand_in", [
+    (["harper", "--n", 2], "harper.json", "all_equal",
+     "harper_min_neighborhood", lambda n, size, d: (0, 1)),
+    (["clt-check", "--n-list", 10], "clt_check.json", "within_bound",
+     "berry_esseen_bound", lambda n: 0.0),
+    (["smallball", "--n-list", 16], "smallball.json", "within_bound",
+     "small_ball_bound", lambda n, g: 0.0),
+], ids=["harper", "clt-check", "smallball"])
+def test_a_failed_claim_exits_two_with_its_report(tmp_path, monkeypatch, capsys,
+                                                  args, name, verdict, target, stand_in):
+    monkeypatch.setattr(f"hamext.acceptance.{target}", stand_in)
+    assert run([*args, "--out-dir", tmp_path]) == 2
+    assert read_json(tmp_path / name)[verdict] is False
+    assert capsys.readouterr().out.endswith(": False\n")
 
 
 # The files each subcommand writes: its report, its side table when it
@@ -596,6 +623,10 @@ class TestExitCodes:
         path.write_bytes(b"0" * 64 + b"\xff\n")  # sniffed as text by its first 64 bytes
         self.assert_exit_two([*args, path], tmp_path, capsys)
 
+    def test_stream_input_of_two_strings_is_two(self, tmp_path, capsys):
+        write_text_bits(tmp_path / "lines.txt", ["0110", "1010"])
+        self.assert_exit_two(["lil", "--input", tmp_path / "lines.txt"], tmp_path, capsys)
+
     @pytest.mark.parametrize("args", [["--n", -1], ["--nu", "2,4", "--n", 0]],
                              ids=["sparse-n-negative", "series-n-zero"])
     def test_weber_n_below_one_is_two(self, tmp_path, capsys, args):
@@ -727,6 +758,10 @@ class TestPipelines:
     def test_keylemma_writes_a_non_dyadic_threshold_as_num_den(self, tmp_path):
         run(["keylemma", "--n", 3, "--trials", 2, "--threshold", "1/3", "--out-dir", tmp_path])
         assert read_json(tmp_path / "keylemma.json")["p_threshold"] == {"num": 1, "den": 3}
+
+    def test_report_hook_writes_nothing_but_a_fraction(self):
+        with pytest.raises(TypeError, match="set is not JSON serializable"):
+            json.dumps({"x": {1}}, default=_fraction)
 
     def test_keylemma_without_violations_exits_zero(self, tmp_path):
         assert run(["keylemma", "--n", 5, "--trials", 10, "--seed", 1,

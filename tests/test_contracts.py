@@ -147,6 +147,14 @@ ROWS = INTEGER_ROWS + [
      ((), ("x",), (1.5,), (-0.5,), 5, None)),
     # a bit string given a value that is not one
     ("SphereSpec center", lambda v: SphereSpec(v, 0, 0), DomainError, (101, "abc", None)),
+    # bit strings whose length does not fit where they go
+    ("force_output_zero_generic oracle_prefix",
+     lambda v: force_output_zero_generic("0101", (1, 3), v, lambda t: 0), DimensionError,
+     ("", "00")),
+    ("similar_g_phi X", lambda v: similar_g_phi(v, v, G, BlockSchedule.from_sizes((3,))),
+     DimensionError, ("10",)),
+    ("EventFamily.from_strings member", lambda v: EventFamily.from_strings(["01", v]),
+     DimensionError, ("1", "011")),
     # text given a value that is not text
     ("parse_budget token", lambda v: parse_budget(v), DomainError, (5, None)),
     ("BlockSchedule.from_text text", lambda v: BlockSchedule.from_text(v), ConfigError, (5, None)),
