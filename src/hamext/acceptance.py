@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernels
 from .adversary import StageRecord, corrupt, stages_from_blocks, verify_similarity
-from .budgets import lnln, parse_budget
+from .budgets import lil_scale, lnln, parse_budget
 from .cube import harper_min_neighborhood
 from .extractor import BlockSchedule, _margins, extract, make_schedule
 from .keylemma import verify_key_lemma
@@ -188,22 +188,33 @@ def crit_small_ball() -> CriterionResult:
                            f"n in 16..4096, violations: {bad}")
 
 
+def non_tight_balls(report: dict) -> list[tuple]:
+    """The ball families of a verify_key_lemma report that are not tight:
+    (n, label) for one that misses a preceding tail at some d, and
+    (n, label, "d=0") for one whose d = 0 row is not its size over 2^n. The
+    key-lemma verdict is this list empty and no violations; criterion 8 and
+    `hamext keylemma` read it."""
+    n = report["n"]
+    loose = []
+    for fam in report["families"]:
+        if fam["label"].startswith("ball "):
+            if fam["tight_at"] != list(range(n + 1)):
+                loose.append((n, fam["label"]))
+            if fam["rows"][0]["exact"] != Fraction(fam["size"], 1 << n):
+                loose.append((n, fam["label"], "d=0"))
+    return loose
+
+
 def crit_key_lemma() -> CriterionResult:
     """n = 4..12, 200 sampled families under P(E) <= 1/2 plus the
     deterministic stress set: containment <= shifted tail at every d,
     and ball families attain every preceding tail exactly."""
     violations = 0
     loose_balls = []
-    for n in range(4, 13):
+    for n in range(4, 13):  # one report alive at a time
         rep = verify_key_lemma(n, trials=200, p_threshold=Fraction(1, 2), seed=1000 + n)
         violations += rep["violations"]
-        for fam in rep["families"]:
-            if fam["label"].startswith("ball "):
-                if fam["tight_at"] != list(range(n + 1)):
-                    loose_balls.append((n, fam["label"]))
-                exact0 = fam["rows"][0]["exact"]
-                if exact0 != Fraction(fam["size"], 1 << n):
-                    loose_balls.append((n, fam["label"], "d=0"))
+        loose_balls += non_tight_balls(rep)
     ok = violations == 0 and not loose_balls
     return CriterionResult(8, "key inequality: ball containment vs shifted tail", ok,
                            f"violations {violations}, non-tight ball families {loose_balls[:3]}")
@@ -213,11 +224,9 @@ def crit_weber() -> CriterionResult:
     """The sparse construction re-verifies against its target rate for
     every k <= 2^20, and the naturals hit every dyadic block."""
     nu, threshold = sparse_subsequence(lnln, 20)
-    series = weber_series(nu, 20)
     # the rate is constant per block and lnln nondecreasing, so each block's
     # lowest k stands for the block
-    ks = sorted({*((1 << (m - 1)) + 1 for m in range(1, 21)), 100, 12345, 1 << 19, 1 << 20})
-    over = [k for k in ks if k > threshold and series.log_rate(k) > lnln(k)]
+    over = [k for _, k, rate in weber_series(nu, 20).log_rates if k > threshold and rate > lnln(k)]
     naturals = weber_series(range(1, (1 << 20) + 1), 20).p_counts == list(range(1, 21))
     detail = f"|nu| = {len(nu)}, threshold {threshold}, naturals p_n = n: {naturals}"
     if over:
@@ -234,7 +243,7 @@ def crit_lil_smoke() -> CriterionResult:
     length = 1 << 20
     cps = [1 << j for j in range(4, 21)]
     segments = [range(a, b) for a, b in pairwise([0, *cps])]  # [0, 16), ..., [2^19, length)
-    denom = np.sqrt([2.0 * n * lnln(n) for n in cps])
+    denom = np.array([lil_scale(n) for n in cps])
     in_range = 0
     maxima = []
     for seed in range(64):

@@ -5,7 +5,7 @@ up. Four kinds, serialized as ``kind:params`` tokens:
 
 * ``power:a/b[:coeff]``      coeff * n^(a/b)
 * ``affine_sqrt:a:c``        a*n + c*sqrt(n)
-* ``table:n0=v0,n1=v1,...``  step function (``table:v`` = constant v)
+* ``table:n0=v0,n1=v1,...``  step function, each length once (``table:v`` = constant v)
 * ``lil:eps``                n/2 + (1-eps)*sqrt(2 n lnln max(n,16)), in floats,
                              so an n past LIL_CEILING raises ResourceError
 
@@ -68,14 +68,20 @@ def lnln(n: int) -> float:
     return math.log(math.log(max(n, 16)))
 
 
+def lil_scale(n: int) -> float:
+    """sqrt(2 n lnln n), the iterated-logarithm scale of a walk's deviation
+    at length n; the lil envelope, psi_deviation and criterion 10 read it."""
+    return math.sqrt(2.0 * n * lnln(n))
+
+
 def lil_envelope(n: int, eps: float) -> float:
-    return n / 2.0 + (1.0 - eps) * math.sqrt(2.0 * n * lnln(n))
+    return n / 2.0 + (1.0 - eps) * lil_scale(n)
 
 
 # the largest n whose lil envelope is a finite float, for every eps: past it
-# 2.0 * n * lnln(n) overflows to inf. It is the largest float that keeps that
-# product finite plus its half ulp, 2^967, which still rounds down to it (a
-# tie goes to the even mantissa).
+# the product under lil_scale's root overflows to inf. It is the largest float
+# that keeps that product finite plus its half ulp, 2^967, which still rounds
+# down to it (a tie goes to the even mantissa).
 LIL_CEILING = int(float.fromhex("0x1.3821ceb3e0796p+1020")) + (1 << 967)
 
 
@@ -104,6 +110,9 @@ class BudgetFunction:
                                   f"got {self.params!r}") from None
             if not params:
                 raise DomainError("table budget needs at least one entry")
+            twice = [n for (n, _), (m, _) in zip(params, params[1:]) if n == m]
+            if twice:
+                raise DomainError(f"table budget sets length {twice[0]} more than once")
             values = [v for _, v in params]
             if values != sorted(values):
                 raise DomainError("table budget values must be nondecreasing")
@@ -201,11 +210,13 @@ def parse_budget(token: str) -> BudgetFunction:
         if kind == "table":
             if "=" not in rest:
                 return BudgetFunction(kind, [(0, int(rest))])
-            return BudgetFunction(kind, [(int(p.split("=")[0]), int(p.split("=")[1]))
-                                         for p in rest.split(",")])
+            entries = [entry.split("=") for entry in rest.split(",")]
+            if any(len(entry) != 2 for entry in entries):
+                raise DomainError("each table entry is exactly length=value")
+            return BudgetFunction(kind, [(int(n), int(v)) for n, v in entries])
         params = rest.split(":")
         if kind == "power" and len(params) == 1:
             params.append(1)  # its default coefficient
         return BudgetFunction(kind, params)
-    except (DomainError, ValueError, IndexError) as exc:
+    except (DomainError, ValueError) as exc:
         raise DomainError(f"malformed budget token {token!r}: {exc}") from None

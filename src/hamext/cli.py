@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from .acceptance import ALL_CRITERIA, clt_rows, harper_rows, small_ball_rows
+from .acceptance import ALL_CRITERIA, clt_rows, harper_rows, non_tight_balls, small_ball_rows
 from .adversary import corrupt, stages_from_blocks, verify_similarity
 from .bits import read_packed_bits, read_text_bits, to_text, write_packed_bits
 from .budgets import lnln, parse_budget
@@ -227,23 +227,19 @@ def cmd_weber(cfg: dict) -> Run:
     n_max = _option(cfg, "n", int, 20)
     if cfg.get("nu"):
         nu = _option(cfg, "nu", _int_list)
-        series = weber_series(nu, n_max)
-        payload = {"mode": "series", "nu": nu, "p_counts": series.p_counts}
-        summary = f"weber series: p_{n_max} = {series.p_counts[-1]}"
+        payload = {"mode": "series"}
     else:
         rate = cfg.get("rate", "lnln")
         nu, threshold = sparse_subsequence(lnln if rate == "lnln" else parse_budget(rate), n_max)
-        series = weber_series(nu, n_max)
-        payload = {"mode": "sparse", "rate": rate, "nu": nu,
-                   "threshold": threshold, "p_counts": series.p_counts}
-        summary = f"weber sparse: |nu| = {len(nu)}, threshold {threshold}"
-    payload["log_rates"] = []
-    for m in range(1, n_max + 1):
-        k_low = (1 << (m - 1)) + 1
-        rate = series.log_rate(k_low)  # JSON has no -inf: an unhit block's is null
-        payload["log_rates"].append({"block": m, "k_low": k_low,
-                                     "log_rate": None if rate == -math.inf else rate})
-    return Run(payload, summary, (["n", "p_count"], list(enumerate(series.p_counts, start=1))))
+        payload = {"mode": "sparse", "rate": rate, "threshold": threshold}
+    series = weber_series(nu, n_max)
+    p_counts = series.p_counts
+    payload.update(nu=nu, p_counts=p_counts, log_rates=[
+        {"block": m, "k_low": k, "log_rate": None if r == -math.inf else r}  # JSON has no -inf
+        for m, k, r in series.log_rates])
+    summary = (f"weber series: p_{n_max} = {p_counts[-1]}" if payload["mode"] == "series"
+               else f"weber sparse: |nu| = {len(nu)}, threshold {threshold}")
+    return Run(payload, summary, (["n", "p_count"], list(enumerate(p_counts, start=1))))
 
 
 def cmd_keylemma(cfg: dict) -> Run:
@@ -251,9 +247,10 @@ def cmd_keylemma(cfg: dict) -> Run:
     trials = _option(cfg, "trials", int, 200)
     threshold = _option(cfg, "threshold", Fraction, "1/2")
     report = verify_key_lemma(n, trials, threshold, _option(cfg, "seed", int, 0))
+    loose = non_tight_balls(report)
     return Run(report, f"keylemma n={n}: {len(report['families'])} families, "
-                       f"{report['violations']} violations",
-               passed=report["violations"] == 0)
+                       f"{report['violations']} violations, {len(loose)} non-tight ball families",
+               passed=report["violations"] == 0 and not loose)
 
 
 def cmd_select(cfg: dict) -> Run:
@@ -345,6 +342,19 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+class _Once(argparse.Action):
+    """argparse's store, except that a flag given twice is a ConfigError,
+    as a config key set twice is, not its last value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given", set())
+        if self.dest in given:
+            raise ConfigError(f"flag {option_string} given twice: "
+                              f"{getattr(namespace, self.dest)!r}, then {values!r}")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hamext",
@@ -352,10 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, desc, keys) in _COMMANDS.items():
         p = sub.add_parser(name, help=desc, allow_abbrev=False)
-        p.add_argument("--config", help="flat key=value config file; flags override it")
-        p.add_argument("--out-dir", default="out", help="report directory")
+        p.add_argument("--config", action=_Once,
+                       help="flat key=value config file; flags override it")
+        p.add_argument("--out-dir", action=_Once, default="out", help="report directory")
         for key in keys:
-            p.add_argument(f"--{key}", dest=key, help=_FLAG_HELP.get(key))
+            p.add_argument(f"--{key}", action=_Once, dest=key, help=_FLAG_HELP.get(key))
     return parser
 
 

@@ -16,7 +16,6 @@ those constraints through an independent code path.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -25,7 +24,7 @@ import numpy as np
 
 from .bits import (_collection, _real, as_bits, prefix_distances, read_index, read_indices,
                    read_instance)
-from .budgets import BudgetFunction, lil_envelope, lnln
+from .budgets import BudgetFunction, lil_envelope, lil_scale
 from .errors import ConfigError, ContractError, DimensionError, DomainError, ResourceError
 
 MAKE_SCHEDULE_SCAN_BOUND = 1 << 25  # bits, the longest schedule make_schedule builds
@@ -125,7 +124,7 @@ class BlockSchedule:
     def from_text(cls, text: str) -> "BlockSchedule":
         if not isinstance(text, str):
             raise ConfigError(f"a schedule is text, got {text!r}")
-        blocks = []
+        blocks, odd_ends = [], []
         for raw in text.splitlines():
             raw = raw.strip()
             if not raw or raw.startswith("#"):
@@ -139,11 +138,13 @@ class BlockSchedule:
                 raise ConfigError(f"schedule line with a non-integer field: {raw!r}") from None
             if k != len(blocks):
                 raise ConfigError(f"schedule lines out of order at block {k}")
-            expected_oe = e if (e - s) % 2 else e - 1
-            if oe != expected_oe:
-                raise ConfigError(f"block {k}: odd_end {oe} inconsistent with [{s},{e})")
             blocks.append((s, e))
-        return cls(tuple(blocks))
+            odd_ends.append(oe)
+        schedule = cls(tuple(blocks))
+        for k, ((s, e), (_, odd_end)) in enumerate(zip(blocks, schedule.odd_cores)):
+            if odd_ends[k] != odd_end:
+                raise ConfigError(f"block {k}: odd_end {odd_ends[k]} inconsistent with [{s},{e})")
+        return schedule
 
 
 @dataclass
@@ -287,6 +288,6 @@ def psi_deviation(X, A, epsilon: float = 0.0,
         raise DomainError("checkpoint 0: the envelope sqrt(2 n lnln n) vanishes")
     out = []
     for n, dist in zip(ns, prefix_distances(x, A, ns).tolist()):
-        out.append(PsiPoint(n, (dist - n / 2.0) / math.sqrt(2.0 * n * lnln(n)),
+        out.append(PsiPoint(n, (dist - n / 2.0) / lil_scale(n),
                             dist <= lil_envelope(n, epsilon)))
     return out

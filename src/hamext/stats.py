@@ -147,6 +147,14 @@ class WeberSeries:
         p = self.p_count(_block_of(read_index(k, "k", 2, 1 << self.n_max)))
         return math.log(p) if p else float("-inf")
 
+    @property
+    def log_rates(self) -> list[tuple[int, int, float]]:
+        """(m, its lowest k 2^(m-1) + 1, log_rate(k)) per block m <= n_max:
+        the statistic is constant on a block, so its lowest k stands for it;
+        criterion 9 and `hamext weber` read these rows."""
+        return [(m, k, self.log_rate(k)) for m in range(1, self.n_max + 1)
+                for k in [(1 << (m - 1)) + 1]]
+
 
 def weber_series(nu, n_max: int) -> WeberSeries:
     """Dyadic block hits of the subsequence nu (any iterable of integers).

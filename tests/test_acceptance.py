@@ -2,10 +2,12 @@
 pass/fail line. Every criterion is deterministic (fixed Philox seeds).
 """
 
+import json
+
 import numpy as np
 import pytest
 
-from hamext import acceptance, kernels
+from hamext import acceptance, cli, kernels
 from hamext.acceptance import ALL_CRITERIA, crit_adversary_soundness, crit_output_bias
 from hamext.keylemma import verify_key_lemma
 
@@ -62,10 +64,10 @@ def tampered_adversary_runs(shared=acceptance._adversary_runs):
     return sched, adv, p, (first, *runs[1:])
 
 
-def loosened_balls(n, **kwargs):
+def loosened_balls(*args, **kwargs):
     """verify_key_lemma's report with every ball family no longer tight at
     d = 0 (test_keylemma.py makes criterion 8 count violations)."""
-    report = verify_key_lemma(n, **kwargs)
+    report = verify_key_lemma(*args, **kwargs)
     for fam in report["families"]:
         if fam["label"].startswith("ball "):
             fam["tight_at"] = fam["tight_at"][1:]
@@ -108,3 +110,14 @@ def test_a_wrong_answer_fails_its_criterion(monkeypatch, number, target, stand_i
     result = ALL_CRITERIA[number - 1]()
     assert result.passed is False
     assert named in result.detail
+
+
+def test_keylemma_exits_two_on_a_non_tight_ball_family(monkeypatch, tmp_path):
+    # criterion 8 failed on such a report while `hamext keylemma` exited 0
+    monkeypatch.setattr(cli, "verify_key_lemma", loosened_balls)
+    assert cli.main(["keylemma", "--n", "5", "--trials", "10", "--seed", "1",
+                     "--out-dir", str(tmp_path)]) == 2
+    doc = json.loads((tmp_path / "keylemma.json").read_text())
+    assert doc["violations"] == 0
+    balls = [fam for fam in doc["families"] if fam["label"].startswith("ball ")]
+    assert balls[0]["tight_at"] == [1, 2, 3, 4, 5]

@@ -114,6 +114,18 @@ class TestTable:
         with pytest.raises(DomainError):
             BudgetFunction("table", [(1, 2), (4, 1)])
 
+    def test_an_entry_is_exactly_length_equals_value(self):
+        # table:1=2=3 was read as table:1=2, its =3 dropped
+        with pytest.raises(DomainError, match="exactly length=value"):
+            parse_budget("table:1=2=3")
+
+    def test_a_length_is_set_once(self):
+        # table:1=0,1=5 was accepted, length 1 set twice
+        with pytest.raises(DomainError, match="length 1 more than once"):
+            parse_budget("table:1=0,1=5")
+        with pytest.raises(DomainError, match="length 4 more than once"):
+            BudgetFunction("table", [(4, 1), (0, 0), (4, 1)])
+
 
 class TestLil:
     def test_value(self):

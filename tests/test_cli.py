@@ -282,6 +282,23 @@ class TestConfigFile:
         doc = read_json(tmp_path / "o" / "corrupt.json")
         assert doc["config"]["budget"] == "power:1"
 
+    @pytest.mark.parametrize("args, flag", [
+        (["harper", "--n", 2, "--n", 3], "--n"),
+        (["harper", "--n=2", "--n", 3], "--n"),
+        (["harper", "--config", "a.cfg", "--config", "b.cfg"], "--config"),
+        (["lil", "--length", 64, "--out-dir", "o1", "--out-dir", "o2"], "--out-dir"),
+    ], ids=["n", "n-equals", "config", "out-dir"])
+    def test_flag_given_twice_is_two(self, tmp_path, monkeypatch, capsys, args, flag):
+        # harper ran n = 3 and its config block showed only n = 3; the first
+        # --config was dropped
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.cfg").write_text("n = 2\n")
+        (tmp_path / "b.cfg").write_text("n = 3\n")
+        assert run(args) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and f"flag {flag} given twice" in err["message"]
+        assert {p.name for p in tmp_path.iterdir()} == {"a.cfg", "b.cfg"}
+
     @pytest.mark.parametrize("flag", [[], ["--seed", 3]], ids=["file-only", "flag-too"])
     def test_key_set_twice_is_two(self, tmp_path, capsys, flag):
         # the last value was taken: seed = 2, and 3 with the flag
@@ -450,7 +467,7 @@ class TestOptionTable:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-BASE = {"trace-refine": ["--input", "strings.txt"]}
+BASE = {"trace-refine": {"input": "strings.txt"}}
 OPTIONS = [(command, key) for command, keys in sorted(KEYS.items()) for key in keys]
 
 
@@ -472,9 +489,11 @@ def test_every_option_changes_the_run(tmp_path, monkeypatch, command, key):
     write_text_bits("x.txt", [bit_stream(7, 266305)])  # covers every default schedule
     write_text_bits("strings.txt", ["11100", "10110"])
     (tmp_path / "sched.txt").write_text("0 0 3 3\n1 3 8 8\n")
-    base = [command, *BASE.get(command, [])]
-    assert run([*base, "--out-dir", "default"]) == 0
-    assert run([*base, f"--{key}", CHANGED[key], "--out-dir", "changed"]) == 0
+    def flags(options):  # a flag is given once, so the changed value replaces BASE's
+        return [command, *(arg for k, v in options.items() for arg in (f"--{k}", v))]
+    base = BASE.get(command, {})
+    assert run([*flags(base), "--out-dir", "default"]) == 0
+    assert run([*flags({**base, key: CHANGED[key]}), "--out-dir", "changed"]) == 0
     assert (written_apart_from_config(tmp_path / "default")
             != written_apart_from_config(tmp_path / "changed"))
 
@@ -561,6 +580,11 @@ class TestExitCodes:
         src = tmp_path / "x.bits"
         src.write_bytes((5).to_bytes(8, "little") + b"\x1f\x00")
         self.assert_exit_two(["select", "--input", src], tmp_path / "o", capsys, "DomainError")
+
+    @pytest.mark.parametrize("budget", ["table:1=2=3", "table:1=0,1=5"])
+    def test_malformed_table_budget_is_two(self, tmp_path, capsys, budget):
+        # both ran and exited 0: the =3 dropped, length 1 set twice
+        self.assert_exit_two(["smallball", "--budget", budget], tmp_path, capsys, "DomainError")
 
     def test_malformed_clt_n_list_is_two(self, tmp_path, capsys):
         self.assert_exit_two(["clt-check", "--n-list", "1.5"], tmp_path, capsys)

@@ -301,8 +301,10 @@ class TestSchedaleSerialization:
         assert BlockSchedule.from_sizes(np.array([2, 3])).sizes == (2, 3)
 
     def test_rejects_inconsistent_odd_end(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"block 0: odd_end 4 inconsistent with \[0,4\)"):
             BlockSchedule.from_text("0 0 4 4\n")
+        with pytest.raises(ConfigError, match="block 1: odd_end 7 inconsistent"):
+            BlockSchedule.from_text("0 0 3 3\n1 3 7 7\n2 7 12 12\n")
 
     def test_rejects_lines_out_of_order(self):
         with pytest.raises(ConfigError, match="out of order at block 1"):

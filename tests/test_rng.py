@@ -138,3 +138,37 @@ def test_the_sampler_is_the_only_randomness_source():
              if (names := numpy_random_names(ast.parse(path.read_text())))}
     assert named == {"rng.py": {"np.random", "np.random.Philox"}}
     assert not hasattr(rng, "generator")
+
+
+# Each rule spelled out in one place: its text, and the module, or the
+# function of one, that alone may hold it
+ONE_DEFINITION = {
+    "lil-scale": ("2.0 * n * lnln(n)", "budgets.py", "lil_scale"),
+    "block-lowest-k": ("(1 << (m - 1)) + 1", "stats.py", None),
+    "odd-trim": ("% 2 else e - 1", "extractor.py", "odd_cores"),
+    "ball-verdict": ('startswith("ball ")', "acceptance.py", "non_tight_balls"),
+}
+
+
+def spelled_out(text: str) -> set[tuple[str, str | None]]:
+    """(module, innermost function around it or None) for each line of the
+    hamext package that holds text."""
+    found = set()
+    for path in Path(hamext.__file__).parent.glob("*.py"):
+        source = path.read_text()
+        functions = [node for node in ast.walk(ast.parse(source))
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for lineno, line in enumerate(source.splitlines(), 1):
+            if text in line:
+                around = [f for f in functions if f.lineno <= lineno <= f.end_lineno]
+                found.add((path.name, max(around, key=lambda f: f.lineno).name if around else None))
+    return found
+
+
+@pytest.mark.parametrize("text, module, function", ONE_DEFINITION.values(), ids=ONE_DEFINITION)
+def test_each_rule_has_one_definition(text, module, function):
+    found = spelled_out(text)
+    if function is None:
+        assert {m for m, _ in found} == {module}
+    else:
+        assert found == {(module, function)}
