@@ -13,16 +13,15 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from itertools import pairwise
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import kernels
 from .adversary import StageRecord, corrupt, stages_from_blocks, verify_similarity
-from .budgets import lil_scale, lnln, parse_budget
+from .budgets import lnln, parse_budget
 from .cube import harper_min_neighborhood
-from .extractor import BlockSchedule, _margins, extract, make_schedule
+from .extractor import BlockSchedule, extract, make_schedule, psi_deviation
 from .keylemma import verify_key_lemma
 from .rng import bit_stream
 from .stats import (berry_esseen_bound, binomial_cdf_gap, small_ball_bound,
@@ -36,13 +35,18 @@ class CriterionResult(NamedTuple):
     detail: str
 
 
+def _core_words(sched: BlockSchedule) -> tuple[np.ndarray, np.ndarray]:
+    """Each odd-trimmed core of `sched` as a vertex mask (bit i set for
+    position i) and its size: the encoding the exhaustive kernels read."""
+    cores = np.array([(1 << e) - (1 << s) for s, e in sched.odd_cores], dtype=np.uint64)
+    sizes = np.array([e - s for s, e in sched.odd_cores], dtype=np.int64)
+    return cores, sizes
+
+
 def crit_distribution_preservation() -> CriterionResult:
     """Blocks (3,5): over all 2^8 inputs each output bit is 1 exactly
     128 times and each output pair occurs exactly 64 times."""
-    sched = BlockSchedule.from_sizes((3, 5))
-    cores = np.array([(1 << e) - (1 << s) for s, e in sched.odd_cores], dtype=np.uint64)
-    sizes = np.array([e - s for s, e in sched.odd_cores], dtype=np.int64)
-    words = kernels.all_outputs(cores, sizes, 8)
+    words = kernels.all_outputs(*_core_words(BlockSchedule.from_sizes((3, 5))), 8)
     bit_counts = [int(((words >> k) & 1).sum()) for k in range(2)]
     pair_counts = np.bincount(words, minlength=4)
     ok = bit_counts == [128, 128] and all(int(c) == 64 for c in pair_counts)
@@ -54,8 +58,7 @@ def crit_extractor_robustness() -> CriterionResult:
     """Blocks (3,5,6), all 2^14 inputs, all flip patterns with at most
     one flip per block: outputs agree wherever the margin exceeds 1."""
     sched = BlockSchedule.from_sizes((3, 5, 6))
-    cores = np.array([(1 << e) - (1 << s) for s, e in sched.odd_cores], dtype=np.uint64)
-    core_sizes = np.array([e - s for s, e in sched.odd_cores], dtype=np.int64)
+    cores, core_sizes = _core_words(sched)
     budgets2 = np.array([2, 2, 2], dtype=np.int64)  # 2*g with g == 1
     per_block = [[0] + [1 << i for i in range(s, e)] for s, e in sched.blocks]
     patterns = np.array([a | b | c for a in per_block[0] for b in per_block[1]
@@ -240,16 +243,11 @@ def crit_lil_smoke() -> CriterionResult:
     of |2*ones(n) - n| / sqrt(2 n lnln n) lands in [0.5, 1.6] for at
     least 60 seeds. Calibrated smoke bound for the limsup-1 law of the
     unit-variance walk, not a theorem."""
-    length = 1 << 20
-    cps = [1 << j for j in range(4, 21)]
-    segments = [range(a, b) for a, b in pairwise([0, *cps])]  # [0, 16), ..., [2^19, length)
-    denom = np.array([lil_scale(n) for n in cps])
     in_range = 0
     maxima = []
     for seed in range(64):
-        x = bit_stream(seed, length)
-        walk = np.cumsum(_margins(x, segments))  # 2·ones(n) − n at each checkpoint
-        m = float(np.max(np.abs(walk) / denom))
+        # |2·ones(n) − n| / scale is exactly twice |psi|: scaling by 2 is exact
+        m = 2 * max(abs(p.statistic) for p in psi_deviation(bit_stream(seed, 1 << 20)))
         maxima.append(m)
         if 0.5 <= m <= 1.6:
             in_range += 1

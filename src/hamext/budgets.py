@@ -70,7 +70,7 @@ def lnln(n: int) -> float:
 
 def lil_scale(n: int) -> float:
     """sqrt(2 n lnln n), the iterated-logarithm scale of a walk's deviation
-    at length n; the lil envelope, psi_deviation and criterion 10 read it."""
+    at length n; the lil envelope and psi_deviation read it."""
     return math.sqrt(2.0 * n * lnln(n))
 
 
@@ -103,7 +103,7 @@ class BudgetFunction:
     def __post_init__(self):
         if self.kind == "table":
             try:
-                params = sorted((read_index(n, "table length", lo=None), read_index(v, "table value"))
+                params = sorted((read_index(n, "table length"), read_index(v, "table value"))
                                 for n, v in self.params)
             except (TypeError, ValueError):  # not a collection of pairs
                 raise DomainError(f"table budget needs (length, value) pairs, "

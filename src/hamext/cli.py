@@ -115,10 +115,12 @@ def _write(out_dir: Path, cfg: dict, run: Run) -> None:
 
 
 def _load_bits(path: str) -> np.ndarray:
-    """Sniff text vs packed: text files contain only 0/1 and newlines."""
+    """Sniff text vs packed: text files contain only 0/1, newlines and the
+    spaces and tabs read_text_bits strips. A packed header's top byte is 0
+    for any length below 2^56, so no packed file reads as text."""
     with open(path, "rb") as fh:
         head = fh.read(64)
-    if head and all(b in (0x30, 0x31, 0x0A, 0x0D) for b in head):
+    if head and all(b in b"01\n\r \t" for b in head):
         strings = read_text_bits(path)
         if len(strings) != 1:
             raise ConfigError(f"{path}: expected exactly one bit string, got {len(strings)}")
@@ -214,7 +216,7 @@ def cmd_smallball(cfg: dict) -> Run:
 def cmd_lil(cfg: dict) -> Run:
     x = _input_bits(cfg)
     eps = _option(cfg, "epsilon", float, 0.0)
-    points = psi_deviation(x, np.zeros(x.size, dtype=np.uint8), epsilon=eps)
+    points = psi_deviation(x, epsilon=eps)
     return Run({"epsilon": eps, "length": int(x.size),
                 "series": [{"n": p.n, "statistic": p.statistic,
                             "within_envelope": p.within_envelope} for p in points]},

@@ -134,6 +134,7 @@ def neighborhood(A, d: int) -> set[str]:
     empty neighborhood for every d (distance to the empty set is +inf).
     """
     members = _collection(A, "neighborhood member")
+    d = read_index(d, "d")
     if not members:
         return set()
     family = EventFamily.from_strings(members)

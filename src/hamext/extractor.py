@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from itertools import pairwise
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -271,23 +272,18 @@ class PsiPoint(NamedTuple):
     within_envelope: bool
 
 
-def psi_deviation(X, A, epsilon: float = 0.0,
-                  checkpoints: Sequence[int] | None = None) -> list[PsiPoint]:
-    """Normalized prefix-distance deviations: statistic(n) = (d(X|n,A|n)
-    - n/2) / sqrt(2 n lnln n), plus whether the distance stays within
-    budgets.lil_envelope(n, epsilon). Checkpoints must be integers in
-    1..len(X)."""
+def psi_deviation(X, epsilon: float = 0.0) -> list[PsiPoint]:
+    """The iterated-logarithm series of the stream X at n = 16, 32, ...
+    up to len(X), or at len(X) alone below 16 bits: statistic(n) =
+    (ones(n) - n/2) / sqrt(2 n lnln n), plus whether ones(n) stays within
+    budgets.lil_envelope(n, epsilon). Each segment between checkpoints is
+    counted once; criterion 10 and `hamext lil` read this series. An
+    empty X raises DomainError."""
     epsilon = _real(epsilon, "epsilon", float)
     x = as_bits(X)
-    if checkpoints is None:
-        checkpoints = [1 << j for j in range(4, x.size.bit_length())]
-        if not checkpoints:
-            checkpoints = [x.size]
-    ns = read_indices(checkpoints, "checkpoint")
-    if 0 in ns:
-        raise DomainError("checkpoint 0: the envelope sqrt(2 n lnln n) vanishes")
-    out = []
-    for n, dist in zip(ns, prefix_distances(x, A, ns).tolist()):
-        out.append(PsiPoint(n, (dist - n / 2.0) / lil_scale(n),
-                            dist <= lil_envelope(n, epsilon)))
-    return out
+    if not x.size:
+        raise DomainError("an empty stream has no checkpoint: sqrt(2 n lnln n) vanishes at 0")
+    ns = [1 << j for j in range(4, x.size.bit_length())] or [x.size]
+    walk = np.cumsum(_margins(x, [range(a, b) for a, b in pairwise([0, *ns])]))  # 2·ones(n) − n
+    return [PsiPoint(n, (ones - n / 2.0) / lil_scale(n), ones <= lil_envelope(n, epsilon))
+            for n, ones in zip(ns, ((walk + ns) // 2).tolist())]

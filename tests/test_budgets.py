@@ -126,6 +126,12 @@ class TestTable:
         with pytest.raises(DomainError, match="length 4 more than once"):
             BudgetFunction("table", [(4, 1), (0, 0), (4, 1)])
 
+    def test_a_length_is_nonnegative(self):
+        # table:-3=1,0=2 was accepted, and its -3 entry never applied
+        for token in ("table:-3=1,0=2", "table:-3=1"):
+            with pytest.raises(DomainError, match="table length -3 outside 0.."):
+                parse_budget(token)
+
 
 class TestLil:
     def test_value(self):

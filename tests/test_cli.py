@@ -102,6 +102,26 @@ class TestExtract:
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
+@pytest.mark.parametrize("args", [
+    ["select"], ["lil"], ["trace-refine"],
+    ["extract", "--schedule-file", "sched.txt"],
+    ["corrupt", "--schedule-file", "sched.txt", "--budget", "table:1"],
+], ids=["select", "lil", "trace-refine", "extract", "corrupt"])
+def test_text_input_with_trailing_blanks_reads_as_text(tmp_path, args):
+    # "0101 \n" was sniffed as packed and exited 2 with a truncated
+    # header from every --input reader but trace-refine's
+    (tmp_path / "sched.txt").write_text("0 0 3 3\n1 3 8 8\n")
+    args = [tmp_path / a if a == "sched.txt" else a for a in args]
+    src = tmp_path / "x.txt"
+    reports = []
+    for k, text in enumerate(["1100110100101101\n", "1100110100101101 \t\n"]):
+        src.write_text(text)
+        out = tmp_path / f"o{k}"
+        assert run([*args, "--input", src, "--out-dir", out]) == 0
+        reports.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert reports[0] == reports[1]
+
+
 class TestCorrupt:
     def test_seeded_run_report(self, tmp_path):
         assert run(["corrupt", "--seed", 1, "--budget", "power:2/3",
@@ -581,9 +601,11 @@ class TestExitCodes:
         src.write_bytes((5).to_bytes(8, "little") + b"\x1f\x00")
         self.assert_exit_two(["select", "--input", src], tmp_path / "o", capsys, "DomainError")
 
-    @pytest.mark.parametrize("budget", ["table:1=2=3", "table:1=0,1=5"])
+    @pytest.mark.parametrize("budget", ["table:1=2=3", "table:1=0,1=5", "table:-3=1",
+                                        "table:-3=1,0=2"])
     def test_malformed_table_budget_is_two(self, tmp_path, capsys, budget):
-        # both ran and exited 0: the =3 dropped, length 1 set twice
+        # each ran and exited 0: the =3 dropped, length 1 set twice, the
+        # -3 entry never applied
         self.assert_exit_two(["smallball", "--budget", budget], tmp_path, capsys, "DomainError")
 
     def test_malformed_clt_n_list_is_two(self, tmp_path, capsys):

@@ -47,6 +47,9 @@ INTEGER_ROWS = [
      DomainError, REFUSED + (-1,)),
     ("table_budget value", lambda v: BudgetFunction("table", [(1, v)]),
      DomainError, REFUSED + (-1,)),
+    # a negative length was accepted, and its entry never applied
+    ("table_budget length", lambda v: BudgetFunction("table", [(v, 1)]),
+     DomainError, REFUSED + (-1,)),
     ("BudgetFunction n", lambda v: G(v), DomainError, REFUSED + (-1,)),
     ("divergence_modulus k", lambda v: parse_budget("power:1").divergence_modulus(v),
      DomainError, REFUSED),
@@ -62,6 +65,9 @@ INTEGER_ROWS = [
     ("SphereSpec.gamma_size d", lambda v: make_sphere(3, 4, "000").gamma_size(v),
      DomainError, REFUSED + (4,)),
     ("neighborhood d", lambda v: neighborhood(["00"], v), DomainError, REFUSED + (3,)),
+    # the empty set's neighborhood returned set() without reading d
+    ("neighborhood d of the empty set", lambda v: neighborhood([], v), DomainError,
+     REFUSED + (-1, "x")),
     # 8 used to read as popcount(v) + 1, 2^64 to leak OverflowError
     ("distances_from center", lambda v: distances_from(3, v), DomainError,
      REFUSED + (-1, 8, 1 << 64)),
@@ -224,7 +230,7 @@ REAL_ROWS = [
     ("affine_sqrt_budget c", lambda v: BudgetFunction("affine_sqrt", (1, v))),
     ("lil_budget eps", lambda v: BudgetFunction("lil", (v,))),
     ("verify_key_lemma p_threshold", lambda v: verify_key_lemma(3, 1, v, 1)),
-    ("psi_deviation epsilon", lambda v: psi_deviation("1010", "0000", epsilon=v, checkpoints=[4])),
+    ("psi_deviation epsilon", lambda v: psi_deviation("1010", epsilon=v)),
 ]
 NOT_FINITE = ("x", math.nan, math.inf, -math.inf, None)
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hamext.adversary import CorruptionReport, force_majority_zero, verify_similarity
 from hamext.bits import as_bits, to_text
-from hamext.budgets import lnln, parse_budget
+from hamext.budgets import lil_envelope, lil_scale, lnln, parse_budget
 from hamext.cube import hamming_distance
 from hamext.errors import (ConfigError, ContractError, DimensionError,
                            DomainError, ResourceError)
@@ -452,7 +452,6 @@ def verify_report_y(x, y, N):
 CHECKPOINT_READERS = {
     "similar_p_N": lambda x, y, N: similar_p_N(x, y, parse_budget("table:8"), N),
     "verify_similarity": verify_report_y,
-    "psi_deviation": lambda x, y, N: psi_deviation(x, y, checkpoints=N),
 }
 
 
@@ -465,37 +464,44 @@ def test_one_checkpoint_contract(name):
             check(x, y, [1, bad])
     with pytest.raises(DimensionError):
         check(x, y[:4], [1])
-    if name == "psi_deviation":  # divides by sqrt(2 n lnln n)
-        with pytest.raises(DomainError):
-            check(x, y, [0])
-    else:
-        assert check(x, y, [0, 5]) is True
+    assert check(x, y, [0, 5]) is True
     assert check(x, y, np.array([5, 2], dtype=np.uint64))
+
+
+def psi_oracle(x, epsilon=0.0):
+    """psi_deviation from a full prefix count: (n, statistic, within) at
+    n = 16, 32, ... up to len(x), or at len(x) alone below 16 bits."""
+    ones = np.concatenate(([0], np.cumsum(x, dtype=np.int64))).tolist()
+    ns = [n for n in (1 << j for j in range(4, 64)) if n <= x.size] or [x.size]
+    return [(n, (ones[n] - n / 2.0) / lil_scale(n), ones[n] <= lil_envelope(n, epsilon))
+            for n in ns]
 
 
 class TestPsiDeviation:
     def test_self_distance_negative(self):
-        x = bit_stream(2, 256)
-        for point in psi_deviation(x, x, checkpoints=[16, 64, 256]):
+        # a stream of zeros is at distance 0 from itself
+        x = np.zeros(256, dtype=np.uint8)
+        points = psi_deviation(x)
+        assert [point.n for point in points] == [16, 32, 64, 128, 256]
+        for point in points:
             assert point.statistic < 0
             expect = -(point.n / 2) / math.sqrt(2 * point.n * lnln(point.n))
             assert point.statistic == pytest.approx(expect, rel=1e-12)
 
     def test_complement_statistic_exact_arithmetic(self):
-        ones = np.ones(100, dtype=np.uint8)
-        zeros = np.zeros(100, dtype=np.uint8)
-        lam = math.log(math.log(100))  # 1.52718...
-        [point] = psi_deviation(ones, zeros, checkpoints=[100])
-        assert point.statistic == pytest.approx(50 / math.sqrt(200 * lam), rel=1e-12)
-        assert point.statistic == pytest.approx(2.861, abs=5e-4)
+        # 100 ones: the last checkpoint is 64, where ones(64) - 32 = 32
+        *_, point = psi_deviation(np.ones(100, dtype=np.uint8))
+        lam = math.log(math.log(64))  # 1.42527...
+        assert point.n == 64
+        assert point.statistic == pytest.approx(32 / math.sqrt(128 * lam), rel=1e-12)
+        assert point.statistic == pytest.approx(2.369, abs=5e-4)
         assert not point.within_envelope
 
     def test_monte_carlo_smoke(self):
         hits = 0
         for seed in range(64):
-            x = bit_stream(seed, 1 << 20)
-            [point] = psi_deviation(x, np.zeros(1 << 20, dtype=np.uint8),
-                                    checkpoints=[1 << 20])
+            *_, point = psi_deviation(bit_stream(seed, 1 << 20))
+            assert point.n == 1 << 20
             if -3 <= point.statistic <= 3:
                 hits += 1
         assert hits >= 63
@@ -503,11 +509,23 @@ class TestPsiDeviation:
     def test_short_stream_has_one_point_at_its_length(self):
         # below 16 bits there is no dyadic checkpoint
         for length in (1, 15):
-            [point] = psi_deviation(np.ones(length, dtype=np.uint8),
-                                    np.zeros(length, dtype=np.uint8))
+            [point] = psi_deviation(np.ones(length, dtype=np.uint8))
             assert point.n == length
+
+    def test_an_empty_stream_is_refused(self):
+        # the scale sqrt(2 n lnln n) vanishes at n = 0
+        for empty in ("", np.zeros(0, dtype=np.uint8)):
+            with pytest.raises(DomainError):
+                psi_deviation(empty)
+
+    @pytest.mark.parametrize("length", [1, 15, 16, 17, 1000, 70001])
+    def test_equals_a_full_prefix_count(self, length):
+        # the segment counts add up to the prefix count, bit for bit
+        x = bit_stream(length, length)
+        for epsilon in (0.0, 0.5, 1.0):
+            assert [tuple(p) for p in psi_deviation(x, epsilon)] == psi_oracle(x, epsilon)
 
     @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_epsilon(self, epsilon):
         with pytest.raises(DomainError):
-            psi_deviation("1010", "0000", epsilon=epsilon, checkpoints=[4])
+            psi_deviation("1010", epsilon=epsilon)

@@ -147,6 +147,8 @@ ONE_DEFINITION = {
     "block-lowest-k": ("(1 << (m - 1)) + 1", "stats.py", None),
     "odd-trim": ("% 2 else e - 1", "extractor.py", "odd_cores"),
     "ball-verdict": ('startswith("ball ")', "acceptance.py", "non_tight_balls"),
+    "lil-checkpoints": ("1 << j for j in range(4", "extractor.py", "psi_deviation"),
+    "core-words": ("(1 << e) - (1 << s)", "acceptance.py", "_core_words"),
 }
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hamext.adversary import corrupt, stages_from_blocks
 from hamext.bits import FLOAT_CEILING
 from hamext.budgets import parse_budget
+from hamext.cli import main
 from hamext.errors import ContractError, DimensionError, DomainError, ResourceError
 from hamext.extractor import extract, make_schedule
 from hamext.rng import bit_stream
@@ -327,14 +328,18 @@ class TestSelectionRules:
         assert traced_peak(apply_selection, name, x) <= 3 * x.size
 
     # the stream entry points that already hold O(1) bytes per bit: the
-    # stream, its majority votes, and its corrupted copy
-    @pytest.mark.parametrize("entry", ["bit_stream", "extract", "corrupt"])
-    def test_stream_entry_points_peak_at_most_two_bytes_per_bit(self, entry):
+    # stream, its majority votes, its corrupted copy, and its iterated-log
+    # series as `hamext lil` reads and writes it (a full int64 prefix sum
+    # took 19 bytes per bit there)
+    @pytest.mark.parametrize("entry", ["bit_stream", "extract", "corrupt", "lil"])
+    def test_stream_entry_points_peak_at_most_two_bytes_per_bit(self, entry, tmp_path):
         sched = make_schedule(parse_budget("table:0"), 21)  # 2^20 bits in all
         x = bit_stream(5, sched.total_length)
         adv = stages_from_blocks(sched, parse_budget("power:2/3"))
         calls = {"bit_stream": (bit_stream, 5, x.size), "extract": (extract, x, sched),
-                 "corrupt": (corrupt, x, sched, adv)}
+                 "corrupt": (corrupt, x, sched, adv),
+                 "lil": (main, ["lil", "--seed", "5", "--length", str(x.size),
+                                "--out-dir", str(tmp_path)])}
         assert x.size == 1 << 20
         assert traced_peak(*calls[entry]) <= 2 * x.size
 
