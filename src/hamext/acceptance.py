@@ -35,18 +35,10 @@ class CriterionResult(NamedTuple):
     detail: str
 
 
-def _core_words(sched: BlockSchedule) -> tuple[np.ndarray, np.ndarray]:
-    """Each odd-trimmed core of `sched` as a vertex mask (bit i set for
-    position i) and its size: the encoding the exhaustive kernels read."""
-    cores = np.array([(1 << e) - (1 << s) for s, e in sched.odd_cores], dtype=np.uint64)
-    sizes = np.array([e - s for s, e in sched.odd_cores], dtype=np.int64)
-    return cores, sizes
-
-
 def crit_distribution_preservation() -> CriterionResult:
     """Blocks (3,5): over all 2^8 inputs each output bit is 1 exactly
     128 times and each output pair occurs exactly 64 times."""
-    words = kernels.all_outputs(*_core_words(BlockSchedule.from_sizes((3, 5))), 8)
+    words = kernels.all_outputs(*kernels.core_words(BlockSchedule.from_sizes((3, 5)).odd_cores), 8)
     bit_counts = [int(((words >> k) & 1).sum()) for k in range(2)]
     pair_counts = np.bincount(words, minlength=4)
     ok = bit_counts == [128, 128] and all(int(c) == 64 for c in pair_counts)
@@ -58,7 +50,7 @@ def crit_extractor_robustness() -> CriterionResult:
     """Blocks (3,5,6), all 2^14 inputs, all flip patterns with at most
     one flip per block: outputs agree wherever the margin exceeds 1."""
     sched = BlockSchedule.from_sizes((3, 5, 6))
-    cores, core_sizes = _core_words(sched)
+    cores, core_sizes = kernels.core_words(sched.odd_cores)
     budgets2 = np.array([2, 2, 2], dtype=np.int64)  # 2*g with g == 1
     per_block = [[0] + [1 << i for i in range(s, e)] for s, e in sched.blocks]
     patterns = np.array([a | b | c for a in per_block[0] for b in per_block[1]

@@ -11,9 +11,7 @@ up. Four kinds, serialized as ``kind:params`` tokens:
 
 Power and affine_sqrt take rational parameters and evaluate with exact
 integer arithmetic, so ceilings at exact powers (e.g. 4096^(2/3)) never
-wobble. A budget that grows faster than sqrt(n) carries a divergence
-modulus: divergence_modulus(k) returns an N with value(n) >= k*sqrt(n)
-for every n >= N.
+wobble.
 """
 
 from __future__ import annotations
@@ -147,41 +145,6 @@ class BudgetFunction:
                     value = v
             return value
         return math.ceil(lil_envelope(n, self.params[0]))
-
-    def divergence_modulus(self, k: int):
-        """Witness N(k) for value(n)/sqrt(n) -> infinity, or None.
-
-        Guarantees value(n) >= k*sqrt(n) for all n >= N(k); the raw
-        envelope (before ceiling) is already >= k*sqrt(n) there and the
-        ratio is monotone for every unbounded kind, so checking the
-        closed-form threshold suffices.
-        """
-        k = read_index(k, "k", lo=None)
-        if k <= 0:
-            return 1
-        if self.kind == "power":
-            alpha, coeff = self.params
-            if alpha <= Fraction(1, 2) or coeff <= 0:
-                return None
-            # coeff * n^(alpha - 1/2) >= k  at integer n
-            ex = alpha - Fraction(1, 2)
-            p, q = ex.numerator, ex.denominator
-            target = (Fraction(k) / coeff) ** q
-            return max(1, ceil_root(target.numerator, target.denominator, p))
-        if self.kind == "affine_sqrt":
-            a, c = self.params
-            if a <= 0:
-                return None
-            # a*sqrt(n) + c >= k  <=  n >= ((k - c)/a)^2
-            rem = Fraction(k) - c
-            if rem <= 0:
-                return 1
-            bound = (rem / a) ** 2
-            return -(-bound.numerator // bound.denominator)
-        if self.kind == "lil":
-            # value/sqrt(n) >= sqrt(n)/2
-            return 4 * k * k
-        return None
 
     @property
     def token(self) -> str:

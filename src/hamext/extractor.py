@@ -8,15 +8,13 @@ margins, and robustness flags come back in an ExtractionTrace.
 
 make_schedule builds, for every budget g (bounded or not), the smallest
 schedule whose blocks satisfy the geometric-decay constraint
-g(n_k)/sqrt(n_k) <= 2^-k plus superadditivity, optionally pinning every
-partial sum into a prescribed checkpoint set, and refuses one longer
+g(n_k)/sqrt(n_k) <= 2^-k plus superadditivity, and refuses one longer
 than MAKE_SCHEDULE_SCAN_BOUND bits in total; check_schedule re-verifies
 those constraints through an independent code path.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import pairwise
 from typing import NamedTuple, Optional
@@ -26,7 +24,7 @@ import numpy as np
 from .bits import (_collection, _real, as_bits, prefix_distances, read_index, read_indices,
                    read_instance)
 from .budgets import BudgetFunction, lil_envelope, lil_scale
-from .errors import ConfigError, ContractError, DimensionError, DomainError, ResourceError
+from .errors import ConfigError, ContractError, DimensionError, DomainError
 
 MAKE_SCHEDULE_SCAN_BOUND = 1 << 25  # bits, the longest schedule make_schedule builds
 
@@ -109,11 +107,6 @@ class BlockSchedule:
         return tuple((s, e if (e - s) % 2 else e - 1) for s, e in self.blocks)
 
     @property
-    def partial_sums(self) -> tuple[int, ...]:
-        """Each block's end: the prefix length through that block."""
-        return tuple(e for _, e in self.blocks)
-
-    @property
     def total_length(self) -> int:
         return self.blocks[-1][1]
 
@@ -183,34 +176,23 @@ def extract(X, schedule, budget: BudgetFunction | None = None) -> ExtractionTrac
     return ExtractionTrace(outputs=outputs, margins=margins, robust_flags=robust)
 
 
-def make_schedule(g: BudgetFunction, block_count: int,
-                  N_constraint=None) -> BlockSchedule:
+def make_schedule(g: BudgetFunction, block_count: int) -> BlockSchedule:
     """Smallest admissible schedule for the budget g, bounded or not.
 
     Block k gets the least size n_k (scanned in increasing order) with
     g(n_k)^2 * 4^k <= n_k, n_k >= n_{k-1}, and n_k >= sum of earlier
-    sizes; when N_constraint (nonnegative integers) is given every
-    partial sum must land in it. A schedule whose total length would
-    pass MAKE_SCHEDULE_SCAN_BOUND raises ResourceError.
+    sizes. A schedule whose total length would pass
+    MAKE_SCHEDULE_SCAN_BOUND raises ResourceError.
     """
     read_instance(g, BudgetFunction, "g")
     block_count = read_index(block_count, "block_count", 1)
     sizes: list[int] = []
     total = 0
-    checkpoints = (None if N_constraint is None
-                   else sorted(set(read_indices(N_constraint, "checkpoint"))))
     for k in range(block_count):
         n = max(sizes[-1] if sizes else 1, total)
         while True:
-            if checkpoints is not None:  # the least size whose partial sum is a checkpoint
-                i = bisect_left(checkpoints, total + n)
-                if i == len(checkpoints):
-                    raise ResourceError(f"no checkpoint admits block {k} (need a partial sum "
-                                        f"in {checkpoints} of at least {total + n})")
-                n = checkpoints[i] - total
-            if total + n > MAKE_SCHEDULE_SCAN_BOUND:
-                raise ResourceError(f"block {k}: no admissible size within the scan bound "
-                                    f"{MAKE_SCHEDULE_SCAN_BOUND} on total length")
+            read_index(total + n, f"total length through block {k}",
+                       ceiling=MAKE_SCHEDULE_SCAN_BOUND)
             jump = g(n) ** 2 << (2 * k)
             if jump <= n:
                 break
@@ -220,11 +202,10 @@ def make_schedule(g: BudgetFunction, block_count: int,
     return BlockSchedule.from_sizes(sizes)
 
 
-def check_schedule(schedule: BlockSchedule, g: BudgetFunction,
-                   N_constraint=None) -> list[str]:
-    """Independent re-check of make_schedule's superadditivity, decay and
-    checkpoint constraints (BlockSchedule itself refuses gaps, empty and
-    shrinking blocks); returns the violations (empty means admissible)."""
+def check_schedule(schedule: BlockSchedule, g: BudgetFunction) -> list[str]:
+    """Independent re-check of make_schedule's superadditivity and decay
+    constraints (BlockSchedule itself refuses gaps, empty and shrinking
+    blocks); returns the violations (empty means admissible)."""
     read_instance(schedule, BlockSchedule, "schedule", ConfigError)
     read_instance(g, BudgetFunction, "g")
     bad = []
@@ -235,11 +216,6 @@ def check_schedule(schedule: BlockSchedule, g: BudgetFunction,
         running += n
         if g(n) ** 2 * (1 << (2 * k)) > n:
             bad.append(f"block {k}: g(n_k)/sqrt(n_k) exceeds 2^-{k}")
-    if N_constraint is not None:
-        allowed = set(read_indices(N_constraint, "checkpoint"))
-        for m, s in enumerate(schedule.partial_sums):
-            if s not in allowed:
-                bad.append(f"partial sum {s} (through block {m}) not a checkpoint")
     return bad
 
 

@@ -68,6 +68,17 @@ def subset_min_gamma(ball: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# majority cores as vertex masks, the encoding the two sweeps below read
+
+def core_words(odd_cores) -> tuple[np.ndarray, np.ndarray]:
+    """Each odd core [s, e) as a vertex mask (bit i set for position i)
+    and its size."""
+    cores = np.array([(1 << e) - (1 << s) for s, e in odd_cores], dtype=np.uint64)
+    sizes = np.array([e - s for s, e in odd_cores], dtype=np.int64)
+    return cores, sizes
+
+
+# ---------------------------------------------------------------------------
 # majority outputs for every input of length L (distribution sweeps)
 #
 # A core word has at most 64 ones, so 2 * np.bitwise_count(...) <= 128

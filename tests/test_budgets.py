@@ -166,23 +166,6 @@ class TestEveryLength:
         assert isinstance(value, int) and value >= 0
 
 
-class TestModulus:
-    @pytest.mark.parametrize("token", ["power:2/3", "power:3/4:2", "affine_sqrt:1/2:1", "lil:0.1"])
-    def test_witness_holds_pointwise(self, token):
-        b = parse_budget(token)
-        for k in (1, 2, 5, 11):
-            N = b.divergence_modulus(k)
-            assert N is not None
-            for n in [N, N + 1, 2 * N, 10 * N + 3]:
-                assert b(n) ** 2 >= k * k * n
-
-    def test_no_witness_for_slow_budgets(self):
-        assert parse_budget("table:7").divergence_modulus(2) is None
-        assert parse_budget("power:1/2").divergence_modulus(2) is None
-        assert parse_budget("power:1/3").divergence_modulus(2) is None
-        assert parse_budget("affine_sqrt:0:1").divergence_modulus(2) is None
-
-
 class TestTokens:
     @pytest.mark.parametrize("token", ["power:2/3", "power:2/3:5/4", "affine_sqrt:1/2:1",
                                        "table:1", "table:1=0,4=1", "lil:0.1"])

@@ -51,13 +51,9 @@ INTEGER_ROWS = [
     ("table_budget length", lambda v: BudgetFunction("table", [(v, 1)]),
      DomainError, REFUSED + (-1,)),
     ("BudgetFunction n", lambda v: G(v), DomainError, REFUSED + (-1,)),
-    ("divergence_modulus k", lambda v: parse_budget("power:1").divergence_modulus(v),
-     DomainError, REFUSED),
     ("frequency_on_set position", lambda v: frequency_on_set("1011", {v}, [4]),
      DomainError, REFUSED + (4,)),
     ("make_schedule block_count", lambda v: make_schedule(G, v), DomainError, REFUSED + (0,)),
-    ("check_schedule N", lambda v: check_schedule(BlockSchedule.from_sizes((1,)), G, [v]),
-     DomainError, REFUSED + (-1,)),
     ("binomial_tail n", lambda v: binomial_tail(v, 1), DomainError, REFUSED + (-1,)),
     ("make_sphere size", lambda v: make_sphere(3, v, "000"), DomainError, REFUSED + (9,)),
     ("SphereSpec shell_count", lambda v: SphereSpec("000", 0, v),

@@ -141,14 +141,16 @@ def test_the_sampler_is_the_only_randomness_source():
 
 
 # Each rule spelled out in one place: its text, and the module, or the
-# function of one, that alone may hold it
+# function (or functions) of one, that alone may hold it
 ONE_DEFINITION = {
     "lil-scale": ("2.0 * n * lnln(n)", "budgets.py", "lil_scale"),
     "block-lowest-k": ("(1 << (m - 1)) + 1", "stats.py", None),
     "odd-trim": ("% 2 else e - 1", "extractor.py", "odd_cores"),
     "ball-verdict": ('startswith("ball ")', "acceptance.py", "non_tight_balls"),
     "lil-checkpoints": ("1 << j for j in range(4", "extractor.py", "psi_deviation"),
-    "core-words": ("(1 << e) - (1 << s)", "acceptance.py", "_core_words"),
+    "core-words": ("(1 << e) - (1 << s)", "kernels.py", "core_words"),
+    "resource-refusal": ("raise ResourceError", "bits.py", "read_index"),
+    "overflow-catch": ("OverflowError", "bits.py", ("as_bits", "_real")),
 }
 
 
@@ -173,4 +175,5 @@ def test_each_rule_has_one_definition(text, module, function):
     if function is None:
         assert {m for m, _ in found} == {module}
     else:
-        assert found == {(module, function)}
+        functions = (function,) if isinstance(function, str) else function
+        assert found == {(module, f) for f in functions}
