@@ -9,16 +9,14 @@ probability bounds that make every finite claim checkable.
 __version__ = "0.1.0"
 
 from .adversary import (AdversarySchedule, CorruptionReport, corrupt,
-                        force_majority_zero, force_output_zero_generic,
-                        stages_from_blocks, verify_similarity)
+                        force_majority_zero, stages_from_blocks,
+                        verify_similarity)
 from .bits import prefix_distances
 from .budgets import BudgetFunction, parse_budget
-from .cube import (EventFamily, SphereSpec, binomial_tail, hamming_distance,
-                   harper_min_neighborhood, make_sphere, neighborhood)
-from .extractor import (BlockSchedule, ExtractionTrace, check_schedule,
-                        extract, majority_bit, make_schedule,
-                        psi_deviation, similar_g_phi, similar_p_N)
-from .keylemma import containment_profile, verify_key_lemma
+from .cube import SphereSpec, binomial_tail, harper_min_neighborhood, make_sphere
+from .extractor import (BlockSchedule, ExtractionTrace, extract, make_schedule,
+                        psi_deviation, similar_p_N)
+from .keylemma import verify_key_lemma
 from .stats import (apply_selection, berry_esseen_bound, binomial_cdf_gap,
                     frequency_on_set, majority_refinement,
                     small_ball_bound, small_ball_probability,

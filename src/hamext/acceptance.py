@@ -234,7 +234,10 @@ def crit_lil_smoke() -> CriterionResult:
     """64 Philox streams of 2^20 bits: the max over dyadic checkpoints
     of |2*ones(n) - n| / sqrt(2 n lnln n) lands in [0.5, 1.6] for at
     least 60 seeds. Calibrated smoke bound for the limsup-1 law of the
-    unit-variance walk, not a theorem."""
+    unit-variance walk, not a theorem: its false-alarm probability (that
+    a fair source puts more than 4 of 64 maxima outside the range) is not
+    computed, and the union bound over the checkpoints is too weak to
+    state one."""
     in_range = 0
     maxima = []
     for seed in range(64):

@@ -5,24 +5,20 @@ Within each window it flips the cheapest set of bits that forces the
 targeted output to 0 (for the majority reduction: clear the lowest
 1-bits of the target block's core down to a losing vote), copies the
 input elsewhere, and accounts per-stage and cumulative flip costs
-against the budget. A generic exhaustive variant handles arbitrary
-black-box reductions on small windows.
+against the budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
-from .bits import as_bits, read_index, read_indices, read_instance
+from .bits import as_bits, read_indices, read_instance
 from .budgets import BudgetFunction
 from .errors import ConfigError, DimensionError
 from .extractor import BlockSchedule, _margins, core_indices, similar_p_N
-
-GENERIC_WINDOW_CEILING = 24
 
 
 @dataclass(frozen=True)
@@ -109,59 +105,6 @@ def force_majority_zero(X, core) -> tuple[list[int], int]:
     # an odd core of 2m+1 votes with margin 2·ones − 2m − 1 needs ones − m flips
     cost = max(0, (int(_margins(x, [idx])[0]) + 1) // 2)
     return _first_ones(x, idx.start, idx.stop, cost).tolist(), cost
-
-
-class ForceResult(NamedTuple):
-    flips: list[int]
-    cost: int
-    forced: bool
-    budget_exceeded: bool
-
-
-def force_output_zero_generic(X, stage_window: tuple[int, int], oracle_prefix,
-                              evaluate: Callable[[np.ndarray], int],
-                              budget: Optional[int] = None) -> ForceResult:
-    """Minimal-cost window assignment driving a black-box output to 0.
-
-    Candidates are searched in increasing flip count (lowest flip
-    indices first within a count), so the returned assignment is the
-    canonical minimal one. `evaluate` sees oracle_prefix extended by the
-    candidate window. forced=False either because no assignment works
-    (the window is then left equal to X: "make no further changes") or
-    because the cheapest one overruns the budget (flagged separately).
-    For a majority reduction, force_majority_zero gives the same answer
-    in closed form on windows of any length. The window is a collection
-    of two integers, start < end; the budget an integer >= 0, or None
-    for no budget. Each value `evaluate` returns is read as one bit, as
-    bits.as_bits reads one; anything else raises DomainError.
-    """
-    read_instance(evaluate, Callable, "evaluate")
-    x = as_bits(X)
-    window = read_indices(stage_window, "window bound", None, error=DimensionError)
-    if len(window) != 2:
-        raise DimensionError(f"stage window must be a pair start < end, got {stage_window!r}")
-    a = read_index(window[0], "window start", 0, x.size - 1, DimensionError)
-    b = read_index(window[1], "window end", a + 1, x.size, DimensionError)
-    width = read_index(b - a, "window width", ceiling=GENERIC_WINDOW_CEILING)
-    if budget is not None:
-        budget = read_index(budget, "budget")
-    prefix = as_bits(oracle_prefix)
-    if prefix.size != a:
-        raise DimensionError(f"oracle prefix must have length {a}, got {prefix.size}")
-    tau = np.concatenate((prefix, x[a:b]))
-    positions = list(range(a, b))
-    for cost in range(width + 1):
-        for combo in combinations(positions, cost):
-            for i in combo:
-                tau[i] ^= 1
-            hit = as_bits([evaluate(tau)])[0] == 0
-            for i in combo:
-                tau[i] ^= 1
-            if hit:
-                if budget is not None and cost > budget:
-                    return ForceResult([], cost, False, True)
-                return ForceResult(list(combo), cost, True, False)
-    return ForceResult([], 0, False, False)
 
 
 class StageRecord(NamedTuple):

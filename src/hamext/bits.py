@@ -3,8 +3,8 @@
 A bit string is a 1-D numpy array of uint8 values in {0, 1}; index 0 is
 the first position. Helpers here coerce text/python sequences to that
 form, count the disagreements of two strings up to each checkpoint
-(prefix_distances, the one such count in hamext) and read/write the two
-on-disk formats:
+(prefix_distances, the one such count in hamext) and read the two
+on-disk formats (and write the packed one):
 
 * text: ASCII '0'/'1', one string per line;
 * packed: an 8-byte little-endian bit count, then the bits packed
@@ -143,14 +143,6 @@ def bits_to_mask(bits: np.ndarray) -> int:
     for i in np.flatnonzero(bits):
         mask |= 1 << int(i)
     return mask
-
-
-def write_text_bits(path, strings) -> None:
-    """Write bit strings as ASCII lines (one string per line)."""
-    with open(path, "w", encoding="ascii") as fh:
-        for s in strings:
-            fh.write(to_text(as_bits(s)))
-            fh.write("\n")
 
 
 def read_text_bits(path) -> list[np.ndarray]:

@@ -1,20 +1,17 @@
 """Exact combinatorics of the finite Hamming cube.
 
-Distances, binomial ball sizes, d-neighborhoods, canonical spheres
+Distances, binomial ball sizes, d-neighborhood sizes, canonical spheres
 (pinched between consecutive balls), and an exhaustive isoperimetric
 minimizer. Points of {0,1}^n travel either as bit strings (see
-hamext.bits) or as integer vertex masks with bit i = position i;
-set-valued results use the printable string form so they stay hashable.
+hamext.bits) or as integer vertex masks with bit i = position i.
 
-All cardinalities are exact python integers; probabilities are
-fractions with power-of-two denominators.
+All cardinalities are exact python integers.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import comb
@@ -22,9 +19,8 @@ from math import comb
 import numpy as np
 
 from . import kernels
-from .bits import (_collection, as_bits, bits_to_mask, prefix_distances, read_index,
-                   read_indices, to_text)
-from .errors import DimensionError, DomainError
+from .bits import as_bits, bits_to_mask, read_index, to_text
+from .errors import DimensionError
 
 HARPER_CEILING = 4
 # the most bit-steps a binomial walk takes on: its steps times the bits of the
@@ -34,12 +30,6 @@ HARPER_CEILING = 4
 TAIL_CEILING = 1 << 28
 # the largest n whose 2^n vertices a numpy array can index, as bit_stream's length rule
 CUBE_CEILING = np.iinfo(np.intp).max.bit_length() - 1
-
-
-def hamming_distance(sigma, tau) -> int:
-    """Number of positions where two equal-length bit strings differ."""
-    a = as_bits(sigma)
-    return int(prefix_distances(a, tau, [a.size])[0])
 
 
 def _running_tails(n: int):
@@ -121,27 +111,6 @@ def binomial_tails(n: int) -> list[int]:
 def bracket(tails: list[int], size: int) -> int:
     """Largest r with tails[r] = b(n,r) <= size; -1 when size < 1."""
     return bisect_right(tails, size) - 1
-
-
-def vertex_text(v: int, n: int) -> str:
-    return "".join("1" if (v >> i) & 1 else "0" for i in range(n))
-
-
-def neighborhood(A, d: int) -> set[str]:
-    """All strings within distance d of the set A (as printable strings).
-
-    A is any iterable of equal-length bit strings. The empty set has an
-    empty neighborhood for every d (distance to the empty set is +inf).
-    """
-    members = _collection(A, "neighborhood member")
-    d = read_index(d, "d")
-    if not members:
-        return set()
-    family = EventFamily.from_strings(members)
-    n = family.dimension
-    d = read_index(d, "d", 0, n)
-    dist = kernels.distance_to_set(family.indicator(), n)
-    return {vertex_text(int(v), n) for v in np.flatnonzero(dist <= d)}
 
 
 def distances_from(n: int, center: int = 0) -> np.ndarray:
@@ -232,41 +201,3 @@ def harper_min_neighborhood(n: int, size: int, d: int) -> tuple[int, int]:
     sphere = make_sphere(n, size, "0" * n)
     return exhaustive, sphere.gamma_size(d)
 
-
-@dataclass(frozen=True)
-class EventFamily:
-    """An explicit event E inside {0,1}^n with its exact probability."""
-
-    dimension: int
-    members: frozenset[int]
-
-    def __post_init__(self):
-        n = read_index(self.dimension, "dimension", ceiling=CUBE_CEILING)
-        members = read_indices(self.members, "event member", 0, (1 << n) - 1)
-        unique = frozenset(members)
-        if len(unique) < len(members):
-            raise DomainError(f"event lists {len(members) - len(unique)} member(s) more than once")
-        object.__setattr__(self, "members", unique)
-
-    @classmethod
-    def from_strings(cls, strings) -> "EventFamily":
-        bit_arrays = [as_bits(s) for s in _collection(strings, "family member")]
-        if not bit_arrays:
-            raise DomainError("cannot infer dimension of an empty family; use EventFamily(n, frozenset())")
-        n = bit_arrays[0].size
-        if any(b.size != n for b in bit_arrays):
-            raise DimensionError("family members must share one dimension")
-        return cls(n, frozenset(bits_to_mask(b) for b in bit_arrays))
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    @property
-    def probability(self) -> Fraction:
-        return Fraction(self.size, 1 << self.dimension)
-
-    def indicator(self) -> np.ndarray:
-        ind = np.zeros(1 << self.dimension, dtype=np.bool_)
-        ind[np.fromiter(self.members, dtype=np.int64)] = True
-        return ind

@@ -9,8 +9,7 @@ margins, and robustness flags come back in an ExtractionTrace.
 make_schedule builds, for every budget g (bounded or not), the smallest
 schedule whose blocks satisfy the geometric-decay constraint
 g(n_k)/sqrt(n_k) <= 2^-k plus superadditivity, and refuses one longer
-than MAKE_SCHEDULE_SCAN_BOUND bits in total; check_schedule re-verifies
-those constraints through an independent code path.
+than MAKE_SCHEDULE_SCAN_BOUND bits in total.
 """
 
 from __future__ import annotations
@@ -48,16 +47,6 @@ def _margins(x: np.ndarray, cores) -> np.ndarray:
     """2·ones − |core| on x for each core, a range counted as one slice."""
     return np.array([2 * np.count_nonzero(x[c.start:c.stop]) - len(c) for c in cores],
                     dtype=np.int64)
-
-
-def majority_bit(X, core) -> int:
-    """1 iff strictly more ones than zeros on the core.
-
-    The core is a step-1 range of odd size inside X, checked by
-    core_indices.
-    """
-    x = as_bits(X)
-    return 1 if _margins(x, [core_indices(core, x.size)])[0] > 0 else 0
 
 
 @dataclass(frozen=True)
@@ -202,23 +191,6 @@ def make_schedule(g: BudgetFunction, block_count: int) -> BlockSchedule:
     return BlockSchedule.from_sizes(sizes)
 
 
-def check_schedule(schedule: BlockSchedule, g: BudgetFunction) -> list[str]:
-    """Independent re-check of make_schedule's superadditivity and decay
-    constraints (BlockSchedule itself refuses gaps, empty and shrinking
-    blocks); returns the violations (empty means admissible)."""
-    read_instance(schedule, BlockSchedule, "schedule", ConfigError)
-    read_instance(g, BudgetFunction, "g")
-    bad = []
-    running = 0
-    for k, n in enumerate(schedule.sizes):
-        if n < running:
-            bad.append(f"block {k} smaller than sum of earlier blocks")
-        running += n
-        if g(n) ** 2 * (1 << (2 * k)) > n:
-            bad.append(f"block {k}: g(n_k)/sqrt(n_k) exceeds 2^-{k}")
-    return bad
-
-
 def similar_p_N(X, Y, p: BudgetFunction, N, n0: int = 0) -> bool:
     """Prefix Hamming distances at the checkpoints N (from n0 on) all
     obey the budget: d(X|n, Y|n) <= p(n). Every checkpoint, those below
@@ -227,19 +199,6 @@ def similar_p_N(X, Y, p: BudgetFunction, N, n0: int = 0) -> bool:
     N, n0 = read_indices(N, "checkpoint"), read_index(n0, "n0")
     dist = prefix_distances(X, Y, N).tolist()
     return all(d <= p(n) for n, d in zip(N, dist) if n >= n0)
-
-
-def similar_g_phi(X, Y, g: BudgetFunction, schedule: BlockSchedule) -> bool:
-    """Per-block disagreement counts all within g of the block size."""
-    read_instance(g, BudgetFunction, "g")
-    read_instance(schedule, BlockSchedule, "schedule", ConfigError)
-    x = as_bits(X)
-    if schedule.total_length > x.size:
-        raise DimensionError("inputs do not cover the schedule")
-    # block k's count is the rise of the prefix distance across [start_k, end_k)
-    ends = [schedule.blocks[0][0], *(e for _, e in schedule.blocks)]
-    counts = np.diff(prefix_distances(x, Y, ends)).tolist()
-    return all(d <= g(e - s) for d, (s, e) in zip(counts, schedule.blocks))
 
 
 class PsiPoint(NamedTuple):

@@ -16,8 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .bits import _real, read_index, read_instance
-from .cube import EventFamily, binomial_tails, bracket, distances_from
+from .bits import _real, read_index
+from .cube import binomial_tails, bracket, distances_from
 from .errors import DomainError
 from .rng import Sampler
 
@@ -43,14 +43,6 @@ def _contained_counts(inside: np.ndarray, n: int) -> np.ndarray:
     for row, h in zip(dist, hist):
         h[:] = np.bincount(row, minlength=n + 2)
     return (1 << n) - np.cumsum(hist[:, :-1], axis=1)
-
-
-def containment_profile(family: EventFamily) -> list[Fraction]:
-    """P(ball_d(X) ⊆ E) for d = 0..n, exactly, in one sweep."""
-    read_instance(family, EventFamily, "family")
-    n = read_index(family.dimension, "n", ceiling=CONTAINMENT_CEILING)
-    total = 1 << n
-    return [Fraction(c, total) for c in _contained_counts(family.indicator()[None], n)[0].tolist()]
 
 
 def adversarial_families(n: int, max_size: int, r_max: int,

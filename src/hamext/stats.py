@@ -258,8 +258,8 @@ def apply_selection(rule: str, X) -> FrequencyReport:
 def frequency_on_set(X, N, checkpoints) -> list[FrequencyReport]:
     """Ones-frequency of X restricted to the position set N at each
     checkpoint n in 0..len(X), in the order given (undefined, not an error,
-    while N∩n is empty). A position listed twice raises DomainError, as in
-    EventFamily."""
+    while N∩n is empty). A position listed twice raises DomainError: a set
+    holds each position once."""
     x = as_bits(X)
     positions = read_indices(N, "position", 0, x.size - 1)
     pos = np.unique(np.asarray(positions, dtype=np.int64))

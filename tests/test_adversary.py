@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from hamext.adversary import (AdversarySchedule, corrupt, force_majority_zero,
-                              force_output_zero_generic, stages_from_blocks,
-                              verify_similarity)
+                              stages_from_blocks, verify_similarity)
 from hamext.bits import as_bits, to_text
 from hamext.budgets import parse_budget
 from hamext.errors import ConfigError, ContractError, DimensionError, ResourceError
 from hamext.extractor import BlockSchedule, extract, make_schedule, similar_p_N
 from hamext.rng import bit_stream
+from oracles import force_output_zero_generic
 
 
 def brute_force_min_cost(x: str, core, max_flips=None) -> int:
@@ -159,6 +159,24 @@ class TestForceOutputZeroGeneric:
                 generic = force_output_zero_generic(x, (0, width), "", ev)
                 _, closed = force_majority_zero(x, core)
                 assert generic.cost == closed
+
+    def test_exhaustive_equals_closed_form_on_every_core_up_to_nine_bits(self):
+        # all 682 contents of the odd cores of 1, 3, 5, 7 and 9 bits: both
+        # pick the same flips at the same cost, and those flips re-extract to 0
+        for width in range(1, 10, 2):
+            one_block = BlockSchedule.from_sizes((width,))
+
+            def ev(tau, width=width):
+                return 1 if 2 * int(tau.sum()) > width else 0
+
+            for word in range(1 << width):
+                x = np.array([(word >> i) & 1 for i in range(width)], dtype=np.uint8)
+                generic = force_output_zero_generic(x, (0, width), "", ev)
+                flips, cost = force_majority_zero(x, range(width))
+                assert (generic.flips, generic.cost, generic.forced) == (flips, cost, True)
+                y = x.copy()
+                y[flips] ^= 1
+                assert extract(y, one_block).outputs.tolist() == [0]
 
 
 class TestAdversarySchedule:

@@ -4,8 +4,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hamext.bits import (as_bits, bits_to_mask, read_packed_bits, read_text_bits,
-                         to_text, write_packed_bits, write_text_bits)
+                         to_text, write_packed_bits)
 from hamext.errors import DomainError
+from oracles import write_text_bits
 
 bitlists = st.lists(st.integers(0, 1), max_size=200)
 

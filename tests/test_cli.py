@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamext.bits import read_packed_bits, write_packed_bits, write_text_bits
+from hamext.bits import read_packed_bits, write_packed_bits
 from hamext.cli import _fraction, main
 from hamext.errors import ConfigError
 from hamext.extractor import BlockSchedule
 from hamext.rng import bit_stream
 from hamext.stats import CDF_GAP_CEILING, SMALL_BALL_CEILING, WEBER_CEILING
+from oracles import write_text_bits
 
 
 # The option keys each subcommand reads. Every subcommand also takes

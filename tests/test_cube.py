@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamext.cube import (CUBE_CEILING, TAIL_CEILING, EventFamily, binomial_tail, binomial_tails, bracket,
-                         SphereSpec, distances_from, hamming_distance, harper_min_neighborhood,
-                         make_sphere, neighborhood, vertex_text)
+from hamext import kernels
+from hamext.bits import as_bits, bits_to_mask, prefix_distances
+from hamext.cube import (CUBE_CEILING, TAIL_CEILING, binomial_tail, binomial_tails, bracket,
+                         SphereSpec, distances_from, harper_min_neighborhood, make_sphere)
 from hamext.errors import DimensionError, DomainError, ResourceError
 
 
@@ -37,7 +38,31 @@ def gamma_oracle(members, d):
             if min(dist_oracle(y, a) for a in members) <= d}
 
 
+def hamming_distance(a, b) -> int:
+    """d(a, b) as the prefix distance at the full length."""
+    return int(prefix_distances(a, b, [len(a)])[0])
+
+
+def vertex_text(v: int, n: int) -> str:
+    """The vertex mask v as a bit string, position i = bit i."""
+    return "".join("1" if (v >> i) & 1 else "0" for i in range(n))
+
+
+def neighborhood(A, d: int) -> set[str]:
+    """Γ_d(A) as bit strings, read from kernels.distance_to_set; the empty
+    set, at distance n+1 from every point, has an empty neighborhood."""
+    members = list(A)
+    if not members:
+        return set()
+    n = len(members[0])
+    inside = np.zeros(1 << n, dtype=np.bool_)
+    inside[[bits_to_mask(as_bits(a)) for a in members]] = True
+    return {vertex_text(int(v), n) for v in np.flatnonzero(kernels.distance_to_set(inside, n) <= d)}
+
+
 class TestHammingDistance:
+    """The metric axioms of prefix_distances at the full length."""
+
     def test_identity(self):
         assert hamming_distance("0000", "0000") == 0
 
@@ -163,6 +188,8 @@ class TestBinomialTail:
 
 
 class TestNeighborhood:
+    """d-neighborhoods as kernels.distance_to_set rows read them."""
+
     def test_singleton_radius_one(self):
         assert gamma_oracle({"000"}, 1) == {"000", "001", "010", "100"}
         assert neighborhood({"000"}, 1) == {"000", "001", "010", "100"}
@@ -373,52 +400,4 @@ class TestCubeCeiling:
     def test_dimension_past_the_ceiling_is_a_resource_error(self, n):
         # 10^20 leaked OverflowError and 2^64 + 1 MemoryError from 1 << n
         with pytest.raises(ResourceError):
-            EventFamily(n, frozenset())
-        with pytest.raises(ResourceError):
             distances_from(n)
-
-
-class TestEventFamily:
-    def test_probability_is_dyadic(self):
-        fam = EventFamily.from_strings(["000", "011", "101"])
-        assert fam.probability.numerator == 3
-        assert fam.probability.denominator == 8
-
-    def test_rejects_out_of_cube(self):
-        with pytest.raises(DomainError):
-            EventFamily(2, frozenset({5}))
-        with pytest.raises(DomainError):
-            EventFamily(2, frozenset({-1, 2}))
-
-    def test_rejects_non_integer_members(self):
-        # 1.5 would otherwise be read as vertex 1
-        for members in ({1.5}, {"a"}, {1, 2.0}, {(1, 2)}, {0, (1, 2, 3)}):
-            with pytest.raises(DomainError):
-                EventFamily(3, frozenset(members))
-
-    def test_rejects_bad_dimension(self):
-        for n in (-1, 2.0):
-            with pytest.raises(DomainError):
-                EventFamily(n, frozenset())
-
-    def test_members_past_int64_are_checked_exactly(self):
-        # members are read as python ints, so 2^64 + 3 is refused, not wrapped to 3
-        assert EventFamily(CUBE_CEILING, frozenset({(1 << CUBE_CEILING) - 1, 3})).size == 2
-        for member in (1 << CUBE_CEILING, 1 << 64, (1 << 64) + 3):
-            with pytest.raises(DomainError):
-                EventFamily(CUBE_CEILING, frozenset({member}))
-
-    def test_indicator_flags_exactly_the_members(self):
-        members = frozenset({0, 5, 6, 15})
-        assert EventFamily(4, members).indicator().nonzero()[0].tolist() == sorted(members)
-
-    def test_rejects_repeated_members(self):
-        # [0, 0] was counted twice: size 2, probability 1/4, one indicator vertex
-        with pytest.raises(DomainError):
-            EventFamily(3, [0, 0])
-        fam = EventFamily(3, [0, 5])
-        assert fam.members == frozenset({0, 5}) and fam.size == 2
-
-    def test_no_duplicates_by_construction(self):
-        fam = EventFamily.from_strings(["01", "01", "10"])
-        assert fam.size == 2

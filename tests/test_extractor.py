@@ -9,14 +9,12 @@ from hamext.adversary import (CorruptionReport, force_majority_zero, stages_from
                               verify_similarity)
 from hamext.bits import as_bits, to_text
 from hamext.budgets import lil_envelope, lil_scale, lnln, parse_budget
-from hamext.cube import hamming_distance
 from hamext.errors import (ConfigError, ContractError, DimensionError,
                            DomainError, ResourceError)
-from hamext.extractor import (MAKE_SCHEDULE_SCAN_BOUND, BlockSchedule, check_schedule,
-                              extract, majority_bit, make_schedule,
-                              prefix_distances, psi_deviation, similar_g_phi,
-                              similar_p_N)
+from hamext.extractor import (MAKE_SCHEDULE_SCAN_BOUND, BlockSchedule, extract, make_schedule,
+                              prefix_distances, psi_deviation, similar_p_N)
 from hamext.rng import bit_stream
+from oracles import check_schedule, similar_g_phi
 
 # read_index's refusal of a schedule longer than make_schedule's scan bound
 PAST_SCAN_BOUND = f"past the resource ceiling {MAKE_SCHEDULE_SCAN_BOUND}"
@@ -33,30 +31,43 @@ def majority_oracle(x: str, core) -> int:
     return 1 if 2 * ones > len(core) else 0
 
 
+def one_block_vote(X, core: range) -> int:
+    """The majority vote on one core: extract over the one-block schedule
+    [core.start, core.stop)."""
+    return int(extract(X, BlockSchedule(((core.start, core.stop),))).outputs[0])
+
+
 class TestMajorityBit:
+    """The vote of one block through extract; a core that is not one is
+    refused by core_indices, which force_majority_zero reads."""
+
     def test_two_of_three(self):
-        assert majority_bit("110", range(3)) == 1
+        assert one_block_vote("110", range(3)) == 1
 
     def test_all_zeros(self):
-        assert majority_bit("0" * 9, range(1, 6)) == 0
+        assert one_block_vote("0" * 9, range(1, 6)) == 0
 
     def test_hand_trace(self):
         # bits at 3,4,5,6,7 of 11001101 are 0,1,1,0,1 -> three ones
         assert majority_oracle("11001101", [3, 4, 5, 6, 7]) == 1
-        assert majority_bit("11001101", range(3, 8)) == 1
+        assert one_block_vote("11001101", range(3, 8)) == 1
 
     def test_even_core_rejected(self):
         for core in (range(2), range(1, 1)):
             with pytest.raises(ContractError):
-                majority_bit("1100", core)
+                force_majority_zero("1100", core)
 
     def test_out_of_range(self):
         with pytest.raises(DimensionError):
-            majority_bit("11", range(3))
+            one_block_vote("11", range(3))
+        with pytest.raises(DimensionError):
+            force_majority_zero("11", range(3))
 
     def test_negative_index_rejected(self):
+        with pytest.raises(ConfigError):
+            one_block_vote("011", range(-1, 2))
         with pytest.raises(DimensionError):
-            majority_bit("011", range(-1, 2))
+            force_majority_zero("011", range(-1, 2))
 
     def test_list_range_and_array_cores_agree(self):
         # the range core votes as the list and the array of its indices do
@@ -65,15 +76,13 @@ class TestMajorityBit:
         for start in range(len(x)):
             for stop in range(start + 1, len(x) + 1, 2):
                 indices = list(range(start, stop))
-                vote = majority_bit(x, range(start, stop))
+                vote = one_block_vote(x, range(start, stop))
                 assert vote == majority_oracle(x, indices)
                 assert vote == int(2 * int(bits[np.array(indices)].sum()) > len(indices))
 
     def test_only_a_step_one_range_is_a_core(self):
         x = "1101001110"
         for core in ([1, 2, 3, 4, 5], {1, 2, 3, 4, 5}, np.arange(1, 6), range(1, 10, 2), None):
-            with pytest.raises(ContractError):
-                majority_bit(x, core)
             with pytest.raises(ContractError):
                 force_majority_zero(x, core)
 
@@ -410,7 +419,7 @@ class TestPrefixDistances:
         ends = np.cumsum([start, *sizes]).tolist()
         sched = BlockSchedule(tuple(zip(ends, ends[1:])))
         assert similar_g_phi(x, y, g, sched) == g_phi_oracle(x, y, g, sched)
-        assert hamming_distance(x, y) == np.count_nonzero(x != y)
+        assert prefix_distances(x, y, [length])[0] == np.count_nonzero(x != y)
 
     def test_checkpoint_contract(self):
         for bad in (2.5, -3, 6, "3"):

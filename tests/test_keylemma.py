@@ -9,51 +9,46 @@ import pytest
 from hamext import keylemma, kernels
 from hamext.acceptance import crit_key_lemma
 from hamext.cli import main
-from hamext.cube import EventFamily, binomial_tail, binomial_tails, bracket, make_sphere
+from hamext.cube import binomial_tail, binomial_tails, bracket, make_sphere
 from hamext.errors import DomainError, ResourceError
-from hamext.keylemma import TRIALS_CEILING, containment_profile, verify_key_lemma
+from hamext.keylemma import TRIALS_CEILING, verify_key_lemma
+from oracles import contained_counts_oracle
 
 
-def contained_counts_oracle(inside, n: int) -> list[list[int]]:
-    """Brute force: per row and d, the points whose every vertex within
-    distance d is a member."""
-    return [[sum(all(row[y] for y in range(1 << n) if (x ^ y).bit_count() <= d)
-                 for x in range(1 << n))
-             for d in range(n + 1)]
-            for row in inside]
+def containment_profile(n: int, members) -> list[Fraction]:
+    """P(ball_d(X) ⊆ E) for d = 0..n, exactly, for the event E of the
+    vertex masks `members`, read from one keylemma._contained_counts row."""
+    inside = np.zeros((1, 1 << n), dtype=np.bool_)
+    inside[0, list(members)] = True
+    return [Fraction(c, 1 << n) for c in keylemma._contained_counts(inside, n)[0].tolist()]
 
 
-def profile_oracle(family: EventFamily) -> list[Fraction]:
-    """The oracle's counts for the row read from family.members, not from
-    family.indicator(), which containment_profile reads."""
-    n = family.dimension
-    [counts] = contained_counts_oracle([[v in family.members for v in range(1 << n)]], n)
+def profile_oracle(n: int, members) -> list[Fraction]:
+    """The same probabilities by brute force."""
+    [counts] = contained_counts_oracle([[v in members for v in range(1 << n)]], n)
     return [Fraction(c, 1 << n) for c in counts]
 
 
 def weight_cut(n, w):
-    return EventFamily(n, frozenset(v for v in range(1 << n)
-                                    if bin(v).count("1") <= w))
+    return n, frozenset(v for v in range(1 << n) if bin(v).count("1") <= w)
 
 
 class TestBallContainment:
     def test_weight_cut_example(self):
         fam = weight_cut(4, 2)
-        assert profile_oracle(fam)[1] == Fraction(5, 16)
-        assert containment_profile(fam)[1] == Fraction(5, 16)
+        assert profile_oracle(*fam)[1] == Fraction(5, 16)
+        assert containment_profile(*fam)[1] == Fraction(5, 16)
 
     def test_radius_zero_is_event_probability(self):
-        fam = weight_cut(5, 2)
-        assert containment_profile(fam)[0] == fam.probability
+        n, members = weight_cut(5, 2)
+        assert containment_profile(n, members)[0] == Fraction(len(members), 1 << n)
 
     def test_full_cube(self):
-        fam = EventFamily(3, frozenset(range(8)))
         for d in range(4):
-            assert containment_profile(fam)[d] == 1
+            assert containment_profile(3, range(8))[d] == 1
 
     def test_empty_family(self):
-        fam = EventFamily(3, frozenset())
-        assert containment_profile(fam) == [Fraction(0)] * 4
+        assert containment_profile(3, ()) == [Fraction(0)] * 4
 
     def test_matches_oracle_random_families(self):
         rng = np.random.Generator(np.random.Philox(key=6))
@@ -61,16 +56,14 @@ class TestBallContainment:
             for _ in range(8):
                 size = int(rng.integers(0, 1 << n))
                 members = frozenset(int(v) for v in rng.choice(1 << n, size, replace=False))
-                fam = EventFamily(n, members)
-                assert containment_profile(fam) == profile_oracle(fam)
+                assert containment_profile(n, members) == profile_oracle(n, members)
 
     def test_radii_up_to_dimension(self):
         rng = np.random.Generator(np.random.Philox(key=11))
         for n in (1, 3, 4):
             members = frozenset(int(v) for v in rng.choice(1 << n, (1 << n) - 1, replace=False))
-            for fam in (EventFamily(n, frozenset()), EventFamily(n, frozenset(range(1 << n))),
-                        EventFamily(n, members)):
-                assert containment_profile(fam) == profile_oracle(fam)
+            for fam in (frozenset(), frozenset(range(1 << n)), members):
+                assert containment_profile(n, fam) == profile_oracle(n, fam)
 
     @pytest.mark.parametrize("n", range(7))
     def test_contained_counts_match_brute_force(self, n):
@@ -84,8 +77,6 @@ class TestBallContainment:
         assert keylemma._contained_counts(inside, n).tolist() == expected
 
     def test_ceiling(self):
-        with pytest.raises(ResourceError):
-            containment_profile(EventFamily(17, frozenset()))
         with pytest.raises(ResourceError):
             verify_key_lemma(17, 1, Fraction(1, 2), 0)
         # 100 001 trials at n = 16 asked for a 6.5 GB array and were killed
@@ -131,14 +122,14 @@ class TestCentralInequality:
         rng = np.random.Generator(np.random.Philox(key=44))
         sample = rng.choice(index.size, 200, replace=False).tolist()
         for row in [0, index.size - 1, *sample]:
-            fam = EventFamily(n, frozenset(np.flatnonzero(members[row]).tolist()))
-            assert bracket(tails, fam.size) == r_of_size[fam.size]
-            assert containment_profile(fam) == [Fraction(int(c), total) for c in contained[row]]
+            fam = np.flatnonzero(members[row]).tolist()
+            assert bracket(tails, len(fam)) == r_of_size[len(fam)]
+            assert containment_profile(n, fam) == [Fraction(int(c), total) for c in contained[row]]
 
     def test_monotone_in_radius_and_event(self):
         fam = weight_cut(6, 2)
         bigger = weight_cut(6, 3)
-        prof_small, prof_big = containment_profile(fam), containment_profile(bigger)
+        prof_small, prof_big = containment_profile(*fam), containment_profile(*bigger)
         for d in range(6):
             assert prof_small[d + 1] <= prof_small[d]
             assert prof_small[d] <= prof_big[d]
@@ -146,10 +137,10 @@ class TestCentralInequality:
     def test_ball_families_attain_shifted_tails(self):
         for n in (4, 6, 8):
             for rho in range(n // 2 + 1):
-                fam = weight_cut(n, rho)
-                r = bracket(binomial_tails(n), fam.size)
+                _, members = weight_cut(n, rho)
+                r = bracket(binomial_tails(n), len(members))
                 assert r == rho
-                profile = containment_profile(fam)
+                profile = containment_profile(n, members)
                 for d in range(n + 1):
                     assert profile[d] == Fraction(binomial_tail(n, r - d), 1 << n)
 
@@ -160,10 +151,9 @@ class TestCentralInequality:
             for _ in range(12):
                 size = int(rng.integers(1, 1 << n))
                 members = frozenset(int(v) for v in rng.choice(1 << n, size, replace=False))
-                fam = EventFamily(n, members)
                 comp_sphere = make_sphere(n, (1 << n) - size, "0" * n)
-                hat = EventFamily(n, frozenset(range(1 << n)) - frozenset(np.flatnonzero(comp_sphere.indicator()).tolist()))
-                prof, prof_hat = containment_profile(fam), containment_profile(hat)
+                hat = np.flatnonzero(~comp_sphere.indicator()).tolist()
+                prof, prof_hat = containment_profile(n, members), containment_profile(n, hat)
                 for d in range(n + 1):
                     assert prof[d] <= prof_hat[d]
 
