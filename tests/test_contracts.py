@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hamext
-import oracles
 from hamext.adversary import (AdversarySchedule, corrupt, force_majority_zero,
                               stages_from_blocks, verify_similarity)
 from hamext.bits import read_index
@@ -34,7 +33,6 @@ from hamext.rng import bit_stream
 from hamext.stats import (apply_selection, berry_esseen_bound, binomial_cdf_gap,
                           frequency_on_set, majority_refinement, small_ball_bound,
                           small_ball_probability, sparse_subsequence, weber_series)
-from oracles import check_schedule, force_output_zero_generic, similar_g_phi
 
 G = parse_budget("power:1/3")
 REFUSED = (2.5, "3", None)
@@ -86,13 +84,6 @@ INTEGER_ROWS = [
      DomainError, REFUSED + (1,)),
     ("sparse_subsequence n_max", lambda v: sparse_subsequence(lambda k: 1.0, v),
      DomainError, REFUSED + (0,)),
-    ("force_output_zero_generic window",
-     lambda v: force_output_zero_generic("0101", (0, v), "", lambda t: 0),
-     DimensionError, REFUSED + (5,)),
-    # None means no budget; "x" leaked TypeError, 2.5 and -1 were accepted
-    ("force_output_zero_generic budget",
-     lambda v: force_output_zero_generic("0101", (0, 4), "", lambda t: 0, budget=v),
-     DomainError, (2.5, "3", "x", -1)),
     ("BlockSchedule bound", lambda v: BlockSchedule(((0, v),)), ConfigError, REFUSED + (0,)),
     ("BlockSchedule.from_sizes size", lambda v: BlockSchedule.from_sizes((v,)),
      ConfigError, REFUSED + (0,)),
@@ -122,11 +113,6 @@ ROWS = INTEGER_ROWS + [
     ("BlockSchedule block pair", lambda v: BlockSchedule((v,)), ConfigError,
      ((0,), (0, 1, 2), 5)),
     ("BlockSchedule blocks", lambda v: BlockSchedule(v), ConfigError, (5, None)),
-    # the whole window, read as BlockSchedule reads a block; each leaked
-    # TypeError or ValueError
-    ("force_output_zero_generic stage_window",
-     lambda v: force_output_zero_generic("0101", v, "", lambda t: 0), DimensionError,
-     (None, 5, (1,), (1, 2, 3), (0, 2.5), "01")),
     ("extract schedule", lambda v: extract("101", v), ConfigError,
      (5, None, [[0, 1, 2]], ((0, 3),))),
     # a majority core is a step-1 range
@@ -144,12 +130,6 @@ ROWS = INTEGER_ROWS + [
      ((), ("x",), (1.5,), (-0.5,), 5, None)),
     # a bit string given a value that is not one
     ("SphereSpec center", lambda v: SphereSpec(v, 0, 0), DomainError, (101, "abc", None)),
-    # bit strings whose length does not fit where they go
-    ("force_output_zero_generic oracle_prefix",
-     lambda v: force_output_zero_generic("0101", (1, 3), v, lambda t: 0), DimensionError,
-     ("", "00")),
-    ("similar_g_phi X", lambda v: similar_g_phi(v, v, G, BlockSchedule.from_sizes((3,))),
-     DimensionError, ("10",)),
     # text given a value that is not text
     ("parse_budget token", lambda v: parse_budget(v), DomainError, (5, None)),
     ("BlockSchedule.from_text text", lambda v: BlockSchedule.from_text(v), ConfigError, (5, None)),
@@ -175,13 +155,7 @@ OBJECT_ROWS = [
     # None is no budget
     ("extract budget", lambda v: extract("101", S3, v), DomainError, (5, "x", [])),
     ("make_schedule g", lambda v: make_schedule(v, 2), DomainError, NOT_AN_OBJECT),
-    ("check_schedule schedule", lambda v: check_schedule(v, G), ConfigError, NOT_AN_OBJECT),
-    ("check_schedule g", lambda v: check_schedule(S3, v), DomainError, NOT_AN_OBJECT),
     ("similar_p_N p", lambda v: similar_p_N("101", "101", v, [3]), DomainError, NOT_AN_OBJECT),
-    ("similar_g_phi g", lambda v: similar_g_phi("101", "101", v, S3), DomainError,
-     NOT_AN_OBJECT),
-    ("similar_g_phi schedule", lambda v: similar_g_phi("101", "101", G, v), ConfigError,
-     NOT_AN_OBJECT),
     ("AdversarySchedule budget", lambda v: AdversarySchedule((0, 3), (0,), v), DomainError,
      NOT_AN_OBJECT),
     ("stages_from_blocks schedule", lambda v: stages_from_blocks(v, G), ConfigError,
@@ -193,8 +167,6 @@ OBJECT_ROWS = [
     ("corrupt adv", lambda v: corrupt("101", S3, v), ConfigError, NOT_AN_OBJECT),
     ("verify_similarity report", lambda v: verify_similarity(v, "101", G, [3]), DomainError,
      NOT_AN_OBJECT),
-    ("force_output_zero_generic evaluate",
-     lambda v: force_output_zero_generic("0101", (0, 2), "", v), DomainError, NOT_AN_OBJECT),
     ("apply_selection rule", lambda v: apply_selection(v, "1011"), DomainError, NOT_AN_OBJECT),
     ("sparse_subsequence f", lambda v: sparse_subsequence(v, 3), DomainError, NOT_AN_OBJECT),
 ]
@@ -232,14 +204,10 @@ def test_real_parameters_refuse_non_numbers_and_non_finite(call):
 # (callable parameter, call with a callable that returns the value under
 # test, its error, the returned values it refuses). Each was compared as
 # returned: a rate of "x" or None leaked TypeError and one of nan admitted
-# no block, and an evaluate result of None, "0" or 2 read as "no
-# assignment works".
+# no block.
 RESULT_ROWS = [
     ("sparse_subsequence f", lambda v: sparse_subsequence(lambda k: v, 3), DomainError,
      (None, "x", math.nan, math.inf, -math.inf)),
-    ("force_output_zero_generic evaluate",
-     lambda v: force_output_zero_generic("0101", (0, 2), "", lambda t: v), DomainError,
-     (None, "x", "0", 2)),
 ]
 
 
@@ -253,11 +221,9 @@ def test_callable_results_are_read(call, error, refused):
 
 def test_every_callable_parameter_has_a_result_row():
     # each parameter annotated Callable of a function or class that hamext
-    # exports or tests/oracles.py defines
-    defined = {name: obj for name, obj in vars(oracles).items()
-               if getattr(obj, "__module__", None) == oracles.__name__}
+    # exports
     annotated = {f"{name} {param.name}"
-                 for name, obj in {**vars(hamext), **defined}.items()
+                 for name, obj in vars(hamext).items()
                  if inspect.isfunction(obj) or inspect.isclass(obj)
                  for param in inspect.signature(obj).parameters.values()
                  if "Callable" in str(param.annotation)}

@@ -20,12 +20,6 @@ from oracles import check_schedule, similar_g_phi
 PAST_SCAN_BOUND = f"past the resource ceiling {MAKE_SCHEDULE_SCAN_BOUND}"
 
 
-def g_phi_oracle(x, y, g, schedule) -> bool:
-    """similar_g_phi as a per-block loop over its own disagreement count."""
-    diff = x != y
-    return all(int(diff[s:e].sum()) <= g(e - s) for s, e in schedule.blocks)
-
-
 def majority_oracle(x: str, core) -> int:
     ones = sum(int(x[i]) for i in core)
     return 1 if 2 * ones > len(core) else 0
@@ -407,18 +401,11 @@ class TestPrefixDistances:
     @given(st.data())
     @settings(max_examples=300)
     def test_readers_match_their_oracles(self, data):
-        start = data.draw(st.integers(0, 5), label="first block start")
-        sizes = sorted(data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=5)))
-        length = start + sum(sizes) + data.draw(st.integers(0, 3), label="tail")
+        length = data.draw(st.integers(1, 40), label="length")
         x = np.array(data.draw(st.lists(st.integers(0, 1), min_size=length,
                                         max_size=length)), dtype=np.uint8)
         y = x.copy()
         y[sorted(data.draw(st.sets(st.integers(0, length - 1), max_size=4), label="flips"))] ^= 1
-        g = parse_budget(data.draw(st.sampled_from(
-            ["table:0", "table:1", "table:2", "table:1=0,3=1", "power:1/2"])))
-        ends = np.cumsum([start, *sizes]).tolist()
-        sched = BlockSchedule(tuple(zip(ends, ends[1:])))
-        assert similar_g_phi(x, y, g, sched) == g_phi_oracle(x, y, g, sched)
         assert prefix_distances(x, y, [length])[0] == np.count_nonzero(x != y)
 
     def test_checkpoint_contract(self):

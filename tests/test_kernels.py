@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from hamext import cube, kernels
 from hamext.errors import DimensionError
+from hamext.extractor import BlockSchedule
 
 
 def rng():
@@ -165,3 +166,26 @@ def test_robustness_matches_python_loop():
             np.array(cores, dtype=np.uint64), np.array(sizes, dtype=np.int64),
             np.array(budgets2, dtype=np.int64), np.array(patterns, dtype=np.uint64), 8)
         assert got == expect
+
+
+@st.composite
+def robustness_cases(draw):
+    """A 3-block partition of L <= 8 bits, a budget of 0..3 flips per
+    block and up to 16 patterns, repeats included."""
+    length = draw(st.integers(3, 8), label="L")
+    cuts = sorted(draw(st.sets(st.integers(1, length - 1), min_size=2, max_size=2)))
+    sizes = sorted((cuts[0], cuts[1] - cuts[0], length - cuts[1]))
+    cores, core_sizes = kernels.core_words(BlockSchedule.from_sizes(sizes).odd_cores)
+    budgets2 = [2 * g for g in draw(st.lists(st.integers(0, 3), min_size=3, max_size=3))]
+    patterns = draw(st.lists(st.integers(0, (1 << length) - 1), max_size=16))
+    return cores, core_sizes, budgets2, patterns, length
+
+
+@given(robustness_cases())
+@settings(max_examples=500, deadline=None)
+def test_robustness_matches_python_loop_on_drawn_schedules(case):
+    cores, core_sizes, budgets2, patterns, length = case
+    got = kernels.robustness_violations(cores, core_sizes, np.array(budgets2, dtype=np.int64),
+                                        np.array(patterns, dtype=np.uint64), length)
+    assert got == _robustness_oracle(cores.tolist(), core_sizes.tolist(), budgets2, patterns,
+                                     length)

@@ -230,3 +230,15 @@ def test_every_export_has_a_reader():
         read |= more
     assert sorted(exported - read - UNREAD_EXPORTS.keys()) == []
     assert UNREAD_EXPORTS.keys() <= exported - read
+
+
+def test_every_reference_has_a_comparison():
+    """Each function that tests/oracles.py defines is called by a test
+    module: a reference whose comparisons are deleted goes with them."""
+    here = Path(__file__).parent
+    defined = {node.name for node in ast.parse((here / "oracles.py").read_text()).body
+               if isinstance(node, ast.FunctionDef)}
+    called = {node.func.id for path in here.glob("test_*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert sorted(defined - called) == []
