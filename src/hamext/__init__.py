@@ -8,12 +8,11 @@ probability bounds that make every finite claim checkable.
 
 __version__ = "0.1.0"
 
-from .adversary import (AdversarySchedule, CorruptionReport, corrupt,
-                        force_majority_zero, stages_from_blocks,
-                        verify_similarity)
+from .adversary import (CorruptionReport, corrupt, force_majority_zero,
+                        stages_from_blocks, verify_similarity)
 from .bits import prefix_distances
 from .budgets import BudgetFunction, parse_budget
-from .cube import SphereSpec, binomial_tail, harper_min_neighborhood, make_sphere
+from .cube import binomial_tail, harper_min_neighborhood, make_sphere
 from .extractor import (BlockSchedule, ExtractionTrace, extract, make_schedule,
                         psi_deviation, similar_p_N)
 from .keylemma import verify_key_lemma

@@ -23,26 +23,14 @@ from .extractor import BlockSchedule, _margins, core_indices, similar_p_N
 
 @dataclass(frozen=True)
 class AdversarySchedule:
-    """Stage bounds n_0 < ... < n_S, one targeted output per stage
-    (stage s attacks output targets[s] inside [n_s, n_{s+1}))."""
+    """The stage plan stages_from_blocks builds over `schedule`: stage
+    bounds n_0 < ... < n_S, one targeted output per stage (stage s
+    attacks output targets[s] inside [n_s, n_{s+1}))."""
 
     stage_bounds: tuple[int, ...]
     targets: tuple[int, ...]
     budget: BudgetFunction
-
-    def __post_init__(self):
-        read_instance(self.budget, BudgetFunction, "budget")
-        nb = read_indices(self.stage_bounds, "stage bound", error=ConfigError)
-        targets = read_indices(self.targets, "target", error=ConfigError)
-        if len(nb) < 2 or len(targets) != len(nb) - 1:
-            raise ConfigError("need S+1 stage bounds for S targets")
-        # targets first: stages_from_blocks derives repeated bounds from repeated targets
-        if any(a >= b for a, b in zip(targets, targets[1:])):
-            raise ConfigError("targets must be strictly increasing")
-        if any(a >= b for a, b in zip(nb, nb[1:])):
-            raise ConfigError("stage bounds must be strictly increasing")
-        object.__setattr__(self, "stage_bounds", tuple(nb))
-        object.__setattr__(self, "targets", tuple(targets))
+    schedule: BlockSchedule
 
     @property
     def stage_count(self) -> int:
@@ -62,16 +50,16 @@ def stages_from_blocks(schedule: BlockSchedule, budget: BudgetFunction,
     leave padding blocks inside the window.
     """
     read_instance(schedule, BlockSchedule, "schedule", ConfigError)
-    if targets is None:
-        targets = tuple(range(len(schedule)))
-    targets = tuple(read_indices(targets, "target block", 0, len(schedule) - 1, ConfigError))
+    read_instance(budget, BudgetFunction, "budget")
+    targets = tuple(read_indices(range(len(schedule)) if targets is None else targets,
+                                 "target block", 0, len(schedule) - 1, ConfigError))
     if not targets:
         raise ConfigError("need at least one target block")
-    bounds = [0]
-    for t in targets[1:]:
-        bounds.append(schedule.blocks[t][0])
-    bounds.append(schedule.blocks[targets[-1]][1])
-    return AdversarySchedule(tuple(bounds), targets, budget)
+    if any(a >= b for a, b in zip(targets, targets[1:])):
+        raise ConfigError("targets must be strictly increasing")
+    # the blocks are consecutive, so the bounds rise with the targets
+    bounds = (0, *(schedule.blocks[t][0] for t in targets[1:]), schedule.blocks[targets[-1]][1])
+    return AdversarySchedule(bounds, targets, budget, schedule)
 
 
 def _first_ones(x: np.ndarray, start: int, stop: int, count: int) -> np.ndarray:
@@ -145,8 +133,9 @@ def corrupt(X, schedule: BlockSchedule, adv: AdversarySchedule) -> CorruptionRep
     Flips at stage s stay inside [n_s, n_{s+1}); cumulative costs and
     the overall prefix-budget verdict land in the report.
     """
-    read_instance(schedule, BlockSchedule, "schedule", ConfigError)
     read_instance(adv, AdversarySchedule, "adversary schedule", ConfigError)
+    if adv.schedule != schedule:
+        raise ConfigError("the stage plan was built over another block schedule")
     x = as_bits(X)
     if adv.stage_bounds[-1] > x.size:
         raise DimensionError(
@@ -159,14 +148,7 @@ def corrupt(X, schedule: BlockSchedule, adv: AdversarySchedule) -> CorruptionRep
     cores = schedule.odd_cores
     for s in range(adv.stage_count):
         a, b = adv.window(s)
-        target = adv.targets[s]
-        if target >= len(schedule):
-            raise ConfigError(f"stage {s} targets output {target}, schedule has {len(schedule)} blocks")
-        blk_start, blk_end = schedule.blocks[target]
-        if blk_start < a or blk_end > b:
-            raise ConfigError(
-                f"stage {s}: target block [{blk_start},{blk_end}) not inside window [{a},{b})")
-        flips, cost = force_majority_zero(y, range(*cores[target]))
+        flips, cost = force_majority_zero(y, range(*cores[adv.targets[s]]))
         stage_budget = adv.budget(b - a)
         if cost > stage_budget:
             records.append(StageRecord(s, (a, b), [], cost, False, True))

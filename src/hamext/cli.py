@@ -48,18 +48,23 @@ def _fraction(x) -> dict:
     return {"num": x.numerator, "den": den}
 
 
+def _config_line(raw: str) -> tuple[str, str] | None:
+    """One config line as (key, value), each stripped; None for a line
+    that is blank once '#' and what follows it are cut."""
+    line = raw.split("#", 1)[0].strip()
+    if not line:
+        return None
+    if "=" not in line:
+        raise ConfigError(f"config line without '=': {raw!r}")
+    return tuple(part.strip() for part in line.split("=", 1))
+
+
 def load_config(path: str | None) -> dict:
-    """Flat key=value file; '#' starts a comment. A key set twice is a
+    """Flat key=value file read by _config_line. A key set twice is a
     ConfigError, not its last value."""
     cfg: dict[str, str] = {}
     if path:
-        for raw in Path(path).read_text().splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"config line without '=': {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
+        for key, value in filter(None, map(_config_line, Path(path).read_text().splitlines())):
             if key in cfg:
                 raise ConfigError(f"config key {key!r} set twice: {cfg[key]!r}, then {value!r}")
             cfg[key] = value
@@ -377,7 +382,8 @@ def _merged_config(args: argparse.Namespace) -> dict:
     subcommand's name. Only the subcommand's declared keys may appear,
     and `command` with its own name as every report's config block
     carries it, so that a config file copied from a report replays it;
-    a key and one it replaces (_REPLACES) may not both appear.
+    a key and one it replaces (_REPLACES) may not both appear, and a
+    flag value must read back unchanged from its config line.
     out_dir names the write destination, not the experiment; keeping it
     out of the embedded config keeps replayed runs byte-identical."""
     keys = _COMMANDS[args.command][2]
@@ -387,10 +393,16 @@ def _merged_config(args: argparse.Namespace) -> dict:
     if unknown:
         raise ConfigError(f"{args.command} does not read config key(s) {unknown}; "
                           f"it reads {sorted(keys)}")
-    flags = vars(args)
-    cfg.update((key, flags[key]) for key in keys if flags[key] is not None)
+    flags = {key: vars(args)[key] for key in keys if vars(args)[key] is not None}
+    unread = sorted(key for key, value in flags.items()
+                    if (line := f"{key} = {value}").splitlines() != [line]
+                    or _config_line(line) != (key, value))
+    if unread:
+        raise ConfigError(f"{unread}: a report's config block cannot replay a value with "
+                          f"'#', a line break or blanks at either end")
+    cfg.update(flags)
     cfg["command"] = args.command
-    empty = sorted(k for k, v in cfg.items() if not v.strip())
+    empty = sorted(k for k, v in cfg.items() if not v)
     if empty:
         raise ConfigError(f"empty value for {empty}; leave a key out to take its default")
     for key, replaced in _REPLACES.items():

@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from .bits import read_index
-from .cube import CUBE_CEILING
 
 WORD = 1 << 64
 
@@ -43,28 +42,27 @@ class Sampler:
     """Draws over the 64-bit words of bit_stream(seed), read in order;
     each draw takes the words after the previous draw's.
 
-    below(m) is an integer in 0..m-1: the next word w under
+    below(m), for m >= 1, is an integer in 0..m-1: the next word w under
     2^64 - 2^64 mod m (a rejected word is skipped), reduced mod m. Every
     call takes at least one word, m = 1 included.
 
-    subset(n, k) is the membership row of k of the 2^n vertices of
-    {0,1}^n, without replacement: vertex v's key is the v-th of the next
-    2^n words with its low n bits replaced by v, so no two keys tie, and
-    the k vertices with the least keys are chosen. It takes 2^n words.
+    subset(n, k), for k <= 2^n, is the membership row of k of the 2^n
+    vertices of {0,1}^n, without replacement: vertex v's key is the v-th
+    of the next 2^n words with its low n bits replaced by v, so no two
+    keys tie, and the k vertices with the least keys are chosen. It
+    takes 2^n words.
     """
 
     def __init__(self, seed: int):
         self._words = _philox(seed).random_raw
 
     def below(self, m: int) -> int:
-        limit = WORD - WORD % read_index(m, "m", 1, WORD)
+        limit = WORD - WORD % m
         while (w := self._words()) >= limit:
             pass
         return w % m
 
     def subset(self, n: int, k: int) -> np.ndarray:
-        n = read_index(n, "n", ceiling=CUBE_CEILING)
-        k = read_index(k, "k", 0, 1 << n)
         shift = np.uint64(n)
         keys = self._words(1 << n) >> shift << shift | np.arange(1 << n, dtype=np.uint64)
         if not k:

@@ -126,34 +126,25 @@ def _block_of(v: int) -> int:
 class WeberSeries:
     """Hit counts of a subsequence across dyadic blocks.
 
-    p_count(n) = how many of the blocks (2^(m-1), 2^m], m <= n, meet the
-    subsequence; the log statistic is constant on each block. hit_blocks
-    lists the hit m in increasing order.
+    hit_blocks lists, in increasing order, the m whose block
+    (2^(m-1), 2^m] meets the subsequence; p_counts[n-1] = how many of
+    them are at most n. The log statistic is constant on each block.
     """
 
     n_max: int
     hit_blocks: tuple[int, ...]
 
-    def p_count(self, n: int) -> int:
-        n = read_index(n, "n", 1, self.n_max)
-        return bisect_right(self.hit_blocks, n)
-
     @property
     def p_counts(self) -> list[int]:
-        return [self.p_count(n) for n in range(1, self.n_max + 1)]
-
-    def log_rate(self, k: int) -> float:
-        """ln p_n for k in the block (2^(n-1), 2^n]; -inf while no hits."""
-        p = self.p_count(_block_of(read_index(k, "k", 2, 1 << self.n_max)))
-        return math.log(p) if p else float("-inf")
+        return [bisect_right(self.hit_blocks, n) for n in range(1, self.n_max + 1)]
 
     @property
     def log_rates(self) -> list[tuple[int, int, float]]:
-        """(m, its lowest k 2^(m-1) + 1, log_rate(k)) per block m <= n_max:
-        the statistic is constant on a block, so its lowest k stands for it;
-        criterion 9 and `hamext weber` read these rows."""
-        return [(m, k, self.log_rate(k)) for m in range(1, self.n_max + 1)
-                for k in [(1 << (m - 1)) + 1]]
+        """(m, its lowest k 2^(m-1) + 1, ln p_m) per block m <= n_max, -inf
+        while no block is hit: the statistic is constant on a block, so its
+        lowest k stands for it; criterion 9 and `hamext weber` read these rows."""
+        return [(m, (1 << (m - 1)) + 1, math.log(p) if p else float("-inf"))
+                for m, p in enumerate(self.p_counts, start=1)]
 
 
 def weber_series(nu, n_max: int) -> WeberSeries:

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from hamext.adversary import (AdversarySchedule, corrupt, force_majority_zero,
-                              stages_from_blocks, verify_similarity)
+from hamext.adversary import corrupt, force_majority_zero, stages_from_blocks, verify_similarity
 from hamext.bits import as_bits, to_text
 from hamext.budgets import parse_budget
 from hamext.errors import ConfigError, ContractError, DimensionError
@@ -139,15 +138,6 @@ class TestForceOutputZeroGeneric:
 
 
 class TestAdversarySchedule:
-    def test_orderings_enforced(self):
-        p = parse_budget("power:2/3")
-        with pytest.raises(ConfigError):
-            AdversarySchedule((0, 5, 5), (0, 1), p)
-        with pytest.raises(ConfigError):
-            AdversarySchedule((0, 5, 9), (1, 1), p)
-        with pytest.raises(ConfigError):
-            AdversarySchedule((0, 5), (0, 1), p)
-
     def test_padded_targets(self):
         sched = make_schedule(parse_budget("power:1/3"), 4)
         adv = stages_from_blocks(sched, parse_budget("power:2/3"), targets=(0, 2))
@@ -156,10 +146,10 @@ class TestAdversarySchedule:
     def test_fields_are_stored_as_int_tuples(self):
         # lists and arrays were kept as given: unequal to the tuple form,
         # unhashable, and an array field made == raise ValueError
-        p = parse_budget("power:2/3")
-        tupled = AdversarySchedule((0, 5), (0,), p)
-        for bounds, targets in (([0, 5], [0]), (np.array([0, 5]), np.array([0]))):
-            adv = AdversarySchedule(bounds, targets, p)
+        sched, p = BlockSchedule.from_sizes((1, 2, 3)), parse_budget("power:2/3")
+        tupled = stages_from_blocks(sched, p, (0, 2))
+        for targets in ([0, 2], np.array([0, 2])):
+            adv = stages_from_blocks(sched, p, targets)
             assert adv == tupled
             assert hash(adv) == hash(tupled)
             assert all(type(v) is int for v in adv.stage_bounds + adv.targets)
@@ -251,19 +241,23 @@ class TestCorrupt:
                 assert np.array_equal(rep.Y, expected)
 
     def test_target_outside_window_rejected(self):
-        adv = AdversarySchedule((0, 1), (3,), self.p)
-        x = bit_stream(2, self.sched.total_length)
-        with pytest.raises(ConfigError):
-            corrupt(x, self.sched, adv)
+        # same block count, other sizes: block 1's core, [1, 4), would
+        # overrun the plan's stage window [1, 2)
+        adv = stages_from_blocks(BlockSchedule.from_sizes((1, 1, 2, 4)), self.p)
+        other = BlockSchedule.from_sizes((1, 3, 3, 3))
+        assert other.odd_cores[1][1] > adv.window(1)[1]
+        with pytest.raises(ConfigError, match="another block schedule"):
+            corrupt(bit_stream(2, other.total_length), other, adv)
+
+    def test_target_past_schedule_rejected(self):
+        # the plan's last target, block 4, is past the schedule corrupt is given
+        adv = stages_from_blocks(BlockSchedule.from_sizes((1, 1, 2, 4, 8)), self.p)
+        with pytest.raises(ConfigError, match="another block schedule"):
+            corrupt(bit_stream(2, 16), BlockSchedule.from_sizes((1, 1, 2, 4)), adv)
 
     def test_short_input_rejected(self):
         with pytest.raises(DimensionError):
             corrupt("101", self.sched, self.adv)
-
-    def test_target_past_schedule_rejected(self):
-        with pytest.raises(ConfigError, match="targets output 4"):
-            corrupt(bit_stream(2, 8), BlockSchedule.from_sizes((1, 1, 2, 4)),
-                    AdversarySchedule((0, 8), (4,), self.p))
 
     def test_prefix_budget_overrun_is_reported(self):
         # each stage fits p of its window, but two forced stages pass p(2) = 1

@@ -290,7 +290,7 @@ class TestDeterminism:
 class TestConfigFile:
     def test_config_with_cli_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("n = 2   # comment\n")
+        cfg.write_text("# a comment line, then a blank one\n\nn = 2   # comment\n")
         run(["harper", "--config", cfg, "--out-dir", tmp_path / "o1"])
         assert read_json(tmp_path / "o1" / "harper.json")["n"] == 2
         run(["harper", "--config", cfg, "--n", 3, "--out-dir", tmp_path / "o2"])
@@ -592,6 +592,21 @@ class TestExitCodes:
     def assert_exit_two(self, args, tmp_path, capsys, error="ConfigError"):
         assert run([*args, "--out-dir", tmp_path]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == error
+
+    # each ran and exited 0, but its report's config block replayed another
+    # run: a config line cuts its value at '#' and strips the blanks around it
+    @pytest.mark.parametrize("args", [
+        ["select", "--input", "x#1.txt"],
+        ["select", "--seed", " 5"],
+        ["harper", "--n", "2\t"],
+        ["lil", "--epsilon", "0.5\n"],
+    ], ids=["hash", "leading-blank", "trailing-tab", "line-break"])
+    def test_flag_value_its_config_line_changes_is_two(self, tmp_path, monkeypatch, capsys,
+                                                        args):
+        monkeypatch.chdir(tmp_path)
+        write_text_bits("x#1.txt", ["1101"])
+        self.assert_exit_two(args, "o", capsys)
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("nu", ["1.5,2", "a", "2,,4"])
     def test_malformed_weber_nu_is_two(self, tmp_path, capsys, nu):

@@ -18,12 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hamext
-from hamext.adversary import (AdversarySchedule, corrupt, force_majority_zero,
-                              stages_from_blocks, verify_similarity)
+from hamext.adversary import corrupt, force_majority_zero, stages_from_blocks, verify_similarity
 from hamext.bits import read_index
 from hamext.budgets import BudgetFunction, parse_budget
-from hamext.cube import (CUBE_CEILING, SphereSpec, binomial_tail, distances_from,
-                         harper_min_neighborhood, make_sphere)
+from hamext.cube import (CUBE_CEILING, binomial_tail, distances_from, harper_min_neighborhood,
+                         make_sphere)
 from hamext.errors import (ConfigError, ContractError, DimensionError, DomainError,
                            HamextError, ResourceError)
 from hamext.extractor import (BlockSchedule, extract, make_schedule, psi_deviation,
@@ -56,8 +55,6 @@ INTEGER_ROWS = [
     ("make_schedule block_count", lambda v: make_schedule(G, v), DomainError, REFUSED + (0,)),
     ("binomial_tail n", lambda v: binomial_tail(v, 1), DomainError, REFUSED + (-1,)),
     ("make_sphere size", lambda v: make_sphere(3, v, "000"), DomainError, REFUSED + (9,)),
-    ("SphereSpec shell_count", lambda v: SphereSpec("000", 0, v),
-     DomainError, REFUSED + (4,)),
     ("SphereSpec.gamma_size d", lambda v: make_sphere(3, 4, "000").gamma_size(v),
      DomainError, REFUSED + (4,)),
     # the empty set's neighborhood was once returned without reading d;
@@ -78,19 +75,11 @@ INTEGER_ROWS = [
     ("small_ball_bound n", lambda v: small_ball_bound(v, 3), DomainError, REFUSED + (0,)),
     ("small_ball_bound g", lambda v: small_ball_bound(10, v), DomainError, REFUSED + (-1,)),
     ("weber_series n_max", lambda v: weber_series([2, 4], v), DomainError, REFUSED + (0,)),
-    ("WeberSeries.p_count n", lambda v: weber_series([2], 4).p_count(v),
-     DomainError, REFUSED + (5,)),
-    ("WeberSeries.log_rate k", lambda v: weber_series([2], 4).log_rate(v),
-     DomainError, REFUSED + (1,)),
     ("sparse_subsequence n_max", lambda v: sparse_subsequence(lambda k: 1.0, v),
      DomainError, REFUSED + (0,)),
     ("BlockSchedule bound", lambda v: BlockSchedule(((0, v),)), ConfigError, REFUSED + (0,)),
     ("BlockSchedule.from_sizes size", lambda v: BlockSchedule.from_sizes((v,)),
      ConfigError, REFUSED + (0,)),
-    ("AdversarySchedule stage bound", lambda v: AdversarySchedule((0, v), (0,), G),
-     ConfigError, REFUSED + (-1,)),
-    ("AdversarySchedule target", lambda v: AdversarySchedule((0, 3), (v,), G),
-     ConfigError, REFUSED + (-1,)),
     ("stages_from_blocks target",
      lambda v: stages_from_blocks(BlockSchedule.from_sizes((1, 2, 3)), G, [v]),
      ConfigError, REFUSED + (3,)),
@@ -108,8 +97,6 @@ ROWS = INTEGER_ROWS + [
      ConfigError, (5, None)),
     ("stages_from_blocks targets",
      lambda v: stages_from_blocks(BlockSchedule.from_sizes((1, 2, 3)), G, v), ConfigError, (5,)),
-    ("AdversarySchedule stage_bounds", lambda v: AdversarySchedule(v, (0,), G),
-     ConfigError, (5, None)),
     ("BlockSchedule block pair", lambda v: BlockSchedule((v,)), ConfigError,
      ((0,), (0, 1, 2), 5)),
     ("BlockSchedule blocks", lambda v: BlockSchedule(v), ConfigError, (5, None)),
@@ -129,7 +116,7 @@ ROWS = INTEGER_ROWS + [
     ("BudgetFunction lil params", lambda v: BudgetFunction("lil", v), DomainError,
      ((), ("x",), (1.5,), (-0.5,), 5, None)),
     # a bit string given a value that is not one
-    ("SphereSpec center", lambda v: SphereSpec(v, 0, 0), DomainError, (101, "abc", None)),
+    ("make_sphere center", lambda v: make_sphere(3, 0, v), DomainError, (101, "abc", None)),
     # text given a value that is not text
     ("parse_budget token", lambda v: parse_budget(v), DomainError, (5, None)),
     ("BlockSchedule.from_text text", lambda v: BlockSchedule.from_text(v), ConfigError, (5, None)),
@@ -156,8 +143,6 @@ OBJECT_ROWS = [
     ("extract budget", lambda v: extract("101", S3, v), DomainError, (5, "x", [])),
     ("make_schedule g", lambda v: make_schedule(v, 2), DomainError, NOT_AN_OBJECT),
     ("similar_p_N p", lambda v: similar_p_N("101", "101", v, [3]), DomainError, NOT_AN_OBJECT),
-    ("AdversarySchedule budget", lambda v: AdversarySchedule((0, 3), (0,), v), DomainError,
-     NOT_AN_OBJECT),
     ("stages_from_blocks schedule", lambda v: stages_from_blocks(v, G), ConfigError,
      NOT_AN_OBJECT),
     ("stages_from_blocks budget", lambda v: stages_from_blocks(S3, v), DomainError,

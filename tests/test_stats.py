@@ -166,23 +166,16 @@ class TestWeberSeries:
     def test_naturals_hit_every_block(self):
         series = weber_series(range(1, 1025), 10)
         assert series.p_counts == list(range(1, 11))
+        assert all(type(p) is int for p in series.p_counts)  # a bool would print true
 
     def test_powers_of_four(self):
         series = weber_series([4 ** j for j in range(1, 6)], 10)
-        assert series.p_count(10) == 5
+        assert series.p_counts[-1] == 5
 
     def test_doubly_exponential(self):
         nu = [2 ** (2 ** j) for j in range(5)]  # 2, 4, 16, 256, 65536
-        series = weber_series(nu, 16)
-        for n in range(1, 17):
-            assert series.p_count(n) == math.floor(math.log2(n)) + 1
-
-    def test_log_rate_constant_on_blocks(self):
-        series = weber_series([3, 9, 100], 8)
-        for m in range(1, 9):
-            lo, hi = (1 << (m - 1)) + 1, 1 << m
-            rates = {series.log_rate(k) for k in range(lo, hi + 1)}
-            assert len(rates) == 1
+        assert weber_series(nu, 16).p_counts == [math.floor(math.log2(n)) + 1
+                                                  for n in range(1, 17)]
 
     def test_hit_blocks_match_per_element_blocks(self):
         rnd = random.Random(21)
@@ -219,9 +212,7 @@ class TestWeberSeries:
         lazy, listed = weber_series(nu, n_max), weber_series(list(nu), n_max)
         assert lazy.hit_blocks == listed.hit_blocks
         assert lazy.p_counts == listed.p_counts
-        for k in (2, 3, 1 << (n_max - 1), (1 << (n_max - 1)) + 1, 1 << n_max):
-            if 2 <= k <= 1 << n_max:
-                assert lazy.log_rate(k) == listed.log_rate(k)
+        assert lazy.log_rates == listed.log_rates
 
     @pytest.mark.parametrize("n_max", [0, -1])
     def test_rejects_n_max_below_one(self, n_max):
@@ -242,23 +233,14 @@ class TestWeberSeries:
             with pytest.raises(ResourceError):
                 sparse_subsequence(lambda k: 0.0, n_max)
 
-    def test_rate_domain(self):
-        series = weber_series([2], 4)
-        with pytest.raises(DomainError):
-            series.log_rate(1)
-        with pytest.raises(DomainError):
-            series.log_rate(17)
-
 
 class TestSparseSubsequence:
     def test_double_log_target(self):
         f = lambda k: math.log(math.log(max(k, 16)))
         nu, threshold = sparse_subsequence(f, 20)
-        series = weber_series(nu, 20)
-        for m in range(1, 21):
-            k = (1 << (m - 1)) + 1
+        for _, k, rate in weber_series(nu, 20).log_rates:
             if k > threshold:
-                assert series.log_rate(k) <= f(k)
+                assert rate <= f(k)
 
     def test_generous_rate_admits_every_block(self):
         nu, threshold = sparse_subsequence(lambda k: float(k), 12)
@@ -271,16 +253,15 @@ class TestSparseSubsequence:
         # that same block, so the threshold moves to its top point 2^2
         nu, threshold = sparse_subsequence(lambda k: 1.0 if k <= 2 else 0.0, 2)
         assert (nu, threshold) == ([2, 4], 4)
-        assert weber_series(nu, 2).log_rate(3) > 0.0
+        assert weber_series(nu, 2).log_rates[1][1:] == (3, math.log(2))
 
     def test_eventual_constant_rate(self):
         f = lambda k: 0.0 if k < 64 else 10.0
         nu, threshold = sparse_subsequence(f, 16)
         series = weber_series(nu, 16)
         assert threshold == 0  # admission waits until the rate allows it
-        for m in range(1, 17):
-            k = (1 << (m - 1)) + 1
-            assert series.log_rate(k) <= f(k) or series.p_count(m) == 0
+        for (_, k, rate), p in zip(series.log_rates, series.p_counts):
+            assert rate <= f(k) or p == 0
 
 
 class TestSelectionRules:
