@@ -22,23 +22,24 @@ from .errors import DomainError
 from .rng import Sampler
 
 CONTAINMENT_CEILING = 16
-# verify_key_lemma holds (trials, 2^n) arrays several copies deep: 1024 trials at
-# n = 16 peak near 362 MB in ~3.9 s on 2 cores, and 100 001 ran out of memory
+# verify_key_lemma holds one (families, 2^n) complement array and distance_to_set
+# two int8 arrays of that shape: 1024 trials at n = 16 peak near 233 MB in 2-3 s
+# on 2 cores, and 100 001 ran out of memory
 TRIALS_CEILING = 1024
 
 
-def _contained_counts(inside: np.ndarray, n: int) -> np.ndarray:
-    """(families, n+1): per row of the (families, 2^n) membership array
-    and d = 0..n, the points whose radius-d ball stays inside it.
+def _contained_counts(outside: np.ndarray, n: int) -> np.ndarray:
+    """(families, n+1): per row of the (families, 2^n) complement array
+    (True off the event) and d = 0..n, the points whose radius-d ball
+    stays inside the event.
 
     A point fails iff it lies within d of the complement, so the count
     is 2^n minus the points at distance <= d from the complement: one
     histogram of each row's distances (0..n+1), summed up cumulatively.
     An empty complement sits at distance n+1 from every point and never
-    counts. Every row's complement goes through one distance_to_set
-    call.
+    counts. Every complement row goes through one distance_to_set call.
     """
-    dist = kernels.distance_to_set(~inside, n)
+    dist = kernels.distance_to_set(outside, n)
     hist = np.empty((dist.shape[0], n + 2), dtype=np.int64)
     for row, h in zip(dist, hist):
         h[:] = np.bincount(row, minlength=n + 2)
@@ -89,18 +90,21 @@ def verify_key_lemma(n: int, trials: int, p_threshold: Fraction, seed: int) -> d
     total = 1 << n
     tails = binomial_tails(n)  # numerators over 2^n; every family here is proper
     r_max = bracket(tails, max_size)
-    # one membership row per family; the draws keep the order seeded
-    # reports depend on: per sampled family a size, then its members,
-    # and then the stress set
-    sampled = np.zeros((trials, 1 << n), dtype=np.bool_)
-    for row in sampled:
+    # one complement row per family, built in place; the draws keep the
+    # order seeded reports depend on: per sampled family a size, then its
+    # members, and then the stress set (at most 2(r_max+1) balls, a
+    # half-space and 3 unions)
+    outside = np.ones((trials + 2 * r_max + 6, total), dtype=np.bool_)
+    for row in outside[:trials]:
         size = draw.below(max_size + 1)
         if size:
-            row[:] = draw.subset(n, size)
+            np.logical_not(draw.subset(n, size), out=row)
     stress = adversarial_families(n, max_size, r_max, draw)
+    for row, (_, mask) in zip(outside[trials:], stress):
+        np.logical_not(mask, out=row)
     labels = [f"sampled #{t}" for t in range(trials)] + [label for label, _ in stress]
-    inside = np.vstack([sampled, *(mask for _, mask in stress)])
-    sizes = np.count_nonzero(inside, axis=1)
+    outside = outside[:len(labels)]
+    sizes = total - np.count_nonzero(outside, axis=1)
 
     # tail(t) = b(n, t), 0 for t < 0, is padded[t + n + 1] for every t
     # the rows read (r - d and r + 1 - d, within -n-1..n); every count
@@ -108,7 +112,7 @@ def verify_key_lemma(n: int, trials: int, p_threshold: Fraction, seed: int) -> d
     padded = np.array([0] * (n + 1) + tails, dtype=np.int64)
     brackets = np.searchsorted(padded[n + 1:], sizes, side="right") - 1  # r, per family
     shifted = brackets[:, None] + n + 1 - np.arange(n + 1)  # (families, n+1): r - d + n + 1
-    counts = _contained_counts(inside, n)
+    counts = _contained_counts(outside, n)
     bounds = padded[shifted + 1]
     violations = int(np.count_nonzero(counts > bounds))
     is_tight = counts == padded[shifted]

@@ -14,9 +14,13 @@ tested.
 * similar_g_phi, the paper's block-similarity relation, block by block;
 * contained_counts_oracle, the key lemma's containment counts by brute
   force;
+* check_keylemma_report, a key-lemma report's derived numbers recomputed
+  from its own sizes and exact rows;
 * write_text_bits, the writer of the text format that the command reads.
 """
 
+import math
+from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
@@ -80,6 +84,35 @@ def contained_counts_oracle(inside, n: int) -> list[list[int]]:
                  for x in range(1 << n))
              for d in range(n + 1)]
             for row in inside]
+
+
+def check_keylemma_report(report: dict) -> None:
+    """Recompute every derived number of a key-lemma report from its own
+    n, threshold, sizes and exact rows, with b(n, t) = sum of C(n, i)
+    over i <= t (0 for t < 0) summed by math.comb."""
+    n, total = report["n"], 1 << report["n"]
+
+    def b(t):
+        return sum(math.comb(n, i) for i in range(t + 1))
+
+    def bracket(size):
+        return max(r for r in range(-1, n + 1) if b(r) <= size)
+
+    violations = 0
+    for fam in report["families"]:
+        r = bracket(fam["size"])
+        assert fam["r"] == r
+        assert [row["d"] for row in fam["rows"]] == list(range(n + 1))
+        assert [row["bound"] for row in fam["rows"]] == [
+            Fraction(b(r + 1 - d), total) for d in range(n + 1)]
+        assert fam["tight_at"] == [row["d"] for row in fam["rows"]
+                                   if row["exact"] == Fraction(b(r - row["d"]), total)]
+        violations += sum(row["exact"] > row["bound"] for row in fam["rows"])
+    assert report["violations"] == violations
+    r_max = bracket(int(report["p_threshold"] * total))
+    assert report["modulus"] == {
+        j: next((d for d in range(n + 2) if b(r_max + 1 - d) * 2**j <= total), None)
+        for j in range(1, 9)}
 
 
 def write_text_bits(path, strings) -> None:

@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,15 +16,18 @@ from hamext.cli import main
 from hamext.cube import binomial_tail, binomial_tails, bracket, make_sphere
 from hamext.errors import DomainError, ResourceError
 from hamext.keylemma import TRIALS_CEILING, verify_key_lemma
-from oracles import contained_counts_oracle
+from oracles import check_keylemma_report, contained_counts_oracle
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def containment_profile(n: int, members) -> list[Fraction]:
     """P(ball_d(X) ⊆ E) for d = 0..n, exactly, for the event E of the
-    vertex masks `members`, read from one keylemma._contained_counts row."""
+    vertex masks `members`, read from one keylemma._contained_counts row
+    of its complement."""
     inside = np.zeros((1, 1 << n), dtype=np.bool_)
     inside[0, list(members)] = True
-    return [Fraction(c, 1 << n) for c in keylemma._contained_counts(inside, n)[0].tolist()]
+    return [Fraction(c, 1 << n) for c in keylemma._contained_counts(~inside, n)[0].tolist()]
 
 
 def profile_oracle(n: int, members) -> list[Fraction]:
@@ -74,7 +81,7 @@ class TestBallContainment:
         inside = np.vstack([rng.random((8, 1 << n)) < density,
                             np.zeros(1 << n, dtype=np.bool_), full_minus_one])
         expected = contained_counts_oracle(inside, n)
-        assert keylemma._contained_counts(inside, n).tolist() == expected
+        assert keylemma._contained_counts(~inside, n).tolist() == expected
 
     def test_ceiling(self):
         with pytest.raises(ResourceError):
@@ -193,8 +200,9 @@ class TestVerifyKeyLemma:
             verify_key_lemma(n, trials, Fraction(1, 2), 0)
 
     # sha256 of the nine reports acceptance criterion 8 reads, as canonical
-    # JSON with Fractions as strings; the families come from the rng.Sampler
-    # draws that tests/test_rng.py replays from the Philox words
+    # JSON with Fractions as strings, and their derived numbers recomputed;
+    # the families come from the rng.Sampler draws that tests/test_rng.py
+    # replays from the Philox words
     @pytest.mark.parametrize("n, digest", [
         (4, "43ff00949844a0e80f14eb38a009f14a15fb57c28e6ffc8a7b5e7a39d4acb4b9"),
         (5, "3c8b172281087f95a22f5375fbc5e7c2c4e2c4d040565139c2623765e340eb0b"),
@@ -210,19 +218,47 @@ class TestVerifyKeyLemma:
         report = verify_key_lemma(n, 200, Fraction(1, 2), 1000 + n)
         text = json.dumps(report, sort_keys=True, default=str)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+        check_keylemma_report(report)
 
-    # the membership rows, their complements and the int8 distances peak
-    # near 5 bytes per family-vertex; one bincount over a flattened int64
-    # (families, 2^n) index array, in place of one per row, read 19
+    # the complement rows, built once, and distance_to_set's int8 distances
+    # and its int8 temporary per pass peak near 3 bytes per family-vertex,
+    # plus the stress masks and the report (3.98 at n = 12, 3.24 at n = 16);
+    # the membership rows, their vstack copy and its complement read 5.91
+    # and 5.01, and one bincount over a flattened int64 (families, 2^n)
+    # index array, in place of one per row, read 19
     @pytest.mark.parametrize("n, trials", [(12, 200), (16, 64)])
-    def test_peak_at_most_six_bytes_per_family_vertex(self, n, trials):
+    def test_peak_at_most_four_and_a_half_bytes_per_family_vertex(self, n, trials):
         tracemalloc.start()
         try:
             report = verify_key_lemma(n, trials, Fraction(1, 2), 1000 + n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * (len(report["families"]) << n)
+        assert peak <= 4.5 * (len(report["families"]) << n)
+
+
+# the process's own peak, not RUSAGE_CHILDREN's maximum over every child
+# the test run has waited for; ru_maxrss is in KiB on Linux
+CLI_PEAK = """
+import resource, sys
+from hamext.cli import main
+code = main(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_cli_keylemma_at_n15_peaks_at_most_160_mb(tmp_path):
+    # 1044 families of 2^15 vertices: 135 MB in ~1.8 s on 2 cores, and
+    # 200 MB while the membership rows were copied twice
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    run = subprocess.run(
+        [sys.executable, "-c", CLI_PEAK, "keylemma", "--n", "15", "--trials", "1024",
+         "--out-dir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    code, maxrss_kib = map(int, run.stdout.split()[-2:])
+    assert code == 0
+    assert maxrss_kib <= 160 << 10
 
 
 def raise_counts(monkeypatch, cells):
@@ -231,8 +267,8 @@ def raise_counts(monkeypatch, cells):
     tail, and more than the preceding tail a tight row equals."""
     original = keylemma._contained_counts
 
-    def counts(inside, n):
-        out = original(inside, n)
+    def counts(outside, n):
+        out = original(outside, n)
         for row, d in cells:
             out[row, d] = 1 << n
         return out

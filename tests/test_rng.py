@@ -14,7 +14,7 @@ import hamext
 from hamext import rng
 from hamext.keylemma import verify_key_lemma
 from hamext.rng import Sampler, bit_stream
-from oracles import contained_counts_oracle
+from oracles import check_keylemma_report, contained_counts_oracle
 
 MASK = (1 << 64) - 1
 MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -116,6 +116,7 @@ def test_oracle_replays_the_key_lemma_draws(n, seed):
     for fam, (_, members), exact in zip(report["families"], families, counts):
         assert fam["size"] == len(members)
         assert [row["exact"] for row in fam["rows"]] == [Fraction(c, 1 << n) for c in exact]
+    check_keylemma_report(report)
 
 
 def numpy_random_names(tree: ast.AST) -> set[str]:
