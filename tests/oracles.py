@@ -7,26 +7,157 @@ well-formed input, in the form its comparisons pass: it checks no
 argument, and the package's own entry points are where refusals are
 tested.
 
-* force_output_zero_generic, the paper's forcing adversary against an
-  arbitrary black-box reduction, searched exhaustively over the whole
-  input; adversary.force_majority_zero is its closed form for majority;
-* check_schedule, an independent re-check of make_schedule's constraints;
-* similar_g_phi, the paper's block-similarity relation, block by block;
-* contained_counts_oracle, the key lemma's containment counts by brute
-  force;
-* check_keylemma_report, a key-lemma report's derived numbers recomputed
-  from its own sizes and exact rows;
-* write_text_bits, the writer of the text format that the command reads.
+Each finite claim has one reference, defined here and nowhere else in
+tests/ (tests/test_rng.py guards this):
+
+* binomial tails b(n, t): binomial_row(n), the row t = 0..n by the
+  running recurrence (tied to math.comb once, at n <= 300), read by
+  row_tail(row, t) at any t and row_bracket(row, size);
+* cube distance and balls, on vertex masks (position i at bit i):
+  distance_oracle, gamma_oracle (Γ_d of a set; a ball for one member)
+  and ball_masks; vertex_text is the one mask-to-string helper;
+* the exhaustive isoperimetric minimum: harper_min_oracle;
+* the majority vote: margin and vote, on a word and a core mask;
+* the Philox 4x64-10 stream (Random123 constants; Salmon et al., SC
+  2011): philox_block, philox_words, philox_bits, and OracleSampler,
+  rng.Sampler's two draws;
+* the CDF gap: cdf_gap_oracle, every point of the row scanned;
+* the forcing adversary against a black-box reduction:
+  force_output_zero_generic, exhaustive over the whole input
+  (adversary.force_majority_zero is its closed form for majority);
+* make_schedule's constraints: check_schedule; the block-similarity
+  relation: similar_g_phi; the key lemma's containment counts:
+  contained_counts_oracle;
+* a key-lemma or corruption report's derived numbers, recomputed from
+  its own fields and its input: check_keylemma_report,
+  check_corrupt_report;
+* the text format the command reads: write_text_bits.
 """
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
+from itertools import accumulate, combinations, count, islice
+from operator import or_
 from typing import NamedTuple
 
 from hamext.bits import as_bits, to_text
 from hamext.budgets import BudgetFunction
 from hamext.extractor import BlockSchedule
+from hamext.stats import normal_cdf
+
+
+def binomial_row(n: int) -> list[int]:
+    """b(n, t) for t = 0..n, each C(n, i + 1) from C(n, i): a math.comb per
+    term took 76 s for n = 20 000 on 2 cores, the recurrence 0.16 s."""
+    row, total, coeff = [], 0, 1
+    for i in range(n + 1):
+        total += coeff
+        row.append(total)
+        coeff = coeff * (n - i) // (i + 1)
+    return row
+
+
+def row_tail(row: list[int], t: int) -> int:
+    """b(n, t) at any integer t: 0 below 0, 2^n past n."""
+    return 0 if t < 0 else row[min(t, len(row) - 1)]
+
+
+def row_bracket(row: list[int], size: int) -> int:
+    """The largest r in -1..n with b(n, r) <= size."""
+    return max(r for r in range(-1, len(row)) if row_tail(row, r) <= size)
+
+
+def distance_oracle(members, n: int) -> list[int]:
+    """d(v, A) for each vertex v of the n-cube, n + 1 for an empty A."""
+    return [min(((v ^ u).bit_count() for u in members), default=n + 1) for v in range(1 << n)]
+
+
+def gamma_oracle(members, n: int, d: int) -> set[int]:
+    """Γ_d(A): the vertices within distance d of A (none for d < 0)."""
+    return {v for v, dist in enumerate(distance_oracle(members, n)) if dist <= d}
+
+
+def ball_masks(n: int, d: int) -> list[int]:
+    """Each vertex's radius-d ball as a mask of vertices: bit w for w."""
+    return [sum(1 << w for w in gamma_oracle({v}, n, d)) for v in range(1 << n)]
+
+
+def vertex_text(v: int, n: int) -> str:
+    """The vertex mask v as a bit string, position i = bit i."""
+    return "".join("1" if (v >> i) & 1 else "0" for i in range(n))
+
+
+def harper_min_oracle(n: int, d: int) -> list[int]:
+    """min |Γ_d(A)| over every A of each size 0..2^n: a union of balls."""
+    balls = ball_masks(n, d)
+    return [min(reduce(or_, subset, 0).bit_count() for subset in combinations(balls, size))
+            for size in range(len(balls) + 1)]
+
+
+def margin(word: int, core: int) -> int:
+    """Ones minus zeros of the mask `word` on the positions of `core`."""
+    return 2 * (word & core).bit_count() - core.bit_count()
+
+
+def vote(word: int, core: int) -> int:
+    """The majority of `word` on `core`; a tie on an even core reads 0."""
+    return int(margin(word, core) > 0)
+
+
+MASK = (1 << 64) - 1
+MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def philox_block(counter: int, key: tuple[int, int]) -> list[int]:
+    """The four output words of the 256-bit counter under the 128-bit key."""
+    x = [(counter >> (64 * i)) & MASK for i in range(4)]
+    k0, k1 = key
+    for _ in range(10):
+        p0, p1 = MULTIPLIERS[0] * x[0], MULTIPLIERS[1] * x[2]
+        x = [(p1 >> 64) ^ x[1] ^ k0, p1 & MASK, (p0 >> 64) ^ x[3] ^ k1, p0 & MASK]
+        k0, k1 = (k0 + WEYL[0]) & MASK, (k1 + WEYL[1]) & MASK
+    return x
+
+
+def philox_words(seed: int, first_counter: int = 1):
+    """Each block's four words in order, block by block from first_counter."""
+    for counter in count(first_counter):
+        yield from philox_block(counter, (seed, 0))
+
+
+def philox_bits(seed: int, length: int, first_counter: int = 1) -> list[int]:
+    """The first `length` bits: words in counter order, each little-endian."""
+    words = list(islice(philox_words(seed, first_counter), -(-length // 64)))
+    return [(words[i // 64] >> (i % 64)) & 1 for i in range(length)]
+
+
+class OracleSampler:
+    """Sampler's two draws, spelled out over philox_words."""
+
+    def __init__(self, seed: int):
+        self.words = philox_words(seed)
+
+    def below(self, m: int) -> int:
+        limit = (1 << 64) - (1 << 64) % m
+        while (w := next(self.words)) >= limit:
+            pass
+        return w % m
+
+    def subset(self, n: int, k: int) -> set[int]:
+        keys = sorted(next(self.words) >> n << n | v for v in range(1 << n))
+        return {key % (1 << n) for key in keys[:k]}
+
+
+def cdf_gap_oracle(n: int) -> float:
+    """max over j = 0..n of |b(n, j)/2^n - Φ((j - n/2)·2/√n)|, each gap as
+    binomial_cdf_gap computes it, whose walk may skip only points that
+    cannot move the maximum."""
+    denom, scale, half = 1 << n, 2.0 / math.sqrt(n), n / 2.0
+    return max(abs(b / denom - normal_cdf((j - half) * scale))
+               for j, b in enumerate(binomial_row(n)))
 
 
 class ForceResult(NamedTuple):
@@ -77,42 +208,77 @@ def similar_g_phi(X, Y, g: BudgetFunction, schedule: BlockSchedule) -> bool:
     return all(int(diff[s:e].sum()) <= g(e - s) for s, e in schedule.blocks)
 
 
-def contained_counts_oracle(inside, n: int) -> list[list[int]]:
-    """Brute force: per row and d, the points whose every vertex within
-    distance d is a member."""
-    return [[sum(all(row[y] for y in range(1 << n) if (x ^ y).bit_count() <= d)
-                 for x in range(1 << n))
-             for d in range(n + 1)]
-            for row in inside]
+def contained_counts_oracle(families, n: int) -> list[list[int]]:
+    """Brute force: per family (a set of vertices) and d, the points whose
+    radius-d ball is made of members only."""
+    balls = [[gamma_oracle({x}, n, d) for x in range(1 << n)] for d in range(n + 1)]
+    return [[sum(ball <= members for ball in balls[d]) for d in range(n + 1)]
+            for members in families]
 
 
 def check_keylemma_report(report: dict) -> None:
     """Recompute every derived number of a key-lemma report from its own
-    n, threshold, sizes and exact rows, with b(n, t) = sum of C(n, i)
-    over i <= t (0 for t < 0) summed by math.comb."""
+    n, threshold, sizes and exact rows, with b(n, t) read from
+    binomial_row."""
     n, total = report["n"], 1 << report["n"]
-
-    def b(t):
-        return sum(math.comb(n, i) for i in range(t + 1))
-
-    def bracket(size):
-        return max(r for r in range(-1, n + 1) if b(r) <= size)
-
+    tails = binomial_row(n)
     violations = 0
     for fam in report["families"]:
-        r = bracket(fam["size"])
+        r = row_bracket(tails, fam["size"])
         assert fam["r"] == r
         assert [row["d"] for row in fam["rows"]] == list(range(n + 1))
         assert [row["bound"] for row in fam["rows"]] == [
-            Fraction(b(r + 1 - d), total) for d in range(n + 1)]
-        assert fam["tight_at"] == [row["d"] for row in fam["rows"]
-                                   if row["exact"] == Fraction(b(r - row["d"]), total)]
+            Fraction(row_tail(tails, r + 1 - d), total) for d in range(n + 1)]
+        assert fam["tight_at"] == [
+            row["d"] for row in fam["rows"]
+            if row["exact"] == Fraction(row_tail(tails, r - row["d"]), total)]
         violations += sum(row["exact"] > row["bound"] for row in fam["rows"])
     assert report["violations"] == violations
-    r_max = bracket(int(report["p_threshold"] * total))
+    r_max = row_bracket(tails, int(report["p_threshold"] * total))
     assert report["modulus"] == {
-        j: next((d for d in range(n + 2) if b(r_max + 1 - d) * 2**j <= total), None)
+        j: next((d for d in range(n + 2) if row_tail(tails, r_max + 1 - d) * 2**j <= total), None)
         for j in range(1, 9)}
+
+
+def check_corrupt_report(report: dict, packed_y: bytes) -> None:
+    """Recompute a `hamext corrupt --seed s` report, every block a target
+    at the default budget p(n) = ceil(n^(2/3)), from its own fields, the
+    Philox stream X of its seed and its packed Y (an 8-byte little-endian
+    bit count, then the bits, position i at bit i of the payload as one
+    little-endian integer): Y is X with exactly the listed flips, each
+    inside its stage's window; each cost is its flip count, within p of
+    the window; and the cumulative costs, budget_ok, similarity_verified
+    (prefix counts at the stage bounds) and targets_rezero (the vote on
+    each target's core of Y) follow."""
+    blocks = [tuple(map(int, line.split())) for line in report["schedule"].splitlines()]
+    assert [k for k, *_ in blocks] == list(range(len(blocks)))
+    length = blocks[-1][2]
+    x = int("".join(map(str, reversed(philox_bits(int(report["config"]["seed"]), length)))), 2)
+    assert int.from_bytes(packed_y[:8], "little") == length
+    assert len(packed_y) == 8 + -(-length // 8)
+    y = int.from_bytes(packed_y[8:], "little")
+    assert y >> length == 0
+
+    def p(n):  # ceil(n^(2/3)): the least c with c^3 >= n^2
+        return bisect_left(range(n + 1), n * n, key=lambda c: c ** 3)
+
+    stages = report["stages"]
+    assert report["stage_bounds"] == [0, *(end for _, _, end, _ in blocks)]
+    assert [(s["s"], s["window"]) for s in stages] == [(k, [a, b]) for k, a, b, _ in blocks]
+    flips = [i for s in stages for i in s["flips"]]
+    assert len(set(flips)) == len(flips) and x ^ y == sum(1 << i for i in flips)
+    for s in stages:
+        a, b = s["window"]
+        assert s["forced"] and not s["budget_exceeded"]
+        assert all(a <= i < b for i in s["flips"])
+        assert s["cost"] == len(s["flips"]) <= p(b - a)
+    assert report["cumulative"] == list(accumulate(s["cost"] for s in stages))
+    assert report["budget_ok"] == all(c <= p(s["window"][1])
+                                      for c, s in zip(report["cumulative"], stages))
+    assert report["similarity_verified"] == all(
+        ((x ^ y) & ((1 << n) - 1)).bit_count() <= p(n) for n in report["stage_bounds"])
+    assert report["targets_rezero"] == [vote(y, (1 << e) - (1 << a)) == 0
+                                        for _, a, _, e in blocks]
 
 
 def write_text_bits(path, strings) -> None:

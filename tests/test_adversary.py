@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 from hamext.adversary import corrupt, force_majority_zero, stages_from_blocks, verify_similarity
-from hamext.bits import as_bits, to_text
+from hamext.bits import as_bits, bits_to_mask, to_text
 from hamext.budgets import parse_budget
 from hamext.errors import ConfigError, ContractError, DimensionError
 from hamext.extractor import BlockSchedule, extract, make_schedule, similar_p_N
 from hamext.rng import bit_stream
-from oracles import force_output_zero_generic
+from oracles import force_output_zero_generic, vote
 
 
 def majority_search(x, n: int):
     """The exhaustive forcing search against the majority of n bits."""
-    return force_output_zero_generic(x, lambda tau: int(2 * int(tau.sum()) > n))
+    return force_output_zero_generic(x, lambda tau: vote(bits_to_mask(tau), (1 << n) - 1))
 
 
 def flips_oracle(x: np.ndarray, core) -> list[int]:

@@ -6,6 +6,7 @@ import json
 import re
 import tempfile
 import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from hamext.errors import ConfigError
 from hamext.extractor import BlockSchedule
 from hamext.rng import bit_stream
 from hamext.stats import CDF_GAP_CEILING, SMALL_BALL_CEILING, WEBER_CEILING
-from oracles import write_text_bits
+from oracles import check_corrupt_report, check_keylemma_report, write_text_bits
 
 
 # The option keys each subcommand reads. Every subcommand also takes
@@ -55,6 +56,18 @@ def run(args):
 
 def read_json(path):
     return json.loads(path.read_text())
+
+
+def keylemma_report(path) -> dict:
+    """A keylemma.json report as verify_key_lemma returned it: each
+    {"num", "den_pow2"} read back to a Fraction, each modulus key to an int."""
+    def fraction(obj):
+        if obj.keys() == {"num", "den_pow2"}:
+            return Fraction(obj["num"], 1 << obj["den_pow2"])
+        return obj
+    report = json.loads(path.read_text(), object_hook=fraction)
+    report["modulus"] = {int(j): d for j, d in report["modulus"].items()}
+    return report
 
 
 class TestExtract:
@@ -262,6 +275,34 @@ class TestDeterminism:
         write_text_bits("strings.txt", ["11100", "10110"])
         assert run([*args, "--out-dir", "out"]) == 0
         assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest
+
+    # the keylemma and corrupt pins above, each derived number recomputed
+    # from the report's own fields and its input
+    @pytest.mark.parametrize("args", [
+        *(["keylemma", "--n", n, "--trials", 200, "--seed", 0] for n in (4, 8, 12)),
+        ["corrupt", "--seed", 1],
+    ], ids=["keylemma-n4", "keylemma-n8", "keylemma-n12", "corrupt"])
+    def test_pinned_reports_hold_by_meaning(self, tmp_path, args):
+        assert run([*args, "--out-dir", tmp_path]) == 0
+        if args[0] == "keylemma":
+            check_keylemma_report(keylemma_report(tmp_path / "keylemma.json"))
+        else:
+            check_corrupt_report(read_json(tmp_path / "corrupt.json"),
+                                 (tmp_path / "y.bits").read_bytes())
+
+    @pytest.mark.parametrize("edit", ["flip-moved", "cost-plus-one"])
+    def test_the_corrupt_check_fails_on_an_edited_report(self, tmp_path, edit):
+        assert run(["corrupt", "--seed", 1, "--out-dir", tmp_path]) == 0
+        report, packed_y = read_json(tmp_path / "corrupt.json"), (tmp_path / "y.bits").read_bytes()
+        check_corrupt_report(report, packed_y)
+        stage = report["stages"][1]
+        assert stage["flips"] == [1, 2, 3]  # the window is [1, 65)
+        if edit == "flip-moved":
+            stage["flips"][-1] = 4
+        else:
+            stage["cost"] += 1
+        with pytest.raises(AssertionError):
+            check_corrupt_report(report, packed_y)
 
     # --format csv, which five subcommands took before every side table
     # was written, is refused by all of them and writes nothing

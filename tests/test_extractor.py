@@ -7,22 +7,18 @@ from hypothesis import strategies as st
 
 from hamext.adversary import (CorruptionReport, force_majority_zero, stages_from_blocks,
                               verify_similarity)
-from hamext.bits import as_bits, to_text
+from hamext import kernels
+from hamext.bits import as_bits, bits_to_mask, to_text
 from hamext.budgets import lil_envelope, lil_scale, lnln, parse_budget
 from hamext.errors import (ConfigError, ContractError, DimensionError,
                            DomainError, ResourceError)
 from hamext.extractor import (MAKE_SCHEDULE_SCAN_BOUND, BlockSchedule, extract, make_schedule,
                               prefix_distances, psi_deviation, similar_p_N)
 from hamext.rng import bit_stream
-from oracles import check_schedule, similar_g_phi
+from oracles import check_schedule, margin, similar_g_phi, vote
 
 # read_index's refusal of a schedule longer than make_schedule's scan bound
 PAST_SCAN_BOUND = f"past the resource ceiling {MAKE_SCHEDULE_SCAN_BOUND}"
-
-
-def majority_oracle(x: str, core) -> int:
-    ones = sum(int(x[i]) for i in core)
-    return 1 if 2 * ones > len(core) else 0
 
 
 def one_block_vote(X, core: range) -> int:
@@ -43,7 +39,7 @@ class TestMajorityBit:
 
     def test_hand_trace(self):
         # bits at 3,4,5,6,7 of 11001101 are 0,1,1,0,1 -> three ones
-        assert majority_oracle("11001101", [3, 4, 5, 6, 7]) == 1
+        assert vote(bits_to_mask(as_bits("11001101")), 0b11111000) == 1
         assert one_block_vote("11001101", range(3, 8)) == 1
 
     def test_even_core_rejected(self):
@@ -64,15 +60,13 @@ class TestMajorityBit:
             force_majority_zero("011", range(-1, 2))
 
     def test_list_range_and_array_cores_agree(self):
-        # the range core votes as the list and the array of its indices do
+        # each odd range votes as the reference does on the mask of its positions
         x = "1101001110"
-        bits = as_bits(x)
+        word = bits_to_mask(as_bits(x))
         for start in range(len(x)):
             for stop in range(start + 1, len(x) + 1, 2):
-                indices = list(range(start, stop))
-                vote = one_block_vote(x, range(start, stop))
-                assert vote == majority_oracle(x, indices)
-                assert vote == int(2 * int(bits[np.array(indices)].sum()) > len(indices))
+                core = (1 << stop) - (1 << start)
+                assert one_block_vote(x, range(start, stop)) == vote(word, core)
 
     def test_only_a_step_one_range_is_a_core(self):
         x = "1101001110"
@@ -102,11 +96,11 @@ class TestExtract:
 
     def test_matches_majority_oracle(self):
         sched = BlockSchedule.from_sizes((3, 5, 6))
-        cores = [range(s, e) for s, e in sched.odd_cores]
+        cores, _ = kernels.core_words(sched.odd_cores)
         for seed in range(20):
-            x = to_text(bit_stream(seed, 14))
-            trace = extract(x, sched)
-            assert [int(v) for v in trace.outputs] == [majority_oracle(x, c) for c in cores]
+            x = bit_stream(seed, 14)
+            word = bits_to_mask(x)
+            assert extract(x, sched).outputs.tolist() == [vote(word, int(c)) for c in cores]
 
     @given(st.integers(0, (1 << 14) - 1))
     @settings(max_examples=300)
@@ -125,10 +119,9 @@ class TestExtract:
         x = np.array(data.draw(st.lists(st.integers(0, 1), min_size=length, max_size=length)),
                      dtype=np.uint8)
         trace = extract(x, sched)
-        margins = []
-        for s, e in sched.blocks:
-            core = x[s:e] if (e - s) % 2 else x[s:e - 1]
-            margins.append(2 * sum(core.tolist()) - core.size)
+        word = bits_to_mask(x)
+        margins = [margin(word, (1 << (e if (e - s) % 2 else e - 1)) - (1 << s))
+                   for s, e in sched.blocks]
         assert trace.margins.tolist() == margins
         assert trace.outputs.tolist() == [int(m > 0) for m in margins]
 
@@ -167,13 +160,8 @@ class TestDistributionPreservationL20:
     def test_kernel_sweep_prefix_patterns(self):
         # blocks totalling 20 bits; every output-prefix pattern of j bits
         # must occur exactly 2^(20-j) times over all inputs
-        import numpy as np
-        from hamext import kernels
         sched = BlockSchedule.from_sizes((3, 5, 5, 7))
-        cores = np.array([(1 << e) - (1 << s) for s, e in sched.odd_cores],
-                         dtype=np.uint64)
-        sizes = np.array([e - s for s, e in sched.odd_cores], dtype=np.int64)
-        words = kernels.all_outputs(cores, sizes, 20)
+        words = kernels.all_outputs(*kernels.core_words(sched.odd_cores), 20)
         for j in range(1, 5):
             counts = np.bincount(words & ((1 << j) - 1), minlength=1 << j)
             assert counts.tolist() == [1 << (20 - j)] * (1 << j)

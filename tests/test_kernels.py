@@ -1,9 +1,6 @@
-"""Every kernel against a brute-force oracle: Python int bit counts,
-distance-defined balls and direct per-input majorities."""
-
-import operator
-from functools import reduce
-from itertools import combinations
+"""Every kernel against the brute-force references of tests/oracles.py:
+distances and balls by Python int bit counts, exhaustive isoperimetric
+minima and direct per-input majorities."""
 
 import numpy as np
 import pytest
@@ -13,16 +10,11 @@ from hypothesis import strategies as st
 from hamext import cube, kernels
 from hamext.errors import DimensionError
 from hamext.extractor import BlockSchedule
+from oracles import ball_masks, distance_oracle, harper_min_oracle, margin, vote
 
 
 def rng():
     return np.random.Generator(np.random.Philox(key=1234))
-
-
-def _distance_oracle(ind, n):
-    members = np.flatnonzero(ind).tolist()
-    return [min(((v ^ u).bit_count() for u in members), default=n + 1)
-            for v in range(1 << n)]
 
 
 def test_distance_to_set_matches_brute_force():
@@ -31,7 +23,8 @@ def test_distance_to_set_matches_brute_force():
         size = 1 << n
         for ind in (np.zeros(size, dtype=np.bool_), np.ones(size, dtype=np.bool_),
                     g.random(size) < 0.05, g.random(size) < 0.5):
-            assert kernels.distance_to_set(ind, n).tolist() == _distance_oracle(ind, n)
+            assert kernels.distance_to_set(ind, n).tolist() == distance_oracle(
+                np.flatnonzero(ind).tolist(), n)
 
 
 @given(st.integers(0, 6).flatmap(
@@ -62,7 +55,7 @@ def test_distance_does_not_depend_on_the_input_layout(layout):
              "one-row": rows[3]}[layout]
     dist = kernels.distance_to_set(batch, n)
     assert dist.dtype == np.int8 and dist.shape == batch.shape
-    expect = [_distance_oracle(row, n) for row in batch.reshape(-1, 1 << n)]
+    expect = [distance_oracle(np.flatnonzero(row).tolist(), n) for row in batch.reshape(-1, 1 << n)]
     assert dist.reshape(-1, 1 << n).tolist() == expect
 
 
@@ -80,29 +73,11 @@ def test_distance_from_singleton_gives_ball_sizes():
     assert [int(np.count_nonzero(dist <= d)) for d in range(n + 1)] == [1, 6, 16, 26, 31, 32]
 
 
-def _ball_masks(n, d):
-    balls = []
-    for v in range(1 << n):
-        m = 0
-        for w in range(1 << n):
-            if bin(v ^ w).count("1") <= d:
-                m |= 1 << w
-        balls.append(m)
-    return np.array(balls, dtype=np.uint64)
-
-
-def _min_gamma_oracle(balls):
-    return [min(reduce(operator.or_, subset, 0).bit_count()
-                for subset in combinations(balls, size))
-            for size in range(len(balls) + 1)]
-
-
 def test_subset_min_gamma_matches_brute_force():
     cases = [(n, d) for n in range(4) for d in range(n + 1)] + [(4, 1)]
     for n, d in cases:
-        ball = _ball_masks(n, d)
-        expect = _min_gamma_oracle([int(b) for b in ball])
-        assert kernels.subset_min_gamma(ball).tolist() == expect
+        ball = np.array(ball_masks(n, d), dtype=np.uint64)
+        assert kernels.subset_min_gamma(ball).tolist() == harper_min_oracle(n, d)
 
 
 def test_harper_ball_words_match_distance_defined_balls(monkeypatch):
@@ -113,13 +88,7 @@ def test_harper_ball_words_match_distance_defined_balls(monkeypatch):
         for d in range(n + 1):
             cube._harper_mins.__wrapped__(n, d)  # past the cache, so every pair is packed
             assert seen[-1].dtype == np.uint64
-            assert seen[-1].tolist() == _ball_masks(n, d).tolist()
-
-
-def _outputs_oracle(cores, sizes, length):
-    return [sum(1 << k for k, (core, size) in enumerate(zip(cores, sizes))
-                if 2 * (x & core).bit_count() > size)
-            for x in range(1 << length)]
+            assert seen[-1].tolist() == ball_masks(n, d)
 
 
 def test_all_outputs_matches_direct_majority():
@@ -134,19 +103,18 @@ def test_all_outputs_matches_direct_majority():
         words = kernels.all_outputs(np.array(cores, dtype=np.uint64),
                                     np.array(sizes, dtype=np.int64), length)
         assert words.dtype == np.uint32
-        assert words.tolist() == _outputs_oracle(cores, sizes, length)
+        assert words.tolist() == [sum(vote(x, core) << k for k, core in enumerate(cores))
+                                  for x in range(1 << length)]
 
 
-def _robustness_oracle(cores, sizes, budgets2, patterns, length):
+def _robustness_oracle(cores, budgets2, patterns, length):
+    """Per core, each input whose margin is past its budget and each
+    pattern that moves the core's vote on it."""
     bad = 0
-    for x in range(1 << length):
-        for core, size, budget2 in zip(cores, sizes, budgets2):
-            m2 = 2 * (x & core).bit_count() - size
-            if abs(m2) <= budget2:
-                continue
-            for p in patterns:
-                if (2 * ((x ^ p) & core).bit_count() - size > 0) != (m2 > 0):
-                    bad += 1
+    for core, budget2 in zip(cores, budgets2):
+        votes = [vote(x, core) for x in range(1 << length)]
+        bad += sum(votes[x ^ p] != votes[x] for x in range(1 << length)
+                   if abs(margin(x, core)) > budget2 for p in patterns)
     return bad
 
 
@@ -160,7 +128,7 @@ def test_robustness_matches_python_loop():
     # patterns lets some outputs move
     for budgets2, patterns, positive in (([2, 2, 2], one_flip, False),
                                          ([0, 0, 0], drawn, True)):
-        expect = _robustness_oracle(cores, sizes, budgets2, patterns, 8)
+        expect = _robustness_oracle(cores, budgets2, patterns, 8)
         assert (expect > 0) == positive
         got = kernels.robustness_violations(
             np.array(cores, dtype=np.uint64), np.array(sizes, dtype=np.int64),
@@ -187,5 +155,4 @@ def test_robustness_matches_python_loop_on_drawn_schedules(case):
     cores, core_sizes, budgets2, patterns, length = case
     got = kernels.robustness_violations(cores, core_sizes, np.array(budgets2, dtype=np.int64),
                                         np.array(patterns, dtype=np.uint64), length)
-    assert got == _robustness_oracle(cores.tolist(), core_sizes.tolist(), budgets2, patterns,
-                                     length)
+    assert got == _robustness_oracle(cores.tolist(), budgets2, patterns, length)

@@ -16,7 +16,8 @@ from hamext.cli import main
 from hamext.cube import binomial_tail, binomial_tails, bracket, make_sphere
 from hamext.errors import DomainError, ResourceError
 from hamext.keylemma import TRIALS_CEILING, verify_key_lemma
-from oracles import check_keylemma_report, contained_counts_oracle
+from oracles import (binomial_row, check_keylemma_report, contained_counts_oracle, gamma_oracle,
+                     row_bracket, row_tail)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -32,23 +33,19 @@ def containment_profile(n: int, members) -> list[Fraction]:
 
 def profile_oracle(n: int, members) -> list[Fraction]:
     """The same probabilities by brute force."""
-    [counts] = contained_counts_oracle([[v in members for v in range(1 << n)]], n)
+    [counts] = contained_counts_oracle([members], n)
     return [Fraction(c, 1 << n) for c in counts]
-
-
-def weight_cut(n, w):
-    return n, frozenset(v for v in range(1 << n) if bin(v).count("1") <= w)
 
 
 class TestBallContainment:
     def test_weight_cut_example(self):
-        fam = weight_cut(4, 2)
-        assert profile_oracle(*fam)[1] == Fraction(5, 16)
-        assert containment_profile(*fam)[1] == Fraction(5, 16)
+        members = gamma_oracle({0}, 4, 2)  # weight at most 2
+        assert profile_oracle(4, members)[1] == Fraction(5, 16)
+        assert containment_profile(4, members)[1] == Fraction(5, 16)
 
     def test_radius_zero_is_event_probability(self):
-        n, members = weight_cut(5, 2)
-        assert containment_profile(n, members)[0] == Fraction(len(members), 1 << n)
+        members = gamma_oracle({0}, 5, 2)
+        assert containment_profile(5, members)[0] == Fraction(len(members), 1 << 5)
 
     def test_full_cube(self):
         for d in range(4):
@@ -80,7 +77,7 @@ class TestBallContainment:
         full_minus_one[rng.integers(0, 1 << n)] = False
         inside = np.vstack([rng.random((8, 1 << n)) < density,
                             np.zeros(1 << n, dtype=np.bool_), full_minus_one])
-        expected = contained_counts_oracle(inside, n)
+        expected = contained_counts_oracle([set(np.flatnonzero(row).tolist()) for row in inside], n)
         assert keylemma._contained_counts(~inside, n).tolist() == expected
 
     def test_ceiling(self):
@@ -120,8 +117,9 @@ class TestCentralInequality:
         members = (index[:, None] >> np.arange(total)) & 1 == 1
         dist = kernels.distance_to_set(~members, n)
         contained = np.stack([np.count_nonzero(dist > d, axis=1) for d in range(n + 1)], axis=1)
-        r_of_size = [max(r for r in range(-1, n) if binomial_tail(n, r) <= s) for s in range(total)]
-        bound_of_size = np.array([[binomial_tail(n, r + 1 - d) for d in range(n + 1)]
+        row = binomial_row(n)
+        r_of_size = [row_bracket(row, s) for s in range(total)]
+        bound_of_size = np.array([[row_tail(row, r + 1 - d) for d in range(n + 1)]
                                   for r in r_of_size])
         assert (contained <= bound_of_size[members.sum(axis=1)]).all()
         # the library's per-family path reads the same rows
@@ -134,9 +132,8 @@ class TestCentralInequality:
             assert containment_profile(n, fam) == [Fraction(int(c), total) for c in contained[row]]
 
     def test_monotone_in_radius_and_event(self):
-        fam = weight_cut(6, 2)
-        bigger = weight_cut(6, 3)
-        prof_small, prof_big = containment_profile(*fam), containment_profile(*bigger)
+        prof_small = containment_profile(6, gamma_oracle({0}, 6, 2))
+        prof_big = containment_profile(6, gamma_oracle({0}, 6, 3))
         for d in range(6):
             assert prof_small[d + 1] <= prof_small[d]
             assert prof_small[d] <= prof_big[d]
@@ -144,7 +141,7 @@ class TestCentralInequality:
     def test_ball_families_attain_shifted_tails(self):
         for n in (4, 6, 8):
             for rho in range(n // 2 + 1):
-                _, members = weight_cut(n, rho)
+                members = gamma_oracle({0}, n, rho)
                 r = bracket(binomial_tails(n), len(members))
                 assert r == rho
                 profile = containment_profile(n, members)
@@ -237,13 +234,16 @@ class TestVerifyKeyLemma:
         assert peak <= 4.5 * (len(report["families"]) << n)
 
 
-# the process's own peak, not RUSAGE_CHILDREN's maximum over every child
-# the test run has waited for; ru_maxrss is in KiB on Linux
+# the process's own peak, VmHWM in KiB: not RUSAGE_CHILDREN's maximum over
+# every child the test run has waited for, nor its ru_maxrss, which Linux
+# raises at exec to the peak of the process that started it, here pytest's,
+# which one run of the suite had taken to 291 MB by then
 CLI_PEAK = """
-import resource, sys
+import sys
 from hamext.cli import main
 code = main(sys.argv[1:])
-print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(code, next(int(line.split()[1]) for line in open("/proc/self/status")
+                 if line.startswith("VmHWM:")))
 """
 
 
@@ -256,9 +256,9 @@ def test_cli_keylemma_at_n15_peaks_at_most_160_mb(tmp_path):
         [sys.executable, "-c", CLI_PEAK, "keylemma", "--n", "15", "--trials", "1024",
          "--out-dir", str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=120)
-    code, maxrss_kib = map(int, run.stdout.split()[-2:])
+    code, peak_kib = map(int, run.stdout.split()[-2:])
     assert code == 0
-    assert maxrss_kib <= 160 << 10
+    assert peak_kib <= 160 << 10
 
 
 def raise_counts(monkeypatch, cells):

@@ -1,11 +1,11 @@
-"""The stream is the spec: a pure-Python Philox 4x64-10 (the Random123
-constants; Salmon et al., SC 2011), keyed (seed, 0) with the first
-block at counter 1, reproduces bit_stream bit for bit, and the
-Sampler's draws from the same words replay the key-lemma families."""
+"""The stream is the spec: the pure-Python Philox 4x64-10 of
+tests/oracles.py, keyed (seed, 0) with the first block at counter 1,
+reproduces bit_stream bit for bit, and the Sampler's draws from the
+same words replay the key-lemma families."""
 
 import ast
 from fractions import Fraction
-from itertools import count
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -14,32 +14,8 @@ import hamext
 from hamext import rng
 from hamext.keylemma import verify_key_lemma
 from hamext.rng import Sampler, bit_stream
-from oracles import check_keylemma_report, contained_counts_oracle
-
-MASK = (1 << 64) - 1
-MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-
-
-def philox_block(counter: int, key: tuple[int, int]) -> list[int]:
-    """The four output words of the 256-bit counter under the 128-bit key."""
-    x = [(counter >> (64 * i)) & MASK for i in range(4)]
-    k0, k1 = key
-    for _ in range(10):
-        p0, p1 = MULTIPLIERS[0] * x[0], MULTIPLIERS[1] * x[2]
-        x = [(p1 >> 64) ^ x[1] ^ k0, p1 & MASK, (p0 >> 64) ^ x[3] ^ k1, p0 & MASK]
-        k0, k1 = (k0 + WEYL[0]) & MASK, (k1 + WEYL[1]) & MASK
-    return x
-
-
-def philox_bits(seed: int, length: int, first_counter: int = 1) -> list[int]:
-    """The first `length` bits: words in counter order, each little-endian."""
-    words = []
-    counter = first_counter
-    while 64 * len(words) < length:
-        words += philox_block(counter, (seed, 0))
-        counter += 1
-    return [(words[i // 64] >> (i % 64)) & 1 for i in range(length)]
+from oracles import (MASK, MULTIPLIERS, OracleSampler, check_keylemma_report,
+                     contained_counts_oracle, gamma_oracle, philox_bits)
 
 
 @pytest.mark.parametrize("seed", [0, 1, (1 << 64) - 1])
@@ -50,23 +26,6 @@ def test_oracle_reproduces_bit_stream(seed, length):
 
 def test_the_first_block_is_counter_one_not_zero():
     assert bit_stream(1, 256).tolist() != philox_bits(1, 256, first_counter=0)
-
-
-class OracleSampler:
-    """Sampler's two draws, spelled out over philox_block words."""
-
-    def __init__(self, seed: int):
-        self.words = (w for counter in count(1) for w in philox_block(counter, (seed, 0)))
-
-    def below(self, m: int) -> int:
-        limit = (1 << 64) - (1 << 64) % m
-        while (w := next(self.words)) >= limit:
-            pass
-        return w % m
-
-    def subset(self, n: int, k: int) -> set[int]:
-        keys = sorted(next(self.words) >> n << n | v for v in range(1 << n))
-        return {key % (1 << n) for key in keys[:k]}
 
 
 # 2^63 + 1 rejects about half the words (16 draws reject some at both
@@ -92,27 +51,23 @@ def test_oracle_replays_the_key_lemma_draws(n, seed):
     for t in range(trials):
         size = draw.below(max_size + 1)
         families.append((f"sampled #{t}", draw.subset(n, size) if size else set()))
-
-    def ball(center, radius):
-        return {v for v in range(1 << n) if (v ^ center).bit_count() <= radius}
-
     center2 = draw.below(1 << n)
     for radius in range(n + 1):
-        if len(ball(0, radius)) > max_size:
+        if len(gamma_oracle({0}, n, radius)) > max_size:
             break
-        families += [(f"ball r={radius} c={c}", ball(c, radius)) for c in (0, center2)]
+        families += [(f"ball r={radius} c={c}", gamma_oracle({c}, n, radius))
+                     for c in (0, center2)]
     families.append(("half-space x0=0", set(range(0, 1 << n, 2))))
     for t in range(3):
         c1, c2 = draw.below(1 << n), draw.below(1 << n)
         r1, r2 = draw.below(n // 3), draw.below(n // 3)
-        union = ball(c1, r1) | ball(c2, r2)
+        union = gamma_oracle({c1}, n, r1) | gamma_oracle({c2}, n, r2)
         if len(union) <= max_size:
             families.append((f"union of balls #{t}", union))
     report = verify_key_lemma(n, trials, Fraction(1, 2), seed)
     assert [f["label"] for f in report["families"]] == [label for label, _ in families]
     # each row against the brute-force count, not the _contained_counts the report ran
-    counts = contained_counts_oracle([[v in members for v in range(1 << n)]
-                                      for _, members in families], n)
+    counts = contained_counts_oracle([members for _, members in families], n)
     for fam, (_, members), exact in zip(report["families"], families, counts):
         assert fam["size"] == len(members)
         assert [row["exact"] for row in fam["rows"]] == [Fraction(c, 1 << n) for c in exact]
@@ -157,18 +112,25 @@ ONE_DEFINITION = {
 }
 
 
+def innermost(tree: ast.AST, lineno: int) -> str | None:
+    """The name of the innermost function of tree around line lineno, or
+    None outside every function."""
+    around = [node for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and node.lineno <= lineno <= node.end_lineno]
+    return max(around, key=lambda f: f.lineno).name if around else None
+
+
 def spelled_out(text: str) -> set[tuple[str, str | None]]:
     """(module, innermost function around it or None) for each line of the
     hamext package that holds text."""
     found = set()
     for path in Path(hamext.__file__).parent.glob("*.py"):
         source = path.read_text()
-        functions = [node for node in ast.walk(ast.parse(source))
-                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        tree = ast.parse(source)
         for lineno, line in enumerate(source.splitlines(), 1):
             if text in line:
-                around = [f for f in functions if f.lineno <= lineno <= f.end_lineno]
-                found.add((path.name, max(around, key=lambda f: f.lineno).name if around else None))
+                found.add((path.name, innermost(tree, lineno)))
     return found
 
 
@@ -233,13 +195,56 @@ def test_every_export_has_a_reader():
     assert UNREAD_EXPORTS.keys() <= exported - read
 
 
+def calls(tree: ast.AST) -> set[str]:
+    """The names a tree calls, bare (f(...)) or as an attribute (m.f(...))."""
+    return {f.id if isinstance(f, ast.Name) else f.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(f := node.func, (ast.Name, ast.Attribute))}
+
+
+@cache
+def parsed_tests() -> dict[str, ast.Module]:
+    """Every module of tests/, by file name, parsed once."""
+    return {path.name: ast.parse(path.read_text()) for path in Path(__file__).parent.glob("*.py")}
+
+
 def test_every_reference_has_a_comparison():
-    """Each function that tests/oracles.py defines is called by a test
-    module: a reference whose comparisons are deleted goes with them."""
-    here = Path(__file__).parent
-    defined = {node.name for node in ast.parse((here / "oracles.py").read_text()).body
-               if isinstance(node, ast.FunctionDef)}
-    called = {node.func.id for path in here.glob("test_*.py")
-              for node in ast.walk(ast.parse(path.read_text()))
-              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
-    assert sorted(defined - called) == []
+    """Each function and class that tests/oracles.py defines is defined
+    nowhere else in tests/, and is called, by name or as oracles.<name>,
+    by a test module or by a reference that is: a reference whose
+    comparisons are deleted goes with them."""
+    modules = parsed_tests()
+    defined = {node.name: node for node in modules["oracles.py"].body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert sorted((name, node.name) for name, tree in modules.items() if name != "oracles.py"
+                  for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name in defined) == []
+    called = set().union(*(calls(tree) for name, tree in modules.items()
+                           if name.startswith("test_")))
+    while more := set().union(*(calls(defined[name]) for name in called & defined.keys())) - called:
+        called |= more
+    assert sorted(defined.keys() - called) == []
+
+
+# Each claim's one reference, by a spelling of it that no other test code
+# may repeat (an expression, matched by its syntax tree, so a constant in
+# any base), and the module, and the function of it or None, that alone
+# holds it; math.comb is read once, where the binomial row is tied to it
+ONE_REFERENCE = {
+    "binomial-row": ("coeff * (n - i) // (i + 1)", "oracles.py", "binomial_row"),
+    "comb-tie": ("math.comb", "test_cube.py", "test_both_walks_match_comb_sum"),
+    "cube-distance": ("(v ^ u).bit_count()", "oracles.py", "distance_oracle"),
+    "ball-union": ("reduce(or_, subset, 0)", "oracles.py", "harper_min_oracle"),
+    "majority-margin": ("2 * (word & core).bit_count()", "oracles.py", "margin"),
+    "philox-multiplier-0": (hex(MULTIPLIERS[0]), "oracles.py", None),
+    "philox-multiplier-1": (hex(MULTIPLIERS[1]), "oracles.py", None),
+    "cdf-gap": ("normal_cdf((j - half) * scale)", "oracles.py", "cdf_gap_oracle"),
+}
+
+
+@pytest.mark.parametrize("spelling, module, function", ONE_REFERENCE.values(), ids=ONE_REFERENCE)
+def test_each_reference_has_one_spelling(spelling, module, function):
+    target = ast.parse(spelling, mode="eval").body
+    assert {(name, innermost(tree, node.lineno)) for name, tree in parsed_tests().items()
+            for node in ast.walk(tree)
+            if type(node) is type(target) and ast.dump(node) == ast.dump(target)} == {
+        (module, function)}

@@ -18,9 +18,10 @@ from hamext.extractor import extract, make_schedule
 from hamext.rng import bit_stream
 from hamext.stats import (SELECTION_RULES, SMALL_BALL_BOUND_CEILING, WEBER_CEILING,
                           FrequencyReport, apply_selection, berry_esseen_bound,
-                          binomial_cdf_gap, frequency_on_set, majority_refinement, normal_cdf,
+                          binomial_cdf_gap, frequency_on_set, majority_refinement,
                           small_ball_bound, small_ball_probability,
                           sparse_subsequence, weber_series)
+from oracles import binomial_row, cdf_gap_oracle
 
 
 def traced_peak(call, *args) -> int:
@@ -56,39 +57,10 @@ class TestBerryEsseenBound:
 
 
 class TestBinomialCdfGap:
-    def gap_oracle(self, n):
-        # independent recomputation with math.comb and exact fractions
-        worst = 0.0
-        cdf = Fraction(0)
-        for j in range(n + 1):
-            cdf += Fraction(math.comb(n, j), 1 << n)
-            x = (j - n / 2) / (math.sqrt(n) / 2)
-            worst = max(worst, abs(float(cdf) - normal_cdf(x)))
-        return worst
-
-    def test_matches_oracle(self):
-        for n in (1, 2, 3, 10, 37, 100):
-            assert binomial_cdf_gap(n) == pytest.approx(self.gap_oracle(n), abs=1e-13)
-
-    @staticmethod
-    def full_scan(n):
-        # the whole row j = 0..n by the running recurrence, each gap computed
-        # as binomial_cdf_gap computes it: the center-out walk must skip only
-        # points that cannot move the maximum
-        denom, scale, half = 1 << n, 2.0 / math.sqrt(n), n / 2.0
-        worst, coeff, cdf = 0.0, 1, 0
-        for j in range(n + 1):
-            cdf += coeff
-            coeff = coeff * (n - j) // (j + 1)
-            gap = abs(cdf / denom - normal_cdf((j - half) * scale))
-            if gap > worst:
-                worst = gap
-        return worst
-
     def test_equals_full_scan_bit_for_bit(self):
         rng = random.Random(20260)
         for n in [*range(1, 1201), *(rng.randint(1201, 20000) for _ in range(10))]:
-            assert binomial_cdf_gap(n) == self.full_scan(n), n
+            assert binomial_cdf_gap(n) == cdf_gap_oracle(n), n
 
     def test_within_bound_exhaustive_small(self):
         for n in range(1, 1025):
@@ -156,7 +128,8 @@ class TestSmallBall:
 
     def test_ceiling(self):
         # one n-bit term per window point: past 10^4 a call can take minutes
-        assert small_ball_probability(10 ** 4, 0) == Fraction(math.comb(10 ** 4, 5000), 1 << 10 ** 4)
+        row = binomial_row(10 ** 4)
+        assert small_ball_probability(10 ** 4, 0) == Fraction(row[5000] - row[4999], 1 << 10 ** 4)
         for n in (10 ** 4 + 1, 10 ** 8):
             with pytest.raises(ResourceError):
                 small_ball_probability(n, 0)
