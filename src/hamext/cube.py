@@ -122,6 +122,21 @@ def distances_from(n: int, center: int = 0) -> np.ndarray:
     return np.bitwise_count(np.arange(1 << n, dtype=np.uint64) ^ np.uint64(center))
 
 
+def gamma_sizes(sets: np.ndarray, n: int) -> np.ndarray:
+    """(sets, n+1): |Γ_d(A)| for d = 0..n, one row per set A of the
+    (sets, 2^n) indicator array, counted exactly.
+
+    One distance_to_set call sweeps every row; each row's distances
+    (0..n+1) go into one histogram, summed up cumulatively. The empty
+    set, at distance n+1 from every point, has no neighbors at any d.
+    """
+    dist = kernels.distance_to_set(sets, n)
+    hist = np.empty((dist.shape[0], n + 2), dtype=np.int64)
+    for row, h in zip(dist, hist):
+        h[:] = np.bincount(row, minlength=n + 2)
+    return np.cumsum(hist[:, :-1], axis=1)
+
+
 @dataclass(frozen=True)
 class SphereSpec:
     """The canonical sphere make_sphere builds around a (printable)
@@ -149,11 +164,9 @@ class SphereSpec:
         return ind
 
     def gamma_size(self, d: int) -> int:
-        """|Γ_d(S)|: the points within distance d of S, counted exactly
-        (none for the empty sphere, whose distances are all n+1 > d)."""
+        """|Γ_d(S)|: the points within distance d of S, from gamma_sizes."""
         d = read_index(d, "d", 0, self.dimension)
-        dist = kernels.distance_to_set(self.indicator(), self.dimension)
-        return int(np.count_nonzero(dist <= d))
+        return int(gamma_sizes(self.indicator()[None], self.dimension)[0, d])
 
 
 def make_sphere(n: int, size: int, center) -> SphereSpec:

@@ -15,35 +15,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import kernels
 from .bits import _real, read_index
-from .cube import binomial_tails, bracket, distances_from
+from .cube import binomial_tails, bracket, distances_from, gamma_sizes
 from .errors import DomainError
 from .rng import Sampler
 
 CONTAINMENT_CEILING = 16
-# verify_key_lemma holds one (families, 2^n) complement array and distance_to_set
-# two int8 arrays of that shape: 1024 trials at n = 16 peak near 233 MB in 2-3 s
-# on 2 cores, and 100 001 ran out of memory
+# verify_key_lemma holds one (families, 2^n) complement array and gamma_sizes
+# two int8 distance arrays of that shape: 1024 trials at n = 16 peak near 233 MB
+# in 2-3 s on 2 cores, and 100 001 ran out of memory
 TRIALS_CEILING = 1024
-
-
-def _contained_counts(outside: np.ndarray, n: int) -> np.ndarray:
-    """(families, n+1): per row of the (families, 2^n) complement array
-    (True off the event) and d = 0..n, the points whose radius-d ball
-    stays inside the event.
-
-    A point fails iff it lies within d of the complement, so the count
-    is 2^n minus the points at distance <= d from the complement: one
-    histogram of each row's distances (0..n+1), summed up cumulatively.
-    An empty complement sits at distance n+1 from every point and never
-    counts. Every complement row goes through one distance_to_set call.
-    """
-    dist = kernels.distance_to_set(outside, n)
-    hist = np.empty((dist.shape[0], n + 2), dtype=np.int64)
-    for row, h in zip(dist, hist):
-        h[:] = np.bincount(row, minlength=n + 2)
-    return (1 << n) - np.cumsum(hist[:, :-1], axis=1)
 
 
 def adversarial_families(n: int, max_size: int, r_max: int,
@@ -110,9 +91,9 @@ def verify_key_lemma(n: int, trials: int, p_threshold: Fraction, seed: int) -> d
     # the rows read (r - d and r + 1 - d, within -n-1..n); every count
     # and tail is at most 2^16, inside int64
     padded = np.array([0] * (n + 1) + tails, dtype=np.int64)
-    brackets = np.searchsorted(padded[n + 1:], sizes, side="right") - 1  # r, per family
+    brackets = np.array([bracket(tails, s) for s in sizes.tolist()], dtype=np.int64)
     shifted = brackets[:, None] + n + 1 - np.arange(n + 1)  # (families, n+1): r - d + n + 1
-    counts = _contained_counts(outside, n)
+    counts = total - gamma_sizes(outside, n)  # a point fails within d of the complement
     bounds = padded[shifted + 1]
     violations = int(np.count_nonzero(counts > bounds))
     is_tight = counts == padded[shifted]

@@ -30,7 +30,8 @@ tests/ (tests/test_rng.py guards this):
   contained_counts_oracle;
 * a key-lemma or corruption report's derived numbers, recomputed from
   its own fields and its input: check_keylemma_report,
-  check_corrupt_report;
+  check_corrupt_report; a harper, clt-check or smallball report and its
+  CSV side table: check_tabled_report;
 * the text format the command reads: write_text_bits.
 """
 
@@ -279,6 +280,81 @@ def check_corrupt_report(report: dict, packed_y: bytes) -> None:
         ((x ^ y) & ((1 << n) - 1)).bit_count() <= p(n) for n in report["stage_bounds"])
     assert report["targets_rezero"] == [vote(y, (1 << e) - (1 << a)) == 0
                                         for _, a, _, e in blocks]
+
+
+def check_table(table: str, header: list[str], rows) -> None:
+    """A report's CSV side table: its header, then one line per row of the
+    report, each cell the str() of that row's value."""
+    assert [line.split(",") for line in table.splitlines()] == [
+        header, *([str(value) for value in row] for row in rows)]
+
+
+def check_harper_report(report: dict, table: str) -> None:
+    """Recompute a `hamext harper` report from its own n: a row per size
+    and radius, each min harper_min_oracle's exhaustive minimum, each
+    sphere value that minimum (Harper's theorem), and all_equal from the
+    rows; its table holds (n, size, d, min, sphere) of each row."""
+    n, rows = report["n"], report["rows"]
+    check_table(table, ["n", "size", "d", "exhaustive_min", "sphere_value"],
+                [(n, row["size"], row["d"], row["min"], row["sphere"]) for row in rows])
+    assert [(row["size"], row["d"]) for row in rows] == [
+        (size, d) for size in range((1 << n) + 1) for d in range(n + 1)]
+    mins = [harper_min_oracle(n, d) for d in range(n + 1)]
+    assert [row["min"] for row in rows] == [mins[row["d"]][row["size"]] for row in rows]
+    assert [row["sphere"] for row in rows] == [row["min"] for row in rows]
+    assert report["all_equal"] == all(row["sphere"] == row["min"] for row in rows)
+
+
+def check_clt_report(report: dict, table: str) -> None:
+    """Recompute a `hamext clt-check` report from its own sizes: each gap
+    cdf_gap_oracle's float bit for bit, each bound 0.71/sqrt(n), and each
+    ok and within_bound their comparisons; its table holds (n, gap,
+    bound, ok) of each row."""
+    rows = report["rows"]
+    check_table(table, ["n", "gap", "bound", "ok"],
+                [(row["n"], row["gap"], row["bound"], row["ok"]) for row in rows])
+    for row in rows:
+        n, gap, bound = row["n"], float(row["gap"]), float(row["bound"])
+        assert gap == cdf_gap_oracle(n)
+        assert bound == 0.71 / math.sqrt(n)
+        assert row["ok"] == (gap <= bound)
+    assert report["within_bound"] == all(row["ok"] for row in rows)
+
+
+def check_smallball_report(report: dict, table: str) -> None:
+    """Recompute a `hamext smallball` report at its default budget, g(n) =
+    ceil(n^(1/3)), from its own sizes: each exact P(|ones - n/2| <= g), in
+    lowest terms, is b(n, hi) - b(n, lo - 1) over 2^n for the ones counts
+    lo..hi within g of n/2; each bound is the envelope 4g/sqrt(2 pi n) +
+    1.42/sqrt(n) in small_ball_bound's float operations (2 * 0.71 is 1.42
+    exactly); and each ok and within_bound are their comparisons. Its
+    table holds (n, g, exact_num, exact_den, bound, ok) of each row."""
+    rows = report["rows"]
+    keys = ["n", "g", "exact_num", "exact_den", "bound", "ok"]
+    check_table(table, keys, [[row[key] for key in keys] for row in rows])
+    assert report["budget"] == "power:1/3"
+    for row in rows:
+        n, g, bound = row["n"], row["g"], float(row["bound"])
+        assert (g - 1) ** 3 < n <= g ** 3
+        lo, hi = max(0, -(-(n - 2 * g) // 2)), min(n, (n + 2 * g) // 2)
+        tails = binomial_row(n)
+        exact = Fraction(row_tail(tails, hi) - row_tail(tails, lo - 1), 1 << n)
+        assert (row["exact_num"], row["exact_den"]) == (exact.numerator, exact.denominator)
+        assert bound == 4.0 * g / math.sqrt(2.0 * math.pi * n) + 1.42 / math.sqrt(n)
+        assert row["ok"] == (float(exact) <= bound)
+    assert report["within_bound"] == all(row["ok"] for row in rows)
+
+
+def check_tabled_report(report: dict, table: str) -> None:
+    """Check a report of the command its config names, harper, clt-check
+    or smallball, and its CSV table by meaning."""
+    command = report["config"]["command"]
+    if command == "harper":
+        check_harper_report(report, table)
+    elif command == "clt-check":
+        check_clt_report(report, table)
+    else:
+        check_smallball_report(report, table)
 
 
 def write_text_bits(path, strings) -> None:

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import re
 import tempfile
 import warnings
@@ -18,7 +19,8 @@ from hamext.errors import ConfigError
 from hamext.extractor import BlockSchedule
 from hamext.rng import bit_stream
 from hamext.stats import CDF_GAP_CEILING, SMALL_BALL_CEILING, WEBER_CEILING
-from oracles import check_corrupt_report, check_keylemma_report, write_text_bits
+from oracles import (check_corrupt_report, check_keylemma_report, check_tabled_report,
+                     write_text_bits)
 
 
 # The option keys each subcommand reads. Every subcommand also takes
@@ -68,6 +70,12 @@ def keylemma_report(path) -> dict:
     report = json.loads(path.read_text(), object_hook=fraction)
     report["modulus"] = {int(j): d for j, d in report["modulus"].items()}
     return report
+
+
+def tabled_report(out_dir, command) -> tuple[dict, str]:
+    """A tabled command's JSON report and the text of its CSV table."""
+    name = command.replace("-", "_")
+    return read_json(out_dir / f"{name}.json"), (out_dir / f"{name}.csv").read_text()
 
 
 class TestExtract:
@@ -276,19 +284,23 @@ class TestDeterminism:
         assert run([*args, "--out-dir", "out"]) == 0
         assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest
 
-    # the keylemma and corrupt pins above, each derived number recomputed
-    # from the report's own fields and its input
+    # the keylemma, corrupt, harper, clt-check and smallball pins above,
+    # each derived number recomputed from the report's own fields and its
+    # input, and each CSV table read against its report
     @pytest.mark.parametrize("args", [
         *(["keylemma", "--n", n, "--trials", 200, "--seed", 0] for n in (4, 8, 12)),
-        ["corrupt", "--seed", 1],
-    ], ids=["keylemma-n4", "keylemma-n8", "keylemma-n12", "corrupt"])
+        ["corrupt", "--seed", 1], ["harper", "--n", 4], ["clt-check"], ["smallball"],
+    ], ids=["keylemma-n4", "keylemma-n8", "keylemma-n12", "corrupt", "harper-n4",
+            "clt-check-default", "smallball-default"])
     def test_pinned_reports_hold_by_meaning(self, tmp_path, args):
         assert run([*args, "--out-dir", tmp_path]) == 0
         if args[0] == "keylemma":
             check_keylemma_report(keylemma_report(tmp_path / "keylemma.json"))
-        else:
+        elif args[0] == "corrupt":
             check_corrupt_report(read_json(tmp_path / "corrupt.json"),
                                  (tmp_path / "y.bits").read_bytes())
+        else:
+            check_tabled_report(*tabled_report(tmp_path, args[0]))
 
     @pytest.mark.parametrize("edit", ["flip-moved", "cost-plus-one"])
     def test_the_corrupt_check_fails_on_an_edited_report(self, tmp_path, edit):
@@ -303,6 +315,42 @@ class TestDeterminism:
             stage["cost"] += 1
         with pytest.raises(AssertionError):
             check_corrupt_report(report, packed_y)
+
+    # a row forged alike in the report and its CSV line, which only the
+    # recomputation can tell, or one CSV cell edited alone; the unedited
+    # copies pass test_pinned_reports_hold_by_meaning
+    @pytest.mark.parametrize("args, edit", [
+        (["harper", "--n", 4], "min-plus-one"),
+        (["harper", "--n", 4], "csv-cell"),
+        (["clt-check"], "gap-next-float"),
+        (["smallball"], "exact-num-plus-one"),
+    ], ids=["harper-min-plus-one", "harper-csv-cell", "clt-check-gap-next-float",
+            "smallball-exact-num-plus-one"])
+    def test_the_tabled_checks_fail_on_an_edited_copy(self, tmp_path, args, edit):
+        assert run([*args, "--out-dir", tmp_path]) == 0
+        report, table = tabled_report(tmp_path, args[0])
+        lines = table.splitlines()
+        if args[0] == "harper":
+            row = report["rows"][7]
+            assert lines[8] == "4,1,2,11,11"  # |Γ_2| of one point is b(4,2)
+            if edit == "min-plus-one":  # the sphere too, so the two still agree
+                row["min"] = row["sphere"] = 12
+                lines[8] = "4,1,2,12,12"
+            else:
+                lines[8] = "4,1,2,11,12"
+        elif args[0] == "clt-check":
+            row = report["rows"][1]
+            assert lines[2].startswith(f"100,{row['gap']},")
+            gap = repr(math.nextafter(float(row["gap"]), 1.0))
+            lines[2] = lines[2].replace(row["gap"], gap)
+            row["gap"] = gap
+        else:
+            row = report["rows"][0]
+            assert lines[1].startswith("16,3,30251,32768,")
+            row["exact_num"] += 1
+            lines[1] = lines[1].replace("30251", "30252")
+        with pytest.raises(AssertionError):
+            check_tabled_report(report, "\n".join(lines) + "\n")
 
     # --format csv, which five subcommands took before every side table
     # was written, is refused by all of them and writes nothing

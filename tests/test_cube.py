@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hamext import kernels
 from hamext.bits import prefix_distances
 from hamext.cube import (CUBE_CEILING, TAIL_CEILING, binomial_tail, binomial_tails, bracket,
-                         distances_from, harper_min_neighborhood, make_sphere)
+                         distances_from, gamma_sizes, harper_min_neighborhood, make_sphere)
 from hamext.errors import DimensionError, DomainError, ResourceError
 from oracles import (binomial_row, distance_oracle, gamma_oracle, harper_min_oracle,
                      row_bracket, row_tail, vertex_text)
@@ -138,7 +138,8 @@ class TestBinomialTail:
 
 
 class TestNeighborhood:
-    """d-neighborhoods as kernels.distance_to_set rows read them."""
+    """d-neighborhoods as kernels.distance_to_set rows read them, and
+    their sizes as gamma_sizes counts them."""
 
     def test_singleton_radius_one(self):
         assert neighborhood({0b000}, 3, 1) == {0b000, 0b001, 0b010, 0b100}
@@ -152,6 +153,7 @@ class TestNeighborhood:
 
     def test_empty_set(self):
         assert neighborhood(set(), 3, 2) == set()
+        assert gamma_sizes(np.zeros((1, 8), dtype=np.bool_), 3).tolist() == [[0] * 4]
 
     def test_matches_oracle_random_sets(self):
         import random
@@ -159,15 +161,19 @@ class TestNeighborhood:
         for n in (2, 3, 4, 5):
             for _ in range(10):
                 members = set(rng.sample(range(1 << n), rng.randint(1, 1 << (n - 1))))
-                for d in range(n + 1):
-                    assert neighborhood(members, n, d) == gamma_oracle(members, n, d)
+                gammas = [gamma_oracle(members, n, d) for d in range(n + 1)]
+                assert [neighborhood(members, n, d) for d in range(n + 1)] == gammas
+                inside = np.zeros((1, 1 << n), dtype=np.bool_)
+                inside[0, list(members)] = True
+                assert gamma_sizes(inside, n)[0].tolist() == [len(g) for g in gammas]
 
     def test_ball_sizes_every_center(self):
         # |Γ_d({c})| = b(n,d) independent of the center
         for n in range(1, 11):
             for c in (0, (1 << n) - 1, 0b1010101010 & ((1 << n) - 1)):
-                sizes = [len(neighborhood({c}, n, d)) for d in range(n + 1)]
-                assert sizes == [binomial_tail(n, d) for d in range(n + 1)]
+                tails = [binomial_tail(n, d) for d in range(n + 1)]
+                assert [len(neighborhood({c}, n, d)) for d in range(n + 1)] == tails
+                assert gamma_sizes(distances_from(n, c)[None] == 0, n)[0].tolist() == tails
 
     def test_composition(self):
         # Γ_d(Γ_e(A)) = Γ_{d+e}(A); exhaustive over every A for n <= 3

@@ -13,7 +13,7 @@ import pytest
 from hamext import keylemma, kernels
 from hamext.acceptance import crit_key_lemma
 from hamext.cli import main
-from hamext.cube import binomial_tail, binomial_tails, bracket, make_sphere
+from hamext.cube import binomial_tail, binomial_tails, bracket, gamma_sizes, make_sphere
 from hamext.errors import DomainError, ResourceError
 from hamext.keylemma import TRIALS_CEILING, verify_key_lemma
 from oracles import (binomial_row, check_keylemma_report, contained_counts_oracle, gamma_oracle,
@@ -24,11 +24,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def containment_profile(n: int, members) -> list[Fraction]:
     """P(ball_d(X) ⊆ E) for d = 0..n, exactly, for the event E of the
-    vertex masks `members`, read from one keylemma._contained_counts row
-    of its complement."""
+    vertex masks `members`: 2^n less the gamma_sizes row of its complement."""
     inside = np.zeros((1, 1 << n), dtype=np.bool_)
     inside[0, list(members)] = True
-    return [Fraction(c, 1 << n) for c in keylemma._contained_counts(~inside, n)[0].tolist()]
+    return [Fraction((1 << n) - c, 1 << n) for c in gamma_sizes(~inside, n)[0].tolist()]
 
 
 def profile_oracle(n: int, members) -> list[Fraction]:
@@ -78,7 +77,7 @@ class TestBallContainment:
         inside = np.vstack([rng.random((8, 1 << n)) < density,
                             np.zeros(1 << n, dtype=np.bool_), full_minus_one])
         expected = contained_counts_oracle([set(np.flatnonzero(row).tolist()) for row in inside], n)
-        assert keylemma._contained_counts(~inside, n).tolist() == expected
+        assert ((1 << n) - gamma_sizes(~inside, n)).tolist() == expected
 
     def test_ceiling(self):
         with pytest.raises(ResourceError):
@@ -262,18 +261,19 @@ def test_cli_keylemma_at_n15_peaks_at_most_160_mb(tmp_path):
 
 
 def raise_counts(monkeypatch, cells):
-    """Make _contained_counts report the whole cube, 2^n, at every
-    (family row, d) of `cells`: more than any proper family's shifted
-    tail, and more than the preceding tail a tight row equals."""
-    original = keylemma._contained_counts
+    """Make gamma_sizes report an empty neighborhood of the complement, so
+    the whole cube, 2^n, stays inside the event, at every (family row, d)
+    of `cells`: more than any proper family's shifted tail, and more than
+    the preceding tail a tight row equals."""
+    original = keylemma.gamma_sizes
 
-    def counts(outside, n):
+    def sizes(outside, n):
         out = original(outside, n)
         for row, d in cells:
-            out[row, d] = 1 << n
+            out[row, d] = 0
         return out
 
-    monkeypatch.setattr(keylemma, "_contained_counts", counts)
+    monkeypatch.setattr(keylemma, "gamma_sizes", sizes)
 
 
 class TestAViolationIsReported:

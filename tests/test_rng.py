@@ -66,7 +66,7 @@ def test_oracle_replays_the_key_lemma_draws(n, seed):
             families.append((f"union of balls #{t}", union))
     report = verify_key_lemma(n, trials, Fraction(1, 2), seed)
     assert [f["label"] for f in report["families"]] == [label for label, _ in families]
-    # each row against the brute-force count, not the _contained_counts the report ran
+    # each row against the brute-force count, not the gamma_sizes the report ran
     counts = contained_counts_oracle([members for _, members in families], n)
     for fam, (_, members), exact in zip(report["families"], families, counts):
         assert fam["size"] == len(members)
@@ -109,6 +109,7 @@ ONE_DEFINITION = {
     "core-words": ("(1 << e) - (1 << s)", "kernels.py", "core_words"),
     "resource-refusal": ("raise ResourceError", "bits.py", "read_index"),
     "overflow-catch": ("OverflowError", "bits.py", ("as_bits", "_real")),
+    "neighborhood-count": ("kernels.distance_to_set(", "cube.py", "gamma_sizes"),
 }
 
 
@@ -146,7 +147,7 @@ def test_each_rule_has_one_definition(text, module, function):
 
 # Exports that nothing in the program reads yet, each with the reason it stays
 UNREAD_EXPORTS = {
-    "frequency_on_set": "ROADMAP item 9",
+    "frequency_on_set": "ROADMAP item 12 (criterion 4)",
 }
 
 
