@@ -20,7 +20,7 @@ import numpy as np
 from . import kernels
 from .adversary import StageRecord, corrupt, stages_from_blocks, verify_similarity
 from .budgets import lnln, parse_budget
-from .cube import harper_min_neighborhood
+from .cube import harper_table
 from .extractor import BlockSchedule, extract, make_schedule, psi_deviation
 from .keylemma import verify_key_lemma
 from .rng import bit_stream
@@ -134,13 +134,10 @@ def crit_output_bias() -> CriterionResult:
 
 
 def harper_rows(n: int) -> list[tuple[int, int, int, int, bool]]:
-    """(size, d, exhaustive minimum, canonical sphere's, whether they are
-    equal) for every size and radius at dimension n; criterion 5 and
-    `hamext harper` read these rows."""
-    harper_min_neighborhood(n, 0, 0)  # refuses a negative n or one past its ceiling
-    return [(size, d, mn, sphere, mn == sphere)
-            for size in range((1 << n) + 1) for d in range(n + 1)
-            for mn, sphere in [harper_min_neighborhood(n, size, d)]]
+    """harper_table(n) listed, (size, d, exhaustive minimum, canonical sphere's,
+    whether they are equal) per entry; criterion 5 and `hamext harper` read it."""
+    return [(size, d, mn, sphere, mn == sphere) for size, row in enumerate(harper_table(n))
+            for d, (mn, sphere) in enumerate(row.tolist())]
 
 
 def clt_rows(ns) -> list[tuple[int, float, float, bool]]:

@@ -101,7 +101,11 @@ class StageRecord(NamedTuple):
     flips: list[int]
     cost: int
     forced: bool
-    budget_exceeded: bool
+
+    @property
+    def budget_exceeded(self) -> bool:
+        """A stage is refused exactly when its minimal cost overruns its budget."""
+        return not self.forced
 
 
 @dataclass
@@ -151,10 +155,10 @@ def corrupt(X, schedule: BlockSchedule, adv: AdversarySchedule) -> CorruptionRep
         flips, cost = force_majority_zero(y, range(*cores[adv.targets[s]]))
         stage_budget = adv.budget(b - a)
         if cost > stage_budget:
-            records.append(StageRecord(s, (a, b), [], cost, False, True))
+            records.append(StageRecord(s, (a, b), [], cost, False))
         else:
             y[flips] ^= 1
-            records.append(StageRecord(s, (a, b), flips, cost, True, False))
+            records.append(StageRecord(s, (a, b), flips, cost, True))
             running += cost
         cumulative.append(running)
         if running > adv.budget(b):

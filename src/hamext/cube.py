@@ -181,24 +181,27 @@ def make_sphere(n: int, size: int, center) -> SphereSpec:
 
 
 @lru_cache(maxsize=None)
-def _harper_mins(n: int, d: int) -> tuple[int, ...]:
-    # row v is the d-ball around v, packed as a vertex-set word
-    inside = np.array([distances_from(n, v) <= d for v in range(1 << n)])
-    weights = np.uint64(1) << np.arange(1 << n, dtype=np.uint64)
-    ball = np.bitwise_or.reduce(inside * weights, axis=1)
-    return tuple(int(x) for x in kernels.subset_min_gamma(ball))
+def _harper_table(n: int) -> np.ndarray:
+    # inside[d, v, w]: w lies within d of v; or-ing 1 << w over w packs v's d-ball as a word
+    v = np.arange(1 << n, dtype=np.uint64)
+    inside = np.bitwise_count(v[:, None] ^ v) <= np.arange(n + 1)[:, None, None]
+    mins = [kernels.subset_min_gamma(ball) for ball in np.bitwise_or.reduce(inside << v, axis=2)]
+    spheres = [make_sphere(n, size, "0" * n).indicator() for size in range((1 << n) + 1)]
+    table = np.stack((np.transpose(mins), gamma_sizes(np.array(spheres), n)), axis=-1)
+    table.flags.writeable = False
+    return table
+
+
+def harper_table(n: int) -> np.ndarray:
+    """Read-only (2^n + 1, n + 1, 2): [size, d] holds the least |Γ_d(A)| over all
+    C(2^n, size) sets A and the canonical sphere's |Γ_d|, equal by the isoperimetric
+    theorem. n is read before the table is built, once per n; past HARPER_CEILING it raises."""
+    return _harper_table(read_index(n, "n", ceiling=HARPER_CEILING))
 
 
 def harper_min_neighborhood(n: int, size: int, d: int) -> tuple[int, int]:
-    """(exhaustive min of |Γ_d(A)| over |A|=size, canonical-sphere value).
-
-    The isoperimetric theorem says the two agree. Exhaustive search over
-    all C(2^n, size) subsets, so n is capped at HARPER_CEILING; larger n
-    raises rather than approximating.
-    """
+    """(exhaustive min of |Γ_d(A)| over |A|=size, canonical-sphere value),
+    entry [size, d] of harper_table(n)."""
     n = read_index(n, "n", ceiling=HARPER_CEILING)
     size, d = read_index(size, "size", 0, 1 << n), read_index(d, "d", 0, n)
-    exhaustive = _harper_mins(n, d)[size]
-    sphere = make_sphere(n, size, "0" * n)
-    return exhaustive, sphere.gamma_size(d)
-
+    return tuple(harper_table(n)[size, d].tolist())

@@ -30,8 +30,8 @@ tests/ (tests/test_rng.py guards this):
   contained_counts_oracle;
 * a key-lemma or corruption report's derived numbers, recomputed from
   its own fields and its input: check_keylemma_report,
-  check_corrupt_report; a harper, clt-check or smallball report and its
-  CSV side table: check_tabled_report;
+  check_corrupt_report; a harper, clt-check, smallball or weber report
+  and its CSV side table: check_tabled_report;
 * the text format the command reads: write_text_bits.
 """
 
@@ -44,7 +44,7 @@ from operator import or_
 from typing import NamedTuple
 
 from hamext.bits import as_bits, to_text
-from hamext.budgets import BudgetFunction
+from hamext.budgets import BudgetFunction, lnln
 from hamext.extractor import BlockSchedule
 from hamext.stats import normal_cdf
 
@@ -345,16 +345,42 @@ def check_smallball_report(report: dict, table: str) -> None:
     assert report["within_bound"] == all(row["ok"] for row in rows)
 
 
+def check_weber_report(report: dict, table: str) -> None:
+    """Recompute a `hamext weber` report from its own nu and n (20 by
+    default): block m, (2^(m-1), 2^m], is hit when a member lies in it;
+    each p_count counts the hit blocks up to its n; each log rate is ln of
+    its block's p_count (None before the first hit) at the block's lowest
+    k, 2^(m-1) + 1; and in sparse mode, at the default rate lnln, the
+    threshold is the top 2^m of the last block whose log rate exceeds lnln
+    at its lowest k, 0 when none does. Its table holds (n, p_count) of
+    each block."""
+    check_table(table, ["n", "p_count"], enumerate(report["p_counts"], start=1))
+    n, nu = int(report["config"].get("n", 20)), report["nu"]
+    hits = [m for m in range(1, n + 1) if any(2 ** (m - 1) < v <= 2 ** m for v in nu)]
+    p_counts = [sum(m <= k for m in hits) for k in range(1, n + 1)]
+    assert report["p_counts"] == p_counts
+    assert report["log_rates"] == [
+        {"block": m, "k_low": 2 ** (m - 1) + 1, "log_rate": math.log(p) if p else None}
+        for m, p in enumerate(p_counts, start=1)]
+    if report["mode"] == "sparse":
+        assert report["rate"] == "lnln"
+        assert report["threshold"] == max((2 ** m for m, p in enumerate(p_counts, start=1)
+                                           if p and math.log(p) > lnln(2 ** (m - 1) + 1)),
+                                          default=0)
+
+
 def check_tabled_report(report: dict, table: str) -> None:
-    """Check a report of the command its config names, harper, clt-check
-    or smallball, and its CSV table by meaning."""
+    """Check a report of the command its config names, harper, clt-check,
+    smallball or weber, and its CSV table by meaning."""
     command = report["config"]["command"]
     if command == "harper":
         check_harper_report(report, table)
     elif command == "clt-check":
         check_clt_report(report, table)
-    else:
+    elif command == "smallball":
         check_smallball_report(report, table)
+    else:
+        check_weber_report(report, table)
 
 
 def write_text_bits(path, strings) -> None:

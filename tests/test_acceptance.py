@@ -7,8 +7,9 @@ import json
 import numpy as np
 import pytest
 
-from hamext import acceptance, cli, kernels
-from hamext.acceptance import ALL_CRITERIA, crit_adversary_soundness, crit_output_bias
+from hamext import acceptance, cli, cube, kernels
+from hamext.acceptance import (ALL_CRITERIA, crit_adversary_soundness, crit_harper_exhaustive,
+                               crit_output_bias)
 from hamext.keylemma import verify_key_lemma
 
 # Every criterion is deterministic, so its detail line is pinned: a speed-up
@@ -75,6 +76,15 @@ def loosened_balls(*args, **kwargs):
     return report
 
 
+def raised_entry(index):
+    """A copy of a table with its entry at `index` one larger."""
+    def raise_entry(table):
+        table = table.copy()
+        table[index] += 1
+        return table
+    return raise_entry
+
+
 # One wrong library answer per criterion, swapped in where the criterion
 # reads it: (criterion, attribute, its stand-in, the words of the failing
 # detail that name the case)
@@ -86,8 +96,8 @@ FAILING = [
      "; seed 1 stage 0 unforced/overranged; seed 1 stage 0 flip outside window; "
      "seed 1: targeted output not 0 after re-extraction; seed 1: prefix budget violated"),
     (4, (acceptance, "_adversary_runs"), tampered_adversary_runs, "corrupted frequency 1/400"),
-    (5, (acceptance, "harper_min_neighborhood"),
-     wrong_at(acceptance.harper_min_neighborhood, (3, 2, 1), lambda r: (r[0] + 1, r[1])),
+    (5, (acceptance, "harper_table"),
+     wrong_at(acceptance.harper_table, (3,), raised_entry((2, 1, 0))),
      "mismatches: [(3, 2, 1, 7, 6)]"),
     (6, (acceptance, "berry_esseen_bound"),
      wrong_at(acceptance.berry_esseen_bound, (100,), lambda bound: 0.01),
@@ -110,6 +120,22 @@ def test_a_wrong_answer_fails_its_criterion(monkeypatch, number, target, stand_i
     result = ALL_CRITERIA[number - 1]()
     assert result.passed is False
     assert named in result.detail
+
+
+def test_harper_rows_sweep_each_dimension_once(monkeypatch):
+    """All canonical spheres of a dimension share one distance_to_set sweep
+    (harper_rows(4) made 86 when it read each (size, d) on its own)."""
+    sweeps = []
+    sweep = kernels.distance_to_set
+    monkeypatch.setattr(kernels, "distance_to_set",
+                        lambda ind, n: sweeps.append(n) or sweep(ind, n))
+    cube._harper_table.cache_clear()
+    acceptance.harper_rows(4)
+    assert sweeps == [4]
+    cube._harper_table.cache_clear()
+    sweeps.clear()
+    assert crit_harper_exhaustive().passed
+    assert sweeps == [2, 3, 4]
 
 
 def test_keylemma_exits_two_on_a_non_tight_ball_family(monkeypatch, tmp_path):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from hamext.bits import read_packed_bits, write_packed_bits
 from hamext.cli import _fraction, main
+from hamext.cube import harper_table
 from hamext.errors import ConfigError
 from hamext.extractor import BlockSchedule
 from hamext.rng import bit_stream
@@ -185,12 +186,19 @@ def test_suite_with_a_failing_criterion_exits_two(tmp_path, monkeypatch, capsys)
     assert read_json(tmp_path / "suite.json")["all_passed"] is False
 
 
+def raised_minimum(n):
+    """harper_table(n) with one entry wrong: the least |Γ_0| of one point is 2."""
+    table = harper_table(n).copy()
+    table[1, 0, 0] += 1
+    return table
+
+
 # A wrong library answer, swapped in where the row function the command
 # shares with its criterion reads it, fails the command's claim: the
 # report is still written, with its verdict false, and the run exits 2.
 @pytest.mark.parametrize("args, name, verdict, target, stand_in", [
     (["harper", "--n", 2], "harper.json", "all_equal",
-     "harper_min_neighborhood", lambda n, size, d: (0, 1)),
+     "harper_table", raised_minimum),
     (["clt-check", "--n-list", 10], "clt_check.json", "within_bound",
      "berry_esseen_bound", lambda n: 0.0),
     (["smallball", "--n-list", 16], "smallball.json", "within_bound",
@@ -284,14 +292,14 @@ class TestDeterminism:
         assert run([*args, "--out-dir", "out"]) == 0
         assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest
 
-    # the keylemma, corrupt, harper, clt-check and smallball pins above,
+    # the keylemma, corrupt, harper, clt-check, smallball and weber pins above,
     # each derived number recomputed from the report's own fields and its
     # input, and each CSV table read against its report
     @pytest.mark.parametrize("args", [
         *(["keylemma", "--n", n, "--trials", 200, "--seed", 0] for n in (4, 8, 12)),
-        ["corrupt", "--seed", 1], ["harper", "--n", 4], ["clt-check"], ["smallball"],
+        ["corrupt", "--seed", 1], ["harper", "--n", 4], ["clt-check"], ["smallball"], ["weber"],
     ], ids=["keylemma-n4", "keylemma-n8", "keylemma-n12", "corrupt", "harper-n4",
-            "clt-check-default", "smallball-default"])
+            "clt-check-default", "smallball-default", "weber-default"])
     def test_pinned_reports_hold_by_meaning(self, tmp_path, args):
         assert run([*args, "--out-dir", tmp_path]) == 0
         if args[0] == "keylemma":
@@ -349,6 +357,34 @@ class TestDeterminism:
             assert lines[1].startswith("16,3,30251,32768,")
             row["exact_num"] += 1
             lines[1] = lines[1].replace("30251", "30252")
+        with pytest.raises(AssertionError):
+            check_tabled_report(report, "\n".join(lines) + "\n")
+
+    # one derived field of the default weber report edited at a time (a
+    # p_count alike in the report and its CSV line, which only the
+    # recomputation can tell), a member moved to another block, or one CSV
+    # cell edited alone; the unedited copy passes the check above
+    @pytest.mark.parametrize("edit", ["member-moved", "p-count-plus-one", "log-rate-next-float",
+                                      "k-low-plus-one", "threshold", "csv-cell"])
+    def test_the_weber_check_fails_on_an_edited_copy(self, tmp_path, edit):
+        assert run(["weber", "--out-dir", tmp_path]) == 0
+        report, table = tabled_report(tmp_path, "weber")
+        lines = table.splitlines()
+        assert report["nu"][2] == 64 and lines[6] == "6,3"  # 64 is block 6's one member
+        if edit == "member-moved":  # into block 7, which 128 hits already
+            report["nu"][2] = 65
+        elif edit == "p-count-plus-one":
+            report["p_counts"][5] = 4
+            lines[6] = "6,4"
+        elif edit == "log-rate-next-float":
+            row = report["log_rates"][5]
+            row["log_rate"] = math.nextafter(row["log_rate"], 2.0)
+        elif edit == "k-low-plus-one":
+            report["log_rates"][5]["k_low"] += 1
+        elif edit == "threshold":  # block 6 read as over lnln
+            report["threshold"] = 64
+        else:
+            lines[6] = "6,4"
         with pytest.raises(AssertionError):
             check_tabled_report(report, "\n".join(lines) + "\n")
 

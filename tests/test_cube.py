@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from hamext import kernels
 from hamext.bits import prefix_distances
 from hamext.cube import (CUBE_CEILING, TAIL_CEILING, binomial_tail, binomial_tails, bracket,
-                         distances_from, gamma_sizes, harper_min_neighborhood, make_sphere)
+                         distances_from, gamma_sizes, harper_min_neighborhood, harper_table,
+                         make_sphere)
 from hamext.errors import DimensionError, DomainError, ResourceError
 from oracles import (binomial_row, distance_oracle, gamma_oracle, harper_min_oracle,
                      row_bracket, row_tail, vertex_text)
@@ -260,6 +261,14 @@ class TestMakeSphere:
                         outer = gamma_oracle({center}, n, s.inner_radius + 1)
                         assert inner <= members <= outer
 
+    def test_gamma_size_counts_the_neighborhood(self):
+        # the Harper table reads gamma_sizes directly, so this is gamma_size's value check
+        for n, size, center in ((3, 0, "000"), (4, 5, "0101"), (5, 12, "10110")):
+            s = make_sphere(n, size, center)
+            members = set(np.flatnonzero(s.indicator()).tolist())
+            assert [s.gamma_size(d) for d in range(n + 1)] == [
+                len(gamma_oracle(members, n, d)) for d in range(n + 1)]
+
     def test_complement_duality(self):
         # complement of a canonical sphere sits inside the ball of the
         # complementary size around the complemented center
@@ -294,6 +303,10 @@ class TestHarper:
         for args in ((3, 2.5, 1), (3, 2, 1.0), (3.0, 2, 1)):
             with pytest.raises(DomainError):
                 harper_min_neighborhood(*args)
+        harper_table(3)  # 3.0 == 3 would find this entry in a cache keyed on the raw n
+        for n in (3.0, "3", None):
+            with pytest.raises(DomainError):
+                harper_table(n)
 
 
 def shell_order(n: int, center: str) -> list[int]:

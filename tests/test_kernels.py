@@ -85,10 +85,10 @@ def test_harper_ball_words_match_distance_defined_balls(monkeypatch):
     sweep = kernels.subset_min_gamma
     monkeypatch.setattr(kernels, "subset_min_gamma", lambda ball: seen.append(ball) or sweep(ball))
     for n in range(5):
-        for d in range(n + 1):
-            cube._harper_mins.__wrapped__(n, d)  # past the cache, so every pair is packed
-            assert seen[-1].dtype == np.uint64
-            assert seen[-1].tolist() == ball_masks(n, d)
+        cube._harper_table.__wrapped__(n)  # past the cache, so every radius is packed
+        assert [ball.dtype for ball in seen] == [np.uint64] * (n + 1)
+        assert [ball.tolist() for ball in seen] == [ball_masks(n, d) for d in range(n + 1)]
+        seen.clear()
 
 
 def test_all_outputs_matches_direct_majority():
