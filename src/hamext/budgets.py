@@ -1,9 +1,10 @@
 """Symbolic corruption budgets.
 
 A budget maps a length n to a nonnegative integer allowance, rounding
-up. Four kinds, serialized as ``kind:params`` tokens:
+up. Four kinds, each a row of _KINDS, serialized as ``kind:params`` tokens:
 
-* ``power:a/b[:coeff]``      coeff * n^(a/b)
+* ``power:a/b[:coeff]``      coeff * n^(a/b); a root past ROOT_CEILING
+                             bits raises ResourceError
 * ``affine_sqrt:a:c``        a*n + c*sqrt(n)
 * ``table:n0=v0,n1=v1,...``  step function, each length once (``table:v`` = constant v)
 * ``lil:eps``                n/2 + (1-eps)*sqrt(2 n lnln max(n,16)), in floats,
@@ -23,13 +24,22 @@ from fractions import Fraction
 from .bits import _collection, _real, read_index
 from .errors import DomainError
 
+# the most bits a power budget's root builds. The worst calls under it, a
+# square or cube root of a 2^17-bit integer, take 0.1-0.15 s on 2 cores;
+# power:0.3333 (a root of degree 10 000) at n = 266 305 builds 93 327
+ROOT_CEILING = 1 << 17
+
 
 def _iroot(x: int, q: int) -> int:
-    """floor(x ** (1/q)) for x >= 0, exact: integer Newton steps down from
-    2^ceil(bits/q) > x^(1/q). A step from any r above the floor root lands
-    below r and, by AM-GM, not below the floor root, so the first r with
-    r^q <= x is the floor root (0 for x = 0)."""
-    r = 1 << -(-x.bit_length() // q)
+    """floor(x ** (1/q)) for x >= 0, exact: integer Newton steps down from r
+    above 2^(b/q) > x^(1/q), b the bits of x: 2^(b/q) in floats to 40 bits
+    (off by under 1/32 of a unit) plus 2. Within 2^(1/q) of the root, not 2,
+    r skips the q ln 2 steps that shrink it by only (q-1)/q each. A step from
+    any r above the floor root lands below r and, by AM-GM, not below it, so
+    the first r with r^q <= x is the floor root (0 for x = 0)."""
+    b = x.bit_length()
+    shift = max(0, b // q - 40)
+    r = (int(2.0 ** ((b - q * shift) / q)) + 2) << shift
     while True:
         s = r ** (q - 1)
         if s * r <= x:
@@ -44,10 +54,14 @@ def ceil_root(num: int, den: int, q: int) -> int:
 
 
 def _ceil_power(n: int, alpha: Fraction, coeff: Fraction) -> int:
-    """Smallest m with m >= coeff * n^alpha, exact."""
+    """Smallest m with m >= coeff * n^alpha, exact. For alpha = p/q its root
+    builds about p bits(n) + q (bits(coeff.num) + bits(coeff.den) + 1) bits
+    (r^(q-1) >= 2^(q-1)), read against ROOT_CEILING before any is built."""
     if n == 0:
         return 0
     p, q = alpha.numerator, alpha.denominator
+    coeff_bits = q * (coeff.numerator.bit_length() + coeff.denominator.bit_length() + 1)
+    read_index(p * n.bit_length() + coeff_bits, "power budget root in bits", ceiling=ROOT_CEILING)
     return ceil_root(coeff.numerator ** q * n ** p, coeff.denominator ** q, q)
 
 
@@ -83,10 +97,16 @@ def lil_envelope(n: int, eps: float) -> float:
 LIL_CEILING = int(float.fromhex("0x1.3821ceb3e0796p+1020")) + (1 << 967)
 
 
-#: per kind but table: the reader bits._real applies, then each parameter's name
-_PARAMS = {"power": (Fraction, "power exponent", "power coefficient"),
-           "affine_sqrt": (Fraction, "affine_sqrt slope", "affine_sqrt sqrt coefficient"),
-           "lil": (float, "lil eps")}
+#: per kind: the reader bits._real applies to each parameter and their names
+#: (table's (length, value) pairs are read in BudgetFunction), the exact value
+#: at n from the parameters, and the largest n it evaluates (None: no limit)
+_KINDS = {
+    "power": (Fraction, ("power exponent", "power coefficient"), _ceil_power, None),
+    "affine_sqrt": (Fraction, ("affine_sqrt slope", "affine_sqrt sqrt coefficient"),
+                    _ceil_affine_sqrt, None),
+    "table": (None, (), lambda n, *entries: next(
+        (v for length, v in reversed(entries) if length <= n), entries[0][1]), None),
+    "lil": (float, ("lil eps",), lambda n, eps: math.ceil(lil_envelope(n, eps)), LIL_CEILING)}
 
 
 @dataclass(frozen=True)
@@ -99,6 +119,8 @@ class BudgetFunction:
     params: tuple
 
     def __post_init__(self):
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
+            raise DomainError(f"unknown budget kind {self.kind!r}")
         if self.kind == "table":
             try:
                 params = sorted((read_index(n, "table length"), read_index(v, "table value"))
@@ -114,8 +136,8 @@ class BudgetFunction:
             values = [v for _, v in params]
             if values != sorted(values):
                 raise DomainError("table budget values must be nondecreasing")
-        elif isinstance(self.kind, str) and self.kind in _PARAMS:
-            read, *names = _PARAMS[self.kind]
+        else:
+            read, names, *_ = _KINDS[self.kind]
             given = _collection(self.params, f"{self.kind} budget parameter")
             if len(given) != len(names):
                 raise DomainError(f"a {self.kind} budget takes {len(names)} parameter(s), "
@@ -126,42 +148,11 @@ class BudgetFunction:
                                   f"got {self.params!r}")
             if self.kind == "lil" and params[0] > 1:
                 raise DomainError("lil budget needs eps <= 1")
-        else:
-            raise DomainError(f"unknown budget kind {self.kind!r}")
         object.__setattr__(self, "params", tuple(params))
 
     def __call__(self, n: int) -> int:
-        n = read_index(n, "budget length", ceiling=LIL_CEILING if self.kind == "lil" else None)
-        if self.kind == "power":
-            alpha, coeff = self.params
-            return _ceil_power(n, alpha, coeff)
-        if self.kind == "affine_sqrt":
-            a, c = self.params
-            return _ceil_affine_sqrt(n, a, c)
-        if self.kind == "table":
-            value = self.params[0][1]
-            for bp, v in self.params:
-                if n >= bp:
-                    value = v
-            return value
-        return math.ceil(lil_envelope(n, self.params[0]))
-
-    @property
-    def token(self) -> str:
-        if self.kind == "power":
-            alpha, coeff = self.params
-            tok = f"power:{alpha}"
-            if coeff != 1:
-                tok += f":{coeff}"
-            return tok
-        if self.kind == "affine_sqrt":
-            a, c = self.params
-            return f"affine_sqrt:{a}:{c}"
-        if self.kind == "table":
-            if len(self.params) == 1 and self.params[0][0] == 0:
-                return f"table:{self.params[0][1]}"
-            return "table:" + ",".join(f"{n}={v}" for n, v in self.params)
-        return f"lil:{self.params[0]!r}"
+        _, _, value, ceiling = _KINDS[self.kind]
+        return value(read_index(n, "budget length", ceiling=ceiling), *self.params)
 
 
 def parse_budget(token: str) -> BudgetFunction:

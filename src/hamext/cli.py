@@ -207,11 +207,12 @@ def cmd_clt_check(cfg: dict) -> Run:
 
 def cmd_smallball(cfg: dict) -> Run:
     ns = _option(cfg, "n-list", _int_list, "16,64,256,1024,4096")
-    g = parse_budget(cfg.get("budget", "power:1/3"))
+    token = cfg.get("budget", "power:1/3")
+    g = parse_budget(token)
     rows = [(n, gn, exact.numerator, exact.denominator, repr(bound), ok)
             for n, gn, exact, bound, ok in small_ball_rows(ns, g)]
     ok = all(row[5] for row in rows)
-    return Run({"budget": g.token, "within_bound": ok,
+    return Run({"budget": token, "within_bound": ok,
                 "rows": [{"n": n, "g": gn, "exact_num": num, "exact_den": den,
                           "bound": b, "ok": o} for n, gn, num, den, b, o in rows]},
                f"smallball: {len(rows)} sizes, exact within envelope: {ok}",

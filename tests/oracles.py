@@ -17,17 +17,22 @@ tests/ (tests/test_rng.py guards this):
   distance_oracle, gamma_oracle (Γ_d of a set; a ball for one member)
   and ball_masks; vertex_text is the one mask-to-string helper;
 * the exhaustive isoperimetric minimum: harper_min_oracle;
-* the majority vote: margin and vote, on a word and a core mask;
+* the majority vote: margin and vote, on a word and a core mask; the
+  cheapest flips that force it to 0: flips_oracle; the robustness
+  kernel's count of vote-moving patterns: robustness_oracle;
 * the Philox 4x64-10 stream (Random123 constants; Salmon et al., SC
   2011): philox_block, philox_words, philox_bits, and OracleSampler,
   rng.Sampler's two draws;
-* the CDF gap: cdf_gap_oracle, every point of the row scanned;
+* the CDF gap: cdf_gap_oracle, every point of the row scanned; the
+  small-ball probability: enumeration_oracle, every word of length n;
+  the iterated-log series of a stream: psi_oracle;
 * the forcing adversary against a black-box reduction:
   force_output_zero_generic, exhaustive over the whole input
   (adversary.force_majority_zero is its closed form for majority);
+* a budget's value, the ceiling of its exact rational value: ceil_oracle;
 * make_schedule's constraints: check_schedule; the block-similarity
   relation: similar_g_phi; the key lemma's containment counts:
-  contained_counts_oracle;
+  contained_counts_oracle, and as probabilities profile_oracle;
 * a key-lemma or corruption report's derived numbers, recomputed from
   its own fields and its input: check_keylemma_report,
   check_corrupt_report; a harper, clt-check, smallball or weber report
@@ -39,12 +44,14 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, combinations, count, islice
+from itertools import accumulate, combinations, count, islice, product
 from operator import or_
 from typing import NamedTuple
 
+import numpy as np
+
 from hamext.bits import as_bits, to_text
-from hamext.budgets import BudgetFunction, lnln
+from hamext.budgets import BudgetFunction, lil_envelope, lil_scale, lnln
 from hamext.extractor import BlockSchedule
 from hamext.stats import normal_cdf
 
@@ -107,6 +114,25 @@ def vote(word: int, core: int) -> int:
     return int(margin(word, core) > 0)
 
 
+def flips_oracle(x: np.ndarray, core) -> list[int]:
+    """Canonical cheapest flips: the lowest-indexed ones of the core,
+    as many as the vote is over half."""
+    core = sorted(int(i) for i in core)
+    ones = [i for i in core if x[i]]
+    return ones[:max(0, len(ones) - len(core) // 2)]
+
+
+def robustness_oracle(cores, budgets2, patterns, length):
+    """Per core, each input whose margin is past its budget and each
+    pattern that moves the core's vote on it."""
+    bad = 0
+    for core, budget2 in zip(cores, budgets2):
+        votes = [vote(x, core) for x in range(1 << length)]
+        bad += sum(votes[x ^ p] != votes[x] for x in range(1 << length)
+                   if abs(margin(x, core)) > budget2 for p in patterns)
+    return bad
+
+
 MASK = (1 << 64) - 1
 MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
@@ -161,6 +187,24 @@ def cdf_gap_oracle(n: int) -> float:
                for j, b in enumerate(binomial_row(n)))
 
 
+def psi_oracle(x, epsilon=0.0):
+    """psi_deviation from a full prefix count: (n, statistic, within) at
+    n = 16, 32, ... up to len(x), or at len(x) alone below 16 bits."""
+    ones = np.concatenate(([0], np.cumsum(x, dtype=np.int64))).tolist()
+    ns = [n for n in (1 << j for j in range(4, 64)) if n <= x.size] or [x.size]
+    return [(n, (ones[n] - n / 2.0) / lil_scale(n), ones[n] <= lil_envelope(n, epsilon))
+            for n in ns]
+
+
+def enumeration_oracle(n, g):
+    """P(|ones - n/2| <= g) for a uniform word of n bits, every word counted."""
+    hits = 0
+    for bits in product((0, 1), repeat=n):
+        if abs(sum(bits) - n / 2) <= g:
+            hits += 1
+    return Fraction(hits, 1 << n)
+
+
 class ForceResult(NamedTuple):
     flips: list[int]
     cost: int
@@ -186,6 +230,11 @@ def force_output_zero_generic(X, evaluate) -> ForceResult:
             if hit:
                 return ForceResult(flips, cost, True)
     return ForceResult([], 0, False)
+
+
+def ceil_oracle(value: Fraction) -> int:
+    """The least integer at or above the rational `value`."""
+    return -(-value.numerator // value.denominator)
 
 
 def check_schedule(schedule: BlockSchedule, g: BudgetFunction) -> list[str]:
@@ -215,6 +264,13 @@ def contained_counts_oracle(families, n: int) -> list[list[int]]:
     balls = [[gamma_oracle({x}, n, d) for x in range(1 << n)] for d in range(n + 1)]
     return [[sum(ball <= members for ball in balls[d]) for d in range(n + 1)]
             for members in families]
+
+
+def profile_oracle(n: int, members) -> list[Fraction]:
+    """P(ball_d(X) ⊆ E) for d = 0..n, for the event E of the vertex masks
+    `members`, by brute force."""
+    [counts] = contained_counts_oracle([members], n)
+    return [Fraction(c, 1 << n) for c in counts]
 
 
 def check_keylemma_report(report: dict) -> None:

@@ -7,20 +7,12 @@ from hamext.budgets import parse_budget
 from hamext.errors import ConfigError, ContractError, DimensionError
 from hamext.extractor import BlockSchedule, extract, make_schedule, similar_p_N
 from hamext.rng import bit_stream
-from oracles import force_output_zero_generic, vote
+from oracles import flips_oracle, force_output_zero_generic, vote
 
 
 def majority_search(x, n: int):
     """The exhaustive forcing search against the majority of n bits."""
     return force_output_zero_generic(x, lambda tau: vote(bits_to_mask(tau), (1 << n) - 1))
-
-
-def flips_oracle(x: np.ndarray, core) -> list[int]:
-    """Canonical cheapest flips: the lowest-indexed ones of the core,
-    as many as the vote is over half."""
-    core = sorted(int(i) for i in core)
-    ones = [i for i in core if x[i]]
-    return ones[:max(0, len(ones) - len(core) // 2)]
 
 
 def core_pattern(rng, n: int, kind: str) -> np.ndarray:

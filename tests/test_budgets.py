@@ -1,17 +1,20 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamext.budgets import (LIL_CEILING, BudgetFunction, _iroot, lil_envelope, lnln,
-                            parse_budget)
+from hamext import budgets
+from hamext.budgets import (_KINDS, LIL_CEILING, ROOT_CEILING, BudgetFunction, _iroot,
+                            lil_envelope, lnln, parse_budget)
 from hamext.errors import DomainError, HamextError, ResourceError
+from oracles import ceil_oracle
 
 
-def ceil_oracle(value: Fraction) -> int:
-    return -(-value.numerator // value.denominator)
+def test_the_docstring_lists_every_kind():
+    assert re.findall(r"^\* ``(\w+):", budgets.__doc__, re.M) == list(_KINDS)
 
 
 class TestIroot:
@@ -23,6 +26,11 @@ class TestIroot:
     @given(st.integers(0, 1 << 700), st.integers(1, 9))
     @settings(max_examples=500)
     def test_floor_root(self, x, q):
+        self.assert_floor_root(x, q)
+
+    @given(st.integers(0, 1 << 3000), st.integers(10, 3000))
+    @settings(max_examples=200)
+    def test_floor_root_of_high_degree(self, x, q):
         self.assert_floor_root(x, q)
 
     @pytest.mark.parametrize("q", range(1, 10))
@@ -58,6 +66,35 @@ class TestPower:
                 den = coeff.denominator ** q
                 assert got ** q * den >= target
                 assert (got - 1) ** q * den < target or got == 0
+
+    def test_ceiling_of_the_exact_value_at_perfect_powers(self):
+        # at n = k^q, coeff * n^(p/q) is the rational coeff * k^p
+        for token, p, q, coeff in (("power:2/3:5/4", 2, 3, Fraction(5, 4)),
+                                   ("power:1/2:7/3", 1, 2, Fraction(7, 3)),
+                                   ("power:3/1:1/10", 3, 1, Fraction(1, 10))):
+            for k in range(60):
+                assert parse_budget(token)(k ** q) == ceil_oracle(coeff * k ** p)
+
+    def test_the_root_is_priced(self):
+        # p bits(n) + q (bits(coeff.num) + bits(coeff.den) + 1) bits: 93 327 for
+        # power:0.3333 at n = 266 305; power:0.33333 (933 327 bits) took 1.4 s,
+        # power:1e-8 (3 * 10^8 bits) 0.68 s and power:0.333333 about a minute
+        assert parse_budget("power:0.3333")(266305) == 65
+        for token in ("power:0.33333", "power:1e-8", "power:0.333333", "power:1e-12"):
+            with pytest.raises(ResourceError, match="past the resource ceiling"):
+                parse_budget(token)(266305)
+        assert parse_budget("power:1e-12")(0) == 0  # n^p at n = 0 builds nothing
+
+    def test_roots_up_to_the_ceiling(self):
+        # power:1/2 prices bits(n) + 2 * 3: at ROOT_CEILING it takes an n of
+        # ROOT_CEILING - 6 bits, and refuses one of a bit more
+        half, root = parse_budget("power:1/2"), (1 << (ROOT_CEILING - 6) // 2) - 1
+        assert [half(root * root), half(root * root + 1)] == [root, root + 1]
+        with pytest.raises(ResourceError, match="past the resource ceiling"):
+            half(1 << ROOT_CEILING - 6)
+        # a 13-bit root of degree 8192: from twice the root it took 4 097
+        # Newton steps, 5.5 s
+        assert parse_budget("power:1/8192")((1 << 12 * 8192) + 1) == (1 << 12) + 1
 
     def test_float_pow_trap(self):
         # float(1/5) rounds up, so a float path would report 5 here
@@ -167,12 +204,6 @@ class TestEveryLength:
 
 
 class TestTokens:
-    @pytest.mark.parametrize("token", ["power:2/3", "power:2/3:5/4", "affine_sqrt:1/2:1",
-                                       "table:1", "table:1=0,4=1", "lil:0.1"])
-    def test_round_trip(self, token):
-        b = parse_budget(token)
-        assert parse_budget(b.token) == b
-
     def test_malformed(self):
         # power:1/2:3:x was read as power:1/2:3, its extra field dropped
         for bad in ("power:", "nope:3", "affine_sqrt:1", "table:a=b", "lil:x", "power:1/2:3:x",

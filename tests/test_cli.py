@@ -691,6 +691,13 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().err)["error"] == "resource"
         assert not (tmp_path / "o").exists()
 
+    def test_power_root_past_its_ceiling_is_three(self, tmp_path, capsys):
+        # a root of degree 10^6: it ran about a minute at n = 266 305
+        args = ["extract", "--budget", "power:0.333333", "--blocks", 4]
+        assert run([*args, "--out-dir", tmp_path / "o"]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "resource"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("budget", [
         "power:100/1", "table:100000000000000000000", "affine_sqrt:100000000000000000000:0"])
     def test_budget_past_int64_is_zero(self, tmp_path, budget):
@@ -855,12 +862,13 @@ class TestExitCodes:
 # smallball and clt-check --n-list) must exit 3 at once; the ceilings
 # themselves are left out, as smallball at n = SMALL_BALL_CEILING takes 7-14 s.
 # 10^20 is past every ceiling and longer than any array; power:100/1 and
-# table:10^20 are budgets past int64.
+# table:10^20 are budgets past int64, and the roots of power:0.333333 and
+# power:1e-12 are past ROOT_CEILING.
 TOKENS = [*map(str, range(-3, 65)), "100000000000000", "100000000000000000000",
           "2.5", "1/2", "x",
           *(str(c + 1) for c in (WEBER_CEILING, SMALL_BALL_CEILING, CDF_GAP_CEILING)),
           "power:1/2", "power:2/3", "table:0", "table:1=2", "lil:1",
-          "power:100/1", "table:100000000000000000000",
+          "power:100/1", "table:100000000000000000000", "power:0.333333", "power:1e-12",
           "power:", "power:x", "table:1=", "lil:", "affine_sqrt:1", "cube:2",
           "2,4", "csv", "evens", "parity", "lnln"]
 FILES = {"empty": b"", "text": b"0110100111\n", "lines": b"0110\n1010\n0011\n",
@@ -912,6 +920,11 @@ class TestPipelines:
     def test_smallball(self, tmp_path):
         run(["smallball", "--n-list", "16,64", "--out-dir", tmp_path])
         assert read_json(tmp_path / "smallball.json")["within_bound"] is True
+
+    def test_smallball_reports_the_budget_it_read(self, tmp_path):
+        # the report wrote the parsed budget back as text, power:1/3
+        run(["smallball", "--n-list", "16", "--budget", "power:2/6", "--out-dir", tmp_path])
+        assert read_json(tmp_path / "smallball.json")["budget"] == "power:2/6"
 
     def test_lil_series_csv(self, tmp_path):
         run(["lil", "--seed", 4, "--length", 4096, "--out-dir", tmp_path])

@@ -9,13 +9,13 @@ from hamext.adversary import (CorruptionReport, force_majority_zero, stages_from
                               verify_similarity)
 from hamext import kernels
 from hamext.bits import as_bits, bits_to_mask, to_text
-from hamext.budgets import lil_envelope, lil_scale, lnln, parse_budget
+from hamext.budgets import lnln, parse_budget
 from hamext.errors import (ConfigError, ContractError, DimensionError,
                            DomainError, ResourceError)
 from hamext.extractor import (MAKE_SCHEDULE_SCAN_BOUND, BlockSchedule, extract, make_schedule,
                               prefix_distances, psi_deviation, similar_p_N)
 from hamext.rng import bit_stream
-from oracles import check_schedule, margin, similar_g_phi, vote
+from oracles import check_schedule, margin, psi_oracle, similar_g_phi, vote
 
 # read_index's refusal of a schedule longer than make_schedule's scan bound
 PAST_SCAN_BOUND = f"past the resource ceiling {MAKE_SCHEDULE_SCAN_BOUND}"
@@ -427,15 +427,6 @@ def test_one_checkpoint_contract(name):
         check(x, y[:4], [1])
     assert check(x, y, [0, 5]) is True
     assert check(x, y, np.array([5, 2], dtype=np.uint64))
-
-
-def psi_oracle(x, epsilon=0.0):
-    """psi_deviation from a full prefix count: (n, statistic, within) at
-    n = 16, 32, ... up to len(x), or at len(x) alone below 16 bits."""
-    ones = np.concatenate(([0], np.cumsum(x, dtype=np.int64))).tolist()
-    ns = [n for n in (1 << j for j in range(4, 64)) if n <= x.size] or [x.size]
-    return [(n, (ones[n] - n / 2.0) / lil_scale(n), ones[n] <= lil_envelope(n, epsilon))
-            for n in ns]
 
 
 class TestPsiDeviation:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hamext import cube, kernels
 from hamext.errors import DimensionError
 from hamext.extractor import BlockSchedule
-from oracles import ball_masks, distance_oracle, harper_min_oracle, margin, vote
+from oracles import ball_masks, distance_oracle, harper_min_oracle, robustness_oracle, vote
 
 
 def rng():
@@ -107,17 +107,6 @@ def test_all_outputs_matches_direct_majority():
                                   for x in range(1 << length)]
 
 
-def _robustness_oracle(cores, budgets2, patterns, length):
-    """Per core, each input whose margin is past its budget and each
-    pattern that moves the core's vote on it."""
-    bad = 0
-    for core, budget2 in zip(cores, budgets2):
-        votes = [vote(x, core) for x in range(1 << length)]
-        bad += sum(votes[x ^ p] != votes[x] for x in range(1 << length)
-                   if abs(margin(x, core)) > budget2 for p in patterns)
-    return bad
-
-
 def test_robustness_matches_python_loop():
     # the even core puts margins on the budget itself, where a block is
     # not robust
@@ -128,7 +117,7 @@ def test_robustness_matches_python_loop():
     # patterns lets some outputs move
     for budgets2, patterns, positive in (([2, 2, 2], one_flip, False),
                                          ([0, 0, 0], drawn, True)):
-        expect = _robustness_oracle(cores, budgets2, patterns, 8)
+        expect = robustness_oracle(cores, budgets2, patterns, 8)
         assert (expect > 0) == positive
         got = kernels.robustness_violations(
             np.array(cores, dtype=np.uint64), np.array(sizes, dtype=np.int64),
@@ -155,4 +144,4 @@ def test_robustness_matches_python_loop_on_drawn_schedules(case):
     cores, core_sizes, budgets2, patterns, length = case
     got = kernels.robustness_violations(cores, core_sizes, np.array(budgets2, dtype=np.int64),
                                         np.array(patterns, dtype=np.uint64), length)
-    assert got == _robustness_oracle(cores.tolist(), budgets2, patterns, length)
+    assert got == robustness_oracle(cores.tolist(), budgets2, patterns, length)

@@ -17,7 +17,7 @@ from hamext.cube import binomial_tail, binomial_tails, bracket, gamma_sizes, mak
 from hamext.errors import DomainError, ResourceError
 from hamext.keylemma import TRIALS_CEILING, verify_key_lemma
 from oracles import (binomial_row, check_keylemma_report, contained_counts_oracle, gamma_oracle,
-                     row_bracket, row_tail)
+                     profile_oracle, row_bracket, row_tail)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -28,12 +28,6 @@ def containment_profile(n: int, members) -> list[Fraction]:
     inside = np.zeros((1, 1 << n), dtype=np.bool_)
     inside[0, list(members)] = True
     return [Fraction((1 << n) - c, 1 << n) for c in gamma_sizes(~inside, n)[0].tolist()]
-
-
-def profile_oracle(n: int, members) -> list[Fraction]:
-    """The same probabilities by brute force."""
-    [counts] = contained_counts_oracle([members], n)
-    return [Fraction(c, 1 << n) for c in counts]
 
 
 class TestBallContainment:

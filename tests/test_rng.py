@@ -210,15 +210,17 @@ def parsed_tests() -> dict[str, ast.Module]:
 
 def test_every_reference_has_a_comparison():
     """Each function and class that tests/oracles.py defines is defined
-    nowhere else in tests/, and is called, by name or as oracles.<name>,
-    by a test module or by a reference that is: a reference whose
-    comparisons are deleted goes with them."""
+    nowhere else in tests/, no function, method or class outside it but a
+    test is named *_oracle, and each is called, by name or as
+    oracles.<name>, by a test module or by a reference that is: a
+    reference whose comparisons are deleted goes with them."""
     modules = parsed_tests()
     defined = {node.name: node for node in modules["oracles.py"].body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert sorted((name, node.name) for name, tree in modules.items() if name != "oracles.py"
                   for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                  and node.name in defined) == []
+                  and (node.name in defined or node.name.endswith("_oracle")
+                       and not node.name.startswith("test_"))) == []
     called = set().union(*(calls(tree) for name, tree in modules.items()
                            if name.startswith("test_")))
     while more := set().union(*(calls(defined[name]) for name in called & defined.keys())) - called:

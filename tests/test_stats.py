@@ -2,7 +2,6 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from hamext.stats import (SELECTION_RULES, SMALL_BALL_BOUND_CEILING, WEBER_CEILI
                           binomial_cdf_gap, frequency_on_set, majority_refinement,
                           small_ball_bound, small_ball_probability,
                           sparse_subsequence, weber_series)
-from oracles import binomial_row, cdf_gap_oracle
+from oracles import binomial_row, cdf_gap_oracle, enumeration_oracle
 
 
 def traced_peak(call, *args) -> int:
@@ -84,15 +83,8 @@ class TestBinomialCdfGap:
 
 
 class TestSmallBall:
-    def enumeration_oracle(self, n, g):
-        hits = 0
-        for bits in product((0, 1), repeat=n):
-            if abs(sum(bits) - n / 2) <= g:
-                hits += 1
-        return Fraction(hits, 1 << n)
-
     def test_spec_case(self):
-        assert self.enumeration_oracle(4, 0) == Fraction(6, 16)
+        assert enumeration_oracle(4, 0) == Fraction(6, 16)
         assert small_ball_probability(4, 0) == Fraction(6, 16)
 
     def test_whole_range(self):
@@ -102,7 +94,7 @@ class TestSmallBall:
     def test_matches_enumeration(self):
         for n in range(1, 13):
             for g in range(0, n // 2 + 2):
-                assert small_ball_probability(n, g) == self.enumeration_oracle(n, g)
+                assert small_ball_probability(n, g) == enumeration_oracle(n, g)
 
     def test_exact_at_most_envelope(self):
         assert float(small_ball_probability(100, 5)) <= 4 * 5 / math.sqrt(200 * math.pi) + 1.42 / 10
