@@ -17,7 +17,7 @@ import numpy as np
 
 from .bits import as_bits, read_indices, read_instance
 from .budgets import BudgetFunction
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DomainError
 from .extractor import BlockSchedule, _margins, core_indices, similar_p_N
 
 
@@ -142,7 +142,7 @@ def corrupt(X, schedule: BlockSchedule, adv: AdversarySchedule) -> CorruptionRep
         raise ConfigError("the stage plan was built over another block schedule")
     x = as_bits(X)
     if adv.stage_bounds[-1] > x.size:
-        raise DimensionError(
+        raise DomainError(
             f"input of length {x.size} does not cover stage bound {adv.stage_bounds[-1]}")
     y = x.copy()
     records: list[StageRecord] = []

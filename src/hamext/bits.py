@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, HamextError, ResourceError
+from .errors import DomainError, HamextError, ResourceError
 
 
 def as_bits(x) -> np.ndarray:
@@ -122,12 +122,12 @@ def read_indices(values, name: str, lo: int | None = 0, hi: int | None = None,
 def prefix_distances(X, Y, checkpoints) -> np.ndarray:
     """d(X|n, Y|n) at each checkpoint n, as int64 in the order given.
 
-    Each n must be an integer in 0..len(X) (DomainError otherwise); X
-    and Y must share one length (DimensionError otherwise).
+    Each n must be an integer in 0..len(X), and X and Y must share one
+    length (DomainError otherwise).
     """
     x, y = as_bits(X), as_bits(Y)
     if x.size != y.size:
-        raise DimensionError(f"length mismatch: {x.size} vs {y.size}")
+        raise DomainError(f"length mismatch: {x.size} vs {y.size}")
     ns = np.array(read_indices(checkpoints, "checkpoint", 0, x.size), dtype=np.int64)
     cum = np.cumsum(np.concatenate(([False], x != y)), dtype=np.int64)  # cum[n] = d(X|n, Y|n)
     return cum[ns]

@@ -5,7 +5,8 @@ up. Four kinds, each a row of _KINDS, serialized as ``kind:params`` tokens:
 
 * ``power:a/b[:coeff]``      coeff * n^(a/b); a root past ROOT_CEILING
                              bits raises ResourceError
-* ``affine_sqrt:a:c``        a*n + c*sqrt(n)
+* ``affine_sqrt:a:c``        a*n + c*sqrt(n); a root past ROOT_CEILING bits
+                             raises ResourceError
 * ``table:n0=v0,n1=v1,...``  step function, each length once (``table:v`` = constant v)
 * ``lil:eps``                n/2 + (1-eps)*sqrt(2 n lnln max(n,16)), in floats,
                              so an n past LIL_CEILING raises ResourceError
@@ -24,9 +25,9 @@ from fractions import Fraction
 from .bits import _collection, _real, read_index
 from .errors import DomainError
 
-# the most bits a power budget's root builds. The worst calls under it, a
-# square or cube root of a 2^17-bit integer, take 0.1-0.15 s on 2 cores;
-# power:0.3333 (a root of degree 10 000) at n = 266 305 builds 93 327
+# the most bits a power or affine_sqrt budget's root builds. The worst calls
+# under it, a square or cube root of a 2^17-bit integer, take 0.1-0.15 s on 2
+# cores; power:0.3333 (a root of degree 10 000) at n = 266 305 builds 93 327
 ROOT_CEILING = 1 << 17
 
 
@@ -66,7 +67,13 @@ def _ceil_power(n: int, alpha: Fraction, coeff: Fraction) -> int:
 
 
 def _ceil_affine_sqrt(n: int, a: Fraction, c: Fraction) -> int:
-    """Smallest m with m >= a*n + c*sqrt(n), exact."""
+    """Smallest m with m >= a*n + c*sqrt(n), exact. Its square root builds
+    about bits(n) + 2 (bits(c.num) + bits(c.den) + bits(a.den)) bits, read
+    against ROOT_CEILING before any is built."""
+    coeff_bits = 2 * (c.numerator.bit_length() + c.denominator.bit_length()
+                      + a.denominator.bit_length())
+    read_index(n.bit_length() + coeff_bits, "affine_sqrt budget root in bits",
+               ceiling=ROOT_CEILING)
     # With a*n = p/d: m qualifies iff k = d*m - p >= d*c*sqrt(n), i.e.
     # k >= ceil_root(c^2 n d^2, 1, 2); the smallest such m is ceil((p + k)/d).
     lead = a * n

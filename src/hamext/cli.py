@@ -7,7 +7,7 @@ alone writes that into --out-dir (see _write). Runs are reproducible:
 all randomness flows from --seed through Philox, no report contains a
 timestamp, and identical configurations produce byte-identical files.
 
-Exit codes: 0 success, 2 contract/configuration violation or a failed
+Exit codes: 0 success, 2 a domain or configuration error or a failed
 claim (a run whose check fails still writes its report), 3 resource
 ceiling or an allocation the machine refuses. Violations and refusals
 also emit a machine-readable JSON error object on stderr.

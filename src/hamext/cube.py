@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernels
 from .bits import as_bits, bits_to_mask, read_index, to_text
-from .errors import DimensionError
+from .errors import DomainError
 
 HARPER_CEILING = 4
 # the most bit-steps a binomial walk takes on: its steps times the bits of the
@@ -173,7 +173,7 @@ def make_sphere(n: int, size: int, center) -> SphereSpec:
     """The canonical sphere of exactly `size` points around `center`."""
     n, cbits = read_index(n, "n"), as_bits(center)
     if cbits.size != n:  # refused before the n+1 big-integer tails are built
-        raise DimensionError(f"center has length {cbits.size}, want {n}")
+        raise DomainError(f"center has length {cbits.size}, want {n}")
     size = read_index(size, "size", 0, 1 << n)
     tails = binomial_tails(n)
     k = bracket(tails, size)

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps these onto exit codes: contract-style failures exit 2,
-resource ceilings exit 3.
+The CLI maps these onto exit codes: domain and configuration errors
+exit 2, resource ceilings exit 3.
 """
 
 
@@ -9,16 +9,8 @@ class HamextError(Exception):
     """Base class for all package errors."""
 
 
-class DimensionError(HamextError):
-    """Operands do not share the required length/dimension."""
-
-
 class DomainError(HamextError):
-    """An argument is outside the operation's domain."""
-
-
-class ContractError(HamextError):
-    """A caller-side precondition was violated (e.g. even majority core)."""
+    """An argument is outside the operation's domain (lengths included)."""
 
 
 class ConfigError(HamextError):

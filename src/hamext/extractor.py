@@ -23,7 +23,7 @@ import numpy as np
 from .bits import (_collection, _real, as_bits, prefix_distances, read_index, read_indices,
                    read_instance)
 from .budgets import BudgetFunction, lil_envelope, lil_scale
-from .errors import ConfigError, ContractError, DimensionError, DomainError
+from .errors import ConfigError, DomainError
 
 MAKE_SCHEDULE_SCAN_BOUND = 1 << 25  # bits, the longest schedule make_schedule builds
 
@@ -31,15 +31,14 @@ MAKE_SCHEDULE_SCAN_BOUND = 1 << 25  # bits, the longest schedule make_schedule b
 def core_indices(core, length: int) -> range:
     """Validate a majority core, a step-1 range of odd size, against an
     input of `length` bits and return it. Any other value (a list, set,
-    ndarray, None or a range of another step) and an empty or even-size
-    range raise ContractError; a range reaching outside [0, length)
-    raises DimensionError."""
+    ndarray, None or a range of another step), an empty or even-size
+    range and a range reaching outside [0, length) raise DomainError."""
     if not (isinstance(core, range) and core.step == 1):
-        raise ContractError(f"a majority core is a step-1 range, got {core!r}")
+        raise DomainError(f"a majority core is a step-1 range, got {core!r}")
     if len(core) % 2 == 0:
-        raise ContractError(f"majority core must have odd size, got {len(core)}")
+        raise DomainError(f"majority core must have odd size, got {len(core)}")
     if core.start < 0 or core.stop > length:
-        raise DimensionError(f"core {core!r} outside input of length {length}")
+        raise DomainError(f"core {core!r} outside input of length {length}")
     return core
 
 
@@ -153,7 +152,7 @@ def extract(X, schedule, budget: BudgetFunction | None = None) -> ExtractionTrac
     x = as_bits(X)
     if schedule.total_length > x.size:
         missing = [k for k, (_, e) in enumerate(schedule.blocks) if e > x.size]
-        raise DimensionError(f"input of length {x.size} does not cover blocks {missing}")
+        raise DomainError(f"input of length {x.size} does not cover blocks {missing}")
     margins = _margins(x, [range(s, e) for s, e in schedule.odd_cores])
     outputs = (margins > 0).astype(np.uint8)
     robust = None

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DomainError
 
 BACKEND = "numpy"  # named in the benchmark's environment line
 
@@ -34,7 +34,7 @@ def distance_to_set(ind: np.ndarray, n: int) -> np.ndarray:
     whose 2^n-entry array fits in memory.
     """
     if np.shape(ind)[-1:] != (1 << n,):
-        raise DimensionError(f"last axis must hold the 2^{n} vertices, got shape {np.shape(ind)}")
+        raise DomainError(f"last axis must hold the 2^{n} vertices, got shape {np.shape(ind)}")
     sets = np.asarray(ind, dtype=np.bool_).reshape(-1, 1 << n)
     # order="C": the product of a transposed view would keep its F order,
     # and the reshapes below would then copy instead of passing in place

@@ -28,12 +28,14 @@ import numpy as np
 from .bits import (FLOAT_CEILING, _collection, _real, as_bits, read_index, read_indices,
                    read_instance)
 from .cube import _middle_out_tails
-from .errors import ContractError, DimensionError, DomainError
+from .errors import DomainError
 
 #: the upper explicit constant in the quantitative CLT bound d*rho/(sigma^3 sqrt(n));
 #: for centered fair coins rho = sigma^3 = 1/8, so the bound is just 0.71/sqrt(n).
 BERRY_ESSEEN_D = 0.71
 
+# binomial_cdf_gap sums n-bit binomial terms from the middle of the row out:
+# n = 10^5, the worst call below the ceiling, takes 0.22-0.25 s on 2 cores, 10^4 6 ms
 CDF_GAP_CEILING = 10 ** 5
 # small_ball_probability sums one n-bit math.comb per term of its window:
 # (10^4, 10^4), the worst call below the ceiling, takes 7-14 s on 2 cores,
@@ -281,10 +283,9 @@ def majority_refinement(strings) -> tuple[list[int], list[int]]:
         raise DomainError("need at least one string")
     length = arrs[0].size
     if any(a.size != length for a in arrs):
-        raise DimensionError("strings must share one length")
+        raise DomainError("strings must share one length")
     if length * 2 ** -len(arrs) < 1:
-        raise ContractError(
-            f"{len(arrs)} strings of length {length} cannot guarantee a survivor")
+        raise DomainError(f"{len(arrs)} strings of length {length} cannot guarantee a survivor")
     surviving = np.arange(length)
     constants: list[int] = []
     for a in arrs:

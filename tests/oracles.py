@@ -35,8 +35,9 @@ tests/ (tests/test_rng.py guards this):
   contained_counts_oracle, and as probabilities profile_oracle;
 * a key-lemma or corruption report's derived numbers, recomputed from
   its own fields and its input: check_keylemma_report,
-  check_corrupt_report; a harper, clt-check, smallball or weber report
-  and its CSV side table: check_tabled_report;
+  check_corrupt_report; a harper, clt-check, smallball, lil or weber
+  report and its CSV side table: check_tabled_report; a select --rule
+  evens report: check_select_report;
 * the text format the command reads: write_text_bits.
 """
 
@@ -425,9 +426,22 @@ def check_weber_report(report: dict, table: str) -> None:
                                           default=0)
 
 
+def check_lil_report(report: dict, table: str) -> None:
+    """Recompute a `hamext lil --seed s --length L` report from the Philox
+    stream X of its seed: its series is psi_oracle(X) at the report's
+    epsilon, each statistic bit for bit. Its table holds (n, statistic) of
+    each row."""
+    series = report["series"]
+    check_table(table, ["n", "statistic"], [(row["n"], row["statistic"]) for row in series])
+    x = np.array(philox_bits(int(report["config"]["seed"]), int(report["config"]["length"])))
+    assert report["length"] == x.size
+    assert [(row["n"], row["statistic"].hex(), row["within_envelope"]) for row in series] == [
+        (n, statistic.hex(), within) for n, statistic, within in psi_oracle(x, report["epsilon"])]
+
+
 def check_tabled_report(report: dict, table: str) -> None:
     """Check a report of the command its config names, harper, clt-check,
-    smallball or weber, and its CSV table by meaning."""
+    smallball, lil or weber, and its CSV table by meaning."""
     command = report["config"]["command"]
     if command == "harper":
         check_harper_report(report, table)
@@ -435,8 +449,23 @@ def check_tabled_report(report: dict, table: str) -> None:
         check_clt_report(report, table)
     elif command == "smallball":
         check_smallball_report(report, table)
+    elif command == "lil":
+        check_lil_report(report, table)
     else:
         check_weber_report(report, table)
+
+
+def check_select_report(report: dict) -> None:
+    """Recompute a `hamext select --rule evens --seed s --length L` report
+    from the Philox stream X of its seed: the even positions of X are
+    examined, ones_count counts the ones among them, and the frequency and
+    its deviation from 1/2 follow from those two counts."""
+    assert report["rule"] == "evens"
+    evens = philox_bits(int(report["config"]["seed"]), int(report["config"]["length"]))[::2]
+    examined, ones = report["positions_examined"], report["ones_count"]
+    assert (examined, ones) == (len(evens), sum(evens))
+    assert report["relative_frequency"] == ones / examined
+    assert report["deviation_from_half"] == ones / examined - 0.5
 
 
 def write_text_bits(path, strings) -> None:

@@ -4,7 +4,7 @@ import pytest
 from hamext.adversary import corrupt, force_majority_zero, stages_from_blocks, verify_similarity
 from hamext.bits import as_bits, bits_to_mask, to_text
 from hamext.budgets import parse_budget
-from hamext.errors import ConfigError, ContractError, DimensionError
+from hamext.errors import ConfigError, DomainError
 from hamext.extractor import BlockSchedule, extract, make_schedule, similar_p_N
 from hamext.rng import bit_stream
 from oracles import flips_oracle, force_output_zero_generic, vote
@@ -46,7 +46,7 @@ class TestForceMajorityZero:
         assert flips == [0, 1, 2, 3]
 
     def test_even_core_rejected(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(DomainError, match="odd size"):
             force_majority_zero("1111", range(4))
 
     def test_matches_oracle_randomized(self):
@@ -81,17 +81,17 @@ class TestForceMajorityZero:
 
     def test_negative_index_rejected(self):
         # -1 used to wrap around to the last bit
-        with pytest.raises(DimensionError):
+        with pytest.raises(DomainError, match="outside input"):
             force_majority_zero("110", range(-1, 2))
 
     def test_index_past_input_rejected(self):
         for core in (range(1, 4), range(3, 6)):
-            with pytest.raises(DimensionError):
+            with pytest.raises(DomainError, match="outside input"):
                 force_majority_zero("110", core)
 
     def test_non_integer_index_rejected(self):
         for core in ([0.5, 1, 2], np.array([0.0, 1.0, 2.0])):
-            with pytest.raises(ContractError):
+            with pytest.raises(DomainError, match="step-1 range"):
                 force_majority_zero("110", core)
 
 
@@ -248,7 +248,7 @@ class TestCorrupt:
             corrupt(bit_stream(2, 16), BlockSchedule.from_sizes((1, 1, 2, 4)), adv)
 
     def test_short_input_rejected(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DomainError):
             corrupt("101", self.sched, self.adv)
 
     def test_prefix_budget_overrun_is_reported(self):

@@ -125,7 +125,7 @@ class TestAffineSqrt:
         b = parse_budget("affine_sqrt:1/3:2")
         assert b(n) <= b(n + 1)
 
-    @pytest.mark.parametrize("n", [10 ** 24, 10 ** 40])
+    @pytest.mark.parametrize("n", [10 ** 24, 10 ** 40, pytest.param(1 << 100_000, id="2^100000")])
     def test_exact_at_huge_n(self, n):
         # m - a*n >= c*sqrt(n), compared as squares, holds for m and not m - 1
         a, c = Fraction(1, 3), Fraction(2)
@@ -136,6 +136,12 @@ class TestAffineSqrt:
             return lead >= 0 and lead * lead >= c * c * n
 
         assert reaches(m) and not reaches(m - 1)
+
+    def test_the_root_is_priced(self):
+        # bits(n) + 2 (bits(c.num) + bits(c.den) + bits(a.den)) bits: 300 010 at
+        # n = 2^300 000, whose root took 0.84 s, and 2^(10^6) took 8.8 s
+        with pytest.raises(ResourceError, match="past the resource ceiling"):
+            parse_budget("affine_sqrt:1/3:2")(1 << 300_000)
 
 
 class TestTable:

@@ -20,8 +20,8 @@ from hamext.errors import ConfigError
 from hamext.extractor import BlockSchedule
 from hamext.rng import bit_stream
 from hamext.stats import CDF_GAP_CEILING, SMALL_BALL_CEILING, WEBER_CEILING
-from oracles import (check_corrupt_report, check_keylemma_report, check_tabled_report,
-                     write_text_bits)
+from oracles import (check_corrupt_report, check_keylemma_report, check_select_report,
+                     check_tabled_report, write_text_bits)
 
 
 # The option keys each subcommand reads. Every subcommand also takes
@@ -51,6 +51,9 @@ CHANGED = {"input": "x.txt", "seed": 5, "length": 256, "schedule-file": "sched.t
            "blocks": 2, "gen-budget": "table:0", "budget": "table:0", "targets": 0, "n": 2,
            "n-list": 10, "epsilon": 0.5, "nu": "2,4", "rate": "power:1/2", "trials": 5,
            "threshold": "1/3", "rule": "evens"}
+# two pinned runs whose reports are also checked by meaning
+LIL_PIN = ["lil", "--seed", 5, "--length", 65536]
+SELECT_PIN = ["select", "--rule", "evens", "--seed", 3, "--length", 1000]
 
 
 def run(args):
@@ -263,11 +266,11 @@ class TestDeterminism:
          "a51b357314f83df0b6f0b67260c325c3481a4b66791bedae062871c7901891db"),
         (["corrupt", "--seed", 1], "y.bits",
          "9f2bf7d3e065e843786597ab8be07bb37610cdfcb5cd6d72b3d9e1f16f8ceec4"),
-        (["lil", "--seed", 5, "--length", 65536], "lil.json",
+        (LIL_PIN, "lil.json",
          "31c9d3c0e3e2575f673fa0b8db19e201c7850d772f25b87331952461bc67b3ee"),
-        (["lil", "--seed", 5, "--length", 65536], "lil.csv",
+        (LIL_PIN, "lil.csv",
          "1c4ef0a64376cfd21ed3096336b081a8fa9d888672f0fa9a3dafc7c39b640b45"),
-        (["select", "--rule", "evens", "--seed", 3, "--length", 1000], "select.json",
+        (SELECT_PIN, "select.json",
          "4f0dda1033318cea47db90ca52aa53025858f51769b8b54065dbb918aa0dd6e3"),
         (["trace-refine", "--input", "strings.txt"], "trace_refine.json",
          "898bac39c1363ff6b91c639582c5d687a5d9bb0ac9c558fb7fd56f8d5ecf3210"),
@@ -292,14 +295,15 @@ class TestDeterminism:
         assert run([*args, "--out-dir", "out"]) == 0
         assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest
 
-    # the keylemma, corrupt, harper, clt-check, smallball and weber pins above,
-    # each derived number recomputed from the report's own fields and its
-    # input, and each CSV table read against its report
+    # the keylemma, corrupt, harper, clt-check, smallball, weber, lil and
+    # select pins above, each derived number recomputed from the report's
+    # own fields and its input, and each CSV table read against its report
     @pytest.mark.parametrize("args", [
         *(["keylemma", "--n", n, "--trials", 200, "--seed", 0] for n in (4, 8, 12)),
         ["corrupt", "--seed", 1], ["harper", "--n", 4], ["clt-check"], ["smallball"], ["weber"],
+        LIL_PIN, SELECT_PIN,
     ], ids=["keylemma-n4", "keylemma-n8", "keylemma-n12", "corrupt", "harper-n4",
-            "clt-check-default", "smallball-default", "weber-default"])
+            "clt-check-default", "smallball-default", "weber-default", "lil", "select-evens"])
     def test_pinned_reports_hold_by_meaning(self, tmp_path, args):
         assert run([*args, "--out-dir", tmp_path]) == 0
         if args[0] == "keylemma":
@@ -307,6 +311,10 @@ class TestDeterminism:
         elif args[0] == "corrupt":
             check_corrupt_report(read_json(tmp_path / "corrupt.json"),
                                  (tmp_path / "y.bits").read_bytes())
+        elif args[0] == "select":
+            report = read_json(tmp_path / "select.json")
+            assert report["positions_examined"] == 500
+            check_select_report(report)
         else:
             check_tabled_report(*tabled_report(tmp_path, args[0]))
 
@@ -332,8 +340,10 @@ class TestDeterminism:
         (["harper", "--n", 4], "csv-cell"),
         (["clt-check"], "gap-next-float"),
         (["smallball"], "exact-num-plus-one"),
+        (LIL_PIN, "statistic-next-float"),
+        (LIL_PIN, "csv-cell"),
     ], ids=["harper-min-plus-one", "harper-csv-cell", "clt-check-gap-next-float",
-            "smallball-exact-num-plus-one"])
+            "smallball-exact-num-plus-one", "lil-statistic-next-float", "lil-csv-cell"])
     def test_the_tabled_checks_fail_on_an_edited_copy(self, tmp_path, args, edit):
         assert run([*args, "--out-dir", tmp_path]) == 0
         report, table = tabled_report(tmp_path, args[0])
@@ -352,6 +362,13 @@ class TestDeterminism:
             gap = repr(math.nextafter(float(row["gap"]), 1.0))
             lines[2] = lines[2].replace(row["gap"], gap)
             row["gap"] = gap
+        elif args[0] == "lil":
+            row = report["series"][3]
+            assert lines[4] == f"128,{row['statistic']!r}"
+            moved = math.nextafter(row["statistic"], 1.0)
+            lines[4] = f"128,{moved!r}"
+            if edit == "statistic-next-float":  # the report too, so the two still agree
+                row["statistic"] = moved
         else:
             row = report["rows"][0]
             assert lines[1].startswith("16,3,30251,32768,")
@@ -387,6 +404,13 @@ class TestDeterminism:
             lines[6] = "6,4"
         with pytest.raises(AssertionError):
             check_tabled_report(report, "\n".join(lines) + "\n")
+
+    def test_the_select_check_fails_on_an_edited_copy(self, tmp_path):
+        assert run([*SELECT_PIN, "--out-dir", tmp_path]) == 0
+        report = read_json(tmp_path / "select.json")
+        report["ones_count"] += 1
+        with pytest.raises(AssertionError):
+            check_select_report(report)
 
     # --format csv, which five subcommands took before every side table
     # was written, is refused by all of them and writes nothing
@@ -661,6 +685,9 @@ class TestExitCodes:
         assert run(["weber", "--rate", "table:0", "--n", 4096, "--out-dir", tmp_path / "sp"]) == 0
         # the scan reads power:1/2 at 2^4095 as an integer past the float range, exactly
         assert run(["weber", "--rate", "power:1/2", "--n", 4096, "--out-dir", tmp_path / "pw"]) == 0
+        # and affine_sqrt's root at 2^4095 builds about 4 100 bits, far under ROOT_CEILING
+        args = ["weber", "--rate", "affine_sqrt:1/3:2", "--n", 4096, "--out-dir", tmp_path / "af"]
+        assert run(args) == 0
         capsys.readouterr()
         # 16000 used to exit 1 on the 4 300-digit int-to-text limit, 10^14 never returned
         for args in (["--nu", 2, "--n", 4097], ["--n", 16000], ["--n", 10 ** 14]):
@@ -720,6 +747,20 @@ class TestExitCodes:
 
     def test_missing_input_is_two(self, tmp_path, capsys):
         assert run(["trace-refine", "--out-dir", tmp_path]) == 2
+
+    # an input the run cannot take, by its length or its count of strings,
+    # is a DomainError like any other value outside the call's domain
+    @pytest.mark.parametrize("command, lines", [
+        ("extract", ["0110100111"]), ("corrupt", ["0110100111"]),
+        ("trace-refine", ["0110", "101"]), ("trace-refine", ["0", "1"]),
+    ], ids=["extract-short-input", "corrupt-short-input", "trace-refine-unequal-lengths",
+            "trace-refine-no-survivor"])
+    def test_length_refusal_is_a_domain_error(self, tmp_path, capsys, command, lines):
+        write_text_bits(tmp_path / "x.txt", lines)
+        schedule = [] if command == "trace-refine" else ["--gen-budget", "table:0", "--blocks", 5]
+        self.assert_exit_two([command, "--input", tmp_path / "x.txt", *schedule], tmp_path / "o",
+                             capsys, "DomainError")
+        assert not (tmp_path / "o").exists()
 
     def assert_exit_two(self, args, tmp_path, capsys, error="ConfigError"):
         assert run([*args, "--out-dir", tmp_path]) == 2
@@ -907,7 +948,9 @@ def test_every_command_exits_zero_two_or_three(input_dir, data):
         code = run([*args, "--out-dir", out])
     assert code in (0, 2, 3)
     if code:
-        assert {"error", "message"} <= json.loads(stderr.getvalue().splitlines()[-1]).keys()
+        error = json.loads(stderr.getvalue().splitlines()[-1])
+        assert error.keys() >= {"error", "message"}
+        assert error["error"] in ("DomainError", "ConfigError", "resource")
 
 
 class TestPipelines:

@@ -23,8 +23,7 @@ from hamext.bits import read_index
 from hamext.budgets import BudgetFunction, parse_budget
 from hamext.cube import (CUBE_CEILING, binomial_tail, distances_from, harper_min_neighborhood,
                          make_sphere)
-from hamext.errors import (ConfigError, ContractError, DimensionError, DomainError,
-                           HamextError, ResourceError)
+from hamext.errors import ConfigError, DomainError, HamextError, ResourceError
 from hamext.extractor import (BlockSchedule, extract, make_schedule, psi_deviation,
                               similar_p_N)
 from hamext.keylemma import verify_key_lemma
@@ -104,7 +103,7 @@ ROWS = INTEGER_ROWS + [
      (5, None, [[0, 1, 2]], ((0, 3),))),
     # a majority core is a step-1 range
     ("force_majority_zero core", lambda v: force_majority_zero("101", v),
-     ContractError, NOT_A_CORE),
+     DomainError, NOT_A_CORE),
     ("majority_refinement strings", lambda v: majority_refinement(v), DomainError, (5, None)),
     # the budget constructor reads its kind and params
     ("BudgetFunction kind", lambda v: BudgetFunction(v, (1, 1)), DomainError,
@@ -297,7 +296,7 @@ values = st.one_of(
 ends = st.none() | st.integers(-20, 20)
 
 
-@given(values, ends, ends, st.sampled_from([DomainError, ConfigError, DimensionError]), ends)
+@given(values, ends, ends, st.sampled_from([DomainError, ConfigError]), ends)
 @settings(max_examples=200)
 def test_read_index(value, lo, hi, error, ceiling):
     # the range is checked first: past the ceiling only what the range admits

@@ -15,7 +15,7 @@ from hamext.bits import prefix_distances
 from hamext.cube import (CUBE_CEILING, TAIL_CEILING, binomial_tail, binomial_tails, bracket,
                          distances_from, gamma_sizes, harper_min_neighborhood, harper_table,
                          make_sphere)
-from hamext.errors import DimensionError, DomainError, ResourceError
+from hamext.errors import DomainError, ResourceError
 from oracles import (binomial_row, distance_oracle, gamma_oracle, harper_min_oracle,
                      row_bracket, row_tail, vertex_text)
 
@@ -46,7 +46,7 @@ class TestHammingDistance:
         assert hamming_distance("10110", "00111") == 2
 
     def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DomainError):
             hamming_distance("00", "000")
 
     def test_metric_exhaustive_pairs(self):
@@ -240,7 +240,7 @@ class TestMakeSphere:
     def test_dimension_is_the_center_length(self):
         assert make_sphere(3, 2, "000").dimension == 3
         assert make_sphere(5, 7, "01101").dimension == 5
-        with pytest.raises(DimensionError, match="center has length 2, want 3"):
+        with pytest.raises(DomainError, match="center has length 2, want 3"):
             make_sphere(3, 4, "00")
 
     def test_shell_bound_is_priced_before_it_is_built(self):

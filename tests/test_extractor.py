@@ -10,8 +10,7 @@ from hamext.adversary import (CorruptionReport, force_majority_zero, stages_from
 from hamext import kernels
 from hamext.bits import as_bits, bits_to_mask, to_text
 from hamext.budgets import lnln, parse_budget
-from hamext.errors import (ConfigError, ContractError, DimensionError,
-                           DomainError, ResourceError)
+from hamext.errors import ConfigError, DomainError, ResourceError
 from hamext.extractor import (MAKE_SCHEDULE_SCAN_BOUND, BlockSchedule, extract, make_schedule,
                               prefix_distances, psi_deviation, similar_p_N)
 from hamext.rng import bit_stream
@@ -44,19 +43,19 @@ class TestMajorityBit:
 
     def test_even_core_rejected(self):
         for core in (range(2), range(1, 1)):
-            with pytest.raises(ContractError):
+            with pytest.raises(DomainError, match="odd size"):
                 force_majority_zero("1100", core)
 
     def test_out_of_range(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DomainError, match="does not cover blocks"):
             one_block_vote("11", range(3))
-        with pytest.raises(DimensionError):
+        with pytest.raises(DomainError, match="outside input"):
             force_majority_zero("11", range(3))
 
     def test_negative_index_rejected(self):
         with pytest.raises(ConfigError):
             one_block_vote("011", range(-1, 2))
-        with pytest.raises(DimensionError):
+        with pytest.raises(DomainError, match="outside input"):
             force_majority_zero("011", range(-1, 2))
 
     def test_list_range_and_array_cores_agree(self):
@@ -71,7 +70,7 @@ class TestMajorityBit:
     def test_only_a_step_one_range_is_a_core(self):
         x = "1101001110"
         for core in ([1, 2, 3, 4, 5], {1, 2, 3, 4, 5}, np.arange(1, 6), range(1, 10, 2), None):
-            with pytest.raises(ContractError):
+            with pytest.raises(DomainError, match="step-1 range"):
                 force_majority_zero(x, core)
 
 
@@ -90,7 +89,7 @@ class TestExtract:
             assert int(trace.outputs[0]) == int(b)
 
     def test_too_short(self):
-        with pytest.raises(DimensionError) as err:
+        with pytest.raises(DomainError) as err:
             extract("110", BlockSchedule.from_sizes((3, 5)))
         assert "1" in str(err.value)
 
@@ -400,7 +399,7 @@ class TestPrefixDistances:
         for bad in (2.5, -3, 6, "3"):
             with pytest.raises(DomainError):
                 prefix_distances("10110", "00111", [1, bad])
-        with pytest.raises(DimensionError):
+        with pytest.raises(DomainError):
             prefix_distances("10110", "0011", [1])
 
 
@@ -423,7 +422,7 @@ def test_one_checkpoint_contract(name):
     for bad in (2.5, -3, 6, "3"):
         with pytest.raises(DomainError):
             check(x, y, [1, bad])
-    with pytest.raises(DimensionError):
+    with pytest.raises(DomainError):
         check(x, y[:4], [1])
     assert check(x, y, [0, 5]) is True
     assert check(x, y, np.array([5, 2], dtype=np.uint64))

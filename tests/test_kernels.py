@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamext import cube, kernels
-from hamext.errors import DimensionError
+from hamext.errors import DomainError
 from hamext.extractor import BlockSchedule
 from oracles import ball_masks, distance_oracle, harper_min_oracle, robustness_oracle, vote
 
@@ -61,7 +61,7 @@ def test_distance_does_not_depend_on_the_input_layout(layout):
 
 def test_distance_needs_the_whole_cube_on_the_last_axis():
     for shape in ((8,), (2, 8), (16, 2)):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DomainError):
             kernels.distance_to_set(np.zeros(shape, dtype=np.bool_), 4)
 
 

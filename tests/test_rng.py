@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hamext
-from hamext import rng
+from hamext import errors, rng
 from hamext.keylemma import verify_key_lemma
 from hamext.rng import Sampler, bit_stream
 from oracles import (MASK, MULTIPLIERS, OracleSampler, check_keylemma_report,
@@ -194,6 +194,15 @@ def test_every_export_has_a_reader():
         read |= more
     assert sorted(exported - read - UNREAD_EXPORTS.keys()) == []
     assert UNREAD_EXPORTS.keys() <= exported - read
+
+
+def test_every_refusal_kind_is_documented():
+    """Each HamextError subclass that hamext.errors defines is named in
+    README.md, which says when each is raised."""
+    readme = (Path(hamext.__file__).parents[2] / "README.md").read_text()
+    kinds = [name for name, value in vars(errors).items() if isinstance(value, type)
+             and issubclass(value, errors.HamextError) and value is not errors.HamextError]
+    assert [name for name in kinds if f"`{name}`" not in readme] == []
 
 
 def calls(tree: ast.AST) -> set[str]:

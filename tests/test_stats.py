@@ -12,7 +12,7 @@ from hamext.adversary import corrupt, stages_from_blocks
 from hamext.bits import FLOAT_CEILING
 from hamext.budgets import parse_budget
 from hamext.cli import main
-from hamext.errors import ContractError, DimensionError, DomainError, ResourceError
+from hamext.errors import DomainError, ResourceError
 from hamext.extractor import extract, make_schedule
 from hamext.rng import bit_stream
 from hamext.stats import (SELECTION_RULES, SMALL_BALL_BOUND_CEILING, WEBER_CEILING,
@@ -359,11 +359,11 @@ class TestMajorityRefinement:
                 assert all(int(s[i]) == c for i in positions)
 
     def test_size_precondition(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(DomainError, match="cannot guarantee a survivor"):
             majority_refinement(["10", "01"])  # 2 * 2^-2 < 1
 
     def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DomainError, match="share one length"):
             majority_refinement(["101", "10"])
 
     @given(st.lists(st.integers(0, 1), min_size=8, max_size=40),
