@@ -27,7 +27,7 @@ def gaps(n: int) -> dict[str, float]:
     half = n / 2.0
     first = abs(1.0 - normal_cdf((n - half) * scale))
     state = {v: [first, True, True] for v in VARIANTS}  # worst, below, above
-    for j, cdf in zip(range((n - 1) // 2, -1, -1), _middle_out_tails(n)):
+    for j, cdf in _middle_out_tails(n):
         lo_a, lo_phi = cdf / denom, normal_cdf((j - half) * scale)
         hi_a, hi_phi = (denom - cdf) / denom, normal_cdf((n - 1 - j - half) * scale)
         for v, st in state.items():

@@ -22,10 +22,10 @@ from .adversary import StageRecord, corrupt, stages_from_blocks, verify_similari
 from .budgets import lnln, parse_budget
 from .cube import harper_table
 from .extractor import BlockSchedule, extract, make_schedule, psi_deviation
-from .keylemma import verify_key_lemma
+from .keylemma import non_tight_balls, verify_key_lemma
 from .rng import bit_stream
-from .stats import (berry_esseen_bound, binomial_cdf_gap, small_ball_bound,
-                    small_ball_probability, sparse_subsequence, weber_series)
+from .stats import (FrequencyReport, berry_esseen_bound, binomial_cdf_gap, frequency_on_set,
+                    small_ball_bound, small_ball_probability, sparse_subsequence, weber_series)
 
 
 class CriterionResult(NamedTuple):
@@ -67,8 +67,8 @@ class _AdversaryRun(NamedTuple):
     seed: int
     per_stage: tuple[StageRecord, ...]
     prefix_ok: bool  # budget_ok and the independent verify_similarity check
-    corrupted_targets: tuple[int, ...]
-    clean_targets: tuple[int, ...]
+    corrupted: FrequencyReport  # the outputs of Y along the selection of the targets
+    clean: FrequencyReport  # the outputs of X along the same selection
 
 
 @functools.cache
@@ -79,16 +79,16 @@ def _adversary_runs():
     p = parse_budget("power:2/3")
     sched = make_schedule(g, 4)
     adv = stages_from_blocks(sched, p)
-    targets = list(adv.targets)
     runs = []
     for seed in range(1, 101):
         X = bit_stream(seed, sched.total_length)
         rep = corrupt(X, sched, adv)
+        corrupted, clean = (
+            frequency_on_set(extract(Z, sched).outputs, adv.targets, [len(sched)])[0]
+            for Z in (rep.Y, X))
         runs.append(_AdversaryRun(
             seed, tuple(rep.per_stage),
-            rep.budget_ok and verify_similarity(rep, X, p, adv.stage_bounds),
-            tuple(extract(rep.Y, sched).outputs[targets].tolist()),
-            tuple(extract(X, sched).outputs[targets].tolist())))
+            rep.budget_ok and verify_similarity(rep, X, p, adv.stage_bounds), corrupted, clean))
     return sched, adv, p, tuple(runs)
 
 
@@ -108,7 +108,7 @@ def crit_adversary_soundness() -> CriterionResult:
                 failures.append(f"seed {seed} stage {rec.stage} unforced/overranged")
             if any(not a <= i < b for i in rec.flips):
                 failures.append(f"seed {seed} stage {rec.stage} flip outside window")
-        if any(run.corrupted_targets):
+        if run.corrupted.ones_count:
             failures.append(f"seed {seed}: targeted output not 0 after re-extraction")
         if not run.prefix_ok:
             failures.append(f"seed {seed}: prefix budget violated")
@@ -120,12 +120,13 @@ def crit_adversary_soundness() -> CriterionResult:
 
 
 def crit_output_bias() -> CriterionResult:
-    """Targeted outputs of the corrupted stream are all-zero; the same
-    outputs on the uncorrupted stream average 0.5 +- 0.15 over seeds."""
+    """The selection that reads the targeted outputs sees frequency 0 on the
+    corrupted stream; on the uncorrupted stream the same selection averages
+    0.5 +- 0.15 over seeds. Both frequencies are frequency_on_set's."""
     _, _, _, runs = _adversary_runs()
-    corrupted_ones = sum(sum(run.corrupted_targets) for run in runs)
-    clean_ones = sum(sum(run.clean_targets) for run in runs)
-    total = sum(len(run.clean_targets) for run in runs)
+    corrupted_ones = sum(run.corrupted.ones_count for run in runs)
+    clean_ones = sum(run.clean.ones_count for run in runs)
+    total = sum(run.clean.positions_examined for run in runs)
     clean_freq = clean_ones / total
     ok = corrupted_ones == 0 and 0.35 <= clean_freq <= 0.65
     return CriterionResult(4, "output bias at targeted positions", ok,
@@ -178,23 +179,6 @@ def crit_small_ball() -> CriterionResult:
     bad = [row[0] for row in rows if not row[4]]
     return CriterionResult(7, "small-ball probability envelope", not bad,
                            f"n in 16..4096, violations: {bad}")
-
-
-def non_tight_balls(report: dict) -> list[tuple]:
-    """The ball families of a verify_key_lemma report that are not tight:
-    (n, label) for one that misses a preceding tail at some d, and
-    (n, label, "d=0") for one whose d = 0 row is not its size over 2^n. The
-    key-lemma verdict is this list empty and no violations; criterion 8 and
-    `hamext keylemma` read it."""
-    n = report["n"]
-    loose = []
-    for fam in report["families"]:
-        if fam["label"].startswith("ball "):
-            if fam["tight_at"] != list(range(n + 1)):
-                loose.append((n, fam["label"]))
-            if fam["rows"][0]["exact"] != Fraction(fam["size"], 1 << n):
-                loose.append((n, fam["label"], "d=0"))
-    return loose
 
 
 def crit_key_lemma() -> CriterionResult:

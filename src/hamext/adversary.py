@@ -115,17 +115,6 @@ class CorruptionReport:
     cumulative_cost_at_stage: list[int]
     budget_ok: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "stages": [
-                {"s": r.stage, "window": list(r.window), "flips": list(map(int, r.flips)),
-                 "cost": r.cost, "forced": r.forced, "budget_exceeded": r.budget_exceeded}
-                for r in self.per_stage
-            ],
-            "cumulative": list(map(int, self.cumulative_cost_at_stage)),
-            "budget_ok": self.budget_ok,
-        }
-
 
 def corrupt(X, schedule: BlockSchedule, adv: AdversarySchedule) -> CorruptionReport:
     """Run every stage in order, forcing each targeted majority output

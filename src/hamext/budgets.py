@@ -25,19 +25,22 @@ from fractions import Fraction
 from .bits import _collection, _real, read_index
 from .errors import DomainError
 
-# the most bits a power or affine_sqrt budget's root builds. The worst calls
-# under it, a square or cube root of a 2^17-bit integer, take 0.1-0.15 s on 2
-# cores; power:0.3333 (a root of degree 10 000) at n = 266 305 builds 93 327
+# the most bits a power or affine_sqrt budget's root builds. The worst calls under
+# it, cube roots of 2^17 bits, take 0.09 s on 2 cores, square roots 0.006 s;
+# power:0.3333 (a root of degree 10 000) at n = 266 305 builds 93 327
 ROOT_CEILING = 1 << 17
 
 
 def _iroot(x: int, q: int) -> int:
-    """floor(x ** (1/q)) for x >= 0, exact: integer Newton steps down from r
-    above 2^(b/q) > x^(1/q), b the bits of x: 2^(b/q) in floats to 40 bits
-    (off by under 1/32 of a unit) plus 2. Within 2^(1/q) of the root, not 2,
-    r skips the q ln 2 steps that shrink it by only (q-1)/q each. A step from
-    any r above the floor root lands below r and, by AM-GM, not below it, so
-    the first r with r^q <= x is the floor root (0 for x = 0)."""
+    """floor(x ** (1/q)) for x >= 0, exact: math.isqrt's for q = 2, else
+    integer Newton steps down from r above 2^(b/q) > x^(1/q), b the bits of
+    x: 2^(b/q) in floats to 40 bits (off by under 1/32 of a unit) plus 2.
+    Within 2^(1/q) of the root, not 2, r skips the q ln 2 steps that shrink
+    it by only (q-1)/q each. A step from any r above the floor root lands
+    below r and, by AM-GM, not below it, so the first r with r^q <= x is the
+    floor root (0 for x = 0)."""
+    if q == 2:
+        return math.isqrt(x)
     b = x.bit_length()
     shift = max(0, b // q - 40)
     r = (int(2.0 ** ((b - q * shift) / q)) + 2) << shift

@@ -27,13 +27,13 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from .acceptance import ALL_CRITERIA, clt_rows, harper_rows, non_tight_balls, small_ball_rows
+from .acceptance import ALL_CRITERIA, clt_rows, harper_rows, small_ball_rows
 from .adversary import corrupt, stages_from_blocks, verify_similarity
 from .bits import read_packed_bits, read_text_bits, to_text, write_packed_bits
 from .budgets import lnln, parse_budget
 from .errors import ConfigError, HamextError, ResourceError
 from .extractor import BlockSchedule, extract, make_schedule, psi_deviation
-from .keylemma import verify_key_lemma
+from .keylemma import non_tight_balls, verify_key_lemma
 from .rng import bit_stream
 from .stats import apply_selection, majority_refinement, sparse_subsequence, weber_series
 
@@ -173,12 +173,16 @@ def cmd_corrupt(cfg: dict) -> Run:
     adv = stages_from_blocks(sched, p, targets)
     report = corrupt(x, sched, adv)
     re_outputs = extract(report.Y, sched).outputs
-    payload = report.to_json_dict()
-    payload["y_file"] = _Y_FILE
-    payload["targets_rezero"] = [int(re_outputs[t]) == 0 for t in adv.targets]
-    payload["similarity_verified"] = verify_similarity(report, x, p, adv.stage_bounds)
-    payload["stage_bounds"] = list(adv.stage_bounds)
-    payload["schedule"] = sched.to_text()
+    payload = {"stages": [{"s": r.stage, "window": r.window, "flips": r.flips, "cost": r.cost,
+                           "forced": r.forced, "budget_exceeded": r.budget_exceeded}
+                          for r in report.per_stage],
+               "cumulative": report.cumulative_cost_at_stage,
+               "budget_ok": report.budget_ok,
+               "y_file": _Y_FILE,
+               "targets_rezero": [int(re_outputs[t]) == 0 for t in adv.targets],
+               "similarity_verified": verify_similarity(report, x, p, adv.stage_bounds),
+               "stage_bounds": adv.stage_bounds,
+               "schedule": sched.to_text()}
     forced = sum(1 for r in report.per_stage if r.forced)
     return Run(payload, f"corrupted {forced}/{len(report.per_stage)} stages, "
                         f"budget_ok={report.budget_ok}, y -> {_Y_FILE}", stream=report.Y)

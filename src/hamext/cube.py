@@ -43,7 +43,7 @@ def _running_tails(n: int):
 
 
 def _middle_out_tails(n: int):
-    """Yield b(n,h), b(n,h-1), ..., b(n,0) for h = (n-1)//2 and n >= 1,
+    """Yield (j, b(n,j)) for j = h, h-1, ..., 0, h = (n-1)//2 and n >= 1,
     from the middle of the row outwards.
 
     The start needs one math.comb: by the symmetry C(n,j) = C(n,n-j) the
@@ -57,7 +57,7 @@ def _middle_out_tails(n: int):
     if n % 2 == 0:
         acc -= coeff * (n - h) // (h + 1) // 2
     for j in range(h, -1, -1):
-        yield acc
+        yield j, acc
         acc -= coeff
         coeff = coeff * j // (n - j + 1)
 
@@ -96,7 +96,7 @@ def binomial_tail(n: int, k: int) -> int:
         low = next(islice(_running_tails(n), t, None))
     else:
         _price_walk(h + 1, n + 1)
-        low = next(islice(_middle_out_tails(n), h - t, None))
+        _, low = next(islice(_middle_out_tails(n), h - t, None))
     return low if t == k else (1 << n) - low
 
 

@@ -114,3 +114,20 @@ def verify_key_lemma(n: int, trials: int, p_threshold: Fraction, seed: int) -> d
                           None)
     return {"n": n, "trials": trials, "p_threshold": p_threshold, "seed": seed,
             "violations": violations, "families": families, "modulus": modulus}
+
+
+def non_tight_balls(report: dict) -> list[tuple]:
+    """The ball families of a verify_key_lemma report, labelled "ball ..." by
+    adversarial_families, that are not tight: (n, label) for one that misses a preceding tail at some d, and
+    (n, label, "d=0") for one whose d = 0 row is not its size over 2^n. The
+    key-lemma verdict is this list empty and no violations; criterion 8 and
+    `hamext keylemma` read it."""
+    n = report["n"]
+    loose = []
+    for fam in report["families"]:
+        if fam["label"].startswith("ball "):
+            if fam["tight_at"] != list(range(n + 1)):
+                loose.append((n, fam["label"]))
+            if fam["rows"][0]["exact"] != Fraction(fam["size"], 1 << n):
+                loose.append((n, fam["label"], "d=0"))
+    return loose

@@ -35,9 +35,11 @@ tests/ (tests/test_rng.py guards this):
   contained_counts_oracle, and as probabilities profile_oracle;
 * a key-lemma or corruption report's derived numbers, recomputed from
   its own fields and its input: check_keylemma_report,
-  check_corrupt_report; a harper, clt-check, smallball, lil or weber
-  report and its CSV side table: check_tabled_report; a select --rule
-  evens report: check_select_report;
+  check_corrupt_report; an extract, harper, clt-check, smallball, lil or
+  weber report and its CSV side table: check_tabled_report; a select
+  --rule evens report: check_select_report;
+* iterated majority refinement on lists: refinement_oracle, which
+  check_trace_refine_report reads;
 * the text format the command reads: write_text_bits.
 """
 
@@ -439,11 +441,38 @@ def check_lil_report(report: dict, table: str) -> None:
         (n, statistic.hex(), within) for n, statistic, within in psi_oracle(x, report["epsilon"])]
 
 
+def check_extract_report(report: dict, table: str) -> None:
+    """Recompute a `hamext extract --seed s --budget power:1/3` report from
+    its own schedule and the Philox stream X of its seed: each margin is
+    margin on the block's odd core of X, each output its vote, and each
+    robust flag says the margin's magnitude is past 2m, m the least integer
+    with m^3 >= n_k for the block's size n_k. Its table holds (block,
+    margin, output) of each block."""
+    blocks = [tuple(map(int, line.split())) for line in report["schedule"].splitlines()]
+    assert [k for k, *_ in blocks] == list(range(len(blocks)))
+    margins, outputs = report["margins"], [int(bit) for bit in report["outputs"]]
+    check_table(table, ["block", "margin", "output"], zip(range(len(blocks)), margins, outputs))
+    assert report["config"]["budget"] == "power:1/3"
+    x = int("".join(map(str, reversed(philox_bits(int(report["config"]["seed"]),
+                                                  blocks[-1][2])))), 2)
+    cores = [(1 << odd_end) - (1 << start) for _, start, _, odd_end in blocks]
+    assert margins == [margin(x, core) for core in cores]
+    assert outputs == [vote(x, core) for core in cores]
+
+    def g(n):  # ceil(n^(1/3)): the least m with m^3 >= n
+        return bisect_left(range(n + 1), n, key=lambda m: m ** 3)
+
+    assert report["robust"] == [abs(m) > 2 * g(end - start)
+                                for m, (_, start, end, _) in zip(margins, blocks)]
+
+
 def check_tabled_report(report: dict, table: str) -> None:
-    """Check a report of the command its config names, harper, clt-check,
-    smallball, lil or weber, and its CSV table by meaning."""
+    """Check a report of the command its config names, extract, harper,
+    clt-check, smallball, lil or weber, and its CSV table by meaning."""
     command = report["config"]["command"]
-    if command == "harper":
+    if command == "extract":
+        check_extract_report(report, table)
+    elif command == "harper":
         check_harper_report(report, table)
     elif command == "clt-check":
         check_clt_report(report, table)
@@ -466,6 +495,26 @@ def check_select_report(report: dict) -> None:
     assert (examined, ones) == (len(evens), sum(evens))
     assert report["relative_frequency"] == ones / examined
     assert report["deviation_from_half"] == ones / examined - 0.5
+
+
+def refinement_oracle(strings: list[str]) -> tuple[list[int], list[int]]:
+    """Iterated majority on lists: from every position, each string in turn
+    keeps the surviving positions where it equals its majority bit over
+    them, a tie reading 1; the survivors and the majority bits."""
+    surviving, constants = list(range(len(strings[0]))), []
+    for s in strings:
+        bits = [int(s[i]) for i in surviving]
+        constants.append(int(2 * sum(bits) >= len(bits)))
+        surviving = [i for i, bit in zip(surviving, bits) if bit == constants[-1]]
+    return surviving, constants
+
+
+def check_trace_refine_report(report: dict, strings: list[str]) -> None:
+    """Recompute a `hamext trace-refine` report from the strings of its
+    input: the count, and the survivors and constants of
+    refinement_oracle."""
+    assert report["count"] == len(strings)
+    assert (report["positions"], report["constants"]) == refinement_oracle(strings)
 
 
 def write_text_bits(path, strings) -> None:

@@ -3,6 +3,7 @@ pass/fail line. Every criterion is deterministic (fixed Philox seeds).
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ def tampered_adversary_runs(shared=acceptance._adversary_runs):
     first = runs[0]
     stage0 = first.per_stage[0]._replace(forced=False, flips=[-1])
     first = first._replace(per_stage=(stage0, *first.per_stage[1:]), prefix_ok=False,
-                           corrupted_targets=(1, *first.corrupted_targets[1:]))
+                           corrupted=replace(first.corrupted, ones_count=1))
     return sched, adv, p, (first, *runs[1:])
 
 

@@ -301,13 +301,3 @@ class TestTargetedFrequency:
         [r] = frequency_on_set(outputs, adv.targets, [len(sched)])
         assert r.relative_frequency == 0.0
 
-
-class TestReportSerialization:
-    def test_json_shape(self):
-        sched = make_schedule(parse_budget("power:1/3"), 2)
-        adv = stages_from_blocks(sched, parse_budget("power:2/3"))
-        rep = corrupt(bit_stream(3, sched.total_length), sched, adv)
-        doc = rep.to_json_dict()
-        assert set(doc) == {"stages", "cumulative", "budget_ok"}
-        for stage in doc["stages"]:
-            assert set(stage) == {"s", "window", "flips", "cost", "forced", "budget_exceeded"}

@@ -33,6 +33,12 @@ class TestIroot:
     def test_floor_root_of_high_degree(self, x, q):
         self.assert_floor_root(x, q)
 
+    @given(st.integers(0, ROOT_CEILING), st.randoms(use_true_random=False))
+    @settings(max_examples=50)
+    def test_a_square_root_is_isqrts(self, bits, draw):
+        x = draw.getrandbits(bits)
+        assert _iroot(x, 2) == math.isqrt(x)
+
     @pytest.mark.parametrize("q", range(1, 10))
     def test_exact_powers_and_neighbours(self, q):
         roots = [*range(200), *(1 << b for b in range(8, 700 // q)),

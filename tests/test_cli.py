@@ -21,7 +21,7 @@ from hamext.extractor import BlockSchedule
 from hamext.rng import bit_stream
 from hamext.stats import CDF_GAP_CEILING, SMALL_BALL_CEILING, WEBER_CEILING
 from oracles import (check_corrupt_report, check_keylemma_report, check_select_report,
-                     check_tabled_report, write_text_bits)
+                     check_tabled_report, check_trace_refine_report, write_text_bits)
 
 
 # The option keys each subcommand reads. Every subcommand also takes
@@ -51,9 +51,13 @@ CHANGED = {"input": "x.txt", "seed": 5, "length": 256, "schedule-file": "sched.t
            "blocks": 2, "gen-budget": "table:0", "budget": "table:0", "targets": 0, "n": 2,
            "n-list": 10, "epsilon": 0.5, "nu": "2,4", "rate": "power:1/2", "trials": 5,
            "threshold": "1/3", "rule": "evens"}
-# two pinned runs whose reports are also checked by meaning
+# pinned runs whose reports are also checked by meaning; trace-refine
+# reads REFINE_STRINGS from strings.txt in the working directory
+EXTRACT_PIN = ["extract", "--seed", 2, "--blocks", 3, "--budget", "power:1/3"]
 LIL_PIN = ["lil", "--seed", 5, "--length", 65536]
 SELECT_PIN = ["select", "--rule", "evens", "--seed", 3, "--length", 1000]
+REFINE_PIN = ["trace-refine", "--input", "strings.txt"]
+REFINE_STRINGS = ["11100", "10110"]
 
 
 def run(args):
@@ -258,9 +262,9 @@ class TestDeterminism:
          "c8b7f3adbc74689a6fa11d1bca5312188da3bc10a6ba4dd989f8559084a43dfc"),
         (["harper", "--n", 4], "harper.json",
          "2d276291e3f9824c42992bc8549417439b60387c1a18766ac612c678ecb960d0"),
-        (["extract", "--seed", 2, "--blocks", 3, "--budget", "power:1/3"], "extract.json",
+        (EXTRACT_PIN, "extract.json",
          "1d77ff66786edef0112ef7a8378301d5e2f2d3c37caf736500725596807a6c63"),
-        (["extract", "--seed", 2, "--blocks", 3, "--budget", "power:1/3"], "extract.csv",
+        (EXTRACT_PIN, "extract.csv",
          "3b1c4e33a6740697c0d4ac538482b65abe39a50ef2ec9a6ab2727586ce43dd59"),
         (["corrupt", "--seed", 1], "corrupt.json",
          "a51b357314f83df0b6f0b67260c325c3481a4b66791bedae062871c7901891db"),
@@ -272,7 +276,7 @@ class TestDeterminism:
          "1c4ef0a64376cfd21ed3096336b081a8fa9d888672f0fa9a3dafc7c39b640b45"),
         (SELECT_PIN, "select.json",
          "4f0dda1033318cea47db90ca52aa53025858f51769b8b54065dbb918aa0dd6e3"),
-        (["trace-refine", "--input", "strings.txt"], "trace_refine.json",
+        (REFINE_PIN, "trace_refine.json",
          "898bac39c1363ff6b91c639582c5d687a5d9bb0ac9c558fb7fd56f8d5ecf3210"),
         (["suite"], "suite.json",
          "8354f771f9776c87c2c4c679abb5a165e3807aa970bf91520c1f852f46447d42"),
@@ -291,20 +295,23 @@ class TestDeterminism:
             "clt-check-csv", "smallball-csv", "weber-csv"])
     def test_pinned_report_digests(self, tmp_path, monkeypatch, args, name, digest):
         monkeypatch.chdir(tmp_path)  # the embedded config names the input as given
-        write_text_bits("strings.txt", ["11100", "10110"])
+        write_text_bits("strings.txt", REFINE_STRINGS)
         assert run([*args, "--out-dir", "out"]) == 0
         assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest
 
-    # the keylemma, corrupt, harper, clt-check, smallball, weber, lil and
-    # select pins above, each derived number recomputed from the report's
-    # own fields and its input, and each CSV table read against its report
+    # the pins above but suite's, each derived number recomputed from the
+    # report's own fields and its input, and each CSV table read against
+    # its report
     @pytest.mark.parametrize("args", [
         *(["keylemma", "--n", n, "--trials", 200, "--seed", 0] for n in (4, 8, 12)),
         ["corrupt", "--seed", 1], ["harper", "--n", 4], ["clt-check"], ["smallball"], ["weber"],
-        LIL_PIN, SELECT_PIN,
+        LIL_PIN, SELECT_PIN, EXTRACT_PIN, REFINE_PIN,
     ], ids=["keylemma-n4", "keylemma-n8", "keylemma-n12", "corrupt", "harper-n4",
-            "clt-check-default", "smallball-default", "weber-default", "lil", "select-evens"])
-    def test_pinned_reports_hold_by_meaning(self, tmp_path, args):
+            "clt-check-default", "smallball-default", "weber-default", "lil", "select-evens",
+            "extract", "trace-refine"])
+    def test_pinned_reports_hold_by_meaning(self, tmp_path, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        write_text_bits("strings.txt", REFINE_STRINGS)
         assert run([*args, "--out-dir", tmp_path]) == 0
         if args[0] == "keylemma":
             check_keylemma_report(keylemma_report(tmp_path / "keylemma.json"))
@@ -315,6 +322,8 @@ class TestDeterminism:
             report = read_json(tmp_path / "select.json")
             assert report["positions_examined"] == 500
             check_select_report(report)
+        elif args[0] == "trace-refine":
+            check_trace_refine_report(read_json(tmp_path / "trace_refine.json"), REFINE_STRINGS)
         else:
             check_tabled_report(*tabled_report(tmp_path, args[0]))
 
@@ -342,8 +351,11 @@ class TestDeterminism:
         (["smallball"], "exact-num-plus-one"),
         (LIL_PIN, "statistic-next-float"),
         (LIL_PIN, "csv-cell"),
+        (EXTRACT_PIN, "margin-plus-two"),
+        (EXTRACT_PIN, "csv-cell"),
     ], ids=["harper-min-plus-one", "harper-csv-cell", "clt-check-gap-next-float",
-            "smallball-exact-num-plus-one", "lil-statistic-next-float", "lil-csv-cell"])
+            "smallball-exact-num-plus-one", "lil-statistic-next-float", "lil-csv-cell",
+            "extract-margin-plus-two", "extract-csv-cell"])
     def test_the_tabled_checks_fail_on_an_edited_copy(self, tmp_path, args, edit):
         assert run([*args, "--out-dir", tmp_path]) == 0
         report, table = tabled_report(tmp_path, args[0])
@@ -369,6 +381,13 @@ class TestDeterminism:
             lines[4] = f"128,{moved!r}"
             if edit == "statistic-next-float":  # the report too, so the two still agree
                 row["statistic"] = moved
+        elif args[0] == "extract":
+            assert lines[3] == "2,55,1"  # still positive and past 2 * ceil(4096^(1/3)) = 32
+            if edit == "margin-plus-two":  # the report too, so the two still agree
+                report["margins"][2] = 57
+                lines[3] = "2,57,1"
+            else:
+                lines[3] = "2,55,0"
         else:
             row = report["rows"][0]
             assert lines[1].startswith("16,3,30251,32768,")
@@ -404,6 +423,18 @@ class TestDeterminism:
             lines[6] = "6,4"
         with pytest.raises(AssertionError):
             check_tabled_report(report, "\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("field, edited", [("positions", [0, 1]), ("constants", [1, 0])])
+    def test_the_trace_refine_check_fails_on_an_edited_copy(self, tmp_path, monkeypatch,
+                                                             field, edited):
+        monkeypatch.chdir(tmp_path)
+        write_text_bits("strings.txt", REFINE_STRINGS)
+        assert run([*REFINE_PIN, "--out-dir", tmp_path]) == 0
+        report = read_json(tmp_path / "trace_refine.json")
+        assert (report["positions"], report["constants"]) == ([0, 2], [1, 1])
+        report[field] = edited
+        with pytest.raises(AssertionError):
+            check_trace_refine_report(report, REFINE_STRINGS)
 
     def test_the_select_check_fails_on_an_edited_copy(self, tmp_path):
         assert run([*SELECT_PIN, "--out-dir", tmp_path]) == 0

@@ -104,12 +104,14 @@ ONE_DEFINITION = {
     "lil-scale": ("2.0 * n * lnln(n)", "budgets.py", "lil_scale"),
     "block-lowest-k": ("(1 << (m - 1)) + 1", "stats.py", None),
     "odd-trim": ("% 2 else e - 1", "extractor.py", "odd_cores"),
-    "ball-verdict": ('startswith("ball ")', "acceptance.py", "non_tight_balls"),
+    "ball-verdict": ('startswith("ball ")', "keylemma.py", "non_tight_balls"),
     "lil-checkpoints": ("1 << j for j in range(4", "extractor.py", "psi_deviation"),
     "core-words": ("(1 << e) - (1 << s)", "kernels.py", "core_words"),
     "resource-refusal": ("raise ResourceError", "bits.py", "read_index"),
     "overflow-catch": ("OverflowError", "bits.py", ("as_bits", "_real")),
     "neighborhood-count": ("kernels.distance_to_set(", "cube.py", "gamma_sizes"),
+    "corrupt-report": ('"budget_exceeded":', "cli.py", "cmd_corrupt"),
+    "middle-index": ("(n - 1) // 2", "cube.py", None),
 }
 
 
@@ -143,12 +145,6 @@ def test_each_rule_has_one_definition(text, module, function):
     else:
         functions = (function,) if isinstance(function, str) else function
         assert found == {(module, f) for f in functions}
-
-
-# Exports that nothing in the program reads yet, each with the reason it stays
-UNREAD_EXPORTS = {
-    "frequency_on_set": "ROADMAP item 12 (criterion 4)",
-}
 
 
 def names_read(tree: ast.AST) -> set[str]:
@@ -192,8 +188,7 @@ def test_every_export_has_a_reader():
                 read |= names_read(node)
     while (more := set().union(*(inside[name] for name in read & inside.keys())) - read):
         read |= more
-    assert sorted(exported - read - UNREAD_EXPORTS.keys()) == []
-    assert UNREAD_EXPORTS.keys() <= exported - read
+    assert sorted(exported - read) == []
 
 
 def test_every_refusal_kind_is_documented():
